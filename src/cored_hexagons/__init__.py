@@ -43,6 +43,7 @@ from .lgv import (
 from .formulas import (
     asymptotic_k,
     conjecture_rhs,
+    count_cored_factorization,
     count_cored_formula,
     lemma_rhs,
     macmahon_box,

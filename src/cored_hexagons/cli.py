@@ -153,6 +153,7 @@ def _cmd_formula(args) -> int:
         elif fid == "case10":
             value = formulas.rhs_case10(args.a, args.m)
         elif fid == "asymptotic-k":
+            _check_digits(args.digits)
             value = mpmath.nstr(
                 formulas.asymptotic_k(args.a, args.b, args.c, args.m, digits=args.digits),
                 args.digits - 5,
@@ -176,6 +177,12 @@ def _cmd_formula(args) -> int:
     }
     _emit({"id": fid, "params": params, "value": _value_payload(value)})
     return EXIT_OK
+
+
+def _check_digits(digits: int) -> None:
+    # the constant is printed to digits - 5 significant digits
+    if digits <= 5:
+        raise CliError(f"--digits must be at least 6, got {digits}")
 
 
 def _run_one_suite(name: str, bounds: dict, seed: int):
@@ -239,6 +246,7 @@ def _cmd_asymptotic(args) -> int:
         ns = [int(part) for part in args.n_list.split(",") if part]
     except ValueError:
         raise CliError(f"bad --n-list {args.n_list!r}")
+    _check_digits(args.digits)
     try:
         k = formulas.asymptotic_k(args.a, args.b, args.c, args.m, digits=args.digits)
     except formulas.FormulaDomainError as exc:
@@ -386,9 +394,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if os.environ.get("CORED_HEX_CELL_CAP") and getattr(args, "cap", None) is None:
-            if hasattr(args, "cap"):
-                args.cap = int(os.environ["CORED_HEX_CELL_CAP"])
+        if getattr(args, "cap", 0) is None and os.environ.get("CORED_HEX_CELL_CAP"):
+            args.cap = tilings.default_cell_cap()
         return args.func(args)
     except CliError as exc:
         sys.stderr.write(f"error: {exc}\n")

@@ -31,17 +31,6 @@ def is_integer(x: Number) -> bool:
     return isinstance(x, int) or x.denominator == 1
 
 
-def is_half_integer(x: Number) -> bool:
-    """True for odd multiples of 1/2."""
-    return isinstance(x, Fraction) and x.denominator == 2
-
-
-def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial of negative integer {n}")
-    return math.factorial(n)
-
-
 def double_factorial_odd(i: int) -> int:
     """(2i-1)!! = 1*3*5*...*(2i-1); the empty product for i = 0."""
     if i < 0:
@@ -223,10 +212,6 @@ class CycloElement:
         if ring not in (THIRD, SIXTH):
             raise ValueError(f"unknown cyclotomic ring {ring!r}")
         return CycloElement(ring, frac(c0), frac(c1))
-
-    @staticmethod
-    def from_rational(ring: str, value: Number) -> CycloElement:
-        return CycloElement.of(ring, value, 0)
 
     def _coerce(self, other: CycloElement | Number) -> CycloElement:
         if isinstance(other, CycloElement):

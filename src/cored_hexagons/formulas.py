@@ -3,13 +3,14 @@ counts, the four root-of-unity determinant evaluations, the orbit-count
 factorization, the asymptotic constant, the off-center conjectures, and the
 multiple-sum summation theorems.
 
-Every product is evaluated with sqrt(pi) bookkeeping and asserted to come
-out rational; a leaked half power of pi means a transcription error.
+The hyperfactorial counts are term tables evaluated by prime exponents, the
+other products with SqrtPiScaled; a leaked half power of pi raises.
 """
 
 from __future__ import annotations
 
 import math
+from collections import Counter
 from fractions import Fraction
 from itertools import combinations
 
@@ -71,10 +72,6 @@ def _ceil(x: Number) -> int:
     return math.ceil(frac(x))
 
 
-def _floor(x: Number) -> int:
-    return math.floor(frac(x))
-
-
 def _clamped_floor(x: Number) -> int:
     """floor with negative arguments read as 0, the convention that closes
     the root-of-unity product formulas."""
@@ -82,106 +79,164 @@ def _clamped_floor(x: Number) -> int:
     return 0 if x < 0 else math.floor(x)
 
 
+# --- hyperfactorial product formulas as term tables -----------------------
+#
+# A term table is a list of (arguments, multiplicity): the formula is the
+# product of h(x)**multiplicity over every x in every entry's arguments,
+# with ceilings and floors already resolved.
+
+def _rounded(base: Number, y: int, nudge: Number = 0) -> tuple[Number, Number]:
+    """base + ceil(y/2) - nudge and base + floor(y/2) + nudge, a pair that
+    scales like base + y/2."""
+    return base - nudge + (y + 1) // 2, base + nudge + y // 2
+
+
+def _primes_upto(n: int) -> list[int]:
+    sieve = bytearray([1]) * (n + 1)
+    for p in range(2, math.isqrt(n) + 1):
+        if sieve[p]:
+            sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
+    return [p for p in range(2, n + 1) if sieve[p]]
+
+
+def _product(factors: list[int]) -> int:
+    """Product by a balanced tree, so the big multiplications pair up
+    numbers of similar size."""
+    while len(factors) > 1:
+        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+    return factors[0] if factors else 1
+
+
+def _table_exponents(table) -> dict[int, int]:
+    """The nonzero prime exponents of the product a term table describes.
+
+    Legendre's formula gives v_p(h(n)) = sum_{k<n} v_p(k!) in closed form
+    per prime power q: sum_{k<n} floor(k/q) = q*t*(t-1)/2 + r*t with
+    n = t*q + r.  A half-integer argument j - 1/2 enters through
+    Gamma(k+1/2) = (2k)!/(4^k k!) sqrt(pi), where the product of (2k)! over
+    k < j is the square root of h(2j)/(2j-1)!!.  sqrt(pi) is a pseudo-prime
+    whose exponent must cancel."""
+    # twice each exponent, as integer combinations of v_p(h(n)) and v_p(n!)
+    hyper: Counter[int] = Counter()
+    fact: Counter[int] = Counter()
+    two = sqrt_pi = largest = 0
+    for args, mult in table:
+        for x in args:
+            t = int(2 * x)
+            if t < -1:
+                raise ValueError(f"hyperfactorial of negative argument {frac(x)}")
+            largest = max(largest, t)
+            if t % 2 == 0:
+                hyper[t // 2] += 2 * mult
+                continue
+            j = (t + 1) // 2
+            hyper[2 * j] += mult
+            hyper[j] -= 2 * mult
+            fact[2 * j] -= mult
+            fact[j] += mult
+            two += mult * (j - 2 * j * (j - 1))
+            sqrt_pi += mult * j
+    if sqrt_pi:
+        raise ValueError(
+            f"value carries pi**({sqrt_pi}/2); "
+            "a sqrt(pi) leak indicates a transcription error"
+        )
+    hyper_terms = sorted(((n, w) for n, w in hyper.items() if w), reverse=True)
+    fact_terms = sorted(((n, w) for n, w in fact.items() if w), reverse=True)
+    exponents = {}
+    for p in _primes_upto(largest):
+        twice = two if p == 2 else 0
+        q = p
+        while q <= largest:
+            for n, w in hyper_terms:
+                if n <= q:
+                    break
+                t, r = divmod(n, q)
+                twice += w * (q * t * (t - 1) // 2 + r * t)
+            for n, w in fact_terms:
+                if n < q:
+                    break
+                twice += w * (n // q)
+            q *= p
+        if twice:
+            exponents[p] = twice // 2
+    return exponents
+
+
+def _evaluate(table) -> Fraction:
+    exponents = _table_exponents(table)
+    return Fraction(
+        _product([p**e for p, e in exponents.items() if e > 0]),
+        _product([p**-e for p, e in exponents.items() if e < 0]),
+    )
+
+
+def _count_table(a: int, b: int, c: int, m: int, signed: bool):
+    """The tiling count for either core placement: the ceilings and floors
+    are exact when a, b, c have equal parity.  The plain and the (-1)-count
+    differ only in the core pairs, m/2 + y/2 rounded both ways, which the
+    (-1)-count nudges apart by 1/2 each.
+
+    The arguments of one entry scale alike, to the same x*n under
+    (a, b, c, m) -> (a, b, c, m)*n, and the entries come in the order the
+    asymptotic constant sums them."""
+    s, m2, nudge = a + b + c, frac(m, 2), Fraction(1, 2) if signed else 0
+
+    def core(y: int) -> tuple[Number, Number]:
+        return _rounded(m2, y, nudge)
+
+    return [
+        ((a + m,), 1), ((b + m,), 1), ((c + m,), 1), ((s + m,), 1),
+        (_rounded(m, s), 1), (_rounded(0, a), 1), (_rounded(0, b), 1), (_rounded(0, c), 1),
+        (core(0), 1), (core(a + b), 1), (core(a + c), 1), (core(b + c), 1),
+        ((a + b + m,), -1), ((a + c + m,), -1), ((b + c + m,), -1),
+        (((a + b + 1) // 2 + m,), -1), (((a + c) // 2 + m,), -1), (((b + c) // 2 + m,), -1),
+        (core(a), -1), (core(b), -1), (core(c), -1), (core(s), -1),
+        (((a + b) // 2,), -1), (((a + c + 1) // 2,), -1), (((b + c) // 2,), -1),
+    ]
+
+
 def macmahon_box(a: int, b: int, c: int) -> int:
     """Number of plane partitions in an a x b x c box."""
-    value = (
-        _h(a) * _h(b) * _h(c) * _h(a + b + c) / (_h(a + b) * _h(b + c) * _h(c + a))
-    ).to_rational()
+    value = _evaluate([((a, b, c, a + b + c), 1), ((a + b, b + c, c + a), -1)])
     assert value.denominator == 1
     return int(value)
 
 
-def _enum_centered(a: int, b: int, c: int, m: int) -> Fraction:
-    h = Fraction(1, 2)
-    v = _h(a + m) * _h(b + m) * _h(c + m) * _h(a + b + c + m)
-    v = v / (_h(a + b + m) * _h(a + c + m) * _h(b + c + m))
-    v = v * _h(m + _ceil(frac(a + b + c, 2))) * _h(m + _floor(frac(a + b + c, 2)))
-    v = v / (_h(frac(a + b, 2) + m) * _h(frac(a + c, 2) + m) * _h(frac(b + c, 2) + m))
-    v = v * _h(_ceil(a * h)) * _h(_ceil(b * h)) * _h(_ceil(c * h))
-    v = v * _h(_floor(a * h)) * _h(_floor(b * h)) * _h(_floor(c * h))
-    v = v / (_h(m * h + _ceil(a * h)) * _h(m * h + _ceil(b * h)) * _h(m * h + _ceil(c * h)))
-    v = v / (_h(m * h + _floor(a * h)) * _h(m * h + _floor(b * h)) * _h(m * h + _floor(c * h)))
-    v = v * _h(m * h) ** 2
-    v = v * _h(frac(a + b + m, 2)) ** 2 * _h(frac(a + c + m, 2)) ** 2 * _h(frac(b + c + m, 2)) ** 2
-    v = v / (_h(m * h + _ceil(frac(a + b + c, 2))) * _h(m * h + _floor(frac(a + b + c, 2))))
-    v = v / (_h(frac(a + b, 2)) * _h(frac(a + c, 2)) * _h(frac(b + c, 2)))
-    return v.to_rational()
-
-
-def _enum_shifted(a: int, b: int, c: int, m: int) -> Fraction:
-    h = Fraction(1, 2)
-    v = _h(a + m) * _h(b + m) * _h(c + m) * _h(a + b + c + m)
-    v = v * _h(m + _ceil(frac(a + b + c, 2))) * _h(m + _floor(frac(a + b + c, 2)))
-    v = v / (_h(a + b + m) * _h(a + c + m) * _h(b + c + m))
-    v = v / (_h(_floor(frac(a + c, 2)) + m) * _h(frac(b + c, 2) + m) * _h(_ceil(frac(a + b, 2)) + m))
-    v = v * _h(m * h) ** 2
-    v = v * _h(_ceil(a * h)) * _h(_ceil(b * h)) * _h(_ceil(c * h))
-    v = v * _h(_floor(a * h)) * _h(_floor(b * h)) * _h(_floor(c * h))
-    v = v / (_h(m * h + _ceil(a * h)) * _h(m * h + _ceil(b * h)) * _h(m * h + _ceil(c * h)))
-    v = v / (_h(m * h + _floor(a * h)) * _h(m * h + _floor(b * h)) * _h(m * h + _floor(c * h)))
-    v = v * _h(_ceil(frac(a + b, 2)) + m * h) * _h(_floor(frac(a + b, 2)) + m * h)
-    v = v * _h(_floor(frac(a + c, 2)) + m * h) * _h(_ceil(frac(a + c, 2)) + m * h)
-    v = v * _h(frac(b + c, 2) + m * h) ** 2
-    v = v / (_h(m * h + _ceil(frac(a + b + c, 2))) * _h(m * h + _floor(frac(a + b + c, 2))))
-    v = v / (_h(_floor(frac(a + b, 2))) * _h(_ceil(frac(a + c, 2))) * _h(frac(b + c, 2)))
-    return v.to_rational()
-
-
-def _signed_centered(a: int, b: int, c: int, m: int) -> Fraction:
-    if a % 2 == 1:
-        # all of a, b, c odd
-        return Fraction(0)
-    h = Fraction(1, 2)
-    v = _h(a + m) * _h(b + m) * _h(c + m) * _h(a + b + c + m)
-    v = v / (_h(a + b + m) * _h(a + c + m) * _h(b + c + m))
-    v = v * _h(a * h) ** 2 * _h(b * h) ** 2 * _h(c * h) ** 2
-    v = v * _h(frac(m - 1, 2)) * _h(frac(m + 1, 2))
-    v = v / (_h(a * h + frac(m - 1, 2)) * _h(b * h + frac(m - 1, 2)) * _h(c * h + frac(m - 1, 2)))
-    v = v / (_h(a * h + frac(m + 1, 2)) * _h(b * h + frac(m + 1, 2)) * _h(c * h + frac(m + 1, 2)))
-    v = v * _h(frac(a + b + m - 1, 2)) * _h(frac(a + b + m + 1, 2))
-    v = v * _h(frac(a + c + m - 1, 2)) * _h(frac(a + c + m + 1, 2))
-    v = v * _h(frac(b + c + m - 1, 2)) * _h(frac(b + c + m + 1, 2))
-    v = v / (_h(frac(a + b, 2)) * _h(frac(a + c, 2)) * _h(frac(b + c, 2)))
-    v = v / (_h(frac(a + b, 2) + m) * _h(frac(a + c, 2) + m) * _h(frac(b + c, 2) + m))
-    v = v * _h(frac(a + b + c, 2) + m) ** 2
-    v = v / (_h(frac(a + b + c, 2) + frac(m - 1, 2)) * _h(frac(a + b + c, 2) + frac(m + 1, 2)))
-    return (-1) ** (a // 2) * v.to_rational()
-
-
-def _signed_shifted(a: int, b: int, c: int, m: int) -> Fraction:
-    h = Fraction(1, 2)
-    mm, mp = frac(m - 1, 2), frac(m + 1, 2)
-    v = _h(a + m) * _h(b + m) * _h(c + m) * _h(a + b + c + m)
-    v = v / (_h(a + b + m) * _h(a + c + m) * _h(b + c + m))
-    v = v * _h(_floor(frac(a + b + c, 2)) + m) * _h(_ceil(frac(a + b + c, 2)) + m)
-    v = v / (_h(frac(a + b + 1, 2) + m) * _h(frac(a + c - 1, 2) + m) * _h(frac(b + c, 2) + m))
-    v = v * _h(_floor(a * h)) * _h(_ceil(a * h)) * _h(_floor(b * h)) * _h(_ceil(b * h))
-    v = v * _h(_floor(c * h)) * _h(_ceil(c * h)) * _h(mm) * _h(mp)
-    v = v / (_h(mm + _floor(frac(a + 1, 2))) * _h(mp + _ceil(frac(a - 1, 2))))
-    v = v / (_h(mm + _floor(frac(b + 1, 2))) * _h(mp + _ceil(frac(b - 1, 2))))
-    v = v / _h(mm + _floor(frac(c + 1, 2)))
-    v = v * _h(frac(a + b + m, 2)) ** 2 * _h(frac(a + c + m, 2)) ** 2
-    v = v * _h(frac(b + c + m - 1, 2)) * _h(frac(b + c + m + 1, 2))
-    v = v / (_h(mp + _ceil(frac(c - 1, 2))) * _h(frac(a + b - 1, 2)) * _h(frac(a + c + 1, 2)))
-    v = v / (_h(frac(b + c, 2)) * _h(mm + _floor(frac(a + b + c + 1, 2))) * _h(mp + _ceil(frac(a + b + c - 1, 2))))
-    return (-1) ** _ceil(a * h) * v.to_rational()
-
-
-def count_cored_formula(a: int, b: int, c: int, m: int, signed: bool = False) -> Fraction:
-    """The closed-form tiling count of the cored hexagon: plain for
-    signed=False, the (-1)^n weighted count for signed=True.  Dispatches on
-    the core placement resolved from the side parities."""
+def _count_terms(a: int, b: int, c: int, m: int, signed: bool):
+    """(sign, term table) of the closed-form count; sign 0 when it vanishes."""
     if min(a, b, c, m) < 0:
         raise FormulaDomainError("side lengths must be nonnegative")
     if b % 2 != c % 2:
         raise FormulaDomainError("b and c must have equal parity; relabel first")
-    centered = a % 2 == b % 2
-    if signed:
-        value = _signed_centered(a, b, c, m) if centered else _signed_shifted(a, b, c, m)
-    else:
-        value = _enum_centered(a, b, c, m) if centered else _enum_shifted(a, b, c, m)
+    if not signed:
+        return 1, _count_table(a, b, c, m, signed)
+    if a % 2 == b % 2 == 1:
+        # all of a, b, c odd
+        return 0, []
+    return (-1) ** ((a + 1) // 2), _count_table(a, b, c, m, signed)
+
+
+def count_cored_formula(a: int, b: int, c: int, m: int, signed: bool = False) -> Fraction:
+    """The closed-form tiling count of the cored hexagon: plain for
+    signed=False, the (-1)^n weighted count for signed=True."""
+    sign, table = _count_terms(a, b, c, m, signed)
+    value = sign * _evaluate(table)
     assert value.denominator == 1, "tiling counts must be integers"
     return value
+
+
+def count_cored_factorization(a: int, b: int, c: int, m: int, signed: bool = False) -> dict[int, int]:
+    """The prime factorization of count_cored_formula, prime -> exponent,
+    read off the term table without multiplying out.  A negative signed
+    count adds the key -1 and a vanishing one is {0: 1}, so the product of
+    key**exponent is always the count."""
+    sign, table = _count_terms(a, b, c, m, signed)
+    if sign == 0:
+        return {0: 1}
+    exponents = _table_exponents(table)
+    assert all(e > 0 for e in exponents.values()), "tiling counts must be integers"
+    return {-1: 1, **exponents} if sign < 0 else exponents
 
 
 # --- the four evaluations of det(omega I + B) ------------------------------
@@ -318,42 +373,6 @@ def rhs_case10(a: int, m: int) -> Fraction:
 # --- asymptotics ------------------------------------------------------------
 
 
-def _asy_args(a: int, b: int, c: int, m: int) -> list[tuple[Fraction, int]]:
-    """Scaled hyperfactorial arguments of the plain-count product formula,
-    as (coefficient-of-n, signed multiplicity) pairs; ceilings and floors
-    both scale to the exact half."""
-    s = frac(a + b + c)
-    h = Fraction(1, 2)
-    args = [
-        (frac(a + m), 1),
-        (frac(b + m), 1),
-        (frac(c + m), 1),
-        (frac(a + b + c + m), 1),
-        (m + s * h, 2),
-        (a * h, 2),
-        (b * h, 2),
-        (c * h, 2),
-        (m * h, 2),
-        (frac(a + b + m) * h, 2),
-        (frac(a + c + m) * h, 2),
-        (frac(b + c + m) * h, 2),
-        (frac(a + b + m), -1),
-        (frac(a + c + m), -1),
-        (frac(b + c + m), -1),
-        (frac(a + b) * h + m, -1),
-        (frac(a + c) * h + m, -1),
-        (frac(b + c) * h + m, -1),
-        (m * h + a * h, -2),
-        (m * h + b * h, -2),
-        (m * h + c * h, -2),
-        (m * h + s * h, -2),
-        (frac(a + b) * h, -1),
-        (frac(a + c) * h, -1),
-        (frac(b + c) * h, -1),
-    ]
-    return args
-
-
 def asymptotic_k(a: int, b: int, c: int, m: int, digits: int = 50) -> mpmath.mpf:
     """The growth constant k with L(C_{an,bn,cn}(mn)) ~ exp(k n^2).
 
@@ -364,7 +383,12 @@ def asymptotic_k(a: int, b: int, c: int, m: int, digits: int = 50) -> mpmath.mpf
     weight."""
     if min(a, b, c, m) < 0:
         raise FormulaDomainError("parameters must be nonnegative")
-    args = _asy_args(a, b, c, m)
+    # At doubled sides every ceiling and floor of the table is exact,
+    # and its arguments are linear in (a, b, c, m), so each entry lists 2x.
+    args = [
+        (frac(xs[0]) / 2, mult * len(xs))
+        for xs, mult in _count_table(2 * a, 2 * b, 2 * c, 2 * m, False)
+    ]
     balance = sum(x * x * mult for x, mult in args)
     assert balance == 0, "x^2 terms must cancel for a finite constant"
     with mpmath.workdps(digits):
@@ -372,8 +396,6 @@ def asymptotic_k(a: int, b: int, c: int, m: int, digits: int = 50) -> mpmath.mpf
         for x, mult in args:
             if x == 0:
                 continue
-            if x < 0:
-                raise FormulaDomainError(f"negative scaled argument {x}")
             coeff = x * x / 2 * mult
             k += (
                 mpmath.mpf(coeff.numerator)
@@ -390,48 +412,22 @@ def conjecture_rhs(which: int, a: int, b: int, c: int, m: int) -> Fraction:
     """Right-hand sides of the two off-center conjectures (core moved by one
     unit, respectively 3/2 units).  Degenerate hexagons with a+b < 2 or
     a+c < 2 are outside the formula's domain."""
-    h = Fraction(1, 2)
     if which == 1:
         if a % 2 != b % 2 or b % 2 != c % 2:
             raise FormulaDomainError("the one-unit shift needs a, b, c of equal parity")
         if a + b < 2 or frac(a + c, 2) + m < 1:
             raise FormulaDomainError("degenerate hexagon: off-center core does not fit")
-        v = _h(a + m) * _h(b + m) * _h(c + m) * _h(a + b + c + m)
-        v = v / (_h(a + b + m) * _h(a + c + m) * _h(b + c + m))
-        v = v * _h(m + _ceil(frac(a + b + c, 2))) * _h(m + _floor(frac(a + b + c, 2)))
-        v = v / (_h(frac(a + b, 2) + m + 1) * _h(frac(a + c, 2) + m - 1) * _h(frac(b + c, 2) + m))
-        v = v * _h(_ceil(a * h)) * _h(_ceil(b * h)) * _h(_ceil(c * h))
-        v = v * _h(_floor(a * h)) * _h(_floor(b * h)) * _h(_floor(c * h))
-        v = v / (_h(m * h + _ceil(a * h)) * _h(m * h + _ceil(b * h)) * _h(m * h + _ceil(c * h)))
-        v = v / (_h(m * h + _floor(a * h)) * _h(m * h + _floor(b * h)) * _h(m * h + _floor(c * h)))
-        v = v * _h(m * h) ** 2
-        v = v * _h(frac(a + b + m, 2)) ** 2 * _h(frac(a + c + m, 2)) ** 2 * _h(frac(b + c + m, 2)) ** 2
-        v = v / (_h(m * h + _ceil(frac(a + b + c, 2))) * _h(m * h + _floor(frac(a + b + c, 2))))
-        v = v / (_h(frac(a + b, 2) - 1) * _h(frac(a + c, 2) + 1) * _h(frac(b + c, 2)))
+        scale = Fraction(1, 4)
         if a % 2 == 0:
             p = (a + b) * (a + c) + 2 * a * m
         else:
             p = (a + b) * (a + c) + 2 * (a + b + c + m) * m
-        return Fraction(1, 4) * v.to_rational() * p
-    if which == 2:
+    elif which == 2:
         if a % 2 == b % 2 or b % 2 != c % 2:
             raise FormulaDomainError("the 3/2-unit shift needs a of deviant parity")
-        if _floor(frac(a + b, 2)) < 1 or _floor(frac(a + c, 2)) + m < 1:
+        if (a + b) // 2 < 1 or (a + c) // 2 + m < 1:
             raise FormulaDomainError("degenerate hexagon: off-center core does not fit")
-        v = _h(a + m) * _h(b + m) * _h(c + m) * _h(a + b + c + m)
-        v = v / (_h(a + b + m) * _h(a + c + m) * _h(b + c + m))
-        v = v * _h(m * h) ** 2
-        v = v * _h(_ceil(a * h)) * _h(_ceil(b * h)) * _h(_ceil(c * h))
-        v = v * _h(_floor(a * h)) * _h(_floor(b * h)) * _h(_floor(c * h))
-        v = v / (_h(m * h + _ceil(a * h)) * _h(m * h + _ceil(b * h)) * _h(m * h + _ceil(c * h)))
-        v = v / (_h(m * h + _floor(a * h)) * _h(m * h + _floor(b * h)) * _h(m * h + _floor(c * h)))
-        v = v * _h(_ceil(frac(a + b, 2)) + m * h) * _h(_floor(frac(a + b, 2)) + m * h)
-        v = v * _h(_floor(frac(a + c, 2)) + m * h) * _h(_ceil(frac(a + c, 2)) + m * h)
-        v = v * _h(frac(b + c, 2) + m * h) ** 2
-        v = v / (_h(m * h + _ceil(frac(a + b + c, 2))) * _h(m * h + _floor(frac(a + b + c, 2))))
-        v = v / (_h(_floor(frac(a + b, 2)) - 1) * _h(_ceil(frac(a + c, 2)) + 1) * _h(frac(b + c, 2)))
-        v = v * _h(m + _ceil(frac(a + b + c, 2))) * _h(m + _floor(frac(a + b + c, 2)))
-        v = v / (_h(_floor(frac(a + c, 2)) + m - 1) * _h(frac(b + c, 2) + m) * _h(_ceil(frac(a + b, 2)) + m + 1))
+        scale = Fraction(1, 16)
         if a % 2 == 0:
             p = ((a + b) ** 2 - 1) * ((a + c) ** 2 - 1) + 4 * a * m * (
                 a * a + 2 * a * b + b * b + 2 * a * c + 3 * b * c + c * c
@@ -441,8 +437,17 @@ def conjecture_rhs(which: int, a: int, b: int, c: int, m: int) -> Fraction:
             p = ((a + b) ** 2 - 1) * ((a + c) ** 2 - 1) + 4 * (a + b + c + m) * m * (
                 a * a + b * c - 1
             )
-        return Fraction(1, 16) * v.to_rational() * p
-    raise FormulaDomainError("which must be 1 or 2")
+    else:
+        raise FormulaDomainError("which must be 1 or 2")
+    # the plain count's table with the four arguments that place the core
+    # moved by one
+    up, down = (a + b + 1) // 2 + m, (a + c) // 2 + m
+    low, high = (a + b) // 2, (a + c + 1) // 2
+    table = _count_table(a, b, c, m, False) + [
+        ((up, down, low, high), 1),
+        ((up + 1, down - 1, low - 1, high + 1), -1),
+    ]
+    return scale * _evaluate(table) * p
 
 
 # --- the transformed-determinant evaluations (eight parity branches) -------

@@ -87,9 +87,6 @@ class ExactMatrix:
     def ncols(self) -> int:
         return len(self.rows[0]) if self.rows else 0
 
-    def entry(self, i: int, j: int):
-        return self.rows[i][j]
-
     def submatrix(self, row_indices, col_indices) -> ExactMatrix:
         return ExactMatrix(
             self.ring,

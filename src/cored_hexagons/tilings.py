@@ -56,7 +56,10 @@ class CellCapError(RuntimeError):
 
 def default_cell_cap() -> int:
     value = os.environ.get("CORED_HEX_CELL_CAP")
-    return int(value) if value else DEFAULT_CELL_CAP
+    try:
+        return int(value) if value else DEFAULT_CELL_CAP
+    except ValueError:
+        raise ValueError(f"CORED_HEX_CELL_CAP must be an integer, got {value!r}") from None
 
 
 def normalize_sides(a: int, b: int, c: int) -> tuple[tuple[int, int, int], str]:

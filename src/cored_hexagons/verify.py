@@ -220,7 +220,8 @@ def _suite_zn_factorization(bounds, seed):
             x, mu = _rand_rational(rng), _rand_rational(rng)
             try:
                 lhs, rhs = lgv.zn_factor_pair(n, x, mu)
-            except (ZeroDivisionError, AssertionError):
+            except ZeroDivisionError:
+                # the factorization excludes i + mu + 1 = 0
                 continue
             drawn += 1
             yield _report(

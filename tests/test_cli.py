@@ -60,6 +60,15 @@ class TestCount:
         )
         assert code == 3
 
+    def test_bad_cell_cap_env_is_named(self, capsys, monkeypatch):
+        monkeypatch.setenv("CORED_HEX_CELL_CAP", "abc")
+        code, _, err = run_cli(
+            capsys, "count", "--a", "1", "--b", "1", "--c", "1", "--m", "0",
+            "--method", "brute",
+        )
+        assert code == 2
+        assert "CORED_HEX_CELL_CAP" in err and "'abc'" in err
+
     def test_byte_stable_output(self, capsys):
         outs = set()
         for _ in range(2):
@@ -115,6 +124,26 @@ class TestOtherCommands:
         assert lines[0].startswith("k,")
         assert lines[1] == "n,log_count_over_n2,deviation"
         assert len(lines) == 4
+
+    def test_asymptotic_k_default_digits(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "formula", "--id", "asymptotic-k", "--a", "1", "--b", "1", "--c", "1",
+            "--m", "1",
+        )
+        assert code == 0
+        assert json.loads(out)["value"] == "1.25705964308349630550237624052027110451344693"
+
+    def test_too_few_digits_is_exit_2(self, capsys):
+        sides = ("--a", "1", "--b", "1", "--c", "1", "--m", "1")
+        for digits in ("3", "5"):
+            code, out, err = run_cli(
+                capsys, "formula", "--id", "asymptotic-k", *sides, "--digits", digits
+            )
+            assert (code, out) == (2, "") and "--digits" in err
+        code, out, err = run_cli(capsys, "asymptotic", *sides, "--digits", "4")
+        assert (code, out) == (2, "") and "--digits" in err
+        code, _, _ = run_cli(capsys, "formula", "--id", "asymptotic-k", *sides, "--digits", "6")
+        assert code == 0
 
     def test_conjecture_sweep(self, capsys):
         code, out, _ = run_cli(

@@ -1,10 +1,12 @@
+import math
 import random
 from fractions import Fraction
 
 import mpmath
 import pytest
 
-from cored_hexagons.exactnum import omega3, omega6
+from cored_hexagons import formulas
+from cored_hexagons.exactnum import hyperfactorial, omega3, omega6
 from cored_hexagons.formulas import (
     FORMULA_TAGS,
     FormulaDomainError,
@@ -12,6 +14,7 @@ from cored_hexagons.formulas import (
     andrews_rhs,
     asymptotic_k,
     conjecture_rhs,
+    count_cored_factorization,
     count_cored_formula,
     lemma_rhs,
     macmahon_box,
@@ -76,6 +79,76 @@ class TestCountFormulas:
         assert value == det_fraction_free(build_cored_matrix(a, b, c, m, eps))
         weight = "minus1" if signed else "one"
         assert value == count_weighted(CoredHexagon(a, b, c, m), weight)
+
+    def test_against_determinant_on_all_small_tuples(self):
+        # plain counts for even m, (-1)-counts for odd m, both core placements
+        placements = set()
+        for a in range(7):
+            for b in range(7):
+                for c in range(b % 2, 7, 2):
+                    eps = 0 if a % 2 == b % 2 else Fraction(1, 2)
+                    placements.add(eps)
+                    for m in range(6):
+                        det = det_fraction_free(build_cored_matrix(a, b, c, m, eps))
+                        value = count_cored_formula(a, b, c, m, signed=m % 2 == 1)
+                        assert value == det, (a, b, c, m)
+        assert placements == {0, Fraction(1, 2)}
+
+
+class TestTermTables:
+    def test_single_hyperfactorials_match_the_reference(self):
+        # h(x) over sqrt(pi)**(x + 1/2) = h(x) / h(1/2)**(x + 1/2) for half-integer x
+        half = Fraction(1, 2)
+        for t in range(-1, 60):
+            x = Fraction(t, 2)
+            reference = hyperfactorial(x)
+            table = [((x,), 1), ((half,), -reference.half_pi_exponent)]
+            assert formulas._evaluate(table) == reference.coefficient, x
+
+    def test_quotients_of_hyperfactorials(self):
+        top, bottom = (7, Fraction(9, 2), Fraction(5, 2)), (Fraction(11, 2), 3, Fraction(3, 2))
+        table = [(top, 1), (bottom, -1)]
+        expected = math.prod(hyperfactorial(x) for x in top) / math.prod(
+            hyperfactorial(x) for x in bottom
+        )
+        assert expected.to_rational() != 1
+        assert formulas._evaluate(table) == expected.to_rational()
+
+    def test_unpaired_half_integer_leaks_sqrt_pi(self):
+        table = formulas._count_table(2, 2, 2, 2, False) + [((Fraction(5, 2),), 1)]
+        with pytest.raises(ValueError, match=r"pi\*\*\(3/2\); a sqrt\(pi\) leak"):
+            formulas._evaluate(table)
+
+    def test_argument_below_minus_half_is_rejected(self):
+        for x in (-1, Fraction(-3, 2)):
+            with pytest.raises(ValueError, match=f"hyperfactorial of negative argument {x}"):
+                formulas._evaluate([((x,), 1), ((x,), -1)])
+
+
+class TestFactorization:
+    def test_product_is_the_count_and_primes_are_small(self):
+        for a in range(6):
+            for b in range(6):
+                for c in range(b % 2, 6, 2):
+                    for m in range(5):
+                        for signed in (False, True):
+                            factors = count_cored_factorization(a, b, c, m, signed)
+                            value = count_cored_formula(a, b, c, m, signed)
+                            assert math.prod(k**e for k, e in factors.items()) == value
+                            primes = [k for k in factors if k > 1]
+                            assert all(e > 0 for e in factors.values())
+                            assert all(p < 2 * (a + b + c + m) + 2 for p in primes)
+
+    def test_examples(self):
+        assert count_cored_factorization(3, 5, 1, 2) == {2: 4, 3: 2, 5: 1}  # 720
+        assert count_cored_factorization(2, 0, 0, 1, signed=True) == {-1: 1}
+        assert count_cored_factorization(1, 1, 1, 1, signed=True) == {0: 1}
+        assert count_cored_factorization(0, 0, 0, 9) == {}
+
+    def test_large_count_is_factored_without_multiplying_out(self):
+        factors = count_cored_factorization(64, 64, 64, 64)
+        assert max(factors) < 2 * 256
+        assert math.prod(p**e for p, e in factors.items()) == count_cored_formula(64, 64, 64, 64)
 
 
 class TestOmegaDets:
@@ -146,6 +219,18 @@ class TestLemmas:
 
 
 class TestAsymptotics:
+    @pytest.mark.parametrize(
+        "params, expected",
+        [
+            ((1, 1, 1, 1), "1.25705964308349630550237624052027110451344693"),
+            ((2, 2, 2, 1), "4.26663221383704359170646341787347571054170477"),
+            ((1, 2, 3, 2), "4.29482704319460030025592507817654974241128598"),
+            ((1, 1, 1, 0), "0.784872215646821754775210837402306262460706704"),
+        ],
+    )
+    def test_pinned_values(self, params, expected):
+        assert mpmath.nstr(asymptotic_k(*params), 45) == expected
+
     def test_deterministic(self):
         k1 = asymptotic_k(1, 1, 1, 1)
         k2 = asymptotic_k(1, 1, 1, 1)

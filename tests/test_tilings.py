@@ -10,6 +10,7 @@ from cored_hexagons.tilings import (
     UP,
     build_region,
     count_weighted,
+    default_cell_cap,
     enumerate_cyclic_tilings,
     enumerate_tilings,
     is_cyclically_symmetric,
@@ -95,6 +96,11 @@ class TestEnumeration:
                         continue
                     h = CoredHexagon(a, b, c, 0)
                     assert count_weighted(h, "one") == macmahon_box(a, b, c)
+
+    def test_bad_cell_cap_env_is_named(self, monkeypatch):
+        monkeypatch.setenv("CORED_HEX_CELL_CAP", "abc")
+        with pytest.raises(ValueError, match="CORED_HEX_CELL_CAP .*'abc'"):
+            default_cell_cap()
 
     def test_cap_is_a_resource_error(self):
         with pytest.raises(CellCapError):

@@ -34,6 +34,15 @@ SMALL_BOUNDS = {
 }
 
 
+def test_zn_factorization_does_not_resample_failed_assertions(monkeypatch):
+    def failing_pair(n, x, mu):
+        raise AssertionError("inexact division")
+
+    monkeypatch.setattr("cored_hexagons.lgv.zn_factor_pair", failing_pair)
+    with pytest.raises(AssertionError):
+        run_suite("ZnFactorization", SMALL_BOUNDS["ZnFactorization"])
+
+
 def test_registry_covers_everything():
     check_registry()
     tags = set().union(*(c["tags"] for c in SUITE_COVERAGE.values()))
