@@ -198,6 +198,8 @@ def _count_table(a: int, b: int, c: int, m: int, signed: bool):
 
 def macmahon_box(a: int, b: int, c: int) -> int:
     """Number of plane partitions in an a x b x c box."""
+    if min(a, b, c) < 0:
+        raise FormulaDomainError(f"box sides must be nonnegative, got a={a}, b={b}, c={c}")
     value = _evaluate([((a, b, c, a + b + c), 1), ((a + b, b + c, c + a), -1)])
     assert value.denominator == 1
     return int(value)
@@ -242,9 +244,15 @@ def count_cored_factorization(a: int, b: int, c: int, m: int, signed: bool = Fal
 # --- the four evaluations of det(omega I + B) ------------------------------
 
 
+def _check_order(a: int) -> None:
+    if a < 0:
+        raise FormulaDomainError(f"the order a of B(a, m) must be nonnegative, got {a}")
+
+
 def andrews_rhs(a: int, m: Number) -> Fraction:
     """Closed form of det(I + B(a, m)); the m parameter may be any rational
     (the factorization of the orbit count evaluates it at shifted values)."""
+    _check_order(a)
     m2 = frac(m) / 2
     value = Fraction(2) ** ((a + 1) // 2)
     if a % 2 == 0:
@@ -273,6 +281,7 @@ def andrews_rhs(a: int, m: Number) -> Fraction:
 
 def zare1_rhs(a: int, m: Number) -> Fraction:
     """Closed form of det(-I + B(a, m)): zero for odd a."""
+    _check_order(a)
     if a % 2 == 1:
         return Fraction(0)
     m = frac(m)
@@ -300,6 +309,7 @@ def _om_double_factorials(a: int) -> Fraction:
 
 def om3_rhs(a: int, m: Number) -> CycloElement:
     """Closed form of det(wI + B(a, m)) for w a primitive third root."""
+    _check_order(a)
     m2 = frac(m) / 2
     rational = Fraction(2) ** (a // 2) / _om_double_factorials(a)
     i = 0
@@ -319,6 +329,7 @@ def om3_rhs(a: int, m: Number) -> CycloElement:
 
 def om6_rhs(a: int, m: Number) -> CycloElement:
     """Closed form of det(wI + B(a, m)) for w a primitive sixth root."""
+    _check_order(a)
     m2 = frac(m) / 2
     rational = Fraction(2, 3) ** (a // 2) / _om_double_factorials(a)
     i = 0

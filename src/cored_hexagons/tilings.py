@@ -1,4 +1,11 @@
-"""Cored-hexagon regions, exhaustive tiling enumeration, and tiling statistics.
+"""Cored-hexagon regions, matching-level tiling counts, enumeration, and
+tiling statistics.
+
+Plain and (-1)-weighted counts run a frontier transfer matrix over the
+cells in index order.  Cyclically symmetric counts, and the enumeration
+generators, run an iterative backtracking search; the cyclic counts keep a
+histogram of the statistic mod 6 and apply the weight once.  Nothing here
+uses the determinant or closed-form routes that these counts check.
 
 Lattice conventions (fixed once, validated by the pinned counts in the test
 suite):
@@ -220,6 +227,25 @@ class Region:
             y += 1
         return tuple(segments)
 
+    def _symmetry(
+        self, name: str, linear: Callable[[int, int], tuple[int, int]]
+    ) -> tuple[int, ...]:
+        """Index map of the cell symmetry whose linear part, in tripled
+        coordinates about the core centroid, is `linear`.  Only defined for
+        a = b = c; it preserves cell orientations."""
+        if not (self.a == self.b == self.c):
+            raise ValueError(f"{name} needs a hexagon with a = b = c")
+        ox, oy = 3 * self.x0 - self.m, 3 * self.y0 + 2 * self.m
+        mapping = []
+        for x, y, orient in self.cells:
+            # the centroid of U(x, y) is (3x+1, 3y+1)/3, of D(x, y) (3x+2, 3y+2)/3
+            offset = 1 + orient
+            qx, qy = linear(3 * x + offset - ox, 3 * y + offset - oy)
+            qx, qy = qx + ox - offset, qy + oy - offset
+            assert qx % 3 == 0 and qy % 3 == 0
+            mapping.append(self.cell_index[(qx // 3, qy // 3, orient)])
+        return tuple(mapping)
+
     @cached_property
     def rotation(self) -> tuple[int, ...]:
         """Index map of the 120-degree rotation about the core centroid.
@@ -227,50 +253,14 @@ class Region:
         Only defined for a = b = c, where the rotation is a symmetry of the
         region.
         """
-        if not (self.a == self.b == self.c):
-            raise ValueError("rotation needs a hexagon with a = b = c")
-        ox, oy = 3 * self.x0 - self.m, 3 * self.y0 + 2 * self.m
-        mapping = []
-        for x, y, orient in self.cells:
-            if orient == UP:
-                px, py = 3 * x + 1, 3 * y + 1
-            else:
-                px, py = 3 * x + 2, 3 * y + 2
-            ux, uy = px - ox, py - oy
-            qx, qy = -ux - uy + ox, ux + oy
-            if orient == UP:
-                assert qx % 3 == 1 and qy % 3 == 1
-                image = ((qx - 1) // 3, (qy - 1) // 3, UP)
-            else:
-                assert qx % 3 == 2 and qy % 3 == 2
-                image = ((qx - 2) // 3, (qy - 2) // 3, DOWN)
-            mapping.append(self.cell_index[image])
-        return tuple(mapping)
+        return self._symmetry("rotation", lambda ux, uy: (-ux - uy, ux))
 
     @cached_property
     def reflection(self) -> tuple[int, ...]:
         """Index map of the reflection fixing the core's ray-side edge
         setwise (linear part (x, y) -> (x, -x-y) about the core centroid).
-        Only defined for a = b = c; it preserves cell orientations."""
-        if not (self.a == self.b == self.c):
-            raise ValueError("reflection needs a hexagon with a = b = c")
-        ox, oy = 3 * self.x0 - self.m, 3 * self.y0 + 2 * self.m
-        mapping = []
-        for x, y, orient in self.cells:
-            if orient == UP:
-                px, py = 3 * x + 1, 3 * y + 1
-            else:
-                px, py = 3 * x + 2, 3 * y + 2
-            ux, uy = px - ox, py - oy
-            qx, qy = ux + ox, -ux - uy + oy
-            if orient == UP:
-                assert qx % 3 == 1 and qy % 3 == 1
-                image = ((qx - 1) // 3, (qy - 1) // 3, UP)
-            else:
-                assert qx % 3 == 2 and qy % 3 == 2
-                image = ((qx - 2) // 3, (qy - 2) // 3, DOWN)
-            mapping.append(self.cell_index[image])
-        return tuple(mapping)
+        Only defined for a = b = c."""
+        return self._symmetry("reflection", lambda ux, uy: (ux, -ux - uy))
 
     def __repr__(self) -> str:
         h = self.hexagon
@@ -314,84 +304,101 @@ def _check_cap(units: int, cap: Optional[int]) -> None:
         )
 
 
-def _search(region: Region, on_leaf: Callable[[list[int]], None]) -> None:
+def _matchings(region: Region, cyclic: bool) -> Iterator[list[int]]:
     """Backtracking over perfect matchings: always branch on the
-    lexicographically first uncovered cell."""
+    lexicographically first uncovered cell.  The search keeps its own stack,
+    so region size is bounded by the cap alone, not the recursion limit.  It
+    yields one partner array, updated in place, per matching.
+
+    With cyclic=True it ranges over rotation-invariant matchings: each
+    placement fixes the whole orbit of three lozenges, so coverage stays
+    invariant and a free cell always has its whole orbit free."""
     n = len(region.cells)
     adjacency = region.adjacency
+    # with the identity in place of the rotation, the three lozenges of a
+    # placement coincide
+    rot = region.rotation if cyclic else range(n)
     partner = [-1] * n
-
-    def recurse(start: int) -> None:
-        i = start
+    stack = []  # (cell, iterator over its untried neighbours)
+    i = 0
+    while True:
         while i < n and partner[i] >= 0:
             i += 1
         if i == n:
-            on_leaf(partner)
-            return
-        for j in adjacency[i]:
-            if partner[j] < 0:
-                partner[i] = j
-                partner[j] = i
-                recurse(i + 1)
-                partner[i] = -1
-                partner[j] = -1
-
-    recurse(0)
-
-
-def _search_cyclic(region: Region, on_leaf: Callable[[list[int]], None]) -> None:
-    """Backtracking over rotation-invariant matchings: each placement fixes
-    the whole orbit of three lozenges, so coverage stays invariant and a free
-    cell always has its whole orbit free."""
-    n = len(region.cells)
-    adjacency = region.adjacency
-    rot = region.rotation
-    partner = [-1] * n
-
-    def recurse(start: int) -> None:
-        i = start
-        while i < n and partner[i] >= 0:
-            i += 1
-        if i == n:
-            on_leaf(partner)
-            return
-        i2 = rot[i]
-        i3 = rot[i2]
-        for j in adjacency[i]:
-            if partner[j] < 0:
-                j2 = rot[j]
-                j3 = rot[j2]
-                # i, i2, i3 are distinct up-cells and j, j2, j3 distinct
-                # down-cells, so the three lozenges never collide
-                partner[i] = j
-                partner[j] = i
-                partner[i2] = j2
-                partner[j2] = i2
-                partner[i3] = j3
-                partner[j3] = i3
-                recurse(i + 1)
-                for u in (i, j, i2, j2, i3, j3):
+            yield partner
+        else:
+            stack.append((i, iter(adjacency[i])))
+        while stack:
+            i, options = stack[-1]
+            j = partner[i]
+            if j >= 0:
+                i2, j2 = rot[i], rot[j]
+                for u in (i, j, i2, j2, rot[i2], rot[j2]):
                     partner[u] = -1
+            for j in options:
+                if partner[j] < 0:
+                    break
+            else:
+                stack.pop()
+                continue
+            # i, i2, i3 are distinct cells of one orientation and j, j2, j3
+            # distinct cells of the other, so the lozenges never collide
+            i2, j2 = rot[i], rot[j]
+            i3, j3 = rot[i2], rot[j2]
+            partner[i], partner[i2], partner[i3] = j, j2, j3
+            partner[j], partner[j2], partner[j3] = i, i2, i3
+            i += 1
+            break
+        else:
+            return
 
-    recurse(0)
+
+def _cyclic_matchings(region: Region, cap: Optional[int]) -> Iterator[list[int]]:
+    if not (region.a == region.b == region.c):
+        raise ValueError("cyclically symmetric tilings need a = b = c")
+    _check_cap(len(region.cells) // 3, cap)
+    return _matchings(region, cyclic=True)
 
 
 def enumerate_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
     _check_cap(len(region.cells), cap)
-    results: list[Tiling] = []
-    _search(region, lambda partner: results.append(Tiling.from_partner(region, partner)))
-    return iter(results)
+    return (Tiling.from_partner(region, p) for p in _matchings(region, cyclic=False))
 
 
 def enumerate_cyclic_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
-    if not (region.a == region.b == region.c):
-        raise ValueError("cyclically symmetric tilings need a = b = c")
-    _check_cap(len(region.cells) // 3 if region.cells else 0, cap)
-    results: list[Tiling] = []
-    _search_cyclic(
-        region, lambda partner: results.append(Tiling.from_partner(region, partner))
-    )
-    return iter(results)
+    return (Tiling.from_partner(region, p) for p in _cyclic_matchings(region, cap))
+
+
+def _frontier_count(region: Region, straddle_sign: int) -> int:
+    """Sum over all tilings of straddle_sign ** (number of lozenges that
+    straddle a reference-ray segment), by a transfer matrix over the cells
+    in index order.
+
+    A state is the bitmask of the cells from the current one on that are
+    already covered, bit 0 being the current cell; its value is the signed
+    number of ways to reach it.  A covered cell is shifted out, a free one
+    is paired with a free later neighbour.  Later neighbours lie at most one
+    column ahead, so a mask spans about one column of cells."""
+    straddles = {pair for pair in region.reference_ray if min(pair) >= 0}
+    states = {0: 1}
+    for i, neighbours in enumerate(region.adjacency):
+        moves = [
+            (1 << (j - i), straddle_sign if (i, j) in straddles else 1)
+            for j in neighbours
+            if j > i
+        ]
+        advanced: dict[int, int] = {}
+        for mask, value in states.items():
+            if mask & 1:
+                key = mask >> 1
+                advanced[key] = advanced.get(key, 0) + value
+                continue
+            for bit, sign in moves:
+                if not mask & bit:
+                    key = (mask | bit) >> 1
+                    advanced[key] = advanced.get(key, 0) + sign * value
+        states = advanced
+    return states.get(0, 0)
 
 
 def _statistic_n_from_partner(region: Region, partner: list[int]) -> int:
@@ -415,25 +422,24 @@ def _statistic_n6_from_partner(region: Region, partner: list[int]) -> int:
     # third lattice direction.  Conjugating by the reflection symmetry picks
     # the domain orientation that makes the m = 0 specialization count the
     # off-diagonal cube orbits of the plane partition (rather than their
-    # complement, which has the same parity).
+    # complement, which has the same parity).  The reflection is an
+    # involution, so the conjugate matches u with sigma[partner[sigma[u]]].
     sigma = region.reflection
-    reflected = [-1] * len(partner)
-    for i, j in enumerate(partner):
-        reflected[sigma[i]] = sigma[j]
-    partner = reflected
     a, m = region.a, region.m
     index = region.cell_index
     total = 0
     for j in range(a):
         start_up = index.get((j, a - 1 - j, UP), -1)
         start_down = index.get((j, a - 1 - j, DOWN), -1)
-        if start_up < 0 or start_down < 0 or partner[start_up] != start_down:
+        if start_up < 0 or start_down < 0:
+            continue
+        if sigma[partner[sigma[start_up]]] != start_down:
             continue
         total += j
         x, y = j, a - j
         while True:
             u = index[(x, y, UP)]
-            p = partner[u]
+            p = sigma[partner[sigma[u]]]
             if p == index.get((x, y, DOWN), -2):
                 total += x
                 y += 1
@@ -471,11 +477,15 @@ def count_weighted(
     cap: Optional[int] = None,
     cyclic: Optional[bool] = None,
 ) -> int | CycloElement:
-    """Exact weighted count by exhaustive backtracking.
+    """Exact weighted count at the level of matchings.
 
-    Weights one and minus1 range over all tilings by default; omega3,
-    omega6 and minus1-n6 range over the cyclically symmetric ones.  Pass
-    cyclic=True to restrict one/minus1 to cyclically symmetric tilings."""
+    Weights one and minus1 range over all tilings by default and are
+    counted by the frontier transfer matrix: (-1)^n(T) is (-1)^(ray length)
+    times (-1)^(ray-straddling lozenges).  Weights omega3, omega6 and
+    minus1-n6 range over the cyclically symmetric tilings; pass cyclic=True
+    to restrict one/minus1 to them too.  Cyclic counts run the backtracking
+    search over rotation orbits, keep a histogram of the statistic (n, or
+    n6 for minus1-n6) mod 6, and apply the weight to it once at the end."""
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
     region = build_region(hexagon)
@@ -483,41 +493,26 @@ def count_weighted(
         cyclic = weight in CYCLIC_WEIGHTS
     if weight in CYCLIC_WEIGHTS and not cyclic:
         raise ValueError(f"weight {weight!r} is defined on cyclic tilings only")
-    if cyclic and not (hexagon.a == hexagon.b == hexagon.c):
-        raise ValueError("cyclically symmetric tilings need a = b = c")
 
-    if weight == WEIGHT_ONE:
-        box = [0]
-
-        def leaf(partner: list[int]) -> None:
-            box[0] += 1
-
-    elif weight == WEIGHT_MINUS1:
-        box = [0]
-
-        def leaf(partner: list[int]) -> None:
-            box[0] += -1 if _statistic_n_from_partner(region, partner) % 2 else 1
-
-    elif weight == WEIGHT_MINUS1_N6:
-        box = [0]
-
-        def leaf(partner: list[int]) -> None:
-            box[0] += -1 if _statistic_n6_from_partner(region, partner) % 2 else 1
-
-    else:
-        omega = omega3() if weight == WEIGHT_OMEGA3 else omega6()
-        box = [CycloElement.of(omega.ring, 0)]
-
-        def leaf(partner: list[int]) -> None:
-            box[0] = box[0] + omega ** _statistic_n_from_partner(region, partner)
-
-    if cyclic:
-        _check_cap(len(region.cells) // 3 if region.cells else 0, cap)
-        _search_cyclic(region, leaf)
-    else:
+    if not cyclic:
         _check_cap(len(region.cells), cap)
-        _search(region, leaf)
-    return box[0]
+        if weight == WEIGHT_ONE:
+            return _frontier_count(region, 1)
+        return (-1) ** len(region.reference_ray) * _frontier_count(region, -1)
+
+    if weight == WEIGHT_MINUS1_N6:
+        statistic = _statistic_n6_from_partner
+    else:
+        statistic = _statistic_n_from_partner
+    hist = [0] * 6
+    for partner in _cyclic_matchings(region, cap):
+        hist[statistic(region, partner) % 6] += 1
+    if weight == WEIGHT_ONE:
+        return sum(hist)
+    if weight in (WEIGHT_MINUS1, WEIGHT_MINUS1_N6):
+        return sum(hist[0::2]) - sum(hist[1::2])
+    omega = omega3() if weight == WEIGHT_OMEGA3 else omega6()
+    return sum((h * omega**r for r, h in enumerate(hist)), CycloElement.of(omega.ring, 0))
 
 
 def count_tilings(hexagon: CoredHexagon, cap: Optional[int] = None) -> int:

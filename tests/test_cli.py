@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from cored_hexagons.cli import main
 
 
@@ -86,6 +88,19 @@ class TestOtherCommands:
         )
         assert code == 0
         assert json.loads(out)["value"] == "1"
+
+    @pytest.mark.parametrize("fid", ["andrews", "zare1", "om3", "om6"])
+    def test_negative_order_is_exit_2(self, capsys, fid):
+        code, out, err = run_cli(capsys, "formula", "--id", fid, "--a", "-1", "--m", "0")
+        assert (code, out) == (2, "")
+        assert "order a of B(a, m) must be nonnegative" in err
+
+    def test_negative_box_side_is_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "formula", "--id", "macmahon", "--a", "-1", "--b", "1", "--c", "1"
+        )
+        assert (code, out) == (2, "")
+        assert err == "error: box sides must be nonnegative, got a=-1, b=1, c=1\n"
 
     def test_cyclic_count_cyclotomic_output(self, capsys):
         code, out, _ = run_cli(

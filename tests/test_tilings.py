@@ -1,9 +1,15 @@
+import ast
+import inspect
 import os
+import sys
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from cored_hexagons import tilings
 from cored_hexagons.formulas import count_cored_formula, macmahon_box
+from cored_hexagons.lgv import build_cored_matrix, det_fraction_free
 from cored_hexagons.tilings import (
     CellCapError,
     CoredHexagon,
@@ -119,6 +125,60 @@ class TestEnumeration:
                 )
 
 
+def admissible(max_cells):
+    """Every admissible (a, b, c, m) with entries up to 30 and at most
+    max_cells <= 60 cells; past 30 only empty regions (two of a, b, c zero
+    and m = 0, or a = b = c = 0) remain."""
+    for a in range(31):
+        for b in range(31):
+            for c in range(b % 2, 31, 2):
+                for m in range(31):
+                    if CoredHexagon(a, b, c, m).cell_count > max_cells:
+                        break
+                    yield a, b, c, m
+
+
+class TestFrontierCount:
+    def test_matches_backtracking_up_to_60_cells(self):
+        for sides in admissible(60):
+            hexagon = CoredHexagon(*sides)
+            region = build_region(hexagon)
+            plain = signed = 0
+            for tiling in enumerate_tilings(region):
+                plain += 1
+                signed += (-1) ** statistic_n(tiling, region)
+            assert count_weighted(hexagon, "one") == plain, sides
+            assert count_weighted(hexagon, "minus1") == signed, sides
+
+    @given(
+        st.tuples(
+            st.integers(0, 8), st.integers(0, 8), st.integers(0, 8), st.integers(0, 8)
+        ).filter(
+            lambda t: t[1] % 2 == t[2] % 2 and CoredHexagon(*t).cell_count <= 400
+        )
+    )
+    @settings(max_examples=20, deadline=None)
+    def test_matches_determinant_and_formula(self, sides):
+        # the lattice-path determinant is the plain count for even m and the
+        # (-1)-count for odd m
+        a, b, c, m = sides
+        signed = m % 2 == 1
+        eps = 0 if a % 2 == b % 2 else Fraction(1, 2)
+        dp = count_weighted(CoredHexagon(*sides), "minus1" if signed else "one", cap=400)
+        assert dp == det_fraction_free(build_cored_matrix(a, b, c, m, eps))
+        assert dp == count_cored_formula(a, b, c, m, signed=signed)
+
+    def test_imports_neither_lgv_nor_formulas(self):
+        # the matching-level oracle must stay independent of the routes it checks
+        modules = set()
+        for node in ast.walk(ast.parse(inspect.getsource(tilings))):
+            if isinstance(node, ast.ImportFrom):
+                modules.add(node.module or "")
+            elif isinstance(node, ast.Import):
+                modules.update(alias.name for alias in node.names)
+        assert {name.rsplit(".", 1)[-1] for name in modules}.isdisjoint({"lgv", "formulas"})
+
+
 class TestStatisticN:
     def test_figure_example(self):
         # the worked example tiling of C_{5,3,1}(2) has two lozenge edges on
@@ -189,6 +249,24 @@ class TestCyclic:
         tiling = next(enumerate_tilings(region))
         with pytest.raises(ValueError):
             is_cyclically_symmetric(tiling, region)
+
+
+class TestLazyEnumeration:
+    def test_errors_raise_at_the_call(self):
+        region = build_region(CoredHexagon(3, 3, 3, 2))
+        with pytest.raises(CellCapError):
+            enumerate_tilings(region, cap=10)
+        with pytest.raises(CellCapError):
+            enumerate_cyclic_tilings(region, cap=10)
+        with pytest.raises(ValueError):
+            enumerate_cyclic_tilings(build_region(CoredHexagon(2, 4, 2, 1)))
+
+    def test_search_deeper_than_the_recursion_limit(self):
+        region = build_region(CoredHexagon(14, 14, 14, 14))
+        lozenges = len(region.cells) // 2
+        assert lozenges > sys.getrecursionlimit()
+        assert len(next(enumerate_tilings(region, cap=3000)).pairs) == lozenges
+        assert len(next(enumerate_cyclic_tilings(region, cap=3000)).pairs) == lozenges
 
 
 class TestStatisticN6:
