@@ -12,8 +12,6 @@ from .exactnum import (
     Rational,
     SqrtPiScaled,
     binomial,
-    factorial_exact,
-    gamma_half_integer,
     hyperfactorial,
     omega3,
     omega6,

@@ -129,46 +129,6 @@ class SqrtPiScaled:
         return self.coefficient
 
 
-SQRTPI_ONE = SqrtPiScaled.of(1)
-
-
-def gamma_half_integer(x: Number) -> SqrtPiScaled:
-    """Gamma(x) for x a positive integer or any half-integer (may be negative).
-
-    Half-integer values are exact rational multiples of sqrt(pi); Gamma has
-    poles only at nonpositive integers, which are rejected.
-    """
-    x = frac(x)
-    if x.denominator == 1:
-        n = int(x)
-        if n <= 0:
-            raise ValueError(f"gamma pole at nonpositive integer {n}")
-        return SqrtPiScaled.of(math.factorial(n - 1))
-    if x.denominator != 2:
-        raise ValueError(f"gamma argument {x} is neither integer nor half-integer")
-    # Walk from Gamma(1/2) = sqrt(pi) using Gamma(t+1) = t*Gamma(t).
-    coeff = Fraction(1)
-    t = Fraction(1, 2)
-    while t < x:
-        coeff *= t
-        t += 1
-    while t > x:
-        t -= 1
-        coeff /= t
-    return SqrtPiScaled.of(coeff, 1)
-
-
-def factorial_exact(x: Number) -> SqrtPiScaled:
-    """x! = Gamma(x+1) for x a nonnegative integer or any half-integer."""
-    x = frac(x)
-    if x.denominator == 1:
-        n = int(x)
-        if n < 0:
-            raise ValueError(f"factorial of negative integer {n}")
-        return SqrtPiScaled.of(math.factorial(n))
-    return gamma_half_integer(x + 1)
-
-
 def hyperfactorial(n: Number) -> SqrtPiScaled:
     """h(n) = prod_{k<n} k! for integer n; for half-integer n the product
     of Gamma(k+1/2), k = 0..n-1/2, tracked exactly with its sqrt(pi) power."""

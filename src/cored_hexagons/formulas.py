@@ -3,8 +3,10 @@ counts, the four root-of-unity determinant evaluations, the orbit-count
 factorization, the asymptotic constant, the off-center conjectures, and the
 multiple-sum summation theorems.
 
-The hyperfactorial counts are term tables evaluated by prime exponents, the
-other products with SqrtPiScaled; a leaked half power of pi raises.
+The tiling counts, the box formula, the conjectures, det(-I + B) and the
+prefactor of lemma_rhs are hyperfactorial term tables evaluated by prime
+exponents; a leaked half power of pi raises.  The other products multiply
+Pochhammer symbols with rational bases.
 """
 
 from __future__ import annotations
@@ -19,12 +21,8 @@ import mpmath
 from .exactnum import (
     CycloElement,
     Number,
-    SQRTPI_ONE,
-    SqrtPiScaled,
     double_factorial_odd,
-    factorial_exact,
     frac,
-    hyperfactorial,
     omega3,
     omega6,
     pochhammer,
@@ -62,10 +60,6 @@ WATSON_VARIANTS = (W1, W2, W3)
 
 class FormulaDomainError(ValueError):
     """The parameters fall outside the formula's stated domain."""
-
-
-def _h(x: Number) -> SqrtPiScaled:
-    return hyperfactorial(frac(x))
 
 
 def _ceil(x: Number) -> int:
@@ -280,22 +274,26 @@ def andrews_rhs(a: int, m: Number) -> Fraction:
 
 
 def zare1_rhs(a: int, m: Number) -> Fraction:
-    """Closed form of det(-I + B(a, m)): zero for odd a."""
+    """Closed form of det(-I + B(a, m)): zero for odd a, and for even a
+    (-1)^(a/2) times the product over i < a/2 of
+    i!^2 (m/2+i)!^2 (m/2+3i+1)!^2 (m+3i+1)!^2 over
+    (2i)! (2i+1)! (m/2+2i)!^2 (m/2+2i+1)!^2 (m+2i)! (m+2i+1)!.
+
+    As a term table, x! = h(x+1)/h(x), and the runs of consecutive
+    factorials telescope to single hyperfactorial quotients."""
     _check_order(a)
+    m = frac(m)
+    if m < 0 or m.denominator != 1:
+        raise FormulaDomainError(
+            f"the parameter m of B(a, m) must be a nonnegative integer, got {m}"
+        )
     if a % 2 == 1:
         return Fraction(0)
-    m = frac(m)
-    m2 = m / 2
-    v = SQRTPI_ONE
-    for i in range(a // 2):
-        v = v * factorial_exact(i) ** 2
-        v = v * factorial_exact(m2 + i) ** 2
-        v = v * factorial_exact(m2 + 3 * i + 1) ** 2
-        v = v * factorial_exact(m + 3 * i + 1) ** 2
-        v = v / (factorial_exact(2 * i) * factorial_exact(2 * i + 1))
-        v = v / (factorial_exact(m2 + 2 * i) ** 2 * factorial_exact(m2 + 2 * i + 1) ** 2)
-        v = v / (factorial_exact(m + 2 * i) * factorial_exact(m + 2 * i + 1))
-    return (-1) ** (a // 2) * v.to_rational()
+    n, m2 = a // 2, m / 2
+    table = [((n, m2 + n), 2), ((m,), 1), ((a, m + a), -1), ((m2 + a,), -2)]
+    for i in range(n):
+        table += [((m2 + 3 * i + 2, m + 3 * i + 2), 2), ((m2 + 3 * i + 1, m + 3 * i + 1), -2)]
+    return (-1) ** n * _evaluate(table)
 
 
 def _om_double_factorials(a: int) -> Fraction:
@@ -461,142 +459,47 @@ def conjecture_rhs(which: int, a: int, b: int, c: int, m: int) -> Fraction:
     return scale * _evaluate(table) * p
 
 
-# --- the transformed-determinant evaluations (eight parity branches) -------
+# --- the transformed-determinant evaluation ---------------------------------
 
 
 def lemma_rhs(a: int, b: Number, c: Number, m: int, shifted: bool = False) -> Fraction:
     """Value of the transformed cored-hexagon determinant D1 (unshifted) or
-    D2 (shifted), by the parity of a and m.  Polynomial identities in b and
-    c, so rational b, c are allowed."""
-    b, c = frac(b), frac(c)
-    two_exp = frac(m * (a + m - 1), 2)
-    if not shifted:
-        if a % 2 == 0 and m % 2 == 0:
-            v = _h(a + m) * _h(a // 2) ** 2 * _h(m // 2) ** 2
-            v = v / _h(frac(a + m, 2)) ** 2
-            r = v.to_rational() / Fraction(2) ** int(two_exp)
-            for k in range(1, m // 2 + 1):
-                r *= frac(pochhammer(b / 2 + k, a // 2)) ** 2
-                r *= frac(pochhammer(c / 2 + k, a // 2)) ** 2
-            for k in range(a // 2):
-                r *= (b + c + m + 2 * k + 1) ** (a - 2 * k - 1)
-            for k in range(1, a // 2):
-                r *= (b + c + 2 * m + 2 * k) ** (a - 2 * k)
-            for k in range(m // 2 + 1, m + 1):
-                r *= (b + c + 2 * k) ** (a + m - k)
-            for k in range(1, m // 2 + 1):
-                r *= (b + c + 2 * k) ** (m - k)
-            return r
-        if a % 2 == 1 and m % 2 == 0:
-            v = _h(a + m) * _h((a - 1) // 2) * _h((a + 1) // 2) * _h(m // 2) ** 2
-            v = v / (_h(frac(a + m - 1, 2)) * _h(frac(a + m + 1, 2)))
-            r = v.to_rational() / Fraction(2) ** int(two_exp)
-            for k in range(1, m // 2 + 1):
-                r *= frac(pochhammer((b - 1) / 2 + k, (a + 1) // 2))
-                r *= frac(pochhammer((b + 1) / 2 + k, (a - 1) // 2))
-                r *= frac(pochhammer((c - 1) / 2 + k, (a + 1) // 2))
-                r *= frac(pochhammer((c + 1) / 2 + k, (a - 1) // 2))
-            for k in range((a - 1) // 2):
-                r *= (b + c + m + 2 * k + 1) ** (a - 2 * k - 1)
-            for k in range(1, (a - 1) // 2 + 1):
-                r *= (b + c + 2 * m + 2 * k) ** (a - 2 * k)
-            for k in range(m // 2 + 1, m + 1):
-                r *= (b + c + 2 * k) ** (a + m - k)
-            for k in range(1, m // 2 + 1):
-                r *= (b + c + 2 * k) ** (m - k)
-            return r
-        if a % 2 == 0 and m % 2 == 1:
-            v = _h(a + m) * _h(a // 2) ** 2 * _h(frac(m - 1, 2)) * _h(frac(m + 1, 2))
-            v = v / (_h(frac(a + m - 1, 2)) * _h(frac(a + m + 1, 2)))
-            r = v.to_rational() / Fraction(2) ** int(two_exp)
-            r *= frac(pochhammer(b / 2 + frac(1 + m, 2), a // 2))
-            r *= frac(pochhammer(c / 2 + frac(1 + m, 2), a // 2))
-            for k in range(1, (m - 1) // 2 + 1):
-                r *= frac(pochhammer(b / 2 + k, a // 2)) ** 2
-                r *= frac(pochhammer(c / 2 + k, a // 2)) ** 2
-            for k in range(1, a // 2):
-                r *= (b + c + 2 * k + m) ** (a - 2 * k)
-                r *= (b + c + 2 * k + 2 * m) ** (a - 2 * k)
-            for k in range((m - 1) // 2 + 1):
-                r *= (1 + b + c + 2 * k + m) ** a
-            for k in range(1, m + 1):
-                r *= (b + c + 2 * k) ** (m - k)
-            return (-1) ** (a // 2) * r
+    D2 (shifted).  One formula covers both placements and every parity of a
+    and m; it vanishes for the unshifted core with a and m odd.  Polynomial
+    identities in b and c, so rational b, c are allowed.
+
+    With theta = (a + shifted) mod 2 and l = ceil(a/2) (unshifted) or
+    floor(a/2) (shifted), the value is a hyperfactorial prefactor over a
+    power of 2, times ((x-theta)/2 + ceil(j/2))_l for odd j and
+    ((x+theta)/2 + j/2)_(a-l) for even j, over x in (b, c) and j = 1..m,
+    times linear factors in s = b + c, with sign (-1)^ceil(a/2) for odd m."""
+    if a < 0 or m < 0:
+        raise FormulaDomainError(f"a and m must be nonnegative, got a={a}, m={m}")
+    if not shifted and a % 2 == m % 2 == 1:
         return Fraction(0)
-    # shifted: the D2 matrix
-    if a % 2 == 0 and m % 2 == 0:
-        v = _h(a + m) * _h(a // 2) ** 2 * _h(m // 2) ** 2
-        v = v / _h(frac(a + m, 2)) ** 2
-        r = v.to_rational() / Fraction(2) ** int(two_exp)
-        for k in range(1, m // 2 + 1):
-            r *= frac(pochhammer((b - 1) / 2 + k, a // 2))
-            r *= frac(pochhammer((b + 1) / 2 + k, a // 2))
-            r *= frac(pochhammer((c - 1) / 2 + k, a // 2))
-            r *= frac(pochhammer((c + 1) / 2 + k, a // 2))
-        for k in range(a // 2):
-            r *= (b + c + m + 2 * k + 1) ** (a - 2 * k - 1)
-        for k in range(1, a // 2):
-            r *= (b + c + 2 * m + 2 * k) ** (a - 2 * k)
-        for k in range(m // 2 + 1, m + 1):
-            r *= (b + c + 2 * k) ** (a + m - k)
-        for k in range(1, m // 2 + 1):
-            r *= (b + c + 2 * k) ** (m - k)
-        return r
-    if a % 2 == 1 and m % 2 == 0:
-        v = _h(a + m) * _h((a - 1) // 2) * _h((a + 1) // 2) * _h(m // 2) ** 2
-        v = v / (_h(frac(a + m - 1, 2)) * _h(frac(a + m + 1, 2)))
-        r = v.to_rational() / Fraction(2) ** int(two_exp)
-        for k in range(1, m // 2 + 1):
-            r *= frac(pochhammer(b / 2 + k, (a - 1) // 2))
-            r *= frac(pochhammer(b / 2 + k, (a + 1) // 2))
-            r *= frac(pochhammer(c / 2 + k, (a - 1) // 2))
-            r *= frac(pochhammer(c / 2 + k, (a + 1) // 2))
-        for k in range((a - 3) // 2 + 1):
-            r *= (b + c + m + 2 * k + 1) ** (a - 2 * k - 1)
-        for k in range(1, (a - 1) // 2 + 1):
-            r *= (b + c + 2 * m + 2 * k) ** (a - 2 * k)
-        for k in range(m // 2 + 1, m + 1):
-            r *= (b + c + 2 * k) ** (a + m - k)
-        for k in range(1, m // 2 + 1):
-            r *= (b + c + 2 * k) ** (m - k)
-        return r
-    if a % 2 == 0 and m % 2 == 1:
-        v = _h(a + m) * _h(a // 2) ** 2 * _h(frac(m - 1, 2)) * _h(frac(m + 1, 2))
-        v = v / (_h(frac(a + m - 1, 2)) * _h(frac(a + m + 1, 2)))
-        r = v.to_rational() / Fraction(2) ** int(two_exp)
-        for k in range(1, (m + 1) // 2 + 1):
-            r *= frac(pochhammer((b - 1) / 2 + k, a // 2))
-            r *= frac(pochhammer((c - 1) / 2 + k, a // 2))
-        for k in range(1, (m - 1) // 2 + 1):
-            r *= frac(pochhammer((b + 1) / 2 + k, a // 2))
-            r *= frac(pochhammer((c + 1) / 2 + k, a // 2))
-        for k in range(1, a // 2):
-            r *= (b + c + m + 2 * k) ** (a - 2 * k)
-            r *= (b + c + 2 * m + 2 * k) ** (a - 2 * k)
-        for k in range((m + 1) // 2, m + 1):
-            r *= (b + c + 2 * k) ** (a + m - k)
-        for k in range(1, (m - 1) // 2 + 1):
-            r *= (b + c + 2 * k) ** (m - k)
-        return (-1) ** (a // 2) * r
-    # a odd, m odd
-    v = _h(a + m) * _h((a - 1) // 2) * _h((a + 1) // 2)
-    v = v * _h(frac(m - 1, 2)) * _h(frac(m + 1, 2))
-    v = v / _h((a + m) // 2) ** 2
-    r = v.to_rational() / Fraction(2) ** int(two_exp + Fraction(1, 2))
-    for k in range(1, (m + 1) // 2 + 1):
-        r *= frac(pochhammer(b / 2 + k, (a - 1) // 2))
-        r *= frac(pochhammer(c / 2 + k, (a - 1) // 2))
-    for k in range(1, (m - 1) // 2 + 1):
-        r *= frac(pochhammer(b / 2 + k, (a + 1) // 2))
-        r *= frac(pochhammer(c / 2 + k, (a + 1) // 2))
-    for k in range(1, (a - 1) // 2 + 1):
-        r *= (b + c + m + 2 * k) ** (a - 2 * k)
-        r *= (b + c + 2 * m + 2 * k) ** (a - 2 * k)
-    for k in range((m + 1) // 2, m + 1):
-        r *= (b + c + 2 * k) ** (a + m - k)
-    for k in range(1, (m - 1) // 2 + 1):
-        r *= (b + c + 2 * k) ** (m - k)
-    return (-1) ** ((a + 1) // 2) * r
+    b, c = frac(b), frac(c)
+    value = _evaluate(
+        [((a + m,), 1), (_rounded(0, a), 1), (_rounded(0, m), 1), (_rounded(0, a + m), -1)]
+    )
+    value /= 2 ** ((m * (a + m - 1) + 1) // 2)
+    theta = (a + shifted) % 2
+    ell = a // 2 if shifted else (a + 1) // 2
+    for x in (b, c):
+        for j in range(1, m + 1):
+            if j % 2:
+                value *= pochhammer((x - theta) / 2 + (j + 1) // 2, ell)
+            else:
+                value *= pochhammer((x + theta) / 2 + j // 2, a - ell)
+    s = b + c
+    for j in range(m % 2, a, 2):
+        value *= (s + m + 1 + j) ** (a - 1 - j)
+    for k in range(1, a // 2 + 1):
+        value *= (s + 2 * m + 2 * k) ** (a - 2 * k)
+    for k in range(1, m + 1):
+        value *= (s + 2 * k) ** (m - k + (a if 2 * k > m else 0))
+    if m % 2:
+        value *= (-1) ** ((a + 1) // 2)
+    return value
 
 
 # --- multiple-sum analogues of Watson's summation ---------------------------

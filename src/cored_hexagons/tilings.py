@@ -124,10 +124,6 @@ class CoredHexagon:
         return 2 * (a * b + b * c + c * a) + 2 * m * (a + b + c)
 
 
-def _cross(ux: int, uy: int, vx: int, vy: int) -> int:
-    return ux * vy - uy * vx
-
-
 class Region:
     """The cell set of a cored hexagon plus precomputed combinatorial data."""
 
@@ -137,29 +133,19 @@ class Region:
         self.a, self.b, self.c, self.m = a, b, c, m
         self.x0, self.y0 = hexagon.core_position
 
-        hex_vertices = [
-            (-c - m, c + m),
-            (-c - m, a + c + m),
-            (b - c, a + c + m),
-            (b, a + m),
-            (b, 0),
-            (0, 0),
-        ]
-        self._hex3 = [(3 * x, 3 * y) for x, y in hex_vertices]
-        core_vertices = [
-            (self.x0, self.y0),
-            (self.x0, self.y0 + m),
-            (self.x0 - m, self.y0 + m),
-        ]
-        self._core3 = [(3 * x, 3 * y) for x, y in core_vertices]
-
+        # U(x, y) lies in the hexagon when -c-m <= x < b, 0 <= y < a+c+m and
+        # 0 <= x+y <= a+b+m-1; D(x, y) shifts the x+y bounds by -1.  A cell
+        # lies in the core when x < x0, y < y0+m and x+y >= x0+y0 (x0+y0-1
+        # for D), which no cell does for m = 0.  The loops run in sorted
+        # (x, y, orient) order.
+        x0, y0 = self.x0, self.y0
         cells = []
         for x in range(-c - m, b):
-            for y in range(0, a + c + m):
+            for y in range(max(0, -x - 1), min(a + c + m, a + b + m - x)):
                 for orient in (UP, DOWN):
-                    if self._cell_in_region(x, y, orient):
+                    s = x + y + orient
+                    if 0 <= s < a + b + m and (x >= x0 or y >= y0 + m or s < x0 + y0):
                         cells.append((x, y, orient))
-        cells.sort()
         self.cells: tuple[Cell, ...] = tuple(cells)
         self.cell_index: dict[Cell, int] = {cell: i for i, cell in enumerate(cells)}
 
@@ -180,37 +166,6 @@ class Region:
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(adjacency)
 
         self.reference_ray: tuple[tuple[int, int], ...] = self._build_ray()
-
-    def _point_in_hexagon(self, px: int, py: int) -> bool:
-        pts = self._hex3
-        for i in range(len(pts)):
-            x1, y1 = pts[i]
-            x2, y2 = pts[(i + 1) % len(pts)]
-            if (x1, y1) == (x2, y2):
-                continue
-            # clockwise boundary: interior strictly to the right
-            if _cross(x2 - x1, y2 - y1, px - x1, py - y1) >= 0:
-                return False
-        return True
-
-    def _point_in_core(self, px: int, py: int) -> bool:
-        if self.m == 0:
-            return False
-        pts = self._core3
-        for i in range(len(pts)):
-            x1, y1 = pts[i]
-            x2, y2 = pts[(i + 1) % len(pts)]
-            # counterclockwise boundary: interior strictly to the left
-            if _cross(x2 - x1, y2 - y1, px - x1, py - y1) <= 0:
-                return False
-        return True
-
-    def _cell_in_region(self, x: int, y: int, orient: int) -> bool:
-        if orient == UP:
-            px, py = 3 * x + 1, 3 * y + 1
-        else:
-            px, py = 3 * x + 2, 3 * y + 2
-        return self._point_in_hexagon(px, py) and not self._point_in_core(px, py)
 
     def _build_ray(self) -> tuple[tuple[int, int], ...]:
         """Segments of the ray, ordered outward from the core, as index pairs
@@ -353,11 +308,11 @@ def _matchings(region: Region, cyclic: bool) -> Iterator[list[int]]:
             return
 
 
-def _cyclic_matchings(region: Region, cap: Optional[int]) -> Iterator[list[int]]:
-    if not (region.a == region.b == region.c):
+def _check_cyclic(hexagon: CoredHexagon, cap: Optional[int]) -> None:
+    """The cyclic search runs over rotation orbits, a third of the cells."""
+    if not (hexagon.a == hexagon.b == hexagon.c):
         raise ValueError("cyclically symmetric tilings need a = b = c")
-    _check_cap(len(region.cells) // 3, cap)
-    return _matchings(region, cyclic=True)
+    _check_cap(hexagon.cell_count // 3, cap)
 
 
 def enumerate_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
@@ -366,7 +321,8 @@ def enumerate_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Til
 
 
 def enumerate_cyclic_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
-    return (Tiling.from_partner(region, p) for p in _cyclic_matchings(region, cap))
+    _check_cyclic(region.hexagon, cap)
+    return (Tiling.from_partner(region, p) for p in _matchings(region, cyclic=True))
 
 
 def _frontier_count(region: Region, straddle_sign: int) -> int:
@@ -488,14 +444,18 @@ def count_weighted(
     n6 for minus1-n6) mod 6, and apply the weight to it once at the end."""
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
-    region = build_region(hexagon)
     if cyclic is None:
         cyclic = weight in CYCLIC_WEIGHTS
     if weight in CYCLIC_WEIGHTS and not cyclic:
         raise ValueError(f"weight {weight!r} is defined on cyclic tilings only")
+    # the size is known before the region is built
+    if cyclic:
+        _check_cyclic(hexagon, cap)
+    else:
+        _check_cap(hexagon.cell_count, cap)
+    region = build_region(hexagon)
 
     if not cyclic:
-        _check_cap(len(region.cells), cap)
         if weight == WEIGHT_ONE:
             return _frontier_count(region, 1)
         return (-1) ** len(region.reference_ray) * _frontier_count(region, -1)
@@ -505,7 +465,7 @@ def count_weighted(
     else:
         statistic = _statistic_n_from_partner
     hist = [0] * 6
-    for partner in _cyclic_matchings(region, cap):
+    for partner in _matchings(region, cyclic=True):
         hist[statistic(region, partner) % 6] += 1
     if weight == WEIGHT_ONE:
         return sum(hist)

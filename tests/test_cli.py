@@ -95,6 +95,22 @@ class TestOtherCommands:
         assert (code, out) == (2, "")
         assert "order a of B(a, m) must be nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("--id", "zare1", "--a", "2", "--m", "-1"), "parameter m of B(a, m)"),
+            (
+                ("--id", "lemma-rhs", "--a", "2", "--b", "2", "--c", "2", "--m", "-1"),
+                "got a=2, m=-1",
+            ),
+        ],
+        ids=["zare1", "lemma-rhs"],
+    )
+    def test_negative_m_is_a_named_domain_error(self, capsys, argv, message):
+        code, out, err = run_cli(capsys, "formula", *argv)
+        assert (code, out) == (2, "")
+        assert message in err
+
     def test_negative_box_side_is_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "formula", "--id", "macmahon", "--a", "-1", "--b", "1", "--c", "1"

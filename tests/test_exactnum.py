@@ -12,8 +12,6 @@ from cored_hexagons.exactnum import (
     binomial,
     cyclo_to_dict,
     double_factorial_odd,
-    factorial_exact,
-    gamma_half_integer,
     hyperfactorial,
     omega3,
     omega6,
@@ -105,18 +103,6 @@ class TestSqrtPiScaled:
     def test_pi_leak_raises(self):
         with pytest.raises(ValueError):
             SqrtPiScaled.of(1, 1).to_rational()
-
-    def test_gamma_half_integer(self):
-        assert gamma_half_integer(Fraction(1, 2)) == SqrtPiScaled.of(1, 1)
-        assert gamma_half_integer(Fraction(5, 2)).coefficient == Fraction(3, 4)
-        # finite at negative half-integers
-        assert gamma_half_integer(Fraction(-1, 2)).coefficient == -2
-        with pytest.raises(ValueError):
-            gamma_half_integer(0)
-
-    def test_factorial_exact(self):
-        assert factorial_exact(4).to_rational() == 24
-        assert factorial_exact(Fraction(1, 2)) == gamma_half_integer(Fraction(3, 2))
 
 
 class TestCyclo:

@@ -160,6 +160,14 @@ class TestOmegaDets:
     def test_zare1(self):
         assert zare1_rhs(3, 2) == 0
         assert zare1_rhs(2, 4) == -5  # -(m+1)
+        for a in range(11):
+            for m in range(11):
+                assert zare1_rhs(a, m) == det_fraction_free(build_omega_shift(a, m, -1)), (a, m)
+
+    @pytest.mark.parametrize("m", [-1, Fraction(1, 2), Fraction(3, 2)])
+    def test_zare1_needs_a_nonnegative_integer_m(self, m):
+        with pytest.raises(FormulaDomainError, match="parameter m of B"):
+            zare1_rhs(2, m)
 
     def test_om_one_by_one(self):
         assert om3_rhs(1, 6) == 1 + omega3()
@@ -199,12 +207,21 @@ class TestLemmas:
 
     @pytest.mark.parametrize("shifted", [False, True])
     def test_matches_transformed_determinant(self, shifted):
-        for a in range(4):
-            for m in range(4):
-                for b, c in ((0, 0), (1, 3), (2, 2), (4, 0)):
+        # every parity of a and m, at integer and at rational b, c
+        sides = (
+            (0, 0), (1, 3), (2, 2), (4, 0), (Fraction(1, 2), Fraction(-3, 2)), (Fraction(7, 3), 1)
+        )
+        for a in range(7):
+            for m in range(7):
+                for b, c in sides:
                     lhs = lemma_rhs(a, b, c, m, shifted)
                     rhs = det_fraction_free(transformed_cored_matrix(a, b, c, m, shifted))
                     assert lhs == rhs, (a, b, c, m, shifted)
+
+    @pytest.mark.parametrize("a, m", [(-1, 2), (2, -1)])
+    def test_negative_parameters_are_domain_errors(self, a, m):
+        with pytest.raises(FormulaDomainError, match=f"got a={a}, m={m}"):
+            lemma_rhs(a, 2, 2, m)
 
     def test_polynomial_identity_at_rational_arguments(self):
         rng = random.Random(7)

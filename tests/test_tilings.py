@@ -112,6 +112,24 @@ class TestEnumeration:
         with pytest.raises(CellCapError):
             count_weighted(CoredHexagon(3, 3, 3, 2), "one", cap=10)
 
+    @pytest.mark.parametrize("weight, cyclic", [("one", False), ("omega3", True)])
+    def test_cap_is_checked_before_the_region_is_built(self, monkeypatch, weight, cyclic):
+        def refuse(hexagon):
+            raise AssertionError("region built before the cap check")
+
+        monkeypatch.setattr(tilings, "build_region", refuse)
+        with pytest.raises(CellCapError):
+            count_weighted(CoredHexagon(200, 200, 200, 0), weight, cyclic=cyclic)
+
+    def test_parameter_errors_come_before_the_cap(self):
+        huge = CoredHexagon(200, 200, 200, 0)
+        with pytest.raises(ValueError, match="unknown weight"):
+            count_weighted(huge, "two", cap=1)
+        with pytest.raises(ValueError, match="cyclic tilings only"):
+            count_weighted(huge, "omega6", cap=1, cyclic=False)
+        with pytest.raises(ValueError, match="a = b = c"):
+            count_weighted(CoredHexagon(200, 200, 0, 0), "omega3", cap=1)
+
     def test_signed_count_all_odd_is_zero(self):
         assert count_weighted(CoredHexagon(1, 1, 1, 1), "minus1") == 0
         assert count_weighted(CoredHexagon(3, 1, 1, 1), "minus1") == 0
