@@ -351,7 +351,9 @@ def build_parser() -> argparse.ArgumentParser:
     formula.add_argument("--a", type=int, default=None)
     formula.add_argument("--b", type=int, default=None)
     formula.add_argument("--c", type=int, default=None)
-    formula.add_argument("--m", type=int, default=0)
+    formula.add_argument(
+        "--m", type=int, default=0, help="any integer for andrews, om3, om6; zare1 needs m >= 0"
+    )
     formula.add_argument("--shifted", action="store_true")
     formula.add_argument("--digits", type=int, default=50)
     formula.set_defaults(func=_cmd_formula)

@@ -223,21 +223,12 @@ class CycloElement:
         assert product.c1 == 0, "norm must be rational"
         return product.c0
 
-    def inverse(self) -> CycloElement:
-        n = self.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by exact zero")
-        conj = self.conjugate()
-        return CycloElement.of(self.ring, conj.c0 / n, conj.c1 / n)
-
-    def __truediv__(self, other: CycloElement | Number) -> CycloElement:
-        return self * self._coerce(other).inverse()
-
     def __pow__(self, n: int) -> CycloElement:
-        base = self if n >= 0 else self.inverse()
+        if n < 0:
+            raise ValueError(f"negative power {n}: CycloElement has no division")
         result = CycloElement.of(self.ring, 1)
-        for _ in range(abs(n)):
-            result = result * base
+        for _ in range(n):
+            result = result * self
         return result
 
     def __eq__(self, other: object) -> bool:

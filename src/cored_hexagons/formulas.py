@@ -244,8 +244,10 @@ def _check_order(a: int) -> None:
 
 
 def andrews_rhs(a: int, m: Number) -> Fraction:
-    """Closed form of det(I + B(a, m)); the m parameter may be any rational
-    (the factorization of the orbit count evaluates it at shifted values)."""
+    """Closed form of det(I + B(a, m)).  Like om3_rhs and om6_rhs it is a
+    polynomial identity in m, so m may be any rational, negative or not
+    (the orbit-count factorization uses shifted m); zare1_rhs alone needs
+    an integer m >= 0."""
     _check_order(a)
     m2 = frac(m) / 2
     value = Fraction(2) ** ((a + 1) // 2)
@@ -306,7 +308,8 @@ def _om_double_factorials(a: int) -> Fraction:
 
 
 def om3_rhs(a: int, m: Number) -> CycloElement:
-    """Closed form of det(wI + B(a, m)) for w a primitive third root."""
+    """Closed form of det(wI + B(a, m)) for w a primitive third root; any
+    rational m (see andrews_rhs)."""
     _check_order(a)
     m2 = frac(m) / 2
     rational = Fraction(2) ** (a // 2) / _om_double_factorials(a)
@@ -326,7 +329,8 @@ def om3_rhs(a: int, m: Number) -> CycloElement:
 
 
 def om6_rhs(a: int, m: Number) -> CycloElement:
-    """Closed form of det(wI + B(a, m)) for w a primitive sixth root."""
+    """Closed form of det(wI + B(a, m)) for w a primitive sixth root; any
+    rational m (see andrews_rhs)."""
     _check_order(a)
     m2 = frac(m) / 2
     rational = Fraction(2, 3) ** (a // 2) / _om_double_factorials(a)

@@ -1,15 +1,20 @@
 """Exact matrices for the lattice-path determinants and their evaluation.
 
-One fraction-free elimination kernel serves all four rings; every division
-it performs is exact in the ring and asserted as such.
+One Bareiss (fraction-free) kernel serves all four rings.  It runs over a
+ring table (zero, one, mul, sub, exact_div) for Python ints and for Z[w3]
+and Z[w6] as (c0, c1) integer pairs; rational coordinates are scaled to
+integers at the edge, so no Fraction or CycloElement arithmetic runs in the
+loop.  Every division is exact in the ring and checked (AssertionError
+otherwise); rows that a step would only rescale are rescaled when next used.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import comb, factorial, gcd
+from math import comb, factorial, lcm
 
 from .exactnum import (
     CycloElement,
@@ -27,7 +32,7 @@ RING_RATIONAL = "rational"
 RING_CYCLO3 = "cyclo3"
 RING_CYCLO6 = "cyclo6"
 
-RINGS = (RING_INTEGER, RING_RATIONAL, RING_CYCLO3, RING_CYCLO6)
+_CYCLO_RINGS = {RING_CYCLO3: THIRD, RING_CYCLO6: SIXTH}
 
 
 def _ring_of(value) -> str:
@@ -50,14 +55,6 @@ def _join_rings(rings) -> str:
     return best
 
 
-def _exact_div(num, den, ring: str):
-    if ring == RING_INTEGER:
-        q, r = divmod(num, den)
-        assert r == 0, "fraction-free elimination requires exact division"
-        return q
-    return num / den
-
-
 @dataclass(frozen=True)
 class ExactMatrix:
     """Dense matrix over one exact ring."""
@@ -71,10 +68,9 @@ class ExactMatrix:
         if ring is None:
             ring = _join_rings(_ring_of(v) for row in rows for v in row)
         if ring == RING_INTEGER:
-            rows = tuple(
-                tuple(int(v) if isinstance(v, Fraction) else v for v in row)
-                for row in rows
-            )
+            if any(_ring_of(v) != RING_INTEGER for row in rows for v in row):
+                raise ValueError("a non-integral entry cannot be put in the integer ring")
+            rows = tuple(tuple(int(v) for v in row) for row in rows)
         elif ring == RING_RATIONAL:
             rows = tuple(tuple(frac(v) for v in row) for row in rows)
         return ExactMatrix(ring, rows)
@@ -94,69 +90,123 @@ class ExactMatrix:
         )
 
 
-def _zero_like(ring: str):
-    if ring == RING_CYCLO3:
-        return CycloElement.of(THIRD, 0)
-    if ring == RING_CYCLO6:
-        return CycloElement.of(SIXTH, 0)
-    if ring == RING_RATIONAL:
-        return Fraction(0)
-    return 0
+def _scalar(ring: str, value: int):
+    """The integer value as an element of ring."""
+    if ring in _CYCLO_RINGS:
+        return CycloElement.of(_CYCLO_RINGS[ring], value)
+    return Fraction(value) if ring == RING_RATIONAL else value
 
 
-def _one_like(ring: str):
-    if ring == RING_CYCLO3:
-        return CycloElement.of(THIRD, 1)
-    if ring == RING_CYCLO6:
-        return CycloElement.of(SIXTH, 1)
-    if ring == RING_RATIONAL:
-        return Fraction(1)
-    return 1
+def _int_div(x: int, d: int) -> int:
+    q, r = divmod(x, d)
+    if r:
+        raise AssertionError("fraction-free elimination requires exact division")
+    return q
 
 
-def det_fraction_free(matrix: ExactMatrix):
-    """Single-step (Bareiss) fraction-free determinant; rational matrices are
-    scaled row-wise to integers first to keep the hot loop in Z."""
-    if matrix.nrows != matrix.ncols:
-        raise ValueError("determinant of a non-square matrix")
-    n = matrix.nrows
+def _pair_ring(t: int):
+    """Z[tau] on (c0, c1) integer pairs, tau^2 = t*tau - 1 (t = -1: third
+    root of unity, t = 1: sixth).  Division multiplies by the conjugate
+    (c0 + t*c1) - c1*tau and divides by the norm c0^2 + t*c0*c1 + c1^2."""
+
+    def mul(x, y):
+        a, b = x
+        c, d = y
+        bd = b * d
+        return (a * c - bd, a * d + b * c + t * bd)
+
+    def sub(x, y):
+        return (x[0] - y[0], x[1] - y[1])
+
+    def exact_div(x, y):
+        c, d = y
+        a, b = mul(x, (c + t * d, -d))
+        norm = c * c + t * c * d + d * d
+        return (_int_div(a, norm), _int_div(b, norm))
+
+    return (0, 0), (1, 0), mul, sub, exact_div
+
+
+_INT_RING = (0, 1, operator.mul, operator.sub, _int_div)
+_KERNEL_RINGS = {RING_CYCLO3: _pair_ring(-1), RING_CYCLO6: _pair_ring(1)}
+
+
+def _bareiss(m, zero, one, mul, sub, exact_div):
+    """Determinant of the square list of rows m (overwritten) over one ring.
+
+    Step k sets each later row to (p_k row - row[k] pivot_row) / p_{k-1}.
+    A row with row[k] = 0 would only be scaled by p_k / p_{k-1}, so it is
+    skipped and since[i] keeps the pivot it is current for; when next used
+    it catches up by one multiply and exact divide by p_now / p_then.  Its
+    entries are minors, so that division is exact too, and it is checked."""
+    n = len(m)
     if n == 0:
-        return _one_like(matrix.ring)
+        return one
+    sign, prev, since = 1, one, [one] * n
 
-    if matrix.ring == RING_RATIONAL:
-        scale = Fraction(1)
-        int_rows = []
-        for row in matrix.rows:
-            lcm = 1
-            for v in row:
-                d = frac(v).denominator
-                lcm = lcm * d // gcd(lcm, d)
-            scale /= lcm
-            int_rows.append([int(v * lcm) for v in row])
-        return scale * det_fraction_free(ExactMatrix.of(int_rows, RING_INTEGER))
+    def catch_up(i, k):
+        then, row = since[i], m[i]
+        if then is not prev:  # the same object means the same value
+            row[k:] = [exact_div(mul(v, prev), then) for v in row[k:]]
+        return row
 
-    ring = matrix.ring
-    m = [list(row) for row in matrix.rows]
-    zero = _zero_like(ring)
-    sign = 1
-    prev = _one_like(ring)
     for k in range(n - 1):
         if m[k][k] == zero:
             for i in range(k + 1, n):
                 if m[i][k] != zero:
                     m[k], m[i] = m[i], m[k]
+                    since[k], since[i] = since[i], since[k]
                     sign = -sign
                     break
             else:
                 return zero
-        pivot = m[k][k]
+        pivot_row = catch_up(k, k)
+        p, tail = pivot_row[k], pivot_row[k + 1 :]
         for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = _exact_div(pivot * m[i][j] - m[i][k] * m[k][j], prev, ring)
-            m[i][k] = zero
-        prev = pivot
-    result = m[n - 1][n - 1]
-    return -result if sign < 0 else result
+            if m[i][k] != zero:
+                row = catch_up(i, k)
+                x = row[k]
+                row[k + 1 :] = [
+                    exact_div(sub(mul(p, v), mul(x, w)), prev)
+                    for v, w in zip(row[k + 1 :], tail)
+                ]
+                since[i] = p
+        prev = p
+    result = catch_up(n - 1, n - 1)[n - 1]
+    return result if sign > 0 else sub(zero, result)
+
+
+def _coordinates(value, cyclo: str | None) -> tuple:
+    if cyclo is None:
+        return (frac(value),)
+    if isinstance(value, CycloElement):
+        value = value.to_ring(cyclo)
+        return value.c0, value.c1
+    return frac(value), Fraction(0)
+
+
+def det_fraction_free(matrix: ExactMatrix):
+    """Bareiss determinant: an int, a Fraction, or a CycloElement in the
+    matrix's ring.  Rational and cyclotomic matrices have each row scaled by
+    the lcm of its coordinate denominators and cyclotomic entries become
+    integer pairs; the kernel's result is divided by the product of the
+    scales.  Every division is exact and checked."""
+    if matrix.nrows != matrix.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    if matrix.ring == RING_INTEGER:
+        return _bareiss([list(row) for row in matrix.rows], *_INT_RING)
+    cyclo = _CYCLO_RINGS.get(matrix.ring)
+    scale, rows = 1, []
+    for row in matrix.rows:
+        flat = [x for v in row for x in _coordinates(v, cyclo)]
+        row_scale = lcm(*(x.denominator for x in flat))
+        scale *= row_scale
+        flat = [x.numerator * (row_scale // x.denominator) for x in flat]
+        rows.append(flat if cyclo is None else list(zip(flat[::2], flat[1::2])))
+    if cyclo is None:
+        return Fraction(_bareiss(rows, *_INT_RING), scale)
+    c0, c1 = _bareiss(rows, *_KERNEL_RINGS[matrix.ring])
+    return CycloElement.of(cyclo, Fraction(c0, scale), Fraction(c1, scale))
 
 
 def matrix_to_text(matrix: ExactMatrix) -> str:
@@ -175,17 +225,16 @@ def matrix_to_text(matrix: ExactMatrix) -> str:
 # --- matrix builders keyed to the lattice-path determinants ---------------
 
 
-def build_B(N: int, m: int) -> ExactMatrix:
-    """The N x N matrix with entries binom(m+i+j, j), 0 <= i, j < N."""
+def build_B(N: int, m: Number) -> ExactMatrix:
+    """The N x N matrix with entries binom(m+i+j, j), 0 <= i, j < N; over Q
+    when m is not an integer."""
     if N < 0:
         raise ValueError("size must be nonnegative")
-    return ExactMatrix.of(
-        [[binomial(m + i + j, j) for j in range(N)] for i in range(N)], RING_INTEGER
-    )
+    return build_omega_shift(N, m, 0)
 
 
 def identity_matrix(N: int, ring: str = RING_INTEGER) -> ExactMatrix:
-    one, zero = _one_like(ring), _zero_like(ring)
+    one, zero = _scalar(ring, 1), _scalar(ring, 0)
     return ExactMatrix.of(
         [[one if i == j else zero for j in range(N)] for i in range(N)], ring
     )
@@ -219,26 +268,13 @@ def matrix_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
     return ExactMatrix.of(rows)
 
 
-def build_omega_shift(N: int, m: int, omega) -> ExactMatrix:
-    """omega*I(N) + B(N, m) over the smallest ring containing omega."""
-    if isinstance(omega, CycloElement):
-        ring = RING_CYCLO3 if omega.ring == THIRD else RING_CYCLO6
-    else:
-        ring = RING_INTEGER
-    rows = []
-    for i in range(N):
-        row = []
-        for j in range(N):
-            v = binomial(m + i + j, j)
-            if i == j:
-                row.append(omega + v)
-            else:
-                if isinstance(omega, CycloElement):
-                    row.append(CycloElement.of(omega.ring, v))
-                else:
-                    row.append(v)
-        rows.append(row)
-    return ExactMatrix.of(rows, ring)
+def build_omega_shift(N: int, m: Number, omega) -> ExactMatrix:
+    """omega*I(N) + B(N, m) over the smallest ring containing omega and m."""
+    zero = omega * 0
+    rows = [
+        [(omega if i == j else zero) + binomial(m + i + j, j) for j in range(N)] for i in range(N)
+    ]
+    return ExactMatrix.of(rows, _join_rings([_ring_of(omega), _ring_of(frac(m))]))
 
 
 def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number = 0) -> ExactMatrix:
@@ -247,6 +283,8 @@ def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number = 0) -> E
 
     Rows 1..a count paths from the side of length a, rows a+1..a+m paths
     from the core side; 1-based (i, j) as in the row descriptions."""
+    if min(a, b, c, m) < 0:
+        raise ValueError("side lengths must be nonnegative")
     if b % 2 != c % 2:
         raise ValueError("b and c must have equal parity")
     eps = frac(epsilon)
@@ -259,11 +297,10 @@ def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number = 0) -> E
     shift = int(shift)
     n = a + m
     rows = []
-    for i in range(1, a + 1):
-        rows.append([binomial(b + c + m, b - i + j) for j in range(1, n + 1)])
-    for i in range(a + 1, n + 1):
-        rows.append([binomial((b + c) // 2, shift - i + j) for j in range(1, n + 1)])
-    return ExactMatrix.of(rows, RING_INTEGER)
+    for i in range(1, n + 1):
+        top, low = (b + c + m, b - i) if i <= a else ((b + c) // 2, shift - i)
+        rows.append(tuple(comb(top, low + j) if low + j >= 0 else 0 for j in range(1, n + 1)))
+    return ExactMatrix(RING_INTEGER, tuple(rows))
 
 
 def build_n6_matrix(a: int, m: int) -> ExactMatrix:
@@ -338,7 +375,7 @@ def laplace_two_block(matrix: ExactMatrix, top_rows: int):
     complementary minors.  Equals the determinant."""
     n = matrix.nrows
     t = top_rows
-    total = _zero_like(matrix.ring)
+    total = _scalar(matrix.ring, 0)
     base = t * (t + 1) // 2
     for K in combinations(range(1, n + 1), t):
         sign = (-1) ** (sum(K) - base)
@@ -468,7 +505,7 @@ def principal_minor_sum(matrix: ExactMatrix):
     """Sum of all principal minors (including the empty one); equals
     det(I + M)."""
     n = matrix.nrows
-    total = _one_like(matrix.ring)
+    total = _scalar(matrix.ring, 1)
     for k in range(1, n + 1):
         for rows in combinations(range(n), k):
             total = total + det_fraction_free(matrix.submatrix(rows, rows))

@@ -132,6 +132,13 @@ class TestCyclo:
         assert omega6() ** 6 == 1
         assert omega6() ** 3 == -1
 
+    def test_no_division(self):
+        # exact division in Z[w] lives in the determinant kernel
+        with pytest.raises(ValueError, match="negative power"):
+            omega3() ** -1
+        with pytest.raises(TypeError):
+            omega6() / 2
+
     def test_ring_mismatch(self):
         with pytest.raises(RingMismatchError):
             omega3() + omega6()

@@ -156,6 +156,8 @@ class TestOmegaDets:
         assert andrews_rhs(0, 3) == 1
         assert andrews_rhs(1, 5) == 2
         assert andrews_rhs(2, 4) == 9  # m + 5
+        assert andrews_rhs(2, -3) == 2
+        assert andrews_rhs(2, Fraction(1, 2)) == Fraction(11, 2)
 
     def test_zare1(self):
         assert zare1_rhs(3, 2) == 0
@@ -184,6 +186,17 @@ class TestOmegaDets:
         for a in range(7):
             for m in range(7):
                 det = det_fraction_free(build_omega_shift(a, m, omegas[case]))
+                assert det == rhs_omega_det(a, m, case), (a, m, case)
+
+    @pytest.mark.parametrize("case", ["one", "third", "sixth"])
+    def test_polynomial_in_m(self, case):
+        # andrews, om3 and om6 are polynomial identities in m: they equal the
+        # determinant at negative and half-integer m too (zare1 does not)
+        omega = {"one": 1, "third": omega3(), "sixth": omega6()}[case]
+        ms = [Fraction(k) for k in range(-6, 0)] + [Fraction(k, 2) for k in range(-7, 12, 2)]
+        for a in range(8):
+            for m in ms:
+                det = det_fraction_free(build_omega_shift(a, m, omega))
                 assert det == rhs_omega_det(a, m, case), (a, m, case)
 
 

@@ -3,10 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
-from cored_hexagons.exactnum import CycloElement, THIRD, omega3, omega6
+from cored_hexagons import lgv
+from cored_hexagons.exactnum import CycloElement, SIXTH, THIRD, omega3, omega6
 from cored_hexagons.lgv import (
     ExactMatrix,
+    RING_CYCLO3,
+    RING_CYCLO6,
     RING_INTEGER,
     RING_RATIONAL,
     build_B,
@@ -80,6 +84,56 @@ class TestDeterminant:
         with pytest.raises(ValueError):
             det_fraction_free(ExactMatrix.of([[1, 2, 3], [4, 5, 6]]))
 
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_cofactor_in_every_ring(self, data):
+        # entries are biased towards 0 so that pivot swaps, singular matrices
+        # and rows skipped over several steps all occur
+        ring = data.draw(st.sampled_from(["integer", "rational", THIRD, SIXTH]))
+        max_den = 1 if ring == "integer" else data.draw(st.sampled_from([1, 4]))
+        zero_share = data.draw(st.integers(0, 3))
+        n = data.draw(st.integers(0, 6))
+
+        def coordinate():
+            if data.draw(st.integers(0, 3)) < zero_share:
+                return Fraction(0)
+            return Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, max_den)))
+
+        def entry():
+            if ring in (THIRD, SIXTH):
+                return CycloElement.of(ring, coordinate(), coordinate())
+            return coordinate()
+
+        rows = [[entry() for _ in range(n)] for _ in range(n)]
+        matrix = ExactMatrix.of(rows)
+        det = det_fraction_free(matrix)
+        assert det == cofactor_det(rows)
+        expected_type = {
+            RING_INTEGER: int,
+            RING_RATIONAL: Fraction,
+            RING_CYCLO3: CycloElement,
+            RING_CYCLO6: CycloElement,
+        }[matrix.ring]
+        assert type(det) is expected_type
+        if expected_type is CycloElement:
+            assert det.ring == ring
+
+    def test_each_ring_checks_exact_division(self):
+        _, _, _, _, int_div = lgv._INT_RING
+        assert int_div(-12, 4) == -3
+        with pytest.raises(AssertionError, match="exact division"):
+            int_div(7, 2)
+        for ring, prime in ((RING_CYCLO3, (1, -1)), (RING_CYCLO6, (1, 1))):
+            _, _, mul, _, exact_div = lgv._KERNEL_RINGS[ring]
+            # 1 - w3 and 1 + w6 have norm 3; 1, 2 and 4 + 6w have norms prime to 3
+            assert exact_div(mul((5, -3), prime), prime) == (5, -3)
+            assert exact_div((4, 6), (2, 0)) == (2, 3)
+            with pytest.raises(AssertionError, match="exact division"):
+                exact_div((1, 0), (2, 0))
+            for non_multiple in ((1, 0), (2, 0), (4, 6)):
+                with pytest.raises(AssertionError, match="exact division"):
+                    exact_div(non_multiple, prime)
+
 
 class TestBuilders:
     def test_build_B(self):
@@ -93,11 +147,21 @@ class TestBuilders:
         one_by_one = build_omega_shift(1, 3, omega6())
         assert one_by_one.rows[0][0] == omega6() + 1
 
+    def test_non_integer_m_is_not_truncated(self):
+        # det(I + B(2, 1/2)) = det [[2, 3/2], [1, 7/2]] = 11/2
+        assert build_B(2, Fraction(1, 2)).ring == RING_RATIONAL
+        assert build_omega_shift(2, Fraction(1, 2), -1).ring == RING_RATIONAL
+        assert det_fraction_free(build_omega_shift(2, Fraction(1, 2), 1)) == Fraction(11, 2)
+        with pytest.raises(ValueError, match="integer ring"):
+            ExactMatrix.of([[1, Fraction(1, 2)]], RING_INTEGER)
+
     def test_cored_matrix_parity_checks(self):
         with pytest.raises(ValueError):
             build_cored_matrix(2, 3, 2, 1)
         with pytest.raises(ValueError):
             build_cored_matrix(2, 2, 2, 1, epsilon=Fraction(1, 2))
+        with pytest.raises(ValueError, match="nonnegative"):
+            build_cored_matrix(-1, 2, 2, 1)
 
     def test_cored_matrix_b_c_zero(self):
         # one tiling: determinant 1 at matching epsilon
