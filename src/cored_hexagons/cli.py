@@ -166,8 +166,6 @@ def _cmd_formula(args) -> int:
             value = formulas.lemma_rhs(
                 args.a, args.b, args.c, args.m, shifted=args.shifted
             )
-        else:
-            raise CliError(f"unknown formula id {fid!r}")
     except formulas.FormulaDomainError as exc:
         raise CliError(str(exc))
     params = {
@@ -185,11 +183,6 @@ def _check_digits(digits: int) -> None:
         raise CliError(f"--digits must be at least 6, got {digits}")
 
 
-def _run_one_suite(name: str, bounds: dict, seed: int):
-    reports = verify.run_suite(name, bounds, seed)
-    return name, [r.to_json_dict() for r in reports], verify.suite_failed(reports)
-
-
 def _cmd_verify(args) -> int:
     bounds = {}
     if args.max_a is not None:
@@ -202,43 +195,31 @@ def _cmd_verify(args) -> int:
     for name in names:
         if name not in verify.SUITES:
             raise CliError(f"unknown suite {name!r}; pick one of {sorted(verify.SUITES)} or all")
-    results = []
     jobs = args.jobs or os.cpu_count() or 1
     if len(names) > 1 and jobs > 1:
         # one worker per suite; output order stays the fixed suite order
         with ProcessPoolExecutor(max_workers=min(jobs, len(names))) as pool:
-            futures = [pool.submit(_run_one_suite, n, bounds, args.seed) for n in names]
-            results = [f.result() for f in futures]
+            futures = [pool.submit(verify.run_suite, n, bounds, args.seed) for n in names]
+            per_suite = [f.result() for f in futures]
     else:
-        results = [_run_one_suite(n, bounds, args.seed) for n in names]
-
-    all_lines = []
-    failed = False
-    summary_reports = []
-    for name, dicts, suite_failed in results:
-        failed = failed or suite_failed
-        for d in dicts:
-            all_lines.append(json.dumps(d, sort_keys=True))
-            summary_reports.append(
-                verify.VerificationReport(
-                    d["suite"], d["case_params"], d["lhs"], d["rhs"], d["equal"], d["status"]
-                )
-            )
+        per_suite = [verify.run_suite(n, bounds, args.seed) for n in names]
+    reports = [r for suite_reports in per_suite for r in suite_reports]
     if args.jsonl:
         with open(args.jsonl, "w") as fh:
-            fh.write("\n".join(all_lines) + "\n")
+            fh.write(verify.reports_to_jsonl(reports))
     if args.csv:
         with open(args.csv, "w") as fh:
-            fh.write(verify.reports_to_csv(summary_reports))
-    totals = {
-        "suites": names,
-        "total": len(summary_reports),
-        "passed": sum(1 for r in summary_reports if r.status == verify.PASS),
-        "failed": sum(1 for r in summary_reports if r.status == verify.FAIL),
-        "skipped": sum(1 for r in summary_reports if r.status == verify.SKIP),
-    }
-    _emit(totals)
-    return EXIT_SUITE_FAILED if failed else EXIT_OK
+            fh.write(verify.reports_to_csv(reports))
+    _emit(
+        {
+            "suites": names,
+            "total": len(reports),
+            "passed": sum(1 for r in reports if r.status == verify.PASS),
+            "failed": sum(1 for r in reports if r.status == verify.FAIL),
+            "skipped": sum(1 for r in reports if r.status == verify.SKIP),
+        }
+    )
+    return EXIT_SUITE_FAILED if verify.suite_failed(reports) else EXIT_OK
 
 
 def _cmd_asymptotic(args) -> int:
@@ -267,33 +248,18 @@ def _cmd_asymptotic(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    which = args.which
-    eps = 1 if which == 1 else Fraction(3, 2)
+    # the even-core cases of the Conjectures suite with the chosen shift
+    bounds = {"max_a": args.max_a, "ms": range(0, args.max_m + 1, 2), "odd_ms": ()}
+    reports = [
+        r for r in verify.run_suite("Conjectures", bounds)
+        if r.case_params["which"] == args.which
+    ]
     lines = ["a,b,c,m,determinant,conjecture,status"]
-    failed = False
-    for a in range(args.max_a + 1):
-        for b in range(args.max_a + 1):
-            for c in range(args.max_a + 1):
-                for m in range(0, args.max_m + 1, 2):
-                    if b % 2 != c % 2:
-                        continue
-                    if which == 1 and a % 2 != b % 2:
-                        continue
-                    if which == 2 and a % 2 == b % 2:
-                        continue
-                    try:
-                        rhs = formulas.conjecture_rhs(which, a, b, c, m)
-                    except formulas.FormulaDomainError:
-                        lines.append(f"{a},{b},{c},{m},,,skip")
-                        continue
-                    det = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m, eps))
-                    status = "pass" if det == rhs else "fail"
-                    failed = failed or status == "fail"
-                    lines.append(
-                        f"{a},{b},{c},{m},{value_to_str(det)},{value_to_str(rhs)},{status}"
-                    )
+    for r in reports:
+        p = r.case_params
+        lines.append(f"{p['a']},{p['b']},{p['c']},{p['m']},{r.lhs},{r.rhs},{r.status}")
     sys.stdout.write("\n".join(lines) + "\n")
-    return EXIT_SUITE_FAILED if failed else EXIT_OK
+    return EXIT_SUITE_FAILED if verify.suite_failed(reports) else EXIT_OK
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -328,26 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     cyc.set_defaults(func=_cmd_cyclic_count)
 
     formula = sub.add_parser("formula", help="evaluate one closed form")
-    formula.add_argument(
-        "--id",
-        required=True,
-        choices=[
-            "macmahon",
-            "enum",
-            "shifted",
-            "signed-enum",
-            "signed-shifted",
-            "andrews",
-            "zare1",
-            "om3",
-            "om6",
-            "case10",
-            "asymptotic-k",
-            "conjecture1",
-            "conjecture2",
-            "lemma-rhs",
-        ],
-    )
+    formula.add_argument("--id", required=True, choices=list(_FORMULA_PARAMS))
     formula.add_argument("--a", type=int, default=None)
     formula.add_argument("--b", type=int, default=None)
     formula.add_argument("--c", type=int, default=None)

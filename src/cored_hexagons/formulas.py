@@ -6,7 +6,10 @@ multiple-sum summation theorems.
 The tiling counts, the box formula, the conjectures, det(-I + B) and the
 prefactor of lemma_rhs are hyperfactorial term tables evaluated by prime
 exponents; a leaked half power of pi raises.  The other products multiply
-Pochhammer symbols with rational bases.
+Pochhammer symbols with rational bases: det(wI + B) for the third and sixth
+roots is one loop over a per-root table of Pochhammer rows, and the three
+Watson closed forms are one expression whose bases and lengths take the
+parities of a and M as half-shifts, ceilings and floors.
 """
 
 from __future__ import annotations
@@ -64,13 +67,6 @@ class FormulaDomainError(ValueError):
 
 def _ceil(x: Number) -> int:
     return math.ceil(frac(x))
-
-
-def _clamped_floor(x: Number) -> int:
-    """floor with negative arguments read as 0, the convention that closes
-    the root-of-unity product formulas."""
-    x = frac(x)
-    return 0 if x < 0 else math.floor(x)
 
 
 # --- hyperfactorial product formulas as term tables -----------------------
@@ -298,55 +294,46 @@ def zare1_rhs(a: int, m: Number) -> Fraction:
     return (-1) ** n * _evaluate(table)
 
 
-def _om_double_factorials(a: int) -> Fraction:
-    value = Fraction(1)
-    for i in range(1, a // 2 + 1):
-        value *= double_factorial_odd(i)
-    for i in range(1, (a - 1) // 2 + 1):
-        value *= double_factorial_odd(i)
-    return value
+# det(wI + B(a, m)) for w a primitive third or sixth root is (1 + w)^a times
+# scale^floor(a/2) over prod_{j=1}^{a} (2 floor(j/2) - 1)!!, times for every
+# i with 4i <= a one Pochhammer symbol per row (k, x0, with_a, d):
+# (m/2 + k i + x0 + with_a a)_{floor((a - 4i - d)/2)}, a negative length
+# read as 0.
+_OM_TABLES = {
+    OMEGA_THIRD: (
+        Fraction(2),
+        omega3,
+        ((3, 1, 0, 0), (3, 3, 0, 3), (-1, Fraction(1, 2), 1, 1), (-1, Fraction(-1, 2), 1, 2)),
+    ),
+    OMEGA_SIXTH: (
+        Fraction(2, 3),
+        omega6,
+        ((3, Fraction(3, 2), 0, 1), (3, Fraction(5, 2), 0, 2), (-1, 0, 1, 0), (-1, 0, 1, 3)),
+    ),
+}
+
+
+def _om_rhs(a: int, m: Number, omega_case: str) -> CycloElement:
+    _check_order(a)
+    scale, root, rows = _OM_TABLES[omega_case]
+    m2 = frac(m) / 2
+    rational = scale ** (a // 2) / math.prod(double_factorial_odd(j // 2) for j in range(1, a + 1))
+    for i in range(a // 4 + 1):
+        for k, x0, with_a, d in rows:
+            rational *= pochhammer(m2 + k * i + x0 + with_a * a, max(0, (a - 4 * i - d) // 2))
+    return (1 + root()) ** a * rational
 
 
 def om3_rhs(a: int, m: Number) -> CycloElement:
     """Closed form of det(wI + B(a, m)) for w a primitive third root; any
     rational m (see andrews_rhs)."""
-    _check_order(a)
-    m2 = frac(m) / 2
-    rational = Fraction(2) ** (a // 2) / _om_double_factorials(a)
-    i = 0
-    while a - 4 * i >= 0:
-        rational *= frac(pochhammer(m2 + 3 * i + 1, _clamped_floor(frac(a - 4 * i, 2))))
-        rational *= frac(pochhammer(m2 + 3 * i + 3, _clamped_floor(frac(a - 4 * i - 3, 2))))
-        rational *= frac(
-            pochhammer(m2 + a - i + Fraction(1, 2), _clamped_floor(frac(a - 4 * i - 1, 2)))
-        )
-        rational *= frac(
-            pochhammer(m2 + a - i - Fraction(1, 2), _clamped_floor(frac(a - 4 * i - 2, 2)))
-        )
-        i += 1
-    w = omega3()
-    return (1 + w) ** a * rational
+    return _om_rhs(a, m, OMEGA_THIRD)
 
 
 def om6_rhs(a: int, m: Number) -> CycloElement:
     """Closed form of det(wI + B(a, m)) for w a primitive sixth root; any
     rational m (see andrews_rhs)."""
-    _check_order(a)
-    m2 = frac(m) / 2
-    rational = Fraction(2, 3) ** (a // 2) / _om_double_factorials(a)
-    i = 0
-    while a - 4 * i >= 0:
-        rational *= frac(
-            pochhammer(m2 + 3 * i + Fraction(3, 2), _clamped_floor(frac(a - 4 * i - 1, 2)))
-        )
-        rational *= frac(
-            pochhammer(m2 + 3 * i + Fraction(5, 2), _clamped_floor(frac(a - 4 * i - 2, 2)))
-        )
-        rational *= frac(pochhammer(m2 + a - i, _clamped_floor(frac(a - 4 * i, 2))))
-        rational *= frac(pochhammer(m2 + a - i, _clamped_floor(frac(a - 4 * i - 3, 2))))
-        i += 1
-    w = omega6()
-    return (1 + w) ** a * rational
+    return _om_rhs(a, m, OMEGA_SIXTH)
 
 
 def rhs_omega_det(a: int, m: Number, omega_case: str):
@@ -551,173 +538,54 @@ def watson_lhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
     return total
 
 
-def _p(base: Number, k: Number) -> Fraction:
-    k = frac(k)
-    assert k.denominator == 1 and k >= 0, f"pochhammer length {k} must be in N"
-    return frac(pochhammer(frac(base), int(k)))
-
-
-def _f(x: Number) -> Fraction:
-    x = frac(x)
-    assert x.denominator == 1 and x >= 0, f"factorial argument {x} must be in N"
-    return Fraction(math.factorial(int(x)))
-
-
 def watson_rhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
-    """The closed-form side, one expression per parity branch of (a, M)."""
+    """The closed-form side: 0 for M < a and for W1 with a and M odd, else
+    one expression for every variant and every parity of a and M.
+
+    The variants differ in the lower parameters (e, f) of watson_lhs: W2
+    raises e by 1/2 (sigma = 1) and W2, W3 lower f by 1 (tau = 1).  With
+    u = M - a, phi = (u + sigma) mod 2, eta = (a + tau) mod 2 and
+    g = B - C/2 - tau + sigma/2 the value is
+      2^(a^2 - a - aM) M!^a (-1)^(floor(a/2) + a (floor((u - sigma)/2) + 1))
+      / (e)_{ceil((u - sigma)/2)}^a
+    times, for j = 1..a, k = j + tau - sigma and low = floor((k - (u mod 2))/2),
+      (B)_{j-1} (ceil(j/2) - 1)! / ceil((M - j)/2)!
+      * (C/2 + (1 - phi)/2)_{floor((j - 1 + phi)/2)}
+      / (f/2 + (1 - eta)/2)_{floor((j - 1 + eta)/2)}
+      / (f/2 + eta/2)_{floor((M + 2 - eta - j)/2)}
+      * (g + low + (u mod 2)/2)_{ceil(k/2) - low + floor(u/2)},
+    and 1/((C + M - j + 1)/2)_j for each j of the parity of a + 1 + sigma.
+    The parity of M enters only as half-shifts of bases and lengths, the
+    parity of a only through the ceilings and floors in j."""
+    if a < 0:
+        raise FormulaDomainError(f"the number a of summation indices must be nonnegative, got {a}")
     B, C = frac(B), frac(C)
     if M < a:
         # fewer than a admissible indices: the sum is empty
         return Fraction(0)
-    a2, M2, C2 = Fraction(a, 2), Fraction(M, 2), C / 2
-    common = Fraction(2) ** (a * a - a - a * M) * _f(M) ** a
-    for i in range(1, a + 1):
-        common *= _p(B, i - 1)
-    if variant == W1:
-        if a % 2 == 0 and M % 2 == 0:
-            v = common * (-1) ** (a // 2) / _p(a2 + C2 - M2, M2 - a2) ** a
-            for i in range(1, a // 2 + 1):
-                v *= _f(i - 1) ** 2 * _p(Fraction(1, 2) + C2, i - 1) ** 2
-                v *= _p(B - C2 + i - 1, M2 - a2 + 1) * _p(B - C2 + i, M2 - a2)
-                v /= _f(M2 - i) * _f(M2 - i + 1)
-                v /= _p(a2 + B - Fraction(1, 2), M2 - i + 1) ** 2
-                v /= _p(a2 + B, i - 1) ** 2 * _p(1 + C2 - i + M2, 2 * i - 1)
-            return v
-        if a % 2 == 0 and M % 2 == 1:
-            v = common * (-1) ** (a // 2) / _p(a2 + C2 - M2, M2 - a2 + Fraction(1, 2)) ** a
-            for i in range(1, a // 2 + 1):
-                v *= _f(i - 1) ** 2 / _f(M2 - i + Fraction(1, 2)) ** 2
-            for i in range(1, a // 2 + 1):
-                v *= _p(C2, i - 1) * _p(C2, i)
-                v *= _p(B - C2 + i - Fraction(1, 2), M2 - a2 + Fraction(1, 2)) ** 2
-                v /= _p(a2 + B - Fraction(1, 2), M2 - i + Fraction(1, 2))
-                v /= _p(a2 + B - Fraction(1, 2), M2 - i + Fraction(3, 2))
-                v /= _p(a2 + B, i - 1) ** 2 * _p(1 + C2 - i + M2, 2 * i - 1)
-            return v
-        if a % 2 == 1 and M % 2 == 0:
-            v = common * (-1) ** (M // 2)
-            v *= _p(B - C2 + a2, M2 - a2 + Fraction(1, 2))
-            v /= _f(M2) * _p(a2 + B, M2) * _p(a2 + C2 - M2, M2 - a2 + Fraction(1, 2)) ** a
-            for i in range(1, (a - 1) // 2 + 1):
-                v *= _f(i - 1) * _f(i) * _p(C2, i) ** 2
-                v *= _p(B - C2 + i - Fraction(1, 2), M2 - a2 + Fraction(1, 2)) ** 2
-                v /= _f(M2 - i) ** 2
-                v /= _p(a2 + B - Fraction(1, 2), i) ** 2 * _p(a2 + B, M2 - i) ** 2
-                v /= _p(Fraction(1, 2) + C2 - i + M2, 2 * i)
-            return v
+    e, f = _watson_lower_params(variant, a, M, B, C)
+    if variant == W1 and a % 2 == M % 2 == 1:
         return Fraction(0)
-    if variant == W2:
-        if a % 2 == 0 and M % 2 == 0:
-            v = common * (-1) ** (a // 2)
-            v /= _p(Fraction(1, 2) + a2 + C2 - M2, M2 - a2) ** a
-            for i in range(1, a // 2 + 1):
-                v *= _f(i - 1) ** 2 * _p(C2, i - 1) * _p(C2, i)
-                v /= _f(M2 - i) * _f(M2 - i + 1)
-                v /= _p(a2 + B - 1, i - 1) * _p(a2 + B - 1, i)
-            for i in range(1, a // 2 + 1):
-                v *= _p(B - C2 + i - Fraction(3, 2), M2 - a2 + 1)
-                v *= _p(B - C2 + i - Fraction(1, 2), M2 - a2)
-                v /= _p(a2 + B - Fraction(1, 2), M2 - i)
-                v /= _p(a2 + B - Fraction(1, 2), M2 - i + 1)
-                v /= _p(Fraction(1, 2) + C2 - i + M2, 2 * i)
-            return v
-        if a % 2 == 0 and M % 2 == 1:
-            v = common * (-1) ** (a // 2)
-            v /= _p(Fraction(1, 2) + a2 + C2 - M2, M2 - a2 - Fraction(1, 2)) ** a
-            for i in range(1, a // 2 + 1):
-                v *= _f(i - 1) ** 2 / _f(M2 - i + Fraction(1, 2)) ** 2
-            for i in range(1, a // 2 + 1):
-                v *= _p(Fraction(1, 2) + C2, i - 1) ** 2
-                v *= _p(B - C2 + i - 1, M2 - a2 + Fraction(1, 2)) ** 2
-                v /= _p(a2 + B - 1, i - 1) * _p(a2 + B - 1, i)
-                v /= _p(a2 + B - Fraction(1, 2), M2 - i + Fraction(1, 2)) ** 2
-                v /= _p(Fraction(1, 2) + C2 - i + M2, 2 * i)
-            return v
-        if a % 2 == 1 and M % 2 == 0:
-            v = common * (-1) ** (M // 2)
-            v *= _p(B - C2 + a2 - Fraction(1, 2), M2 - a2 + Fraction(1, 2))
-            v /= (C2 + M2) * _f(M2) * _p(a2 + B - 1, M2 - a2 + Fraction(1, 2))
-            v /= _p(Fraction(1, 2) + a2 + C2 - M2, M2 - a2 - Fraction(1, 2)) ** a
-            for i in range(1, (a - 1) // 2 + 1):
-                v *= _f(i - 1) * _f(i)
-                v *= _p(Fraction(1, 2) + C2, i - 1) * _p(Fraction(1, 2) + C2, i)
-                v /= _f(M2 - i) ** 2 * _p(a2 + B - 1, M2 - i + 1) ** 2
-            for i in range(1, (a - 1) // 2 + 1):
-                v *= _p(B - C2 + i - 1, M2 - a2 + Fraction(1, 2)) ** 2
-                v /= _p(a2 + B - Fraction(1, 2), i - 1) * _p(a2 + B - Fraction(1, 2), i)
-                v /= _p(C2 - i + M2, 2 * i + 1)
-            return v
-        # both odd
-        v = common * (-1) ** ((M - 1) // 2)
-        v *= _p(B - C2 - Fraction(1, 2), M2 - a2 + 1)
-        v /= (C2 + M2) * _f(M2 - a2) * _p(a2 + B - 1, M2 + Fraction(1, 2))
-        v /= _p(Fraction(1, 2) + a2 + C2 - M2, M2 - a2) ** a
-        for i in range(1, (a - 1) // 2 + 1):
-            v *= _f(i - 1) * _f(i) * _p(C2, i) ** 2
-            v /= _f(M2 - i + Fraction(1, 2)) ** 2
-            v /= _p(a2 + B - 1, M2 - i + Fraction(1, 2)) ** 2
-        for i in range(1, (a - 1) // 2 + 1):
-            v *= _p(B - C2 + i - Fraction(1, 2), M2 - a2)
-            v *= _p(B - C2 + i - Fraction(1, 2), M2 - a2 + 1)
-            v /= _p(a2 + B - Fraction(1, 2), i - 1) * _p(a2 + B - Fraction(1, 2), i)
-            v /= _p(C2 - i + M2, 2 * i + 1)
-        return v
-    if variant == W3:
-        if a % 2 == 0 and M % 2 == 0:
-            v = common * (-1) ** (a // 2)
-            v /= _p(a2 + B - 1, a2) * _p(a2 + C2 - M2, M2 - a2) ** a
-            for i in range(1, a // 2 + 1):
-                v *= _f(i - 1) ** 2 / (_f(M2 - i) * _f(M2 - i + 1))
-            for i in range(1, a // 2 + 1):
-                v *= _p(Fraction(1, 2) + C2, i - 1) ** 2
-                v *= _p(B - C2 + i - 1, M2 - a2) * _p(B - C2 + i - 1, M2 - a2 + 1)
-                v /= _p(a2 + B - 1, i - 1) ** 2
-                v /= _p(a2 + B - Fraction(1, 2), M2 - i)
-                v /= _p(a2 + B - Fraction(1, 2), M2 - i + 1)
-                v /= _p(1 + C2 - i + M2, 2 * i - 1)
-            return v
-        if a % 2 == 0 and M % 2 == 1:
-            v = common * (-1) ** (a // 2)
-            v /= _p(a2 + C2 - M2, M2 - a2 + Fraction(1, 2)) ** a
-            for i in range(1, a // 2 + 1):
-                v *= _f(i - 1) ** 2 / _f(M2 - i + Fraction(1, 2)) ** 2
-            for i in range(1, a // 2 + 1):
-                v *= _p(C2, i - 1) * _p(C2, i)
-                v *= _p(B - C2 + i - Fraction(3, 2), M2 - a2 + Fraction(1, 2))
-                v *= _p(B - C2 + i - Fraction(1, 2), M2 - a2 + Fraction(1, 2))
-                v /= _p(a2 + B - 1, i - 1) * _p(a2 + B - 1, i)
-                v /= _p(a2 + B - Fraction(1, 2), M2 - i + Fraction(1, 2)) ** 2
-                v /= _p(1 + C2 - i + M2, 2 * i - 1)
-            return v
-        if a % 2 == 1 and M % 2 == 0:
-            v = common * (-1) ** (M // 2)
-            v *= _p(B - C2 - Fraction(1, 2), M2 - a2 + Fraction(1, 2))
-            v /= _f(M2) * _p(a2 + B - 1, M2 - a2 + Fraction(1, 2))
-            v /= _p(a2 + C2 - M2, M2 - a2 + Fraction(1, 2)) ** a
-            for i in range(1, (a - 1) // 2 + 1):
-                v *= _f(i - 1) * _f(i) * _p(C2, i) ** 2
-                v /= _f(M2 - i) ** 2 * _p(a2 + B - 1, M2 - i + 1) ** 2
-            for i in range(1, (a - 1) // 2 + 1):
-                v *= _p(B - C2 + i - Fraction(1, 2), M2 - a2 + Fraction(1, 2)) ** 2
-                v /= _p(a2 + B - Fraction(1, 2), i - 1) * _p(a2 + B - Fraction(1, 2), i)
-                v /= _p(Fraction(1, 2) + C2 - i + M2, 2 * i)
-            return v
-        # both odd
-        v = common * (-1) ** ((M + 1) // 2)
-        v *= _p(B - C2 + a2 - Fraction(1, 2), M2 - a2)
-        v /= _f(M2 - a2) * _p(a2 + B - 1, M2 + Fraction(1, 2))
-        v /= _p(a2 + C2 - M2, M2 - a2) ** a
-        for i in range(1, (a - 1) // 2 + 1):
-            v *= _f(i - 1) * _f(i)
-            v *= _p(Fraction(1, 2) + C2, i - 1) * _p(Fraction(1, 2) + C2, i)
-            v /= _f(M2 - i + Fraction(1, 2)) ** 2
-            v /= _p(a2 + B - 1, M2 - i + Fraction(1, 2)) ** 2
-        for i in range(1, (a - 1) // 2 + 1):
-            v *= _p(B - C2 + i - 1, M2 - a2) * _p(B - C2 + i - 1, M2 - a2 + 1)
-            v /= _p(a2 + B - Fraction(1, 2), i - 1) * _p(a2 + B - Fraction(1, 2), i)
-            v /= _p(Fraction(1, 2) + C2 - i + M2, 2 * i)
-        return v
-    raise FormulaDomainError(f"unknown variant {variant!r}")
+    sigma, tau = int(variant == W2), int(variant != W1)
+    u = M - a
+    phi, eta, odd_u = (u + sigma) % 2, (a + tau) % 2, u % 2
+    g = B - C / 2 - tau + Fraction(sigma, 2)
+    # divide v itself: pochhammer(x, 0) is the int 1, and int / int is a float
+    v = Fraction(2) ** (a * a - a - a * M) * math.factorial(M) ** a
+    v *= (-1) ** (a // 2 + a * ((u - sigma) // 2 + 1))
+    v /= pochhammer(e, (u - sigma + 1) // 2) ** a
+    for j in range(1, a + 1):
+        v *= pochhammer(B, j - 1) * math.factorial((j - 1) // 2)
+        v /= math.factorial((M - j + 1) // 2)
+        v *= pochhammer(C / 2 + Fraction(1 - phi, 2), (j - 1 + phi) // 2)
+        v /= pochhammer(f / 2 + Fraction(1 - eta, 2), (j - 1 + eta) // 2)
+        v /= pochhammer(f / 2 + Fraction(eta, 2), (M + 2 - eta - j) // 2)
+        k = j + tau - sigma
+        low = (k - odd_u) // 2
+        v *= pochhammer(g + low + Fraction(odd_u, 2), (k + 1) // 2 - low + u // 2)
+        if (a + j + sigma) % 2:
+            v /= pochhammer((C + M - j + 1) / 2, j)
+    return v
 
 
 def watson_pair(variant: str, a: int, M: int, B: Number, C: Number) -> tuple[Fraction, Fraction]:

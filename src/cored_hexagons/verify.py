@@ -70,16 +70,9 @@ def _rand_rational(rng: random.Random) -> Fraction:
     return Fraction(rng.randint(-20, 20), rng.choice((1, 2, 3)))
 
 
-def _values_equal(lhs, rhs) -> bool:
-    if isinstance(lhs, CycloElement) or isinstance(rhs, CycloElement):
-        if not isinstance(lhs, CycloElement):
-            lhs, rhs = rhs, lhs
-        return lhs == rhs
-    return lhs == rhs
-
-
 def _report(suite, params, lhs, rhs, status=None) -> VerificationReport:
-    equal = _values_equal(lhs, rhs)
+    # a CycloElement on either side compares through its reflected __eq__
+    equal = lhs == rhs
     if status is None:
         status = PASS if equal else FAIL
     return VerificationReport(suite, params, _fmt(lhs), _fmt(rhs), equal, status)

@@ -5,6 +5,45 @@ import pytest
 from cored_hexagons.cli import main
 
 
+CONJECTURE_1_TABLE = """\
+a,b,c,m,determinant,conjecture,status
+0,0,0,0,,,skip
+0,0,0,2,,,skip
+0,0,2,0,,,skip
+0,0,2,2,,,skip
+0,2,0,0,,,skip
+0,2,0,2,0,0,pass
+0,2,2,0,1,1,pass
+0,2,2,2,1,1,pass
+1,1,1,0,2,2,pass
+1,1,1,2,4,4,pass
+2,0,0,0,1,1,pass
+2,0,0,2,1,1,pass
+2,0,2,0,1,1,pass
+2,0,2,2,6,6,pass
+2,2,0,0,1,1,pass
+2,2,0,2,1,1,pass
+2,2,2,0,20,20,pass
+2,2,2,2,84,84,pass
+"""
+
+CONJECTURE_2_TABLE = """\
+a,b,c,m,determinant,conjecture,status
+0,1,1,0,,,skip
+0,1,1,2,,,skip
+1,0,0,0,,,skip
+1,0,0,2,,,skip
+1,0,2,0,,,skip
+1,0,2,2,,,skip
+1,2,0,0,,,skip
+1,2,0,2,0,0,pass
+1,2,2,0,6,6,pass
+1,2,2,2,15,15,pass
+2,1,1,0,3,3,pass
+2,1,1,2,10,10,pass
+"""
+
+
 def run_cli(capsys, *argv):
     code = main(list(argv))
     out = capsys.readouterr()
@@ -184,6 +223,31 @@ class TestOtherCommands:
         lines = out.strip().splitlines()
         assert lines[0] == "a,b,c,m,determinant,conjecture,status"
         assert all(line.endswith(("pass", "skip")) for line in lines[1:])
+
+    def test_conjecture_tables_are_pinned(self, capsys):
+        code, out, _ = run_cli(
+            capsys, "conjecture", "--which", "1", "--max-a", "2", "--max-m", "2"
+        )
+        assert code == 0
+        assert out == CONJECTURE_1_TABLE
+        code, out, _ = run_cli(
+            capsys, "conjecture", "--which", "2", "--max-a", "2", "--max-m", "2"
+        )
+        assert code == 0
+        assert out == CONJECTURE_2_TABLE
+
+    def test_verify_jobs_do_not_change_the_output(self, capsys, tmp_path):
+        written = {}
+        for jobs in ("1", "2"):
+            jsonl, csv = tmp_path / f"{jobs}.jsonl", tmp_path / f"{jobs}.csv"
+            code, out, _ = run_cli(
+                capsys, "verify", "--suite", "all", "--max-a", "1", "--max-m", "1",
+                "--jobs", jobs, "--jsonl", str(jsonl), "--csv", str(csv),
+            )
+            assert code == 0
+            written[jobs] = (out, jsonl.read_bytes(), csv.read_bytes())
+        assert written["1"] == written["2"]
+        assert written["1"][1].count(b"\n") == json.loads(written["1"][0])["total"]
 
     def test_cell_cap_env_override(self, capsys, monkeypatch):
         monkeypatch.setenv("CORED_HEX_CELL_CAP", "10")

@@ -25,6 +25,7 @@ from cored_hexagons.formulas import (
     watson_3f2_closed,
     watson_lhs,
     watson_pair,
+    watson_rhs,
     zare1_rhs,
 )
 from cored_hexagons.hypergeom import PochhammerZeroError
@@ -361,6 +362,32 @@ class TestWatson:
             assert lhs == rhs, (variant, a, M, B, C)
             checked += 1
         assert checked == 30
+
+
+    # a few rational parameters with small denominators, some of them
+    # putting a lower parameter on a pole
+    GRID = [Fraction(x) for x in (-2, -1, 0, 1, 3)] + [
+        Fraction(-3, 2), Fraction(-1, 3), Fraction(1, 2), Fraction(5, 3)
+    ]
+
+    @pytest.mark.parametrize("variant", ["W1", "W2", "W3"])
+    def test_grid_over_every_parity_class(self, variant):
+        classes = set()
+        for a in range(1, 5):
+            for M in range(a, 8):
+                for B in self.GRID:
+                    for C in self.GRID:
+                        try:
+                            lhs = watson_lhs(variant, a, M, B, C)
+                        except PochhammerZeroError:
+                            continue
+                        assert watson_rhs(variant, a, M, B, C) == lhs, (a, M, B, C)
+                        classes.add((a % 2, M % 2))
+        assert classes == {(0, 0), (0, 1), (1, 0), (1, 1)}
+
+    def test_negative_a_is_a_domain_error(self):
+        with pytest.raises(FormulaDomainError):
+            watson_rhs("W2", -1, 3, Fraction(1), Fraction(2))
 
 
 def test_formula_tags_are_stable():
