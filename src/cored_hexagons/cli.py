@@ -12,7 +12,6 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from fractions import Fraction
 
 import mpmath
 
@@ -67,9 +66,8 @@ def _cmd_count(args) -> int:
                 "the lattice-path determinant computes the plain count for even m "
                 "and the (-1)-count for odd m; pick the matching weight"
             )
-        eps = 0 if hexagon.placement == tilings.CENTERED else Fraction(1, 2)
         value = lgv.det_fraction_free(
-            lgv.build_cored_matrix(hexagon.a, hexagon.b, hexagon.c, hexagon.m, eps)
+            lgv.build_cored_matrix(hexagon.a, hexagon.b, hexagon.c, hexagon.m)
         )
     else:
         try:
@@ -248,11 +246,13 @@ def _cmd_asymptotic(args) -> int:
 
 
 def _cmd_conjecture(args) -> int:
-    # the even-core cases of the Conjectures suite with the chosen shift
-    bounds = {"max_a": args.max_a, "ms": range(0, args.max_m + 1, 2), "odd_ms": ()}
+    # the even-core cases of the Conjectures suite under the chosen shift
+    ms = range(0, args.max_m + 1, 2)
     reports = [
-        r for r in verify.run_suite("Conjectures", bounds)
-        if r.case_params["which"] == args.which
+        r
+        for a, b, c, _ in verify.admissible_tuples(args.max_a, 0)
+        if verify.conjecture_shift(a, b)[0] == args.which
+        for r in verify.conjecture_reports(a, b, c, ms)
     ]
     lines = ["a,b,c,m,determinant,conjecture,status"]
     for r in reports:

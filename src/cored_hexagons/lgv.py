@@ -277,9 +277,11 @@ def build_omega_shift(N: int, m: Number, omega) -> ExactMatrix:
     return ExactMatrix.of(rows, _join_rings([_ring_of(omega), _ring_of(frac(m))]))
 
 
-def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number = 0) -> ExactMatrix:
+def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number | None = None) -> ExactMatrix:
     """The (a+m) x (a+m) lattice-path matrix for the cored hexagon, with the
-    core column offset epsilon in {0, 1/2, 1, 3/2}.
+    core column offset epsilon in {0, 1/2, 1, 3/2}.  Left out, epsilon
+    follows the core's placement: 0 (centered) when a = b (mod 2), else 1/2
+    (shifted half a unit); the off-center conjectures pass 1 and 3/2.
 
     Rows 1..a count paths from the side of length a, rows a+1..a+m paths
     from the core side; 1-based (i, j) as in the row descriptions."""
@@ -287,7 +289,7 @@ def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number = 0) -> E
         raise ValueError("side lengths must be nonnegative")
     if b % 2 != c % 2:
         raise ValueError("b and c must have equal parity")
-    eps = frac(epsilon)
+    eps = Fraction((a + b) % 2, 2) if epsilon is None else frac(epsilon)
     shift = Fraction(b + a, 2) + eps
     if shift.denominator != 1:
         raise ValueError(

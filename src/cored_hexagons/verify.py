@@ -13,7 +13,6 @@ import csv
 import io
 import json
 import random
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -35,19 +34,9 @@ class VerificationReport:
     rhs: str
     equal: bool
     status: str
-    elapsed_ms: int = 0
 
     def to_json_dict(self) -> dict:
-        # elapsed_ms is intentionally left out: serialized report lists are
-        # part of the deterministic output contract
-        return {
-            "suite": self.suite,
-            "case_params": self.case_params,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "equal": self.equal,
-            "status": self.status,
-        }
+        return dict(vars(self))
 
 
 def _fmt(value) -> str:
@@ -84,10 +73,50 @@ def _skip(suite, params, reason: str) -> VerificationReport:
     )
 
 
+def _sampled(suite, seed, groups, samples, attempts, draw, rejected):
+    """Report `samples` random cases per group. `draw(group, rng)` returns
+    (params, lhs, rhs); a draw that raises one of `rejected` lies outside
+    the identity's domain and is replaced, up to `attempts` draws per
+    group. The case index runs on across groups, so every draw is fixed by
+    the seed and its place in the whole stream."""
+    index = 0
+    for group in groups:
+        drawn = attempt = 0
+        while drawn < samples and attempt < attempts:
+            rng = _case_rng(seed, index)
+            index += 1
+            attempt += 1
+            try:
+                params, lhs, rhs = draw(group, rng)
+            except rejected:
+                continue
+            drawn += 1
+            yield _report(suite, params, lhs, rhs)
+
+
+def _capped(suite, params, rhs, hexagon, weight, cap, cyclic=None):
+    """The matching-level count reported against rhs, or a skip when the
+    region is over the cell cap."""
+    try:
+        oracle = tilings.count_weighted(hexagon, weight, cap=cap, cyclic=cyclic)
+    except tilings.CellCapError as exc:
+        return _skip(suite, params, str(exc))
+    return _report(suite, params, oracle, rhs)
+
+
+# the roots of unity omega of det(omega I + B(a, m)), by formula case name
+_OMEGAS = (
+    (formulas.OMEGA_ONE, 1),
+    (formulas.OMEGA_MINUS_ONE, -1),
+    (formulas.OMEGA_THIRD, omega3()),
+    (formulas.OMEGA_SIXTH, omega6()),
+)
+
+
 # --- individual suites -------------------------------------------------------
 
 
-def _admissible_tuples(max_a: int, max_m: int):
+def admissible_tuples(max_a: int, max_m: int):
     for a in range(max_a + 1):
         for b in range(max_a + 1):
             for c in range(max_a + 1):
@@ -101,28 +130,18 @@ def _suite_tilings_vs_formula(bounds, seed):
     max_a = bounds.get("max_a", 2)
     max_m = bounds.get("max_m", 2)
     cap = bounds.get("cap")
-    for a, b, c, m in _admissible_tuples(max_a, max_m):
+    for a, b, c, m in admissible_tuples(max_a, max_m):
         signed = m % 2 == 1
-        params = {"a": a, "b": b, "c": c, "m": m, "weight": "minus1" if signed else "one"}
-        eps = 0 if a % 2 == b % 2 else Fraction(1, 2)
-        det = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m, eps))
+        weight = tilings.WEIGHT_MINUS1 if signed else tilings.WEIGHT_ONE
+        params = {"a": a, "b": b, "c": c, "m": m, "weight": weight}
+        det = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m))
         formula = formulas.count_cored_formula(a, b, c, m, signed=signed)
-        try:
-            oracle = tilings.count_weighted(
-                tilings.CoredHexagon(a, b, c, m),
-                tilings.WEIGHT_MINUS1 if signed else tilings.WEIGHT_ONE,
-                cap=cap,
-            )
-        except tilings.CellCapError as exc:
-            yield _skip("TilingsVsFormula", params, str(exc))
-            continue
-        yield _report(
-            "TilingsVsFormula",
-            params,
-            oracle,
-            det if det == formula else f"det {det} != formula {formula}",
+        rhs = det if det == formula else f"det {det} != formula {formula}"
+        report = _capped(
+            "TilingsVsFormula", params, rhs, tilings.CoredHexagon(a, b, c, m), weight, cap
         )
-        if m == 0:
+        yield report
+        if m == 0 and report.status != SKIP:
             yield _report(
                 "TilingsVsFormula",
                 {"a": a, "b": b, "c": c, "m": 0, "weight": "macmahon"},
@@ -134,15 +153,9 @@ def _suite_tilings_vs_formula(bounds, seed):
 def _suite_dets_vs_formulas(bounds, seed):
     max_a = bounds.get("max_a", 8)
     max_m = bounds.get("max_m", 10)
-    cases = (
-        (formulas.OMEGA_ONE, 1),
-        (formulas.OMEGA_MINUS_ONE, -1),
-        (formulas.OMEGA_THIRD, omega3()),
-        (formulas.OMEGA_SIXTH, omega6()),
-    )
     for a in range(max_a + 1):
         for m in range(max_m + 1):
-            for name, omega in cases:
+            for name, omega in _OMEGAS:
                 det = lgv.det_fraction_free(lgv.build_omega_shift(a, m, omega))
                 rhs = formulas.rhs_omega_det(a, m, name)
                 yield _report(
@@ -154,25 +167,16 @@ def _suite_cyclic_weights(bounds, seed):
     max_a = bounds.get("max_a", 4)
     max_m = bounds.get("max_m", 3)
     cap = bounds.get("cap")
-    hexes = [(a, m) for a in range(max_a + 1) for m in range(max_m + 1)]
-    for a, m in hexes:
-        h = tilings.CoredHexagon(a, a, a, m)
-        cases = (
-            ("one", formulas.rhs_omega_det(a, m, formulas.OMEGA_ONE)),
-            ("minus1", formulas.rhs_omega_det(a, m, formulas.OMEGA_MINUS_ONE)),
-            ("omega3", formulas.rhs_omega_det(a, m, formulas.OMEGA_THIRD)),
-            ("omega6", formulas.rhs_omega_det(a, m, formulas.OMEGA_SIXTH)),
-        )
-        for weight, rhs in cases:
-            params = {"a": a, "m": m, "weight": weight}
-            if m == 0 and weight == "minus1":
-                params["note"] = "plane-partition specialization"
-            try:
-                oracle = tilings.count_weighted(h, weight, cap=cap, cyclic=True)
-            except tilings.CellCapError as exc:
-                yield _skip("CyclicWeights", params, str(exc))
-                continue
-            yield _report("CyclicWeights", params, oracle, rhs)
+    for a in range(max_a + 1):
+        for m in range(max_m + 1):
+            h = tilings.CoredHexagon(a, a, a, m)
+            # tilings.WEIGHTS starts with the weights of the same four roots
+            for (name, _), weight in zip(_OMEGAS, tilings.WEIGHTS):
+                params = {"a": a, "m": m, "weight": weight}
+                if m == 0 and weight == tilings.WEIGHT_MINUS1:
+                    params["note"] = "plane-partition specialization"
+                rhs = formulas.rhs_omega_det(a, m, name)
+                yield _capped("CyclicWeights", params, rhs, h, weight, cap, cyclic=True)
 
 
 def _suite_case10(bounds, seed):
@@ -181,45 +185,30 @@ def _suite_case10(bounds, seed):
     cap = bounds.get("cap")
     for a in range(max_a + 1):
         for m in range(max_m + 1):
-            params = {"a": a, "m": m}
             det = lgv.det_fraction_free(lgv.build_n6_matrix(a, m))
             rhs = formulas.rhs_case10(a, m)
-            try:
-                oracle = tilings.count_weighted(
-                    tilings.CoredHexagon(a, a, a, m), tilings.WEIGHT_MINUS1_N6, cap=cap
-                )
-            except tilings.CellCapError as exc:
-                yield _skip("Case10", params, str(exc))
-                continue
-            yield _report(
+            yield _capped(
                 "Case10",
-                params,
-                oracle,
+                {"a": a, "m": m},
                 det if det == rhs else f"det {det} != formula {rhs}",
+                tilings.CoredHexagon(a, a, a, m),
+                tilings.WEIGHT_MINUS1_N6,
+                cap,
             )
 
 
 def _suite_zn_factorization(bounds, seed):
     max_n = bounds.get("max_n", 6)
     samples = bounds.get("samples", 5)
-    index = 0
-    for n in range(max_n + 1):
-        drawn = 0
-        attempt = 0
-        while drawn < samples and attempt < 1000:
-            rng = _case_rng(seed, index)
-            index += 1
-            attempt += 1
-            x, mu = _rand_rational(rng), _rand_rational(rng)
-            try:
-                lhs, rhs = lgv.zn_factor_pair(n, x, mu)
-            except ZeroDivisionError:
-                # the factorization excludes i + mu + 1 = 0
-                continue
-            drawn += 1
-            yield _report(
-                "ZnFactorization", {"n": n, "x": str(x), "mu": str(mu)}, lhs, rhs
-            )
+
+    def draw(n, rng):
+        x, mu = _rand_rational(rng), _rand_rational(rng)
+        return {"n": n, "x": str(x), "mu": str(mu)}, *lgv.zn_factor_pair(n, x, mu)
+
+    # the factorization excludes i + mu + 1 = 0
+    yield from _sampled(
+        "ZnFactorization", seed, range(max_n + 1), samples, 1000, draw, ZeroDivisionError
+    )
     for n in range(bounds.get("max_th10_n", 4) + 1):
         for x in range(5):
             for y in range(5):
@@ -237,26 +226,11 @@ def _suite_zn_factorization(bounds, seed):
 def _suite_vw_reduction(bounds, seed):
     max_n = bounds.get("max_n", 5)
     max_m = bounds.get("max_m", 6)
-    omegas = (
-        ("minus1", -1),
-        ("third", omega3()),
-        ("sixth", omega6()),
-    )
     for n in range(max_n + 1):
         for m in range(0, max_m + 1, 2):
             V, W = lgv.build_VW(n, m)
-            for name, omega in omegas:
-                if isinstance(omega, CycloElement):
-                    Wc = lgv.ExactMatrix.of(
-                        [[CycloElement.of(omega.ring, frac(v)) for v in row] for row in W.rows]
-                    )
-                    lhs = lgv.det_fraction_free(
-                        lgv.matrix_add(lgv.matrix_scale(V, omega), Wc)
-                    )
-                else:
-                    lhs = lgv.det_fraction_free(
-                        lgv.matrix_add(lgv.matrix_scale(V, omega), W)
-                    )
+            for name, omega in _OMEGAS[1:]:
+                lhs = lgv.det_fraction_free(lgv.matrix_add(lgv.matrix_scale(V, omega), W))
                 rhs = lgv.det_fraction_free(lgv.build_omega_shift(n, m, omega))
                 yield _report(
                     "VWReduction", {"n": n, "m": m, "omega": name}, lhs, rhs
@@ -297,78 +271,54 @@ def _suite_watson(bounds, seed):
     max_a = bounds.get("max_a", 3)
     max_m = bounds.get("max_M", 6)
     samples = bounds.get("samples", 5)
-    index = 0
-    for variant in formulas.WATSON_VARIANTS:
-        for a in range(1, max_a + 1):
-            for M in range(a, max_m + 1):
-                drawn = 0
-                attempt = 0
-                while drawn < samples and attempt < 1000:
-                    rng = _case_rng(seed, index)
-                    index += 1
-                    attempt += 1
-                    B, C = _rand_rational(rng), _rand_rational(rng)
-                    try:
-                        lhs, rhs = formulas.watson_pair(variant, a, M, B, C)
-                    except (hypergeom.PochhammerZeroError, ZeroDivisionError):
-                        continue
-                    drawn += 1
-                    yield _report(
-                        "Watson",
-                        {"variant": variant, "a": a, "M": M, "B": str(B), "C": str(C)},
-                        lhs,
-                        rhs,
-                    )
+    groups = [
+        (variant, a, M)
+        for variant in formulas.WATSON_VARIANTS
+        for a in range(1, max_a + 1)
+        for M in range(a, max_m + 1)
+    ]
+
+    def draw(group, rng):
+        variant, a, M = group
+        B, C = _rand_rational(rng), _rand_rational(rng)
+        params = {"variant": variant, "a": a, "M": M, "B": str(B), "C": str(C)}
+        return params, *formulas.watson_pair(variant, a, M, B, C)
+
+    yield from _sampled(
+        "Watson", seed, groups, samples, 1000, draw,
+        (hypergeom.PochhammerZeroError, ZeroDivisionError),
+    )
     # the vanishing branch, checked on both sides
     lhs, rhs = formulas.watson_pair("W1", 3, 3, Fraction(1), Fraction(2))
     yield _report("Watson", {"variant": "W1", "a": 3, "M": 3, "branch": "both-odd"}, lhs, 0)
     yield _report("Watson", {"variant": "W1", "a": 3, "M": 3, "branch": "both-odd-rhs"}, rhs, 0)
 
 
+# per identity: the number of rational parameters drawn, then the largest
+# value of the integer parameter that terminates the series
+_IDENTITY_LAYOUTS = {
+    hypergeom.CHU_VANDERMONDE: (2, 8),
+    hypergeom.PFAFF_SAALSCHUETZ: (3, 8),
+    hypergeom.THOMAE: (4, 8),
+    hypergeom.GESSEL_STANTON_5F4: (2, 6),
+}
+
+
 def _suite_hypergeom_identities(bounds, seed):
     samples = bounds.get("samples", 200)
-    index = 0
-    for identity in hypergeom.IDENTITY_IDS:
-        drawn = 0
-        attempt = 0
-        while drawn < samples and attempt < 50 * samples:
-            rng = _case_rng(seed, index)
-            index += 1
-            attempt += 1
-            if identity == hypergeom.CHU_VANDERMONDE:
-                params = [_rand_rational(rng), _rand_rational(rng), rng.randint(0, 8)]
-            elif identity == hypergeom.PFAFF_SAALSCHUETZ:
-                params = [
-                    _rand_rational(rng),
-                    _rand_rational(rng),
-                    _rand_rational(rng),
-                    rng.randint(0, 8),
-                ]
-            elif identity == hypergeom.THOMAE:
-                params = [
-                    _rand_rational(rng),
-                    _rand_rational(rng),
-                    _rand_rational(rng),
-                    _rand_rational(rng),
-                    rng.randint(0, 8),
-                ]
-            else:
-                params = [_rand_rational(rng), _rand_rational(rng), rng.randint(0, 6)]
-            try:
-                lhs, rhs = hypergeom.identity_pair(identity, params)
-            except (
-                hypergeom.PochhammerZeroError,
-                hypergeom.NonTerminatingError,
-                ZeroDivisionError,
-            ):
-                continue
-            drawn += 1
-            yield _report(
-                "HypergeomIdentities",
-                {"identity": identity, "params": [str(p) for p in params]},
-                lhs,
-                rhs,
-            )
+
+    def draw(identity, rng):
+        rationals, max_n = _IDENTITY_LAYOUTS[identity]
+        params = [_rand_rational(rng) for _ in range(rationals)] + [rng.randint(0, max_n)]
+        return (
+            {"identity": identity, "params": [str(p) for p in params]},
+            *hypergeom.identity_pair(identity, params),
+        )
+
+    yield from _sampled(
+        "HypergeomIdentities", seed, hypergeom.IDENTITY_IDS, samples, 50 * samples, draw,
+        (hypergeom.PochhammerZeroError, hypergeom.NonTerminatingError, ZeroDivisionError),
+    )
     for n in range(bounds.get("max_qbinom_n", 12) + 1):
         for k in range(n + 1):
             yield _report(
@@ -379,43 +329,53 @@ def _suite_hypergeom_identities(bounds, seed):
             )
 
 
+def conjecture_shift(a: int, b: int) -> tuple[int, Fraction]:
+    """The off-center conjecture for sides a, b as (which, epsilon): the
+    one-unit shift when a = b (mod 2), else the 3/2-unit shift."""
+    return (1, Fraction(1)) if a % 2 == b % 2 else (2, Fraction(3, 2))
+
+
+def conjecture_reports(a: int, b: int, c: int, ms, odd_ms=()):
+    """The Conjectures reports of one (a, b, c): its conjecture against the
+    determinant for each m in ms, and for each m in odd_ms the determinant
+    alone, since for an odd core it computes a signed count with no
+    conjectured closed form."""
+    which, eps = conjecture_shift(a, b)
+    for m in ms:
+        params = {"which": which, "a": a, "b": b, "c": c, "m": m}
+        try:
+            rhs = formulas.conjecture_rhs(which, a, b, c, m)
+        except formulas.FormulaDomainError as exc:
+            yield _skip("Conjectures", params, str(exc))
+            continue
+        det = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m, eps))
+        yield _report("Conjectures", params, det, rhs)
+    for m in odd_ms:
+        det = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m, eps))
+        yield _report(
+            "Conjectures",
+            {
+                "which": which,
+                "a": a,
+                "b": b,
+                "c": c,
+                "m": m,
+                "note": "odd m: signed determinant reported, no closed form asserted",
+            },
+            det,
+            det,
+        )
+
+
 def _suite_conjectures(bounds, seed):
-    max_a = bounds.get("max_a", 4)
     ms = bounds.get("ms", (0, 2, 4))
     odd_ms = bounds.get("odd_ms", (1, 3))
-    for a, b, c, _ in _admissible_tuples(max_a, 0):
-        for m in ms:
-            if a % 2 == b % 2:
-                which, eps = 1, 1
-            else:
-                which, eps = 2, Fraction(3, 2)
-            params = {"which": which, "a": a, "b": b, "c": c, "m": m}
-            try:
-                rhs = formulas.conjecture_rhs(which, a, b, c, m)
-            except formulas.FormulaDomainError as exc:
-                yield _skip("Conjectures", params, str(exc))
-                continue
-            det = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m, eps))
-            yield _report("Conjectures", params, det, rhs)
-        # for an odd core the shifted determinant computes a signed count
-        # with no conjectured closed form: report the value without
-        # asserting anything
-        for m in odd_ms:
-            which, eps = (1, 1) if a % 2 == b % 2 else (2, Fraction(3, 2))
-            det = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m, eps))
-            yield _report(
-                "Conjectures",
-                {
-                    "which": which,
-                    "a": a,
-                    "b": b,
-                    "c": c,
-                    "m": m,
-                    "note": "odd m: signed determinant reported, no closed form asserted",
-                },
-                det,
-                det,
-            )
+    for a, b, c, _ in admissible_tuples(bounds.get("max_a", 4), 0):
+        yield from conjecture_reports(a, b, c, ms, odd_ms)
+
+
+def _difference(row):
+    return [y - x for x, y in zip(row, row[1:])]
 
 
 def _finite_difference_degree(values):
@@ -423,7 +383,7 @@ def _finite_difference_degree(values):
     row = list(values)
     degree = 0
     while any(v != 0 for v in row):
-        row = [b - a for a, b in zip(row, row[1:])]
+        row = _difference(row)
         degree += 1
         if len(row) < 3:
             return None
@@ -435,18 +395,13 @@ def _suite_polynomiality(bounds, seed):
     cap = bounds.get("cap")
     max_terms = bounds.get("max_terms", 24)
     for a, b, c in triples:
-        eps_even = 0 if a % 2 == b % 2 else Fraction(1, 2)
         for parity, label in ((0, "one"), (1, "minus1")):
             params = {"a": a, "b": b, "c": c, "weight": label, "m_parity": parity}
             values = []
-            ms = []
             degree = None
             for t in range(max_terms):
                 m = parity + 2 * t
-                ms.append(m)
-                values.append(
-                    lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m, eps_even))
-                )
+                values.append(lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m)))
                 if len(values) >= 4:
                     degree = _finite_difference_degree(values[:-2])
                     if degree is not None:
@@ -458,25 +413,29 @@ def _suite_polynomiality(bounds, seed):
                 continue
             # the degree-D interpolant predicts the last two values iff the
             # (D+1)-st differences of the extended sequence vanish
-            row = list(values)
+            row = values
             for _ in range(degree + 1):
-                row = [y - x for x, y in zip(row, row[1:])]
-            predicted = all(v == 0 for v in row)
+                row = _difference(row)
             yield _report(
                 "Polynomiality",
                 {**params, "degree": degree, "terms": len(values)},
-                predicted,
+                all(v == 0 for v in row),
                 True,
             )
-            # oracle cross-check inside the cap
-            for m, det_value in zip(ms, values):
-                h = tilings.CoredHexagon(a, b, c, m)
-                if h.cell_count > (cap or tilings.default_cell_cap()):
-                    break
-                oracle = tilings.count_weighted(h, label, cap=cap)
-                yield _report(
-                    "Polynomiality", {**params, "m": m, "check": "oracle"}, oracle, det_value
+            # oracle cross-check, up to the first m over the cap
+            for t, det_value in enumerate(values):
+                m = parity + 2 * t
+                report = _capped(
+                    "Polynomiality",
+                    {**params, "m": m, "check": "oracle"},
+                    det_value,
+                    tilings.CoredHexagon(a, b, c, m),
+                    label,
+                    cap,
                 )
+                if report.status == SKIP:
+                    break
+                yield report
 
 
 def _suite_asymptotics(bounds, seed):
@@ -521,10 +480,10 @@ def _suite_asymptotics(bounds, seed):
 def _suite_prefactor_identity(bounds, seed):
     max_a = bounds.get("max_a", 3)
     max_m = bounds.get("max_m", 3)
-    for a, b, c, m in _admissible_tuples(max_a, max_m):
+    for a, b, c, m in admissible_tuples(max_a, max_m):
         shifted = a % 2 != b % 2
-        eps = Fraction(1, 2) if shifted else 0
-        raw = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m, eps))
+        matrix = lgv.build_cored_matrix(a, b, c, m)
+        raw = lgv.det_fraction_free(matrix)
         prefactor, transformed = lgv.cored_det_transform(a, b, c, m, shifted)
         det_d = lgv.det_fraction_free(transformed)
         params = {"a": a, "b": b, "c": c, "m": m, "shifted": shifted}
@@ -544,7 +503,7 @@ def _suite_prefactor_identity(bounds, seed):
             yield _report(
                 "PrefactorIdentity",
                 {**params, "check": "laplace"},
-                lgv.laplace_two_block(lgv.build_cored_matrix(a, b, c, m, eps), a),
+                lgv.laplace_two_block(matrix, a),
                 raw,
             )
 
@@ -622,15 +581,7 @@ check_registry()
 def run_suite(name: str, bounds: dict | None = None, seed: int = 0) -> list[VerificationReport]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {sorted(SUITES)}")
-    bounds = bounds or {}
-    reports = []
-    last = time.perf_counter()
-    for report in SUITES[name](bounds, seed):
-        now = time.perf_counter()
-        report.elapsed_ms = int((now - last) * 1000)
-        last = now
-        reports.append(report)
-    return reports
+    return list(SUITES[name](bounds or {}, seed))
 
 
 def suite_failed(reports) -> bool:

@@ -1,7 +1,9 @@
 import json
+from fractions import Fraction
 
 import pytest
 
+from cored_hexagons import lgv
 from cored_hexagons.cli import main
 
 
@@ -235,6 +237,27 @@ class TestOtherCommands:
         )
         assert code == 0
         assert out == CONJECTURE_2_TABLE
+
+    def test_conjecture_builds_only_the_chosen_shift(self, capsys, monkeypatch):
+        epsilons = []
+        build = lgv.build_cored_matrix
+
+        def spy(a, b, c, m, epsilon=None):
+            epsilons.append(epsilon)
+            return build(a, b, c, m, epsilon)
+
+        monkeypatch.setattr(lgv, "build_cored_matrix", spy)
+        code, _, _ = run_cli(
+            capsys, "conjecture", "--which", "2", "--max-a", "4", "--max-m", "4"
+        )
+        assert code == 0
+        assert epsilons and set(epsilons) == {Fraction(3, 2)}
+
+    def test_verify_at_cap_zero_exits_0(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "--suite", "Polynomiality", "--cap", "0")
+        assert (code, err) == (0, "")
+        summary = json.loads(out)
+        assert summary["failed"] == 0 and summary["skipped"] == 0
 
     def test_verify_jobs_do_not_change_the_output(self, capsys, tmp_path):
         written = {}

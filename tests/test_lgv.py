@@ -1,6 +1,7 @@
 import os
 import random
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -162,6 +163,13 @@ class TestBuilders:
             build_cored_matrix(2, 2, 2, 1, epsilon=Fraction(1, 2))
         with pytest.raises(ValueError, match="nonnegative"):
             build_cored_matrix(-1, 2, 2, 1)
+
+    def test_cored_matrix_derives_epsilon_from_the_placement(self):
+        for a, b, c, m in product(range(5), range(5), range(5), range(4)):
+            if b % 2 != c % 2:
+                continue
+            epsilon = 0 if a % 2 == b % 2 else Fraction(1, 2)
+            assert build_cored_matrix(a, b, c, m) == build_cored_matrix(a, b, c, m, epsilon)
 
     def test_cored_matrix_b_c_zero(self):
         # one tiling: determinant 1 at matching epsilon

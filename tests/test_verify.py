@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -34,6 +35,26 @@ SMALL_BOUNDS = {
 }
 
 
+# SHA-256 of reports_to_jsonl(run_suite(name, SMALL_BOUNDS[name], seed=3)):
+# a change to the sampling order, the parameters or the formatting of any
+# suite shows here
+GOLDEN_DIGESTS = {
+    "Asymptotics": "a65344fccb70e4d5b893472d475346c558892741d96c566a52ed94794b4973b8",
+    "BlockFactorizations": "cf5b509bffc1eefe656ff97ebf19a7247594ccc28f6a3f8aade91b4edfc5f9af",
+    "Case10": "9f2539156dead9421e27c8f0760b4e072fe83ecfd9fb8de571ea65181f3d8fb8",
+    "Conjectures": "849f5902c51e1b42045db1f58f8c125f2a105c87d9b80fe9f2d7cc06e0f1c778",
+    "CyclicWeights": "86b9809702d911cec13d799e0f67941fed3cbad65d771c53e789dcd23729b7f6",
+    "DetsVsFormulas": "ff00aa14998f75d8f2035e0a7853ee9cd890da28458c35f0bf3d7d16f3782a4c",
+    "HypergeomIdentities": "a7f0933ddfc5ab6ac525f049addd8c57cbabace5093a8293249d35a3c7ac9eae",
+    "Polynomiality": "6e9e8480e64d7b5b1e6f529ea2e2f1ebc2ccc0fcab37382c198d3775ad0f126f",
+    "PrefactorIdentity": "82074510ef05e994e062c1ab563103bcff6dcc2e2d2d946f18a745b732658035",
+    "TilingsVsFormula": "0e7c5d56db143f3836b14019001ec26b444fe408f06283bd769983fd35c26a12",
+    "VWReduction": "994a15abe460882718cd0c0dd6538c52d5fa07512c673d96ad75be3e3260791e",
+    "Watson": "dca8aa0a727635ac45e6e63137c6569fceec8784bd2ea38e05af6d34c8c8970f",
+    "ZnFactorization": "41bf66e4eaf1d72cc345fc412394dcdbd918e475b58a3abf6245591c1b207062",
+}
+
+
 def test_zn_factorization_does_not_resample_failed_assertions(monkeypatch):
     def failing_pair(n, x, mu):
         raise AssertionError("inexact division")
@@ -59,6 +80,18 @@ def test_suite_runs_clean(name):
     for report in reports:
         assert report.status in (PASS, FAIL, SKIP)
         assert report.suite == name
+
+
+@pytest.mark.parametrize("name", sorted(SUITES))
+def test_reports_match_their_golden_digest(name):
+    jsonl = reports_to_jsonl(run_suite(name, SMALL_BOUNDS[name], seed=3))
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+def test_polynomiality_at_cap_zero_stops_its_oracle_check():
+    reports = run_suite("Polynomiality", {"cap": 0})
+    assert reports and not suite_failed(reports)
+    assert not any(r.case_params.get("check") == "oracle" for r in reports)
 
 
 def test_determinism_is_byte_level():
