@@ -343,6 +343,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        if getattr(args, "cap", None) is not None and args.cap < 0:
+            raise CliError(f"--cap must be nonnegative, got {args.cap}")
         if getattr(args, "cap", 0) is None and os.environ.get("CORED_HEX_CELL_CAP"):
             args.cap = tilings.default_cell_cap()
         return args.func(args)

@@ -63,10 +63,15 @@ class CellCapError(RuntimeError):
 
 def default_cell_cap() -> int:
     value = os.environ.get("CORED_HEX_CELL_CAP")
+    if not value:
+        return DEFAULT_CELL_CAP
     try:
-        return int(value) if value else DEFAULT_CELL_CAP
+        cap = int(value)
     except ValueError:
         raise ValueError(f"CORED_HEX_CELL_CAP must be an integer, got {value!r}") from None
+    if cap < 0:
+        raise ValueError(f"CORED_HEX_CELL_CAP must be nonnegative, got {value!r}")
+    return cap
 
 
 def normalize_sides(a: int, b: int, c: int) -> tuple[tuple[int, int, int], str]:

@@ -112,6 +112,25 @@ class TestCount:
         assert code == 2
         assert "CORED_HEX_CELL_CAP" in err and "'abc'" in err
 
+    @pytest.mark.parametrize(
+        "env, argv, source",
+        [
+            (None, ("verify", "--suite", "TilingsVsFormula", "--cap", "-3"), "--cap"),
+            (None, ("count", "--a", "2", "--b", "2", "--c", "2", "--m", "2",
+                    "--method", "brute", "--cap", "-5"), "--cap"),
+            (None, ("cyclic-count", "--a", "2", "--m", "2", "--cap", "-1"), "--cap"),
+            ("-7", ("count", "--a", "2", "--b", "2", "--c", "2", "--m", "2",
+                    "--method", "brute"), "CORED_HEX_CELL_CAP"),
+            ("-7", ("verify", "--suite", "TilingsVsFormula"), "CORED_HEX_CELL_CAP"),
+        ],
+    )
+    def test_negative_cap_is_exit_2_naming_its_source(self, capsys, monkeypatch, env, argv, source):
+        if env is not None:
+            monkeypatch.setenv("CORED_HEX_CELL_CAP", env)
+        code, out, err = run_cli(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert source in err and "nonnegative" in err
+
     def test_byte_stable_output(self, capsys):
         outs = set()
         for _ in range(2):

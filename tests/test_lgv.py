@@ -8,6 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from cored_hexagons import lgv
 from cored_hexagons.exactnum import CycloElement, SIXTH, THIRD, omega3, omega6
+from cored_hexagons.formulas import count_cored_formula
 from cored_hexagons.lgv import (
     ExactMatrix,
     RING_CYCLO3,
@@ -134,6 +135,58 @@ class TestDeterminant:
             for non_multiple in ((1, 0), (2, 0), (4, 6)):
                 with pytest.raises(AssertionError, match="exact division"):
                     exact_div(non_multiple, prime)
+
+    # The pivots are rows 1, 2 and 3 at steps 0, 1 and 2: three swaps.  Row 3
+    # is 0 in columns 0 and 1, so steps 0 and 1 skip it; at step 2 it is the
+    # smallest pivot while still deferred (scaled for the unit pivot, not p_1).
+    @pytest.mark.parametrize(
+        "ring, rows",
+        [
+            (
+                RING_INTEGER,
+                [[40, 100, 1, 3], [2, 5, 3, 2], [9, -7, 2, 1], [0, 0, -7, -60]],
+            ),
+            (
+                RING_CYCLO6,
+                [
+                    [(2, -1), (9, -1), (1, 8), (0, -1)],
+                    [(1, 1), (1, 8), (1, 50), (1, 8)],
+                    [(70, -1), (-30, 0), (0, 50), (1, -1)],
+                    [(0, 0), (0, 0), (1, 0), (70, -1)],
+                ],
+            ),
+        ],
+    )
+    def test_smallest_pivot_from_a_deferred_row_with_odd_swaps(self, ring, rows):
+        if ring == RING_CYCLO6:
+            rows = [[CycloElement.of(SIXTH, *v) for v in row] for row in rows]
+        expected = cofactor_det(rows)
+        assert expected != 0
+        assert det_fraction_free(ExactMatrix.of(rows, ring)) == expected
+
+    def test_pivot_rule_keeps_the_quotients_small(self):
+        # total bit length of every Bareiss quotient on an order-40 cored
+        # matrix; diagonal pivots form 6,838,654 bits, the smallest ones
+        # 1,442,513
+        zero, one, mul, sub, int_div = lgv._INT_RING
+        bits = 0
+
+        def counting_div(x, d):
+            nonlocal bits
+            q = int_div(x, d)
+            bits += q.bit_length()
+            return q
+
+        rows = [list(row) for row in build_cored_matrix(20, 20, 20, 20).rows]
+        lgv._bareiss(rows, zero, one, mul, sub, counting_div)
+        assert 0 < bits < 2_000_000
+
+    def test_cored_determinants_match_the_formula_up_to_order_61(self):
+        # both core placements, plain counts for even m and (-1)-counts for odd
+        for n in range(31):
+            for a, b, c, m in ((n, n, n, n), (n + 1, n, n, n), (n, n + 2, n, n + 1)):
+                det = det_fraction_free(build_cored_matrix(a, b, c, m))
+                assert det == count_cored_formula(a, b, c, m, signed=m % 2 == 1), (a, b, c, m)
 
 
 class TestBuilders:
