@@ -2,7 +2,10 @@
 verification sweeps.
 
 Exit codes: 0 success, 1 verification failure, 2 bad flags or parameters,
-3 resource cap exceeded.
+3 resource cap exceeded.  The commands raise and `main` is the one place
+where an exception becomes an exit code: CellCapError exits 3 and any
+ValueError (FormulaDomainError among them) exits 2, each printing
+`error: <message>` to stderr.
 """
 
 from __future__ import annotations
@@ -24,12 +27,6 @@ EXIT_BAD_FLAGS = 2
 EXIT_RESOURCE = 3
 
 
-class CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_BAD_FLAGS):
-        super().__init__(message)
-        self.code = code
-
-
 def _emit(payload: dict) -> None:
     # fixed key order, so identical invocations produce identical bytes
     sys.stdout.write(json.dumps(payload) + "\n")
@@ -41,41 +38,21 @@ def _value_payload(value) -> object:
     return value_to_str(value)
 
 
-def _normalized(args) -> tuple[tilings.CoredHexagon, str]:
-    (a, b, c), relabel = tilings.normalize_sides(args.a, args.b, args.c)
-    try:
-        hexagon = tilings.CoredHexagon(a, b, c, args.m)
-    except ValueError as exc:
-        raise CliError(str(exc))
-    return hexagon, relabel
-
-
 def _cmd_count(args) -> int:
-    hexagon, relabel = _normalized(args)
+    (a, b, c), relabel = tilings.normalize_sides(args.a, args.b, args.c)
+    hexagon = tilings.CoredHexagon(a, b, c, args.m)
     signed = args.weight == "minus1"
     if args.method == "brute":
-        try:
-            value = tilings.count_weighted(
-                hexagon, "minus1" if signed else "one", cap=args.cap
-            )
-        except tilings.CellCapError as exc:
-            raise CliError(str(exc), EXIT_RESOURCE)
+        value = tilings.count_weighted(hexagon, args.weight, cap=args.cap)
     elif args.method == "determinant":
-        if signed != (hexagon.m % 2 == 1):
-            raise CliError(
+        if signed != (args.m % 2 == 1):
+            raise ValueError(
                 "the lattice-path determinant computes the plain count for even m "
                 "and the (-1)-count for odd m; pick the matching weight"
             )
-        value = lgv.det_fraction_free(
-            lgv.build_cored_matrix(hexagon.a, hexagon.b, hexagon.c, hexagon.m)
-        )
+        value = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, args.m))
     else:
-        try:
-            value = formulas.count_cored_formula(
-                hexagon.a, hexagon.b, hexagon.c, hexagon.m, signed=signed
-            )
-        except formulas.FormulaDomainError as exc:
-            raise CliError(str(exc))
+        value = formulas.count_cored_formula(a, b, c, args.m, signed=signed)
     _emit(
         {
             "params": {"a": args.a, "b": args.b, "c": args.c, "m": args.m},
@@ -90,10 +67,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_cyclic_count(args) -> int:
     hexagon = tilings.CoredHexagon(args.a, args.a, args.a, args.m)
-    try:
-        value = tilings.count_weighted(hexagon, args.weight, cap=args.cap, cyclic=True)
-    except tilings.CellCapError as exc:
-        raise CliError(str(exc), EXIT_RESOURCE)
+    value = tilings.count_weighted(hexagon, args.weight, cap=args.cap, cyclic=True)
     _emit(
         {
             "params": {"a": args.a, "m": args.m},
@@ -104,81 +78,68 @@ def _cmd_cyclic_count(args) -> int:
     return EXIT_OK
 
 
-_FORMULA_PARAMS = {
-    "macmahon": ("a", "b", "c"),
-    "enum": ("a", "b", "c"),
-    "shifted": ("a", "b", "c"),
-    "signed-enum": ("a", "b", "c"),
-    "signed-shifted": ("a", "b", "c"),
-    "andrews": ("a",),
-    "zare1": ("a",),
-    "om3": ("a",),
-    "om6": ("a",),
-    "case10": ("a",),
-    "asymptotic-k": ("a", "b", "c"),
-    "conjecture1": ("a", "b", "c"),
-    "conjecture2": ("a", "b", "c"),
-    "lemma-rhs": ("a", "b", "c"),
+def _cored_count(shifted: bool, signed: bool):
+    """The evaluator of one of the four closed-form counts, which insists
+    that the parity of the sides matches the core placement of its id."""
+
+    def evaluate(args):
+        (a, b, c), _ = tilings.normalize_sides(args.a, args.b, args.c)
+        if (a % 2 != b % 2) != shifted:
+            raise ValueError(
+                "sides have equal parity: use enum/signed-enum"
+                if shifted
+                else "sides have mixed parity: use shifted/signed-shifted"
+            )
+        return formulas.count_cored_formula(a, b, c, args.m, signed=signed)
+
+    return evaluate
+
+
+def _asymptotic_k(args) -> str:
+    _check_digits(args.digits)
+    k = formulas.asymptotic_k(args.a, args.b, args.c, args.m, digits=args.digits)
+    return mpmath.nstr(k, args.digits - 5)
+
+
+_SIDES = ("a", "b", "c")
+
+# formula id -> (the flags it needs besides --m, its evaluator over the
+# parsed flags); the order is the order of the --id choices
+_FORMULAS = {
+    "macmahon": (_SIDES, lambda o: formulas.macmahon_box(o.a, o.b, o.c)),
+    "enum": (_SIDES, _cored_count(shifted=False, signed=False)),
+    "shifted": (_SIDES, _cored_count(shifted=True, signed=False)),
+    "signed-enum": (_SIDES, _cored_count(shifted=False, signed=True)),
+    "signed-shifted": (_SIDES, _cored_count(shifted=True, signed=True)),
+    "andrews": (("a",), lambda o: formulas.andrews_rhs(o.a, o.m)),
+    "zare1": (("a",), lambda o: formulas.zare1_rhs(o.a, o.m)),
+    "om3": (("a",), lambda o: formulas.om3_rhs(o.a, o.m)),
+    "om6": (("a",), lambda o: formulas.om6_rhs(o.a, o.m)),
+    "case10": (("a",), lambda o: formulas.rhs_case10(o.a, o.m)),
+    "asymptotic-k": (_SIDES, _asymptotic_k),
+    "conjecture1": (_SIDES, lambda o: formulas.conjecture_rhs(1, o.a, o.b, o.c, o.m)),
+    "conjecture2": (_SIDES, lambda o: formulas.conjecture_rhs(2, o.a, o.b, o.c, o.m)),
+    "lemma-rhs": (_SIDES, lambda o: formulas.lemma_rhs(o.a, o.b, o.c, o.m, shifted=o.shifted)),
 }
 
 
 def _cmd_formula(args) -> int:
-    fid = args.id
-    missing = [n for n in _FORMULA_PARAMS[fid] if getattr(args, n) is None]
+    needs, evaluate = _FORMULAS[args.id]
+    missing = [n for n in needs if getattr(args, n) is None]
     if missing:
-        raise CliError(f"formula {fid!r} needs --" + " --".join(missing))
-    try:
-        if fid == "macmahon":
-            value = formulas.macmahon_box(args.a, args.b, args.c)
-        elif fid in ("enum", "shifted", "signed-enum", "signed-shifted"):
-            (a, b, c), _ = tilings.normalize_sides(args.a, args.b, args.c)
-            shifted_input = a % 2 != b % 2
-            if fid in ("enum", "signed-enum") and shifted_input:
-                raise CliError("sides have mixed parity: use shifted/signed-shifted")
-            if fid in ("shifted", "signed-shifted") and not shifted_input:
-                raise CliError("sides have equal parity: use enum/signed-enum")
-            value = formulas.count_cored_formula(
-                a, b, c, args.m, signed=fid.startswith("signed")
-            )
-        elif fid in ("andrews", "zare1", "om3", "om6"):
-            case = {
-                "andrews": formulas.OMEGA_ONE,
-                "zare1": formulas.OMEGA_MINUS_ONE,
-                "om3": formulas.OMEGA_THIRD,
-                "om6": formulas.OMEGA_SIXTH,
-            }[fid]
-            value = formulas.rhs_omega_det(args.a, args.m, case)
-        elif fid == "case10":
-            value = formulas.rhs_case10(args.a, args.m)
-        elif fid == "asymptotic-k":
-            _check_digits(args.digits)
-            value = mpmath.nstr(
-                formulas.asymptotic_k(args.a, args.b, args.c, args.m, digits=args.digits),
-                args.digits - 5,
-            )
-        elif fid in ("conjecture1", "conjecture2"):
-            value = formulas.conjecture_rhs(
-                1 if fid == "conjecture1" else 2, args.a, args.b, args.c, args.m
-            )
-        elif fid == "lemma-rhs":
-            value = formulas.lemma_rhs(
-                args.a, args.b, args.c, args.m, shifted=args.shifted
-            )
-    except formulas.FormulaDomainError as exc:
-        raise CliError(str(exc))
+        raise ValueError(f"formula {args.id!r} needs --" + " --".join(missing))
+    value = evaluate(args)
     params = {
-        key: getattr(args, key)
-        for key in ("a", "b", "c", "m")
-        if getattr(args, key, None) is not None
+        key: getattr(args, key) for key in ("a", "b", "c", "m") if getattr(args, key) is not None
     }
-    _emit({"id": fid, "params": params, "value": _value_payload(value)})
+    _emit({"id": args.id, "params": params, "value": _value_payload(value)})
     return EXIT_OK
 
 
 def _check_digits(digits: int) -> None:
     # the constant is printed to digits - 5 significant digits
     if digits <= 5:
-        raise CliError(f"--digits must be at least 6, got {digits}")
+        raise ValueError(f"--digits must be at least 6, got {digits}")
 
 
 def _cmd_verify(args) -> int:
@@ -192,7 +153,7 @@ def _cmd_verify(args) -> int:
     names = sorted(verify.SUITES) if args.suite == "all" else [args.suite]
     for name in names:
         if name not in verify.SUITES:
-            raise CliError(f"unknown suite {name!r}; pick one of {sorted(verify.SUITES)} or all")
+            raise ValueError(f"unknown suite {name!r}; pick one of {sorted(verify.SUITES)} or all")
     jobs = args.jobs or os.cpu_count() or 1
     if len(names) > 1 and jobs > 1:
         # one worker per suite; output order stays the fixed suite order
@@ -224,12 +185,9 @@ def _cmd_asymptotic(args) -> int:
     try:
         ns = [int(part) for part in args.n_list.split(",") if part]
     except ValueError:
-        raise CliError(f"bad --n-list {args.n_list!r}")
+        raise ValueError(f"bad --n-list {args.n_list!r}") from None
     _check_digits(args.digits)
-    try:
-        k = formulas.asymptotic_k(args.a, args.b, args.c, args.m, digits=args.digits)
-    except formulas.FormulaDomainError as exc:
-        raise CliError(str(exc))
+    k = formulas.asymptotic_k(args.a, args.b, args.c, args.m, digits=args.digits)
     lines = ["n,log_count_over_n2,deviation"]
     with mpmath.workdps(args.digits):
         for n in ns:
@@ -294,7 +252,7 @@ def build_parser() -> argparse.ArgumentParser:
     cyc.set_defaults(func=_cmd_cyclic_count)
 
     formula = sub.add_parser("formula", help="evaluate one closed form")
-    formula.add_argument("--id", required=True, choices=list(_FORMULA_PARAMS))
+    formula.add_argument("--id", required=True, choices=list(_FORMULAS))
     formula.add_argument("--a", type=int, default=None)
     formula.add_argument("--b", type=int, default=None)
     formula.add_argument("--c", type=int, default=None)
@@ -344,13 +302,10 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         if getattr(args, "cap", None) is not None and args.cap < 0:
-            raise CliError(f"--cap must be nonnegative, got {args.cap}")
+            raise ValueError(f"--cap must be nonnegative, got {args.cap}")
         if getattr(args, "cap", 0) is None and os.environ.get("CORED_HEX_CELL_CAP"):
             args.cap = tilings.default_cell_cap()
         return args.func(args)
-    except CliError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return exc.code
     except tilings.CellCapError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return EXIT_RESOURCE

@@ -32,25 +32,6 @@ from .exactnum import (
 )
 from .hypergeom import PochhammerZeroError
 
-FORMULA_TAGS = (
-    "Box",
-    "Enum",
-    "Shifted",
-    "SignedEnum",
-    "SignedShifted",
-    "Andrews",
-    "Zare1",
-    "Om3",
-    "Om6",
-    "Case10",
-    "AsymptoticK",
-    "Conjecture1",
-    "Conjecture2",
-    "WatsonLHS",
-    "WatsonRHS",
-    "LemmaRHS",
-)
-
 OMEGA_ONE = "one"
 OMEGA_MINUS_ONE = "minus1"
 OMEGA_THIRD = "third"

@@ -104,12 +104,13 @@ def _capped(suite, params, rhs, hexagon, weight, cap, cyclic=None):
     return _report(suite, params, oracle, rhs)
 
 
-# the roots of unity omega of det(omega I + B(a, m)), by formula case name
+# the roots of unity omega of det(omega I + B(a, m)), by formula case name,
+# each with the weight of cyclically symmetric tilings it counts
 _OMEGAS = (
-    (formulas.OMEGA_ONE, 1),
-    (formulas.OMEGA_MINUS_ONE, -1),
-    (formulas.OMEGA_THIRD, omega3()),
-    (formulas.OMEGA_SIXTH, omega6()),
+    (formulas.OMEGA_ONE, 1, tilings.WEIGHT_ONE),
+    (formulas.OMEGA_MINUS_ONE, -1, tilings.WEIGHT_MINUS1),
+    (formulas.OMEGA_THIRD, omega3(), tilings.WEIGHT_OMEGA3),
+    (formulas.OMEGA_SIXTH, omega6(), tilings.WEIGHT_OMEGA6),
 )
 
 
@@ -155,7 +156,7 @@ def _suite_dets_vs_formulas(bounds, seed):
     max_m = bounds.get("max_m", 10)
     for a in range(max_a + 1):
         for m in range(max_m + 1):
-            for name, omega in _OMEGAS:
+            for name, omega, _ in _OMEGAS:
                 det = lgv.det_fraction_free(lgv.build_omega_shift(a, m, omega))
                 rhs = formulas.rhs_omega_det(a, m, name)
                 yield _report(
@@ -170,8 +171,7 @@ def _suite_cyclic_weights(bounds, seed):
     for a in range(max_a + 1):
         for m in range(max_m + 1):
             h = tilings.CoredHexagon(a, a, a, m)
-            # tilings.WEIGHTS starts with the weights of the same four roots
-            for (name, _), weight in zip(_OMEGAS, tilings.WEIGHTS):
+            for name, _, weight in _OMEGAS:
                 params = {"a": a, "m": m, "weight": weight}
                 if m == 0 and weight == tilings.WEIGHT_MINUS1:
                     params["note"] = "plane-partition specialization"
@@ -229,7 +229,7 @@ def _suite_vw_reduction(bounds, seed):
     for n in range(max_n + 1):
         for m in range(0, max_m + 1, 2):
             V, W = lgv.build_VW(n, m)
-            for name, omega in _OMEGAS[1:]:
+            for name, omega, _ in _OMEGAS[1:]:
                 lhs = lgv.det_fraction_free(lgv.matrix_add(lgv.matrix_scale(V, omega), W))
                 rhs = lgv.det_fraction_free(lgv.build_omega_shift(n, m, omega))
                 yield _report(
@@ -523,60 +523,6 @@ SUITES = {
     "PrefactorIdentity": _suite_prefactor_identity,
     "BlockFactorizations": _suite_block_factorizations,
 }
-
-# which formula tags and matrix builders each suite exercises; the registry
-# check below insists the union covers everything
-SUITE_COVERAGE = {
-    "TilingsVsFormula": {
-        "tags": {"Box", "Enum", "Shifted", "SignedEnum", "SignedShifted"},
-        "builders": {"build_cored_matrix"},
-    },
-    "DetsVsFormulas": {
-        "tags": {"Andrews", "Zare1", "Om3", "Om6"},
-        "builders": {"build_omega_shift", "build_B"},
-    },
-    "CyclicWeights": {"tags": {"Andrews", "Zare1", "Om3", "Om6"}, "builders": set()},
-    "Case10": {"tags": {"Case10"}, "builders": {"build_n6_matrix"}},
-    "ZnFactorization": {"tags": set(), "builders": {"build_Zn"}},
-    "VWReduction": {"tags": set(), "builders": {"build_VW"}},
-    "Watson": {"tags": {"WatsonLHS", "WatsonRHS"}, "builders": set()},
-    "HypergeomIdentities": {"tags": set(), "builders": set()},
-    "Conjectures": {"tags": {"Conjecture1", "Conjecture2"}, "builders": set()},
-    "Polynomiality": {"tags": set(), "builders": set()},
-    "Asymptotics": {"tags": {"AsymptoticK"}, "builders": set()},
-    "PrefactorIdentity": {
-        "tags": {"LemmaRHS"},
-        "builders": {"cored_det_transform", "laplace_two_block"},
-    },
-    "BlockFactorizations": {"tags": set(), "builders": {"build_B"}},
-}
-
-ALL_BUILDERS = {
-    "build_cored_matrix",
-    "build_B",
-    "build_omega_shift",
-    "build_n6_matrix",
-    "build_Zn",
-    "build_VW",
-    "cored_det_transform",
-    "laplace_two_block",
-}
-
-
-def check_registry() -> None:
-    """Every formula tag and every matrix builder must be exercised by at
-    least one suite."""
-    assert set(SUITE_COVERAGE) == set(SUITES)
-    tags = set().union(*(cov["tags"] for cov in SUITE_COVERAGE.values()))
-    builders = set().union(*(cov["builders"] for cov in SUITE_COVERAGE.values()))
-    missing_tags = set(formulas.FORMULA_TAGS) - tags
-    missing_builders = ALL_BUILDERS - builders
-    assert not missing_tags, f"formula tags not covered by any suite: {missing_tags}"
-    assert not missing_builders, f"builders not covered: {missing_builders}"
-
-
-check_registry()
-
 
 def run_suite(name: str, bounds: dict | None = None, seed: int = 0) -> list[VerificationReport]:
     if name not in SUITES:

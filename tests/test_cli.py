@@ -131,6 +131,39 @@ class TestCount:
         assert (code, out) == (2, "")
         assert source in err and "nonnegative" in err
 
+    @pytest.mark.parametrize(
+        "argv, code, err",
+        [
+            (("count", "--a", "-1", "--b", "1", "--c", "1", "--m", "0"),
+             2, "side lengths must be nonnegative"),
+            (("count", "--a", "3", "--b", "3", "--c", "3", "--m", "2",
+              "--method", "brute", "--cap", "10"),
+             3, "region needs 90 search units, above the cap 10; "
+                "raise the cap explicitly or via CORED_HEX_CELL_CAP"),
+            (("cyclic-count", "--a", "3", "--m", "2", "--cap", "10"),
+             3, "region needs 30 search units, above the cap 10; "
+                "raise the cap explicitly or via CORED_HEX_CELL_CAP"),
+            (("formula", "--id", "enum", "--a", "-1", "--b", "1", "--c", "1"),
+             2, "side lengths must be nonnegative"),
+            (("formula", "--id", "asymptotic-k", "--a", "-1", "--b", "1", "--c", "1"),
+             2, "parameters must be nonnegative"),
+            (("formula", "--id", "shifted", "--a", "2", "--b", "2", "--c", "2"),
+             2, "sides have equal parity: use enum/signed-enum"),
+            (("asymptotic", "--a", "-1", "--b", "1", "--c", "1", "--m", "0"),
+             2, "parameters must be nonnegative"),
+            (("asymptotic", "--a", "1", "--b", "1", "--c", "1", "--m", "0", "--n-list", "x"),
+             2, "bad --n-list 'x'"),
+        ],
+        ids=[
+            "count-negative-side", "count-brute-over-cap", "cyclic-count-over-cap",
+            "formula-enum-negative-side", "formula-asymptotic-k-negative-side",
+            "formula-shifted-equal-parity", "asymptotic-negative-side",
+            "asymptotic-bad-n-list",
+        ],
+    )
+    def test_error_paths_print_one_line(self, capsys, argv, code, err):
+        assert run_cli(capsys, *argv) == (code, "", f"error: {err}\n")
+
     def test_byte_stable_output(self, capsys):
         outs = set()
         for _ in range(2):

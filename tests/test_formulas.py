@@ -8,7 +8,6 @@ import pytest
 from cored_hexagons import formulas
 from cored_hexagons.exactnum import hyperfactorial, omega3, omega6
 from cored_hexagons.formulas import (
-    FORMULA_TAGS,
     FormulaDomainError,
     OMEGA_CASES,
     andrews_rhs,
@@ -389,7 +388,3 @@ class TestWatson:
         with pytest.raises(FormulaDomainError):
             watson_rhs("W2", -1, 3, Fraction(1), Fraction(2))
 
-
-def test_formula_tags_are_stable():
-    assert len(FORMULA_TAGS) == 16
-    assert "Case10" in FORMULA_TAGS and "AsymptoticK" in FORMULA_TAGS

@@ -1,22 +1,20 @@
 import hashlib
+import inspect
 import json
 
 import pytest
 
+from cored_hexagons import formulas, lgv
 from cored_hexagons.verify import (
-    ALL_BUILDERS,
     FAIL,
     PASS,
     SKIP,
     SUITES,
-    SUITE_COVERAGE,
-    check_registry,
     reports_to_csv,
     reports_to_jsonl,
     run_suite,
     suite_failed,
 )
-from cored_hexagons.formulas import FORMULA_TAGS
 
 SMALL_BOUNDS = {
     "TilingsVsFormula": {"max_a": 2, "max_m": 1},
@@ -64,12 +62,62 @@ def test_zn_factorization_does_not_resample_failed_assertions(monkeypatch):
         run_suite("ZnFactorization", SMALL_BOUNDS["ZnFactorization"])
 
 
-def test_registry_covers_everything():
-    check_registry()
-    tags = set().union(*(c["tags"] for c in SUITE_COVERAGE.values()))
-    assert tags == set(FORMULA_TAGS)
-    builders = set().union(*(c["builders"] for c in SUITE_COVERAGE.values()))
-    assert builders == ALL_BUILDERS
+# every closed form and every matrix builder; the suites between them must
+# call each one
+CLOSED_FORMS = (
+    "macmahon_box",
+    "count_cored_formula",
+    "andrews_rhs",
+    "zare1_rhs",
+    "om3_rhs",
+    "om6_rhs",
+    "rhs_case10",
+    "asymptotic_k",
+    "conjecture_rhs",
+    "watson_lhs",
+    "watson_rhs",
+    "lemma_rhs",
+)
+BUILDERS = (
+    "build_cored_matrix",
+    "build_B",
+    "build_omega_shift",
+    "build_n6_matrix",
+    "build_Zn",
+    "build_VW",
+    "cored_det_transform",
+    "laplace_two_block",
+)
+
+
+def test_suites_call_every_closed_form_and_builder(monkeypatch):
+    calls = {}
+
+    def spy_on(module, name):
+        fn = getattr(module, name)
+        signature = inspect.signature(fn)
+
+        def spy(*args, **kwargs):
+            bound = signature.bind(*args, **kwargs)
+            bound.apply_defaults()
+            calls.setdefault(name, []).append(bound.arguments)
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+
+    for name in CLOSED_FORMS:
+        spy_on(formulas, name)
+    for name in BUILDERS:
+        spy_on(lgv, name)
+    for name in SUITES:
+        run_suite(name, SMALL_BOUNDS[name], seed=3)
+    assert set(CLOSED_FORMS + BUILDERS) - set(calls) == set()
+    variants = {
+        (args["signed"], args["a"] % 2 != args["b"] % 2)
+        for args in calls["count_cored_formula"]
+    }
+    assert variants == {(False, False), (False, True), (True, False), (True, True)}
+    assert {args["which"] for args in calls["conjecture_rhs"]} == {1, 2}
 
 
 @pytest.mark.parametrize("name", sorted(SUITES))
