@@ -4,7 +4,7 @@ The hexagon has side lengths a, b+m, c, a+m, b, c+m and an equilateral
 triangle of side m removed from its center.  The package computes the
 number of tilings by
 
-  1. exhaustive backtracking over perfect matchings of unit triangles,
+  1. a transfer matrix over perfect matchings of unit triangles,
   2. an exact integer determinant coming from nonintersecting lattice
      paths, and
   3. a closed-form quotient of hyperfactorials,

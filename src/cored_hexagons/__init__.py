@@ -2,9 +2,10 @@
 
 A cored hexagon has side lengths a, b+m, c, a+m, b, c+m with a triangle of
 side m removed from its center.  The package carries three independent
-routes to every count — exhaustive backtracking, exact lattice-path
-determinants, and hyperfactorial product formulas — and verification suites
-that check them against each other.
+routes to every count — a transfer matrix over the perfect matchings of
+the region's unit triangles, exact lattice-path determinants, and
+hyperfactorial product formulas — and verification suites that check them
+against each other.
 """
 
 from .exactnum import (

@@ -301,8 +301,11 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if getattr(args, "cap", None) is not None and args.cap < 0:
-            raise ValueError(f"--cap must be nonnegative, got {args.cap}")
+        # a negative sweep bound would check nothing and read as a pass
+        for flag in ("cap", "max_a", "max_m"):
+            bound = getattr(args, flag, None)
+            if bound is not None and bound < 0:
+                raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative, got {bound}")
         if getattr(args, "cap", 0) is None and os.environ.get("CORED_HEX_CELL_CAP"):
             args.cap = tilings.default_cell_cap()
         return args.func(args)

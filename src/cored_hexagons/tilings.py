@@ -1,11 +1,12 @@
 """Cored-hexagon regions, matching-level tiling counts, enumeration, and
 tiling statistics.
 
-Plain and (-1)-weighted counts run a frontier transfer matrix over the
-cells in index order.  Cyclically symmetric counts, and the enumeration
-generators, run an iterative backtracking search; the cyclic counts keep a
-histogram of the statistic mod 6 and apply the weight once.  Nothing here
-uses the determinant or closed-form routes that these counts check.
+Every count runs one frontier transfer matrix: plain and (-1)-weighted
+counts over the cells in index order, cyclically symmetric counts over the
+orbits of the 120-degree rotation, where it keeps a histogram of the
+statistic mod 6 and applies the weight once.  Backtracking is left only for
+the enumeration generators.  Nothing here uses the determinant or
+closed-form routes that these counts check.
 
 Lattice conventions (fixed once, validated by the pinned counts in the test
 suite):
@@ -251,7 +252,7 @@ class Tiling:
             iu, iv = region.cell_index[u], region.cell_index[v]
             partner[iu] = iv
             partner[iv] = iu
-        assert all(p >= 0 for p in partner), "not a perfect matching of the region"
+        assert -1 not in partner, "not a perfect matching of the region"
         return partner
 
 
@@ -314,7 +315,8 @@ def _matchings(region: Region, cyclic: bool) -> Iterator[list[int]]:
 
 
 def _check_cyclic(hexagon: CoredHexagon, cap: Optional[int]) -> None:
-    """The cyclic search runs over rotation orbits, a third of the cells."""
+    """Cyclic counts and enumeration run over rotation orbits, a third of
+    the cells, so the cap counts orbits."""
     if not (hexagon.a == hexagon.b == hexagon.c):
         raise ValueError("cyclically symmetric tilings need a = b = c")
     _check_cap(hexagon.cell_count // 3, cap)
@@ -330,36 +332,112 @@ def enumerate_cyclic_tilings(region: Region, cap: Optional[int] = None) -> Itera
     return (Tiling.from_partner(region, p) for p in _matchings(region, cyclic=True))
 
 
-def _frontier_count(region: Region, straddle_sign: int) -> int:
-    """Sum over all tilings of straddle_sign ** (number of lozenges that
-    straddle a reference-ray segment), by a transfer matrix over the cells
-    in index order.
+def _frontier_count(graph: list[list[tuple[int, int]]], modulus: int = 0) -> int:
+    """Sum over the perfect matchings of a graph of the product of their
+    edge factors, by a transfer matrix over the vertices in order.
 
-    A state is the bitmask of the cells from the current one on that are
-    already covered, bit 0 being the current cell; its value is the signed
-    number of ways to reach it.  A covered cell is shifted out, a free one
-    is paired with a free later neighbour.  Later neighbours lie at most one
-    column ahead, so a mask spans about one column of cells."""
-    straddles = {pair for pair in region.reference_ray if min(pair) >= 0}
+    graph[i] lists the edges from vertex i to later vertices j as
+    (1 << (j - i), factor).  A state is the bitmask of the vertices from the
+    current one on that are already covered, bit 0 being the current vertex;
+    its value is the weighted number of ways to reach it.  A covered vertex
+    is shifted out, a free one is paired along an edge with a free later
+    vertex.  With a modulus, the values are reduced by it after each vertex."""
     states = {0: 1}
-    for i, neighbours in enumerate(region.adjacency):
-        moves = [
-            (1 << (j - i), straddle_sign if (i, j) in straddles else 1)
-            for j in neighbours
-            if j > i
-        ]
+    for moves in graph:
         advanced: dict[int, int] = {}
         for mask, value in states.items():
             if mask & 1:
                 key = mask >> 1
                 advanced[key] = advanced.get(key, 0) + value
                 continue
-            for bit, sign in moves:
+            for bit, factor in moves:
                 if not mask & bit:
                     key = (mask | bit) >> 1
-                    advanced[key] = advanced.get(key, 0) + sign * value
+                    advanced[key] = advanced.get(key, 0) + factor * value
+        if modulus:
+            advanced = {key: value % modulus for key, value in advanced.items()}
         states = advanced
     return states.get(0, 0)
+
+
+def _cell_graph(region: Region, straddle_sign: int) -> list[list[tuple[int, int]]]:
+    """The cells in index order as a graph for `_frontier_count`, each
+    lozenge with factor straddle_sign if it straddles a reference-ray
+    segment and 1 otherwise.  Later neighbours lie at most one column
+    ahead, so a mask spans about one column of cells."""
+    straddles = {pair for pair in region.reference_ray if min(pair) >= 0}
+    return [
+        [(1 << (j - i), straddle_sign if (i, j) in straddles else 1) for j in neighbours if j > i]
+        for i, neighbours in enumerate(region.adjacency)
+    ]
+
+
+def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int]) -> list[int]:
+    """hist[r] is the number of rotation-invariant tilings whose lozenges'
+    weights sum to r mod 6; lozenge_weight is keyed (up cell, down cell),
+    and a lozenge it lacks weighs 0.
+
+    The rotation acts freely on the cells and keeps their orientations, so
+    its orbits, numbered by their lowest cell, form a bipartite graph on a
+    third of the cells whose perfect matchings are the invariant tilings.
+    An edge is an orbit of three lozenges, taken once at the up cell lowest
+    in its orbit, and weighs the sum e of their weights.  The transfer
+    matrix runs over the orbits in Z[q]/(q^6 - 1) at q = 2^B: an edge's
+    factor is 2^(B (e mod 6)) and values are reduced modulo 2^(6B) - 1, so
+    a value packs its six residue counts in B-bit slots.  A count never
+    exceeds the product of the out-degrees, which B bits hold with a bit to
+    spare."""
+    rot = region.rotation
+    orbit = [-1] * len(rot)
+    lowest = []
+    for i in range(len(rot)):
+        if orbit[i] < 0:
+            orbit[i] = orbit[rot[i]] = orbit[rot[rot[i]]] = len(lowest)
+            lowest.append(i)
+    edges: list[list[tuple[int, int]]] = [[] for _ in lowest]
+    for k, up in enumerate(lowest):
+        if region.cells[up][2] != UP:
+            continue
+        for down in region.adjacency[up]:
+            e, u, d = 0, up, down
+            for _ in range(3):
+                e += lozenge_weight.get((u, d), 0)
+                u, d = rot[u], rot[d]
+            i, j = sorted((k, orbit[down]))
+            edges[i].append((j, e % 6))
+    branches = 1
+    for out in edges:
+        branches *= max(1, len(out))
+    bits = branches.bit_length() + 1
+    graph = [[(1 << (j - i), 1 << (bits * e)) for j, e in out] for i, out in enumerate(edges)]
+    packed = _frontier_count(graph, (1 << (6 * bits)) - 1)
+    return [(packed >> (bits * r)) & ((1 << bits) - 1) for r in range(6)]
+
+
+def _n6_weights(region: Region) -> dict[tuple[int, int], int]:
+    """Weight x on the lozenge (sigma U(x, y), sigma D(x, y)) for 0 <= x < a
+    and a-1-x <= y <= 2a+m-2-x, sigma the reflection: on a cyclically
+    symmetric tiling the weights of its lozenges sum to n6, as read by the
+    path walk of `_statistic_n6_from_partner`.  Weight 0 is left out."""
+    sigma, index = region.reflection, region.cell_index
+    a, m = region.a, region.m
+    return {
+        (sigma[index[(x, y, UP)]], sigma[index[(x, y, DOWN)]]): x
+        for x in range(1, a)
+        for y in range(a - 1 - x, 2 * a + m - 1 - x)
+    }
+
+
+def _cyclic_histogram(region: Region, n6: bool) -> list[int]:
+    """hist[r] is the number of cyclically symmetric tilings whose statistic,
+    n6 or n, is r mod 6."""
+    if n6:
+        return _orbit_histogram(region, _n6_weights(region))
+    # n = ray length - straddles; a ray pair is (west down cell, east up cell)
+    straddles = {(east, west): 1 for west, east in region.reference_ray if min(west, east) >= 0}
+    by_straddles = _orbit_histogram(region, straddles)
+    length = len(region.reference_ray)
+    return [by_straddles[(length - r) % 6] for r in range(6)]
 
 
 def _statistic_n_from_partner(region: Region, partner: list[int]) -> int:
@@ -429,7 +507,7 @@ def is_cyclically_symmetric(tiling: Tiling, region: Region) -> bool:
         raise ValueError("cyclic symmetry needs a hexagon with a = b = c")
     rot = region.rotation
     partner = tiling.partner_array(region)
-    return all(partner[rot[i]] == rot[partner[i]] for i in range(len(partner)))
+    return [partner[r] for r in rot] == [rot[p] for p in partner]
 
 
 def count_weighted(
@@ -444,9 +522,10 @@ def count_weighted(
     counted by the frontier transfer matrix: (-1)^n(T) is (-1)^(ray length)
     times (-1)^(ray-straddling lozenges).  Weights omega3, omega6 and
     minus1-n6 range over the cyclically symmetric tilings; pass cyclic=True
-    to restrict one/minus1 to them too.  Cyclic counts run the backtracking
-    search over rotation orbits, keep a histogram of the statistic (n, or
-    n6 for minus1-n6) mod 6, and apply the weight to it once at the end."""
+    to restrict one/minus1 to them too.  Cyclic counts run the same
+    transfer matrix over the rotation orbits, carry the statistic (n, or n6
+    for minus1-n6) mod 6, and apply the weight to its histogram once at the
+    end."""
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
     if cyclic is None:
@@ -462,16 +541,10 @@ def count_weighted(
 
     if not cyclic:
         if weight == WEIGHT_ONE:
-            return _frontier_count(region, 1)
-        return (-1) ** len(region.reference_ray) * _frontier_count(region, -1)
+            return _frontier_count(_cell_graph(region, 1))
+        return (-1) ** len(region.reference_ray) * _frontier_count(_cell_graph(region, -1))
 
-    if weight == WEIGHT_MINUS1_N6:
-        statistic = _statistic_n6_from_partner
-    else:
-        statistic = _statistic_n_from_partner
-    hist = [0] * 6
-    for partner in _matchings(region, cyclic=True):
-        hist[statistic(region, partner) % 6] += 1
+    hist = _cyclic_histogram(region, n6=weight == WEIGHT_MINUS1_N6)
     if weight == WEIGHT_ONE:
         return sum(hist)
     if weight in (WEIGHT_MINUS1, WEIGHT_MINUS1_N6):

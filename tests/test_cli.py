@@ -204,6 +204,21 @@ class TestOtherCommands:
         assert (code, out) == (2, "")
         assert message in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("verify", "--suite", "Case10", "--max-a", "-1"),
+            ("verify", "--suite", "Case10", "--max-m", "-1"),
+            ("conjecture", "--which", "1", "--max-a", "-1"),
+            ("conjecture", "--which", "2", "--max-m", "-1"),
+        ],
+        ids=["verify-max-a", "verify-max-m", "conjecture-max-a", "conjecture-max-m"],
+    )
+    def test_negative_sweep_bound_is_exit_2(self, capsys, argv):
+        # a sweep over nothing would check nothing and read as a pass
+        flag = argv[-2]
+        assert run_cli(capsys, *argv) == (2, "", f"error: {flag} must be nonnegative, got -1\n")
+
     def test_negative_box_side_is_exit_2(self, capsys):
         code, out, err = run_cli(
             capsys, "formula", "--id", "macmahon", "--a", "-1", "--b", "1", "--c", "1"

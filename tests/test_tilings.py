@@ -8,7 +8,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from cored_hexagons import tilings
-from cored_hexagons.formulas import count_cored_formula, macmahon_box
+from cored_hexagons.exactnum import omega3, omega6
+from cored_hexagons.formulas import (
+    OMEGA_MINUS_ONE,
+    OMEGA_ONE,
+    OMEGA_SIXTH,
+    OMEGA_THIRD,
+    count_cored_formula,
+    macmahon_box,
+    rhs_case10,
+    rhs_omega_det,
+)
 from cored_hexagons.lgv import build_cored_matrix, det_fraction_free
 from cored_hexagons.tilings import (
     CellCapError,
@@ -195,6 +205,60 @@ class TestFrontierCount:
             elif isinstance(node, ast.Import):
                 modules.update(alias.name for alias in node.names)
         assert {name.rsplit(".", 1)[-1] for name in modules}.isdisjoint({"lgv", "formulas"})
+
+
+def weighted(hist, omega):
+    """The sum of omega ** r over a histogram of a statistic mod 6."""
+    return sum(h * omega**r for r, h in enumerate(hist))
+
+
+class TestOrbitCount:
+    def test_matches_backtracking_up_to_80_orbits(self):
+        # every C_a(m) with a <= 5, m <= 8 and at most 80 rotation orbits
+        for a in range(6):
+            for m in range(9):
+                hexagon = CoredHexagon(a, a, a, m)
+                if hexagon.cell_count // 3 > 80:
+                    continue
+                region = build_region(hexagon)
+                n6_weights = tilings._n6_weights(region)
+                hist_n, hist_n6 = [0] * 6, [0] * 6
+                for tiling in enumerate_cyclic_tilings(region, cap=80):
+                    n6 = statistic_n6(tiling, region)
+                    hist_n[statistic_n(tiling, region) % 6] += 1
+                    hist_n6[n6 % 6] += 1
+                    # the weight table reproduces the path walk of statistic_n6
+                    partner = tiling.partner_array(region)
+                    assert sum(n6_weights.get(pair, 0) for pair in enumerate(partner)) == n6
+                assert tilings._cyclic_histogram(region, n6=False) == hist_n, (a, m)
+                assert tilings._cyclic_histogram(region, n6=True) == hist_n6, (a, m)
+                expected = {
+                    "one": weighted(hist_n, 1),
+                    "minus1": weighted(hist_n, -1),
+                    "omega3": weighted(hist_n, omega3()),
+                    "omega6": weighted(hist_n, omega6()),
+                    "minus1-n6": weighted(hist_n6, -1),
+                }
+                for weight, value in expected.items():
+                    assert count_weighted(hexagon, weight, cap=80, cyclic=True) == value, (
+                        a, m, weight
+                    )
+
+    def test_matches_the_closed_forms_up_to_a_7_m_5(self):
+        # up to 168 orbits at C_7(5), past the default cap
+        for a in range(8):
+            for m in range(6):
+                hexagon = CoredHexagon(a, a, a, m)
+                for weight, case in (
+                    ("one", OMEGA_ONE),
+                    ("minus1", OMEGA_MINUS_ONE),
+                    ("omega3", OMEGA_THIRD),
+                    ("omega6", OMEGA_SIXTH),
+                ):
+                    assert count_weighted(hexagon, weight, cap=168, cyclic=True) == (
+                        rhs_omega_det(a, m, case)
+                    ), (a, m, weight)
+                assert count_weighted(hexagon, "minus1-n6", cap=168) == rhs_case10(a, m), (a, m)
 
 
 class TestStatisticN:
