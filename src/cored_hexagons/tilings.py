@@ -2,11 +2,11 @@
 tiling statistics.
 
 Every count runs one frontier transfer matrix: plain and (-1)-weighted
-counts over the cells in index order, cyclically symmetric counts over the
-orbits of the 120-degree rotation, where it keeps a histogram of the
-statistic mod 6 and applies the weight once.  Backtracking is left only for
-the enumeration generators.  Nothing here uses the determinant or
-closed-form routes that these counts check.
+counts over the cells swept along the shorter lines of the hexagon,
+cyclically symmetric counts over the orbits of the 120-degree rotation,
+where it keeps a histogram of the statistic mod 6 and applies the weight
+once.  Backtracking is left only for the enumeration generators.  Nothing
+here uses the determinant or closed-form routes that these counts check.
 
 Lattice conventions (fixed once, validated by the pinned counts in the test
 suite):
@@ -36,12 +36,13 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional
 
-from .exactnum import CycloElement, omega3, omega6
+from .exactnum import SIXTH, THIRD, CycloElement
 
 UP = 0
 DOWN = 1
 
 Cell = tuple[int, int, int]
+Graph = list[list[tuple[int, int]]]
 
 WEIGHT_ONE = "one"
 WEIGHT_MINUS1 = "minus1"
@@ -130,29 +131,53 @@ class CoredHexagon:
         return 2 * (a * b + b * c + c * a) + 2 * m * (a + b + c)
 
 
+def _cells(hexagon: CoredHexagon, by_rows: bool = False) -> Iterator[Cell]:
+    """The cells of the region, column by column (x outer, y inner) or row
+    by row (y outer, x inner), U(x, y) right before D(x, y).
+
+    U(x, y) lies in the hexagon when -c-m <= x < b, 0 <= y < a+c+m and
+    0 <= x+y <= a+b+m-1; D(x, y) shifts the x+y bounds by -1.  A cell lies
+    in the core when x < x0, y < y0+m and x+y >= x0+y0 (x0+y0-1 for D),
+    which no cell does for m = 0."""
+    a, b, c, m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
+    x0, y0 = hexagon.core_position
+    xs, ys = range(-c - m, b), range(a + c + m)
+    outer, inner = (ys, xs) if by_rows else (xs, ys)
+    for p in outer:
+        for q in range(max(inner.start, -p - 1), min(inner.stop, a + b + m - p)):
+            x, y = (q, p) if by_rows else (p, q)
+            for orient in (UP, DOWN):
+                s = x + y + orient
+                if 0 <= s < a + b + m and (x >= x0 or y >= y0 + m or s < x0 + y0):
+                    yield x, y, orient
+
+
+def _reference_ray(hexagon: CoredHexagon, index: dict[Cell, int]) -> tuple[tuple[int, int], ...]:
+    """Segments of the reference ray, ordered outward from the core, as
+    index pairs (west cell D(x0-1, y), east cell U(x0, y)) with -1 for a
+    missing flank."""
+    x0, y = hexagon.core_position
+    y += hexagon.m
+    segments = []
+    while True:
+        west = index.get((x0 - 1, y, DOWN), -1)
+        east = index.get((x0, y, UP), -1)
+        if west < 0 and east < 0:
+            return tuple(segments)
+        segments.append((west, east))
+        y += 1
+
+
 class Region:
     """The cell set of a cored hexagon plus precomputed combinatorial data."""
 
     def __init__(self, hexagon: CoredHexagon):
         self.hexagon = hexagon
-        a, b, c, m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
-        self.a, self.b, self.c, self.m = a, b, c, m
+        self.a, self.b, self.c, self.m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
         self.x0, self.y0 = hexagon.core_position
 
-        # U(x, y) lies in the hexagon when -c-m <= x < b, 0 <= y < a+c+m and
-        # 0 <= x+y <= a+b+m-1; D(x, y) shifts the x+y bounds by -1.  A cell
-        # lies in the core when x < x0, y < y0+m and x+y >= x0+y0 (x0+y0-1
-        # for D), which no cell does for m = 0.  The loops run in sorted
-        # (x, y, orient) order.
-        x0, y0 = self.x0, self.y0
-        cells = []
-        for x in range(-c - m, b):
-            for y in range(max(0, -x - 1), min(a + c + m, a + b + m - x)):
-                for orient in (UP, DOWN):
-                    s = x + y + orient
-                    if 0 <= s < a + b + m and (x >= x0 or y >= y0 + m or s < x0 + y0):
-                        cells.append((x, y, orient))
-        self.cells: tuple[Cell, ...] = tuple(cells)
+        cells = tuple(_cells(hexagon))
+        self.cells: tuple[Cell, ...] = cells
         self.cell_index: dict[Cell, int] = {cell: i for i, cell in enumerate(cells)}
 
         expected = hexagon.cell_count
@@ -160,33 +185,17 @@ class Region:
         assert len(cells) == expected, (len(cells), expected)
         assert 2 * ups == len(cells), "up/down cell counts must balance"
 
+        get = self.cell_index.get
         adjacency: list[tuple[int, ...]] = []
         for x, y, orient in cells:
             if orient == UP:
                 partners = ((x, y, DOWN), (x - 1, y, DOWN), (x, y - 1, DOWN))
             else:
                 partners = ((x, y, UP), (x + 1, y, UP), (x, y + 1, UP))
-            adjacency.append(
-                tuple(self.cell_index[p] for p in partners if p in self.cell_index)
-            )
+            adjacency.append(tuple(j for j in map(get, partners) if j is not None))
         self.adjacency: tuple[tuple[int, ...], ...] = tuple(adjacency)
 
-        self.reference_ray: tuple[tuple[int, int], ...] = self._build_ray()
-
-    def _build_ray(self) -> tuple[tuple[int, int], ...]:
-        """Segments of the ray, ordered outward from the core, as index pairs
-        (west cell, east cell) with -1 for a missing flank."""
-        segments = []
-        x0 = self.x0
-        y = self.y0 + self.m
-        while True:
-            west = self.cell_index.get((x0 - 1, y, DOWN), -1)
-            east = self.cell_index.get((x0, y, UP), -1)
-            if west < 0 and east < 0:
-                break
-            segments.append((west, east))
-            y += 1
-        return tuple(segments)
+        self.reference_ray: tuple[tuple[int, int], ...] = _reference_ray(hexagon, self.cell_index)
 
     def _symmetry(
         self, name: str, linear: Callable[[int, int], tuple[int, int]]
@@ -332,7 +341,7 @@ def enumerate_cyclic_tilings(region: Region, cap: Optional[int] = None) -> Itera
     return (Tiling.from_partner(region, p) for p in _matchings(region, cyclic=True))
 
 
-def _frontier_count(graph: list[list[tuple[int, int]]], modulus: int = 0) -> int:
+def _frontier_count(graph: Graph, modulus: int = 0) -> int:
     """Sum over the perfect matchings of a graph of the product of their
     edge factors, by a transfer matrix over the vertices in order.
 
@@ -341,14 +350,33 @@ def _frontier_count(graph: list[list[tuple[int, int]]], modulus: int = 0) -> int
     current one on that are already covered, bit 0 being the current vertex;
     its value is the weighted number of ways to reach it.  A covered vertex
     is shifted out, a free one is paired along an edge with a free later
-    vertex.  With a modulus, the values are reduced by it after each vertex."""
+    vertex.  A forced step is fused with the next: when vertex i's only
+    edge goes to i+1 and no other edge reaches i+1, bit 1 is always clear
+    at i, so one pass over the states does both vertices, pairing a free i
+    with i+1 or letting i+1 take its own edges once i is covered.  With a
+    modulus, the values are reduced by it after each pass."""
+    reached = [0] * (len(graph) + 1)
+    for i, moves in enumerate(graph):
+        for bit, _ in moves:
+            reached[i + bit.bit_length() - 1] += 1
     states = {0: 1}
-    for moves in graph:
+    i = 0
+    while i < len(graph):
+        moves = graph[i]
+        fused = len(moves) == 1 and moves[0][0] == 2 and reached[i + 1] == 1
+        if fused:
+            forced = moves[0][1]
+            moves = graph[i + 1]
         advanced: dict[int, int] = {}
         for mask, value in states.items():
             if mask & 1:
-                key = mask >> 1
-                advanced[key] = advanced.get(key, 0) + value
+                mask >>= 1
+                if not fused:
+                    advanced[mask] = advanced.get(mask, 0) + value
+                    continue
+            elif fused:
+                key = mask >> 2
+                advanced[key] = advanced.get(key, 0) + forced * value
                 continue
             for bit, factor in moves:
                 if not mask & bit:
@@ -357,19 +385,40 @@ def _frontier_count(graph: list[list[tuple[int, int]]], modulus: int = 0) -> int
         if modulus:
             advanced = {key: value % modulus for key, value in advanced.items()}
         states = advanced
+        i += 1 + fused
     return states.get(0, 0)
 
 
-def _cell_graph(region: Region, straddle_sign: int) -> list[list[tuple[int, int]]]:
-    """The cells in index order as a graph for `_frontier_count`, each
-    lozenge with factor straddle_sign if it straddles a reference-ray
-    segment and 1 otherwise.  Later neighbours lie at most one column
-    ahead, so a mask spans about one column of cells."""
-    straddles = {pair for pair in region.reference_ray if min(pair) >= 0}
-    return [
-        [(1 << (j - i), straddle_sign if (i, j) in straddles else 1) for j in neighbours if j > i]
-        for i, neighbours in enumerate(region.adjacency)
-    ]
+def _cell_graph(hexagon: CoredHexagon, straddle_sign: int) -> tuple[Graph, int]:
+    """The cells as a graph for `_frontier_count`, a lozenge on a reference
+    ray segment D(x0-1, y) -> U(x0, y) with factor straddle_sign and every
+    other with 1, and the length of the ray.
+
+    The sweep runs along the shorter lines, columns (a+c+m cells) when
+    a <= b and rows (b+c+m cells) otherwise, so a mask spans about one
+    line.  Sides are never relabelled, which would move the ray and can
+    flip the sign of the (-1)-count.  In either sweep U(x, y) has the one
+    later neighbour D(x, y), right after it, which no other cell reaches:
+    a forced step that `_frontier_count` fuses."""
+    cells = list(_cells(hexagon, by_rows=hexagon.a > hexagon.b))
+    index = {cell: i for i, cell in enumerate(cells)}
+    ray = _reference_ray(hexagon, index)
+    straddles = {west for west, east in ray if min(west, east) >= 0}
+    get = index.get
+    graph: Graph = []
+    for i, (x, y, orient) in enumerate(cells):
+        if orient == UP:
+            graph.append([(2, 1)] if (x, y, DOWN) in index else [])
+            continue
+        moves = []
+        j = get((x + 1, y, UP))
+        if j is not None:
+            moves.append((1 << (j - i), straddle_sign if i in straddles else 1))
+        j = get((x, y + 1, UP))
+        if j is not None:
+            moves.append((1 << (j - i), 1))
+        graph.append(moves)
+    return graph, len(ray)
 
 
 def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int]) -> list[int]:
@@ -497,17 +546,21 @@ def _statistic_n6_from_partner(region: Region, partner: list[int]) -> int:
 def statistic_n6(tiling: Tiling, region: Region) -> int:
     """Sum of distances of the horizontal lozenges of one fundamental domain
     to its border along the core; defined for cyclically symmetric tilings."""
-    if not is_cyclically_symmetric(tiling, region):
+    partner = tiling.partner_array(region)
+    if not _is_cyclic_partner(region, partner):
         raise ValueError("statistic is defined for cyclically symmetric tilings only")
-    return _statistic_n6_from_partner(region, tiling.partner_array(region))
+    return _statistic_n6_from_partner(region, partner)
 
 
-def is_cyclically_symmetric(tiling: Tiling, region: Region) -> bool:
+def _is_cyclic_partner(region: Region, partner: list[int]) -> bool:
     if not (region.a == region.b == region.c):
         raise ValueError("cyclic symmetry needs a hexagon with a = b = c")
     rot = region.rotation
-    partner = tiling.partner_array(region)
     return [partner[r] for r in rot] == [rot[p] for p in partner]
+
+
+def is_cyclically_symmetric(tiling: Tiling, region: Region) -> bool:
+    return _is_cyclic_partner(region, tiling.partner_array(region))
 
 
 def count_weighted(
@@ -532,25 +585,26 @@ def count_weighted(
         cyclic = weight in CYCLIC_WEIGHTS
     if weight in CYCLIC_WEIGHTS and not cyclic:
         raise ValueError(f"weight {weight!r} is defined on cyclic tilings only")
-    # the size is known before the region is built
-    if cyclic:
-        _check_cyclic(hexagon, cap)
-    else:
-        _check_cap(hexagon.cell_count, cap)
-    region = build_region(hexagon)
-
+    # the size is known before any cell is listed
     if not cyclic:
-        if weight == WEIGHT_ONE:
-            return _frontier_count(_cell_graph(region, 1))
-        return (-1) ** len(region.reference_ray) * _frontier_count(_cell_graph(region, -1))
+        _check_cap(hexagon.cell_count, cap)
+        sign = 1 if weight == WEIGHT_ONE else -1
+        graph, ray_length = _cell_graph(hexagon, sign)
+        return sign**ray_length * _frontier_count(graph)
 
-    hist = _cyclic_histogram(region, n6=weight == WEIGHT_MINUS1_N6)
+    _check_cyclic(hexagon, cap)
+    hist = _cyclic_histogram(build_region(hexagon), n6=weight == WEIGHT_MINUS1_N6)
     if weight == WEIGHT_ONE:
         return sum(hist)
     if weight in (WEIGHT_MINUS1, WEIGHT_MINUS1_N6):
         return sum(hist[0::2]) - sum(hist[1::2])
-    omega = omega3() if weight == WEIGHT_OMEGA3 else omega6()
-    return sum((h * omega**r for r, h in enumerate(hist)), CycloElement.of(omega.ring, 0))
+    # sum of h omega^r on coordinates: omega (c0 + c1 tau) = -c1 + (c0 + t c1) tau,
+    # with tau^2 = t tau - 1
+    ring, t = (THIRD, -1) if weight == WEIGHT_OMEGA3 else (SIXTH, 1)
+    c0, c1, p0, p1 = 0, 0, 1, 0
+    for h in hist:
+        c0, c1, p0, p1 = c0 + h * p0, c1 + h * p1, -p1, p0 + t * p1
+    return CycloElement.of(ring, c0, c1)
 
 
 def count_tilings(hexagon: CoredHexagon, cap: Optional[int] = None) -> int:

@@ -527,7 +527,12 @@ SUITES = {
 def run_suite(name: str, bounds: dict | None = None, seed: int = 0) -> list[VerificationReport]:
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {sorted(SUITES)}")
-    return list(SUITES[name](bounds or {}, seed))
+    bounds = bounds or {}
+    # a negative bound would check nothing and read as a pass
+    for key, bound in bounds.items():
+        if isinstance(bound, int) and bound < 0:
+            raise ValueError(f"bound {key} must be nonnegative, got {bound}")
+    return list(SUITES[name](bounds, seed))
 
 
 def suite_failed(reports) -> bool:

@@ -5,7 +5,7 @@ import sys
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from cored_hexagons import tilings
 from cored_hexagons.exactnum import omega3, omega6
@@ -124,10 +124,11 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("weight, cyclic", [("one", False), ("omega3", True)])
     def test_cap_is_checked_before_the_region_is_built(self, monkeypatch, weight, cyclic):
-        def refuse(hexagon):
-            raise AssertionError("region built before the cap check")
+        def refuse(hexagon, by_rows=False):
+            raise AssertionError("cells listed before the cap check")
 
-        monkeypatch.setattr(tilings, "build_region", refuse)
+        # every region and every cell graph takes its cells from _cells
+        monkeypatch.setattr(tilings, "_cells", refuse)
         with pytest.raises(CellCapError):
             count_weighted(CoredHexagon(200, 200, 200, 0), weight, cyclic=cyclic)
 
@@ -154,16 +155,54 @@ class TestEnumeration:
 
 
 def admissible(max_cells):
-    """Every admissible (a, b, c, m) with entries up to 30 and at most
-    max_cells <= 60 cells; past 30 only empty regions (two of a, b, c zero
-    and m = 0, or a = b = c = 0) remain."""
-    for a in range(31):
-        for b in range(31):
-            for c in range(b % 2, 31, 2):
-                for m in range(31):
+    """Every admissible (a, b, c, m) with entries up to max_cells // 2 and
+    at most max_cells cells; past that only empty regions (two of a, b, c
+    zero and m = 0, or a = b = c = 0) remain, since a nonempty region has
+    at least twice as many cells as its largest entry."""
+    top = max_cells // 2 + 1
+    for a in range(top):
+        for b in range(top):
+            for c in range(b % 2, top, 2):
+                for m in range(top):
                     if CoredHexagon(a, b, c, m).cell_count > max_cells:
                         break
                     yield a, b, c, m
+
+
+@st.composite
+def random_graphs(draw):
+    """A multigraph on up to 10 vertices as (n, edges (u, v, factor), a
+    vertex order, a modulus or 0)."""
+    n = draw(st.integers(0, 10))
+    edges = []
+    if n >= 2:
+        vertex = st.integers(0, n - 1)
+        drawn = draw(st.lists(st.tuples(vertex, vertex, st.integers(-3, 3)), max_size=16))
+        edges = [(u, v, factor) for u, v, factor in drawn if u != v]
+        # a path through consecutive vertices makes forced steps likely
+        if draw(st.booleans()):
+            edges += [(v, v + 1, draw(st.integers(-3, 3))) for v in range(n - 1)]
+    order = draw(st.permutations(range(n)))
+    modulus = draw(st.sampled_from([0, 0, 7, (1 << 12) - 1]))
+    return n, edges, order, modulus
+
+
+def matching_sum(n, edges):
+    """Sum over the perfect matchings of the multigraph of the product of
+    their edge factors, by pairing the lowest free vertex every way."""
+    def total(free):
+        if not free:
+            return 1
+        low = min(free)
+        result = 0
+        for u, v, factor in edges:
+            if low in (u, v):
+                other = v if u == low else u
+                if other in free:
+                    result += factor * total(free - {low, other})
+        return result
+
+    return total(frozenset(range(n)))
 
 
 class TestFrontierCount:
@@ -196,6 +235,43 @@ class TestFrontierCount:
         assert dp == det_fraction_free(build_cored_matrix(a, b, c, m, eps))
         assert dp == count_cored_formula(a, b, c, m, signed=signed)
 
+    def test_row_and_column_sweeps_agree_up_to_120_cells(self, monkeypatch):
+        # the sweep rule picks one order per region; the other order must
+        # give the same plain and signed count
+        def counts(sides):
+            hexagon = CoredHexagon(*sides)
+            return count_weighted(hexagon, "one"), count_weighted(hexagon, "minus1")
+
+        expected = {sides: counts(sides) for sides in admissible(120)}
+        cells = tilings._cells
+        monkeypatch.setattr(
+            tilings, "_cells", lambda hexagon, by_rows=False: cells(hexagon, not by_rows)
+        )
+        for sides, values in expected.items():
+            assert counts(sides) == values, sides
+
+    @given(random_graphs())
+    @settings(max_examples=300, deadline=None)
+    @example((4, [(0, 1, 2), (1, 2, 3), (1, 3, -1), (2, 3, 5)], [0, 1, 2, 3], 0))
+    @example((4, [(0, 1, 4), (0, 2, 2), (0, 3, 1), (1, 2, 3), (2, 3, 5)], [0, 1, 2, 3], 0))
+    @example((6, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (0, 5, 7)],
+              [0, 1, 2, 3, 4, 5], 11))
+    def test_transfer_loop_matches_brute_force(self, drawn):
+        # the examples hold a fusable pair (0's only later edge goes to 1,
+        # which nothing else reaches), a vertex 1 whose only later edge goes
+        # to 2 while 0 reaches 2 too, and a chain of fusable pairs under a
+        # modulus
+        n, edges, order, modulus = drawn
+        position = {vertex: p for p, vertex in enumerate(order)}
+        graph = [[] for _ in range(n)]
+        for u, v, factor in edges:
+            i, j = sorted((position[u], position[v]))
+            graph[i].append((1 << (j - i), factor))
+        expected = matching_sum(n, edges)
+        assert tilings._frontier_count(graph, modulus) == (
+            expected % modulus if modulus else expected
+        )
+
     def test_imports_neither_lgv_nor_formulas(self):
         # the matching-level oracle must stay independent of the routes it checks
         modules = set()
@@ -224,12 +300,14 @@ class TestOrbitCount:
                 n6_weights = tilings._n6_weights(region)
                 hist_n, hist_n6 = [0] * 6, [0] * 6
                 for tiling in enumerate_cyclic_tilings(region, cap=80):
-                    n6 = statistic_n6(tiling, region)
-                    hist_n[statistic_n(tiling, region) % 6] += 1
+                    # statistic_n6 and statistic_n on one partner array
+                    partner = tiling.partner_array(region)
+                    assert tilings._is_cyclic_partner(region, partner)
+                    n6 = tilings._statistic_n6_from_partner(region, partner)
+                    hist_n[tilings._statistic_n_from_partner(region, partner) % 6] += 1
                     hist_n6[n6 % 6] += 1
                     # the weight table reproduces the path walk of statistic_n6
-                    partner = tiling.partner_array(region)
-                    assert sum(n6_weights.get(pair, 0) for pair in enumerate(partner)) == n6
+                    assert sum(w for (u, d), w in n6_weights.items() if partner[u] == d) == n6
                 assert tilings._cyclic_histogram(region, n6=False) == hist_n, (a, m)
                 assert tilings._cyclic_histogram(region, n6=True) == hist_n6, (a, m)
                 expected = {

@@ -183,3 +183,15 @@ def test_csv_summary():
 def test_unknown_suite_rejected():
     with pytest.raises(ValueError):
         run_suite("NoSuchSuite")
+
+
+@pytest.mark.parametrize("name, bounds", [
+    ("Case10", {"max_a": -1}),
+    ("CyclicWeights", {"max_m": -3}),
+    ("TilingsVsFormula", {"cap": -1}),
+])
+def test_negative_bound_rejected(name, bounds):
+    # a sweep over no cases would read as a pass
+    (key, value), = bounds.items()
+    with pytest.raises(ValueError, match=f"bound {key} must be nonnegative, got {value}"):
+        run_suite(name, bounds)
