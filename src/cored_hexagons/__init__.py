@@ -11,9 +11,7 @@ against each other.
 from .exactnum import (
     CycloElement,
     Rational,
-    SqrtPiScaled,
     binomial,
-    hyperfactorial,
     omega3,
     omega6,
     pochhammer,

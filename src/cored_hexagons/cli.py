@@ -80,7 +80,8 @@ def _cmd_cyclic_count(args) -> int:
 
 def _cored_count(shifted: bool, signed: bool):
     """The evaluator of one of the four closed-form counts, which insists
-    that the parity of the sides matches the core placement of its id."""
+    that the parity of the sides matches the core placement of its id.
+    With --factor it gives the count's prime factorization instead."""
 
     def evaluate(args):
         (a, b, c), _ = tilings.normalize_sides(args.a, args.b, args.c)
@@ -90,6 +91,8 @@ def _cored_count(shifted: bool, signed: bool):
                 if shifted
                 else "sides have mixed parity: use shifted/signed-shifted"
             )
+        if args.factor:
+            return formulas.count_cored_factorization(a, b, c, args.m, signed=signed)
         return formulas.count_cored_formula(a, b, c, args.m, signed=signed)
 
     return evaluate
@@ -121,6 +124,7 @@ _FORMULAS = {
     "conjecture2": (_SIDES, lambda o: formulas.conjecture_rhs(2, o.a, o.b, o.c, o.m)),
     "lemma-rhs": (_SIDES, lambda o: formulas.lemma_rhs(o.a, o.b, o.c, o.m, shifted=o.shifted)),
 }
+_FACTORED = ("enum", "shifted", "signed-enum", "signed-shifted")
 
 
 def _cmd_formula(args) -> int:
@@ -128,11 +132,17 @@ def _cmd_formula(args) -> int:
     missing = [n for n in needs if getattr(args, n) is None]
     if missing:
         raise ValueError(f"formula {args.id!r} needs --" + " --".join(missing))
+    if args.factor and args.id not in _FACTORED:
+        raise ValueError(f"--factor applies only to {', '.join(_FACTORED)}, not {args.id!r}")
     value = evaluate(args)
     params = {
         key: getattr(args, key) for key in ("a", "b", "c", "m") if getattr(args, key) is not None
     }
-    _emit({"id": args.id, "params": params, "value": _value_payload(value)})
+    if args.factor:
+        factors = {str(k): value[k] for k in sorted(value)}
+        _emit({"id": args.id, "params": params, "factors": factors})
+    else:
+        _emit({"id": args.id, "params": params, "value": _value_payload(value)})
     return EXIT_OK
 
 
@@ -261,6 +271,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     formula.add_argument("--shifted", action="store_true")
     formula.add_argument("--digits", type=int, default=50)
+    formula.add_argument(
+        "--factor", action="store_true", help="print the prime factorization of a count"
+    )
     formula.set_defaults(func=_cmd_formula)
 
     ver = sub.add_parser("verify", help="run a verification suite")

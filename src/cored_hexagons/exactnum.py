@@ -1,9 +1,9 @@
 """Exact arithmetic building blocks.
 
 Everything downstream (region counts, determinants, product formulas) is
-computed over arbitrary-precision integers, rationals, rationals scaled by
-powers of sqrt(pi), or one of the two cyclotomic rings Z[w] with w a
-primitive third or sixth root of unity.  No floats live here.
+computed over arbitrary-precision integers, rationals, or one of the two
+cyclotomic rings Z[w] with w a primitive third or sixth root of unity.  No
+floats live here.
 """
 
 from __future__ import annotations
@@ -65,91 +65,6 @@ def pochhammer(base: Number, k: int) -> Number:
     for i in range(k):
         result = result * (base + i)
     return result
-
-
-@dataclass(frozen=True)
-class SqrtPiScaled:
-    """An exact value coefficient * pi**(half_pi_exponent/2).
-
-    The exponent bookkeeping makes cancellation checkable: any quantity that
-    is supposed to be rational must come out with half_pi_exponent == 0.
-    """
-
-    coefficient: Fraction
-    half_pi_exponent: int
-
-    @staticmethod
-    def of(coefficient: Number, half_pi_exponent: int = 0) -> SqrtPiScaled:
-        c = frac(coefficient)
-        if c == 0:
-            half_pi_exponent = 0
-        return SqrtPiScaled(c, half_pi_exponent)
-
-    def __mul__(self, other: SqrtPiScaled | Number) -> SqrtPiScaled:
-        if isinstance(other, SqrtPiScaled):
-            return SqrtPiScaled.of(
-                self.coefficient * other.coefficient,
-                self.half_pi_exponent + other.half_pi_exponent,
-            )
-        return SqrtPiScaled.of(self.coefficient * frac(other), self.half_pi_exponent)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other: SqrtPiScaled | Number) -> SqrtPiScaled:
-        if isinstance(other, SqrtPiScaled):
-            if other.coefficient == 0:
-                raise ZeroDivisionError("division by exact zero")
-            return SqrtPiScaled.of(
-                self.coefficient / other.coefficient,
-                self.half_pi_exponent - other.half_pi_exponent,
-            )
-        return SqrtPiScaled.of(self.coefficient / frac(other), self.half_pi_exponent)
-
-    def __rtruediv__(self, other: Number) -> SqrtPiScaled:
-        return SqrtPiScaled.of(frac(other)) / self
-
-    def __neg__(self) -> SqrtPiScaled:
-        return SqrtPiScaled.of(-self.coefficient, self.half_pi_exponent)
-
-    def __pow__(self, n: int) -> SqrtPiScaled:
-        if self.coefficient == 0 and n < 0:
-            raise ZeroDivisionError("division by exact zero")
-        return SqrtPiScaled.of(self.coefficient**n, self.half_pi_exponent * n)
-
-    @property
-    def is_rational(self) -> bool:
-        return self.half_pi_exponent == 0
-
-    def to_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(
-                f"value carries pi**({self.half_pi_exponent}/2); "
-                "a sqrt(pi) leak indicates a transcription error"
-            )
-        return self.coefficient
-
-
-def hyperfactorial(n: Number) -> SqrtPiScaled:
-    """h(n) = prod_{k<n} k! for integer n; for half-integer n the product
-    of Gamma(k+1/2), k = 0..n-1/2, tracked exactly with its sqrt(pi) power."""
-    n = frac(n)
-    if n < Fraction(-1, 2):
-        raise ValueError(f"hyperfactorial of negative argument {n}")
-    if n.denominator == 1:
-        result = 1
-        f = 1
-        for k in range(1, int(n)):
-            f *= k
-            result *= f
-        return SqrtPiScaled.of(result)
-    if n.denominator != 2:
-        raise ValueError(f"hyperfactorial argument {n} is neither integer nor half-integer")
-    # Gamma(k+1/2) = (2k)! / (4^k k!) * sqrt(pi)
-    count = int(n + Fraction(1, 2))
-    coeff = Fraction(1)
-    for k in range(count):
-        coeff *= Fraction(math.factorial(2 * k), 4**k * math.factorial(k))
-    return SqrtPiScaled.of(coeff, count)
 
 
 class RingMismatchError(ValueError):
@@ -283,8 +198,6 @@ def omega6() -> CycloElement:
 
 def value_to_str(value) -> str:
     """Decimal-string form used by the CLI: integers plain, rationals p/q."""
-    if isinstance(value, SqrtPiScaled):
-        value = value.to_rational()
     if isinstance(value, CycloElement):
         if value.is_rational:
             value = value.c0

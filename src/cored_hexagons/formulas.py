@@ -4,8 +4,11 @@ factorization, the asymptotic constant, the off-center conjectures, and the
 multiple-sum summation theorems.
 
 The tiling counts, the box formula, the conjectures, det(-I + B) and the
-prefactor of lemma_rhs are hyperfactorial term tables evaluated by prime
-exponents; a leaked half power of pi raises.  The other products multiply
+prefactor of lemma_rhs are hyperfactorial term tables on doubled integer
+arguments, t = 2x for h(x), evaluated by prime exponents: two running sums
+over a difference array give one integer weight per argument size, and
+each prime's exponent is a sum of slices of those weights over its powers;
+a leaked half power of pi raises.  The other products multiply
 Pochhammer symbols with rational bases: det(wI + B) for the third and sixth
 roots is one loop over a per-root table of Pochhammer rows, and the three
 Watson closed forms are one expression whose bases and lengths take the
@@ -15,9 +18,9 @@ parities of a and M as half-shifts, ceilings and floors.
 from __future__ import annotations
 
 import math
-from collections import Counter
+from bisect import bisect_right
 from fractions import Fraction
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import mpmath
 
@@ -26,6 +29,7 @@ from .exactnum import (
     Number,
     double_factorial_odd,
     frac,
+    is_integer,
     omega3,
     omega6,
     pochhammer,
@@ -53,21 +57,35 @@ def _ceil(x: Number) -> int:
 # --- hyperfactorial product formulas as term tables -----------------------
 #
 # A term table is a list of (arguments, multiplicity): the formula is the
-# product of h(x)**multiplicity over every x in every entry's arguments,
-# with ceilings and floors already resolved.
+# product of h(t/2)**multiplicity over every t in every entry's arguments.
+# Each argument is written doubled, t = 2x, so a half-integer x is an odd
+# int t, the ceilings and floors are already resolved, and a table holds
+# no Fraction.
 
-def _rounded(base: Number, y: int, nudge: Number = 0) -> tuple[Number, Number]:
-    """base + ceil(y/2) - nudge and base + floor(y/2) + nudge, a pair that
-    scales like base + y/2."""
-    return base - nudge + (y + 1) // 2, base + nudge + y // 2
+def _rounded(base: int, y: int, nudge: int = 0) -> tuple[int, int]:
+    """The doubled arguments base/2 + ceil(y/2) - nudge/2 and
+    base/2 + floor(y/2) + nudge/2, a pair that scales like (base + y)/2;
+    base and nudge come doubled too."""
+    return base - nudge + (y + 1) // 2 * 2, base + nudge + y // 2 * 2
 
 
-def _primes_upto(n: int) -> list[int]:
+def _sieve(n: int) -> list[int]:
     sieve = bytearray([1]) * (n + 1)
     for p in range(2, math.isqrt(n) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytes(len(range(p * p, n + 1, p)))
     return [p for p in range(2, n + 1) if sieve[p]]
+
+
+# every prime up to _PRIMES[-1], extended on demand
+_PRIMES = [2]
+
+
+def _primes_upto(n: int) -> list[int]:
+    if _PRIMES[-1] < n:
+        # Bertrand's postulate keeps a prime above n in the list
+        _PRIMES[:] = _sieve(2 * n)
+    return _PRIMES[: bisect_right(_PRIMES, n)]
 
 
 def _product(factors: list[int]) -> int:
@@ -79,32 +97,41 @@ def _product(factors: list[int]) -> int:
 
 
 def _table_exponents(table) -> dict[int, int]:
-    """The nonzero prime exponents of the product a term table describes.
+    """The nonzero prime exponents of the product a doubled term table
+    describes.
 
-    Legendre's formula gives v_p(h(n)) = sum_{k<n} v_p(k!) in closed form
-    per prime power q: sum_{k<n} floor(k/q) = q*t*(t-1)/2 + r*t with
-    n = t*q + r.  A half-integer argument j - 1/2 enters through
-    Gamma(k+1/2) = (2k)!/(4^k k!) sqrt(pi), where the product of (2k)! over
-    k < j is the square root of h(2j)/(2j-1)!!.  sqrt(pi) is a pseudo-prime
-    whose exponent must cancel."""
-    # twice each exponent, as integer combinations of v_p(h(n)) and v_p(n!)
-    hyper: Counter[int] = Counter()
-    fact: Counter[int] = Counter()
-    two = sqrt_pi = largest = 0
+    Twice the product is a product of powers h(n)**w and (n!)**f over
+    integers n, and 2**two.  An argument t = 2n gives h(n)**2; an odd one,
+    t = 2j - 1, gives h(j - 1/2)**2 = h(2j) j! / ((2j)! h(j)**2) *
+    2**(j - 2j(j-1)) * pi**j, by Gamma(k+1/2) = (2k)!/(4^k k!) sqrt(pi).
+    sqrt(pi) is a pseudo-prime whose exponent must cancel.
+
+    Legendre's formula, v_p(h(n)) = sum_{i<n} (n - i) v_p(i) and
+    v_p(n!) = sum_{i<=n} v_p(i), makes twice the exponent of p the sum over
+    integers i of v_p(i) E_i, with E_i = sum w (n - i)+ + sum f [i <= n].
+    E is piecewise linear, so two running sums over its second differences
+    give all of it, and the exponent of p is the sum over q = p^k of the
+    slice sums E[q::q]."""
+    top = max((max(args) for args, _ in table), default=0) + 1
+    # second differences of E read from i = top down: h(n)**w adds w at
+    # top + 1 - n, (n!)**f adds f at top - n and -f at top + 1 - n, and the
+    # running sums of the running sums at index top - i give E_i
+    diff = [0] * (top + 2)
+    two = sqrt_pi = 0
     for args, mult in table:
-        for x in args:
-            t = int(2 * x)
+        for t in args:
             if t < -1:
-                raise ValueError(f"hyperfactorial of negative argument {frac(x)}")
-            largest = max(largest, t)
+                raise ValueError(f"hyperfactorial of negative argument {Fraction(t, 2)}")
             if t % 2 == 0:
-                hyper[t // 2] += 2 * mult
+                # h(n)**(2 mult)
+                diff[top + 1 - t // 2] += 2 * mult
                 continue
             j = (t + 1) // 2
-            hyper[2 * j] += mult
-            hyper[j] -= 2 * mult
-            fact[2 * j] -= mult
-            fact[j] += mult
+            # (h(2j) / (2j)!)**mult and (j! / h(j)**2)**mult
+            diff[top + 1 - 2 * j] += 2 * mult
+            diff[top - 2 * j] -= mult
+            diff[top + 1 - j] -= 3 * mult
+            diff[top - j] += mult
             two += mult * (j - 2 * j * (j - 1))
             sqrt_pi += mult * j
     if sqrt_pi:
@@ -112,25 +139,16 @@ def _table_exponents(table) -> dict[int, int]:
             f"value carries pi**({sqrt_pi}/2); "
             "a sqrt(pi) leak indicates a transcription error"
         )
-    hyper_terms = sorted(((n, w) for n, w in hyper.items() if w), reverse=True)
-    fact_terms = sorted(((n, w) for n, w in fact.items() if w), reverse=True)
+    twice = list(accumulate(accumulate(diff)))[top::-1]
     exponents = {}
-    for p in _primes_upto(largest):
-        twice = two if p == 2 else 0
+    for p in _primes_upto(top):
+        total = two if p == 2 else 0
         q = p
-        while q <= largest:
-            for n, w in hyper_terms:
-                if n <= q:
-                    break
-                t, r = divmod(n, q)
-                twice += w * (q * t * (t - 1) // 2 + r * t)
-            for n, w in fact_terms:
-                if n < q:
-                    break
-                twice += w * (n // q)
+        while q <= top:
+            total += sum(twice[q::q])
             q *= p
-        if twice:
-            exponents[p] = twice // 2
+        if total:
+            exponents[p] = total // 2
     return exponents
 
 
@@ -143,27 +161,28 @@ def _evaluate(table) -> Fraction:
 
 
 def _count_table(a: int, b: int, c: int, m: int, signed: bool):
-    """The tiling count for either core placement: the ceilings and floors
-    are exact when a, b, c have equal parity.  The plain and the (-1)-count
-    differ only in the core pairs, m/2 + y/2 rounded both ways, which the
-    (-1)-count nudges apart by 1/2 each.
+    """The doubled tiling count for either core placement: the ceilings and
+    floors are exact when a, b, c have equal parity.  The plain and the
+    (-1)-count differ only in the core pairs, m/2 + y/2 rounded both ways,
+    which the (-1)-count nudges apart by 1/2 each.
 
     The arguments of one entry scale alike, to the same x*n under
     (a, b, c, m) -> (a, b, c, m)*n, and the entries come in the order the
     asymptotic constant sums them."""
-    s, m2, nudge = a + b + c, frac(m, 2), Fraction(1, 2) if signed else 0
+    s, nudge = a + b + c, int(signed)
 
-    def core(y: int) -> tuple[Number, Number]:
-        return _rounded(m2, y, nudge)
+    def core(y: int) -> tuple[int, int]:
+        return _rounded(m, y, nudge)
 
     return [
-        ((a + m,), 1), ((b + m,), 1), ((c + m,), 1), ((s + m,), 1),
-        (_rounded(m, s), 1), (_rounded(0, a), 1), (_rounded(0, b), 1), (_rounded(0, c), 1),
+        ((2 * (a + m),), 1), ((2 * (b + m),), 1), ((2 * (c + m),), 1), ((2 * (s + m),), 1),
+        (_rounded(2 * m, s), 1), (_rounded(0, a), 1), (_rounded(0, b), 1), (_rounded(0, c), 1),
         (core(0), 1), (core(a + b), 1), (core(a + c), 1), (core(b + c), 1),
-        ((a + b + m,), -1), ((a + c + m,), -1), ((b + c + m,), -1),
-        (((a + b + 1) // 2 + m,), -1), (((a + c) // 2 + m,), -1), (((b + c) // 2 + m,), -1),
+        ((2 * (a + b + m),), -1), ((2 * (a + c + m),), -1), ((2 * (b + c + m),), -1),
+        ((2 * ((a + b + 1) // 2 + m),), -1), ((2 * ((a + c) // 2 + m),), -1),
+        ((2 * ((b + c) // 2 + m),), -1),
         (core(a), -1), (core(b), -1), (core(c), -1), (core(s), -1),
-        (((a + b) // 2,), -1), (((a + c + 1) // 2,), -1), (((b + c) // 2,), -1),
+        ((2 * ((a + b) // 2),), -1), ((2 * ((a + c + 1) // 2),), -1), ((2 * ((b + c) // 2),), -1),
     ]
 
 
@@ -171,7 +190,9 @@ def macmahon_box(a: int, b: int, c: int) -> int:
     """Number of plane partitions in an a x b x c box."""
     if min(a, b, c) < 0:
         raise FormulaDomainError(f"box sides must be nonnegative, got a={a}, b={b}, c={c}")
-    value = _evaluate([((a, b, c, a + b + c), 1), ((a + b, b + c, c + a), -1)])
+    value = _evaluate(
+        [((2 * a, 2 * b, 2 * c, 2 * (a + b + c)), 1), ((2 * (a + b), 2 * (b + c), 2 * (c + a)), -1)]
+    )
     assert value.denominator == 1
     return int(value)
 
@@ -261,17 +282,20 @@ def zare1_rhs(a: int, m: Number) -> Fraction:
     As a term table, x! = h(x+1)/h(x), and the runs of consecutive
     factorials telescope to single hyperfactorial quotients."""
     _check_order(a)
-    m = frac(m)
-    if m < 0 or m.denominator != 1:
+    if m < 0 or not is_integer(m):
         raise FormulaDomainError(
-            f"the parameter m of B(a, m) must be a nonnegative integer, got {m}"
+            f"the parameter m of B(a, m) must be a nonnegative integer, got {frac(m)}"
         )
     if a % 2 == 1:
         return Fraction(0)
-    n, m2 = a // 2, m / 2
-    table = [((n, m2 + n), 2), ((m,), 1), ((a, m + a), -1), ((m2 + a,), -2)]
+    # the doubled arguments of m/2 + y and m + y are m + 2y and 2m + 2y
+    n, m = a // 2, int(m)
+    table = [((2 * n, m + 2 * n), 2), ((2 * m,), 1), ((2 * a, 2 * (m + a)), -1), ((m + 2 * a,), -2)]
     for i in range(n):
-        table += [((m2 + 3 * i + 2, m + 3 * i + 2), 2), ((m2 + 3 * i + 1, m + 3 * i + 1), -2)]
+        table += [
+            ((m + 6 * i + 4, 2 * m + 6 * i + 4), 2),
+            ((m + 6 * i + 2, 2 * m + 6 * i + 2), -2),
+        ]
     return (-1) ** n * _evaluate(table)
 
 
@@ -364,25 +388,21 @@ def asymptotic_k(a: int, b: int, c: int, m: int, digits: int = 50) -> mpmath.mpf
     weight."""
     if min(a, b, c, m) < 0:
         raise FormulaDomainError("parameters must be nonnegative")
-    # At doubled sides every ceiling and floor of the table is exact,
-    # and its arguments are linear in (a, b, c, m), so each entry lists 2x.
+    # At doubled sides every ceiling and floor of the table is exact, and
+    # its arguments are linear in (a, b, c, m); with the table's own
+    # doubling, each entry lists 4x.
     args = [
-        (frac(xs[0]) / 2, mult * len(xs))
-        for xs, mult in _count_table(2 * a, 2 * b, 2 * c, 2 * m, False)
+        (ts[0], mult * len(ts)) for ts, mult in _count_table(2 * a, 2 * b, 2 * c, 2 * m, False)
     ]
-    balance = sum(x * x * mult for x, mult in args)
+    balance = sum(t * t * mult for t, mult in args)
     assert balance == 0, "x^2 terms must cancel for a finite constant"
     with mpmath.workdps(digits):
         k = mpmath.mpf(0)
-        for x, mult in args:
-            if x == 0:
+        for t, mult in args:
+            if t == 0:
                 continue
-            coeff = x * x / 2 * mult
-            k += (
-                mpmath.mpf(coeff.numerator)
-                / coeff.denominator
-                * mpmath.log(mpmath.mpf(x.numerator) / x.denominator)
-            )
+            # (x^2/2) log x at x = t/4; both quotients are exact dyadics
+            k += mpmath.mpf(t * t * mult) / 32 * mpmath.log(mpmath.mpf(t) / 4)
         return +k
 
 
@@ -396,9 +416,9 @@ def conjecture_rhs(which: int, a: int, b: int, c: int, m: int) -> Fraction:
     if which == 1:
         if a % 2 != b % 2 or b % 2 != c % 2:
             raise FormulaDomainError("the one-unit shift needs a, b, c of equal parity")
-        if a + b < 2 or frac(a + c, 2) + m < 1:
+        if a + b < 2 or a + c + 2 * m < 2:
             raise FormulaDomainError("degenerate hexagon: off-center core does not fit")
-        scale = Fraction(1, 4)
+        scale = 4
         if a % 2 == 0:
             p = (a + b) * (a + c) + 2 * a * m
         else:
@@ -408,7 +428,7 @@ def conjecture_rhs(which: int, a: int, b: int, c: int, m: int) -> Fraction:
             raise FormulaDomainError("the 3/2-unit shift needs a of deviant parity")
         if (a + b) // 2 < 1 or (a + c) // 2 + m < 1:
             raise FormulaDomainError("degenerate hexagon: off-center core does not fit")
-        scale = Fraction(1, 16)
+        scale = 16
         if a % 2 == 0:
             p = ((a + b) ** 2 - 1) * ((a + c) ** 2 - 1) + 4 * a * m * (
                 a * a + 2 * a * b + b * b + 2 * a * c + 3 * b * c + c * c
@@ -421,14 +441,14 @@ def conjecture_rhs(which: int, a: int, b: int, c: int, m: int) -> Fraction:
     else:
         raise FormulaDomainError("which must be 1 or 2")
     # the plain count's table with the four arguments that place the core
-    # moved by one
-    up, down = (a + b + 1) // 2 + m, (a + c) // 2 + m
-    low, high = (a + b) // 2, (a + c + 1) // 2
+    # moved by one, doubled
+    up, down = 2 * ((a + b + 1) // 2 + m), 2 * ((a + c) // 2 + m)
+    low, high = 2 * ((a + b) // 2), 2 * ((a + c + 1) // 2)
     table = _count_table(a, b, c, m, False) + [
         ((up, down, low, high), 1),
-        ((up + 1, down - 1, low - 1, high + 1), -1),
+        ((up + 2, down - 2, low - 2, high + 2), -1),
     ]
-    return scale * _evaluate(table) * p
+    return _evaluate(table) * p / scale
 
 
 # --- the transformed-determinant evaluation ---------------------------------
@@ -451,7 +471,7 @@ def lemma_rhs(a: int, b: Number, c: Number, m: int, shifted: bool = False) -> Fr
         return Fraction(0)
     b, c = frac(b), frac(c)
     value = _evaluate(
-        [((a + m,), 1), (_rounded(0, a), 1), (_rounded(0, m), 1), (_rounded(0, a + m), -1)]
+        [((2 * (a + m),), 1), (_rounded(0, a), 1), (_rounded(0, m), 1), (_rounded(0, a + m), -1)]
     )
     value /= 2 ** ((m * (a + m - 1) + 1) // 2)
     theta = (a + shifted) % 2

@@ -226,6 +226,39 @@ class TestOtherCommands:
         assert (code, out) == (2, "")
         assert err == "error: box sides must be nonnegative, got a=-1, b=1, c=1\n"
 
+    @pytest.mark.parametrize(
+        "fid, sides",
+        [
+            ("enum", ("3", "5", "1", "2")),
+            ("shifted", ("2", "1", "1", "2")),
+            ("signed-enum", ("1", "1", "1", "1")),
+            ("signed-shifted", ("2", "3", "1", "3")),
+            ("signed-enum", ("4", "2", "6", "3")),
+        ],
+    )
+    def test_factor_multiplies_out_to_the_value(self, capsys, fid, sides):
+        flags = [x for flag, v in zip(("--a", "--b", "--c", "--m"), sides) for x in (flag, v)]
+        code, out, _ = run_cli(capsys, "formula", "--id", fid, *flags)
+        assert code == 0
+        value = int(json.loads(out)["value"])
+        code, out, _ = run_cli(capsys, "formula", "--id", fid, *flags, "--factor")
+        assert code == 0
+        payload = json.loads(out)
+        assert list(payload) == ["id", "params", "factors"]
+        keys = [int(k) for k in payload["factors"]]
+        assert keys == sorted(keys)
+        product = 1
+        for k, e in payload["factors"].items():
+            product *= int(k) ** e
+        assert product == value
+
+    def test_factor_on_another_formula_is_exit_2(self, capsys):
+        code, out, err = run_cli(
+            capsys, "formula", "--id", "macmahon", "--a", "1", "--b", "1", "--c", "1", "--factor"
+        )
+        assert (code, out) == (2, "")
+        assert "--factor applies only to enum" in err
+
     def test_cyclic_count_cyclotomic_output(self, capsys):
         code, out, _ = run_cli(
             capsys, "cyclic-count", "--a", "2", "--m", "1", "--weight", "omega6"

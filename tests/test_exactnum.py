@@ -8,16 +8,15 @@ from cored_hexagons.exactnum import (
     RingMismatchError,
     SIXTH,
     THIRD,
-    SqrtPiScaled,
     binomial,
     cyclo_to_dict,
     double_factorial_odd,
-    hyperfactorial,
     omega3,
     omega6,
     pochhammer,
     value_to_str,
 )
+from hyperfactorial_reference import SqrtPiScaled, hyperfactorial
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=3

@@ -4,9 +4,10 @@ from fractions import Fraction
 
 import mpmath
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from cored_hexagons import formulas
-from cored_hexagons.exactnum import hyperfactorial, omega3, omega6
+from cored_hexagons.exactnum import omega3, omega6
 from cored_hexagons.formulas import (
     FormulaDomainError,
     OMEGA_CASES,
@@ -36,6 +37,7 @@ from cored_hexagons.lgv import (
     transformed_cored_matrix,
 )
 from cored_hexagons.tilings import CoredHexagon, count_weighted
+from hyperfactorial_reference import hyperfactorial, legendre_exponents
 
 
 class TestMacMahon:
@@ -96,33 +98,79 @@ class TestCountFormulas:
 
 
 class TestTermTables:
+    # tables list doubled arguments t = 2x: h(t/2) for every t
     def test_single_hyperfactorials_match_the_reference(self):
         # h(x) over sqrt(pi)**(x + 1/2) = h(x) / h(1/2)**(x + 1/2) for half-integer x
-        half = Fraction(1, 2)
         for t in range(-1, 60):
-            x = Fraction(t, 2)
-            reference = hyperfactorial(x)
-            table = [((x,), 1), ((half,), -reference.half_pi_exponent)]
-            assert formulas._evaluate(table) == reference.coefficient, x
+            reference = hyperfactorial(Fraction(t, 2))
+            table = [((t,), 1), ((1,), -reference.half_pi_exponent)]
+            assert formulas._evaluate(table) == reference.coefficient, t
 
     def test_quotients_of_hyperfactorials(self):
-        top, bottom = (7, Fraction(9, 2), Fraction(5, 2)), (Fraction(11, 2), 3, Fraction(3, 2))
+        top, bottom = (14, 9, 5), (11, 6, 3)
         table = [(top, 1), (bottom, -1)]
-        expected = math.prod(hyperfactorial(x) for x in top) / math.prod(
-            hyperfactorial(x) for x in bottom
+        expected = math.prod(hyperfactorial(Fraction(t, 2)) for t in top) / math.prod(
+            hyperfactorial(Fraction(t, 2)) for t in bottom
         )
         assert expected.to_rational() != 1
         assert formulas._evaluate(table) == expected.to_rational()
 
     def test_unpaired_half_integer_leaks_sqrt_pi(self):
-        table = formulas._count_table(2, 2, 2, 2, False) + [((Fraction(5, 2),), 1)]
+        table = formulas._count_table(2, 2, 2, 2, False) + [((5,), 1)]
         with pytest.raises(ValueError, match=r"pi\*\*\(3/2\); a sqrt\(pi\) leak"):
             formulas._evaluate(table)
 
     def test_argument_below_minus_half_is_rejected(self):
-        for x in (-1, Fraction(-3, 2)):
-            with pytest.raises(ValueError, match=f"hyperfactorial of negative argument {x}"):
-                formulas._evaluate([((x,), 1), ((x,), -1)])
+        for t, shown in ((-2, "-1"), (-3, "-3/2")):
+            with pytest.raises(ValueError, match=f"hyperfactorial of negative argument {shown}$"):
+                formulas._evaluate([((t,), 1), ((t,), -1)])
+
+    def test_largest_odd_argument_brings_in_its_factorial(self):
+        # h(j - 1/2) involves (2j)!, one past the largest doubled argument
+        # 2j - 1; at j = 32 its 2-adic part moves the exponent of 2
+        for t in (3, 7, 31, 63):
+            for mult in (-2, -1, 1, 2):
+                j = (t + 1) // 2
+                table = [((t,), mult), ((1,), -mult * j)]
+                reference = hyperfactorial(Fraction(t, 2)) ** mult / hyperfactorial(
+                    Fraction(1, 2)
+                ) ** (mult * j)
+                assert formulas._evaluate(table) == reference.to_rational(), (t, mult)
+
+    def test_tables_and_exponents_build_no_fraction(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        monkeypatch.setattr(formulas, "Fraction", refuse)
+        monkeypatch.setattr(formulas, "frac", refuse)
+        for a, b, c, m in ((3, 5, 1, 2), (2, 5, 1, 3), (4, 4, 2, 7)):
+            for signed in (False, True):
+                formulas._table_exponents(formulas._count_table(a, b, c, m, signed))
+
+    @given(
+        st.lists(
+            st.tuples(st.lists(st.integers(-1, 130), min_size=1, max_size=4), st.integers(-3, 3)),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_slice_sums_match_the_legendre_loop(self, entries):
+        # balance the half-integers with h(1/2), so no sqrt(pi) is left over
+        table = [(tuple(ts), mult) for ts, mult in entries]
+        half_pi = sum(mult * (t + 1) // 2 for ts, mult in table for t in ts if t % 2)
+        table.append(((1,), -half_pi))
+        halves = [(tuple(Fraction(t, 2) for t in ts), mult) for ts, mult in table]
+        assert formulas._table_exponents(table) == legendre_exponents(halves)
+
+    @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
+    @settings(max_examples=60, deadline=None)
+    def test_count_tables_match_the_legendre_loop(self, a, b, c, m):
+        c += (b - c) % 2
+        for signed in (False, True):
+            table = formulas._count_table(a, b, c, m, signed)
+            assert all(isinstance(t, int) for ts, _ in table for t in ts)
+            halves = [(tuple(Fraction(t, 2) for t in ts), mult) for ts, mult in table]
+            assert formulas._table_exponents(table) == legendre_exponents(halves)
 
 
 class TestFactorization:

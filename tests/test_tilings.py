@@ -299,9 +299,9 @@ class TestOrbitCount:
                 region = build_region(hexagon)
                 n6_weights = tilings._n6_weights(region)
                 hist_n, hist_n6 = [0] * 6, [0] * 6
-                for tiling in enumerate_cyclic_tilings(region, cap=80):
-                    # statistic_n6 and statistic_n on one partner array
-                    partner = tiling.partner_array(region)
+                # the search's own partner arrays, scored before the next
+                # matching updates them in place
+                for partner in tilings._matchings(region, cyclic=True):
                     assert tilings._is_cyclic_partner(region, partner)
                     n6 = tilings._statistic_n6_from_partner(region, partner)
                     hist_n[tilings._statistic_n_from_partner(region, partner) % 6] += 1
@@ -321,6 +321,14 @@ class TestOrbitCount:
                     assert count_weighted(hexagon, weight, cap=80, cyclic=True) == value, (
                         a, m, weight
                     )
+
+    def test_enumeration_wraps_the_partner_arrays_of_the_search(self):
+        region = build_region(CoredHexagon(3, 3, 3, 2))
+        expected = [
+            tilings.Tiling.from_partner(region, p) for p in tilings._matchings(region, cyclic=True)
+        ]
+        assert len(expected) > 1
+        assert list(enumerate_cyclic_tilings(region)) == expected
 
     def test_matches_the_closed_forms_up_to_a_7_m_5(self):
         # up to 168 orbits at C_7(5), past the default cap
