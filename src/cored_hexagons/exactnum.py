@@ -38,33 +38,47 @@ def double_factorial_odd(i: int) -> int:
     return math.factorial(2 * i) // (2**i * math.factorial(i))
 
 
+def _stepped_product(start: Number, step: Number, k: int) -> Number:
+    """start * (start + step) * ... * (start + (k-1)*step); 1 for k = 0."""
+    result: Number = 1
+    for i in range(k):
+        result *= start + i * step
+    return result
+
+
 def binomial(top: Number, bottom: int) -> Number:
     """Generalized binomial coefficient via falling factorials.
 
     Valid for negative and rational ``top``; ``bottom < 0`` gives 0, which is
     the convention that makes the lattice-path matrices vanish outside the
-    admissible index range.
+    admissible index range.  An integral ``top`` gives an int; a rational
+    top n/d the Fraction n (n - d) ... (n - (bottom-1) d) / (d^bottom bottom!),
+    built once.
     """
     if bottom < 0:
         return 0
-    if isinstance(top, Fraction) and top.denominator == 1:
-        top = int(top)
-    num: Number = 1
-    for i in range(bottom):
-        num = num * (top - i)
-    if isinstance(num, int):
-        return num // math.factorial(bottom)
-    return num / math.factorial(bottom)
+    if isinstance(top, Fraction):
+        n, d = top.numerator, top.denominator
+        if d != 1:
+            if bottom == 0:
+                return 1
+            return Fraction(_stepped_product(n, -d, bottom), d**bottom * math.factorial(bottom))
+        top = n
+    if top >= 0:
+        return math.comb(top, bottom)
+    return _stepped_product(top, -1, bottom) // math.factorial(bottom)
 
 
 def pochhammer(base: Number, k: int) -> Number:
-    """Shifted factorial (base)_k = base*(base+1)*...*(base+k-1); (base)_0 = 1."""
+    """Shifted factorial (base)_k = base*(base+1)*...*(base+k-1); (base)_0 is
+    the int 1.  A rational base n/d gives the Fraction
+    n (n + d) ... (n + (k-1) d) / d^k, built once; an int base an int."""
     if k < 0:
         raise ValueError(f"pochhammer with negative index {k}")
-    result: Number = 1
-    for i in range(k):
-        result = result * (base + i)
-    return result
+    if isinstance(base, Fraction) and k:
+        d = base.denominator
+        return Fraction(_stepped_product(base.numerator, d, k), d**k)
+    return _stepped_product(base, 1, k)
 
 
 class RingMismatchError(ValueError):

@@ -34,7 +34,7 @@ from .exactnum import (
     omega6,
     pochhammer,
 )
-from .hypergeom import PochhammerZeroError
+from .hypergeom import check_lower_poles
 
 OMEGA_ONE = "one"
 OMEGA_MINUS_ONE = "minus1"
@@ -509,34 +509,35 @@ def _watson_lower_params(variant: str, a: int, M: int, B: Fraction, C: Fraction)
 
 def watson_lhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
     """The multiple sum over 0 <= k_1 < ... < k_a <= M with squared
-    Vandermonde weight."""
+    Vandermonde weight.
+
+    The per-k factors (-M)_k (C)_k (B)_k / (k! (e)_k (f)_k) are put over one
+    common denominator by their term ratio, so the sum over index sets runs
+    on ints and one Fraction is built at the end."""
     B, C = frac(B), frac(C)
-    low1, low2 = _watson_lower_params(variant, a, M, B, C)
-    # per-k factors, with pole detection on the lower parameters
-    factors = []
-    for k in range(M + 1):
-        num = frac(pochhammer(-M, k)) * frac(pochhammer(C, k)) * frac(pochhammer(B, k))
-        for low in (low1, low2):
-            for t in range(k):
-                if low + t == 0:
-                    raise PochhammerZeroError(low, k)
-        den = (
-            Fraction(math.factorial(k))
-            * frac(pochhammer(low1, k))
-            * frac(pochhammer(low2, k))
+    e, f = _watson_lower_params(variant, a, M, B, C)
+    check_lower_poles((e, f), M)
+    bn, bd, cn, cd = B.numerator, B.denominator, C.numerator, C.denominator
+    scale_num, scale_den = e.denominator * f.denominator, bd * cd
+    nums, dens = [1], [1]
+    for k in range(M):
+        nums.append(nums[-1] * scale_num * (k - M) * (cn + k * cd) * (bn + k * bd))
+        dens.append(
+            dens[-1] * scale_den * (k + 1)
+            * (e.numerator + k * e.denominator) * (f.numerator + k * f.denominator)
         )
-        factors.append(num / den)
-    total = Fraction(0)
+    den = dens[-1]
+    factors = [num * (den // d) for num, d in zip(nums, dens)]
+    total = 0
     for ks in combinations(range(M + 1), a):
-        vand = 1
+        term = 1
         for i in range(a):
             for j in range(i + 1, a):
-                vand *= (ks[i] - ks[j]) ** 2
-        term = Fraction(vand)
+                term *= (ks[i] - ks[j]) ** 2
         for k in ks:
             term *= factors[k]
         total += term
-    return total
+    return Fraction(total, den**a)
 
 
 def watson_rhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:

@@ -1,4 +1,11 @@
-"""Terminating hypergeometric series and the classical summation identities."""
+"""Terminating hypergeometric series and the classical summation identities.
+
+A terminating series sum_{k=0}^n t_k is summed by its term ratio
+r_k = t_{k+1}/t_k, inside out (Horner form): 1 + r_0 (1 + r_1 (1 + ...
+(1 + r_{n-1}))).  Each r_k is a quotient of two integers built from the
+integer numerators and denominators of the parameters, so the whole sum runs
+on ints and is normalised once, into the one Fraction returned.
+"""
 
 from __future__ import annotations
 
@@ -46,23 +53,49 @@ class TerminatingSeries:
         return min(indices)
 
 
+def check_lower_poles(lower, n: int) -> None:
+    """Raise PochhammerZeroError(l, j) for the smallest j <= n at which some
+    (l)_j over the lower parameters l vanishes, naming the first such l:
+    the error a term-by-term sum over k = 0..n meets first.  (l)_j = 0 from
+    j = 1 - l on for a nonpositive integer l."""
+    poles = [
+        (1 - low.numerator, i)
+        for i, low in enumerate(lower)
+        if low.denominator == 1 and 1 - n <= low.numerator <= 0
+    ]
+    if poles:
+        j, i = min(poles)
+        raise PochhammerZeroError(lower[i], j)
+
+
+def _ratio_sum(upper, lower, argument, n: int, slope: Fraction = Fraction(0)) -> Fraction:
+    """sum_{k=0}^n t_k (1 + slope*k) with t_0 = 1 and
+    t_{k+1}/t_k = prod(u + k) * argument / ((k + 1) prod(l + k)), summed
+    inside out on integers, after check_lower_poles."""
+    check_lower_poles(lower, n)
+    # r_k = scale_num * prod(un + k ud) / (scale_den * (k + 1) * prod(ln + k ld))
+    scale_num, scale_den = argument.numerator, argument.denominator
+    for u in upper:
+        scale_den *= u.denominator
+    for low in lower:
+        scale_num *= low.denominator
+    # the weights 1 + slope*k are (sd + sn k) / sd; the sum is carried as
+    # num / den times sd
+    sn, sd = slope.numerator, slope.denominator
+    num, den = sd + sn * n, 1
+    for k in range(n - 1, -1, -1):
+        p, q = scale_num, scale_den * (k + 1)
+        for u in upper:
+            p *= u.numerator + k * u.denominator
+        for low in lower:
+            q *= low.numerator + k * low.denominator
+        num, den = (sd + sn * k) * q * den + p * num, q * den
+    return Fraction(num, den * sd)
+
+
 def eval_terminating(series: TerminatingSeries) -> Fraction:
     """Exact finite sum sum_k prod(upper)_k / (k! prod(lower)_k) z^k."""
-    n = series.termination_index()
-    total = Fraction(0)
-    term = Fraction(1)
-    for k in range(n + 1):
-        total += term
-        if k == n:
-            break
-        for u in series.upper:
-            term *= u + k
-        for l in series.lower:
-            if l + k == 0:
-                raise PochhammerZeroError(l, k + 1)
-            term /= l + k
-        term = term * series.argument / (k + 1)
-    return total
+    return _ratio_sum(series.upper, series.lower, series.argument, series.termination_index())
 
 
 def hyper(upper, lower, argument: Number = 1) -> Fraction:
@@ -85,6 +118,19 @@ def _require_clean_lowers(lowers, n: int) -> None:
         low = frac(low)
         if is_integer(low) and -n < low <= 0:
             raise PochhammerZeroError(low, int(-low) + 1)
+
+
+def _gessel_stanton_lhs(A: Fraction, F: Fraction, n: int) -> Fraction:
+    """The 5F4 side of the Gessel-Stanton identity, for A != 0.
+
+    The pair of parameters (A, 1+A/3) over (A/3) is the very-well-poised
+    marker: their Pochhammer quotient is the factor (A+3k)/A = 1 + (3/A) k,
+    which stays finite for negative integer A where the split form has 0/0
+    terms.  Summing with that weight makes the vanishing claim for negative
+    integer A an ordinary evaluation."""
+    upper = (A, F / 2, Fraction(1, 2) + A - F / 2 + n, Fraction(-n))
+    lower = (1 + A - F, -A + F - 2 * n, 1 + A + 2 * n)
+    return _ratio_sum(upper, lower, Fraction(4), n, 3 / A)
 
 
 def identity_pair(identity: str, params) -> tuple[Fraction, Fraction]:
@@ -132,22 +178,7 @@ def identity_pair(identity: str, params) -> tuple[Fraction, Fraction]:
         if A == 0:
             raise PochhammerZeroError(A, 0)
         _require_clean_lowers([1 + A - F, -A + F - 2 * n, 1 + A + 2 * n], n)
-        # The pair of parameters (A, 1+A/3) over (A/3) is the very-well-poised
-        # marker: their Pochhammer quotient is the factor (A+3k)/A, which
-        # stays finite for negative integer A where the split form has 0/0
-        # terms.  Summing this way makes the vanishing claim for negative
-        # integer A an ordinary evaluation.
-        lhs = Fraction(0)
-        term = Fraction(1)
-        for k in range(n + 1):
-            lhs += term * (A + 3 * k) / A
-            if k == n:
-                break
-            for u in (A, F / 2, Fraction(1, 2) + A - F / 2 + n, -n):
-                term *= u + k
-            for low in (1 + A - F, -A + F - 2 * n, 1 + A + 2 * n):
-                term /= low + k
-            term = term * 4 / (k + 1)
+        lhs = _gessel_stanton_lhs(A, F, n)
         rhs = frac(pochhammer(1 + A, 2 * n)) / frac(pochhammer(1 + A - F, 2 * n))
         return lhs, rhs
     raise ValueError(f"unknown identity {identity!r}")

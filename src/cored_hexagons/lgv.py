@@ -1,7 +1,7 @@
 """Exact matrices for the lattice-path determinants and their evaluation.
 
 One Bareiss (fraction-free) kernel serves all four rings.  It runs over a
-ring table (zero, one, mul, sub, exact_div) for Python ints and for Z[w3]
+ring table (zero, one, mul, sub, divider) for Python ints and for Z[w3]
 and Z[w6] as (c0, c1) integer pairs; rational coordinates are scaled to
 integers at the edge, so no Fraction or CycloElement arithmetic runs in the
 loop.  Every division is exact in the ring and checked (AssertionError
@@ -26,7 +26,6 @@ from .exactnum import (
     binomial,
     frac,
     pochhammer,
-    value_to_str,
 )
 
 RING_INTEGER = "integer"
@@ -99,17 +98,23 @@ def _scalar(ring: str, value: int):
     return Fraction(value) if ring == RING_RATIONAL else value
 
 
-def _int_div(x: int, d: int) -> int:
-    q, r = divmod(x, d)
-    if r:
-        raise AssertionError("fraction-free elimination requires exact division")
-    return q
+def _int_divider(d: int):
+    """Exact division by d, checked."""
+
+    def div(x: int) -> int:
+        q, r = divmod(x, d)
+        if r:
+            raise AssertionError("fraction-free elimination requires exact division")
+        return q
+
+    return div
 
 
 def _pair_ring(t: int):
     """Z[tau] on (c0, c1) integer pairs, tau^2 = t*tau - 1 (t = -1: third
-    root of unity, t = 1: sixth).  Division multiplies by the conjugate
-    (c0 + t*c1) - c1*tau and divides by the norm c0^2 + t*c0*c1 + c1^2."""
+    root of unity, t = 1: sixth).  Division by y multiplies by its conjugate
+    (c0 + t*c1) - c1*tau and divides by its norm c0^2 + t*c0*c1 + c1^2; the
+    divider computes both once per divisor."""
 
     def mul(x, y):
         a, b = x
@@ -120,16 +125,20 @@ def _pair_ring(t: int):
     def sub(x, y):
         return (x[0] - y[0], x[1] - y[1])
 
-    def exact_div(x, y):
+    def divider(y):
         c, d = y
-        a, b = mul(x, (c + t * d, -d))
-        norm = c * c + t * c * d + d * d
-        return (_int_div(a, norm), _int_div(b, norm))
+        conjugate, norm_div = (c + t * d, -d), _int_divider(c * c + t * c * d + d * d)
 
-    return (0, 0), (1, 0), mul, sub, exact_div
+        def div(x):
+            a, b = mul(x, conjugate)
+            return (norm_div(a), norm_div(b))
+
+        return div
+
+    return (0, 0), (1, 0), mul, sub, divider
 
 
-_INT_RING = (0, 1, operator.mul, operator.sub, _int_div)
+_INT_RING = (0, 1, operator.mul, operator.sub, _int_divider)
 _KERNEL_RINGS = {RING_CYCLO3: _pair_ring(-1), RING_CYCLO6: _pair_ring(1)}
 
 
@@ -140,8 +149,9 @@ def _size(value) -> int:
     return max(value[0].bit_length(), value[1].bit_length())
 
 
-def _bareiss(m, zero, one, mul, sub, exact_div):
-    """Determinant of the square list of rows m (overwritten) over one ring.
+def _bareiss(m, zero, one, mul, sub, divider):
+    """Determinant of the square list of rows m (overwritten) over one ring;
+    divider(d) is the checked exact division by d.
 
     Step k sets each later row to (p_k row - row[k] pivot_row) / p_{k-1}.
     A row with row[k] = 0 would only be scaled by p_k / p_{k-1}, so it is
@@ -163,7 +173,8 @@ def _bareiss(m, zero, one, mul, sub, exact_div):
     def catch_up(i, k):
         then, row = since[i], m[i]
         if then is not prev:  # the same object means the same value
-            row[k:] = [exact_div(mul(v, prev), then) for v in row[k:]]
+            div = divider(then)
+            row[k:] = [div(mul(v, prev)) for v in row[k:]]
         return row
 
     for k in range(n - 1):
@@ -179,13 +190,13 @@ def _bareiss(m, zero, one, mul, sub, exact_div):
             since[k], since[best] = since[best], since[k]
             sign = -sign
         pivot_row = catch_up(k, k)
-        p, tail = pivot_row[k], pivot_row[k + 1 :]
+        p, tail, div = pivot_row[k], pivot_row[k + 1 :], divider(prev)
         for i in range(k + 1, n):
             if m[i][k] != zero:
                 row = catch_up(i, k)
                 x = row[k]
                 row[k + 1 :] = [
-                    exact_div(sub(mul(p, v), mul(x, w)), prev)
+                    div(sub(mul(p, v), mul(x, w)))
                     for v, w in zip(row[k + 1 :], tail)
                 ]
                 since[i] = p
@@ -225,19 +236,6 @@ def det_fraction_free(matrix: ExactMatrix):
         return Fraction(_bareiss(rows, *_INT_RING), scale)
     c0, c1 = _bareiss(rows, *_KERNEL_RINGS[matrix.ring])
     return CycloElement.of(cyclo, Fraction(c0, scale), Fraction(c1, scale))
-
-
-def matrix_to_text(matrix: ExactMatrix) -> str:
-    lines = [f"ring {matrix.ring} {matrix.nrows} {matrix.ncols}"]
-    for row in matrix.rows:
-        parts = []
-        for v in row:
-            if isinstance(v, CycloElement):
-                parts.append(f"{value_to_str(v.c0)}+{value_to_str(v.c1)}t")
-            else:
-                parts.append(value_to_str(frac(v)))
-        lines.append(" ".join(parts))
-    return "\n".join(lines) + "\n"
 
 
 # --- matrix builders keyed to the lattice-path determinants ---------------
@@ -288,11 +286,28 @@ def matrix_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
 
 def build_omega_shift(N: int, m: Number, omega) -> ExactMatrix:
     """omega*I(N) + B(N, m) over the smallest ring containing omega and m."""
-    zero = omega * 0
-    rows = [
-        [(omega if i == j else zero) + binomial(m + i + j, j) for j in range(N)] for i in range(N)
-    ]
-    return ExactMatrix.of(rows, _join_rings([_ring_of(omega), _ring_of(frac(m))]))
+    ring = _join_rings([_ring_of(omega), _ring_of(frac(m))])
+    rows = [[binomial(m + i + j, j) for j in range(N)] for i in range(N)]
+    # each entry is made once, in its ring's own type, so it needs neither
+    # ring addition nor ExactMatrix.of's per-entry conversion
+    if ring in _CYCLO_RINGS:
+        zero = Fraction(0)
+        rows = [
+            [
+                CycloElement(omega.ring, omega.c0 + v, omega.c1)
+                if i == j
+                else CycloElement(omega.ring, Fraction(v), zero)
+                for j, v in enumerate(row)
+            ]
+            for i, row in enumerate(rows)
+        ]
+    else:
+        convert = int if ring == RING_INTEGER else Fraction
+        rows = [
+            [convert(v + omega if i == j else v) for j, v in enumerate(row)]
+            for i, row in enumerate(rows)
+        ]
+    return ExactMatrix(ring, tuple(map(tuple, rows)))
 
 
 def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number | None = None) -> ExactMatrix:
@@ -412,25 +427,28 @@ def laplace_two_block(matrix: ExactMatrix, top_rows: int):
 
 def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
     """-delta_ij + sum_{t,k} binom(i+mu, t) binom(k, t) binom(j-k+mu-1, j-k)
-    x^(k-t), 0 <= i, j < n."""
+    x^(k-t), 0 <= i, j < n.
+
+    Every binomial here is an integer over scale = den(mu)^(n-1) (n-1)! and
+    every power of x an integer over den(x)^(n-1), so each entry is summed
+    on ints and divided once."""
     x, mu = frac(x), frac(mu)
+    top = max(n - 1, 0)
+    scale = mu.denominator**top * factorial(top)
+    left = [[int(binomial(i + mu, t) * scale) for t in range(n)] for i in range(n)]
+    right = [int(binomial(d + mu - 1, d) * scale) for d in range(n)]
+    powers = [x.numerator**e * x.denominator ** (top - e) for e in range(n)]
+    den = scale * scale * x.denominator**top
     rows = []
     for i in range(n):
         row = []
         for j in range(n):
-            acc = Fraction(0)
-            for t in range(n):
-                bi = binomial(i + mu, t)
-                if bi == 0:
-                    continue
-                for k in range(t, n):
-                    bk = comb(k, t)
-                    bj = binomial(j - k + mu - 1, j - k)
-                    if bk and bj:
-                        acc += bi * bk * bj * x ** (k - t)
-            if i == j:
-                acc -= 1
-            row.append(acc)
+            acc = sum(
+                left[i][t] * comb(k, t) * right[j - k] * powers[k - t]
+                for t in range(j + 1)
+                for k in range(t, j + 1)
+            )
+            row.append(Fraction(acc - den if i == j else acc, den))
         rows.append(row)
     return ExactMatrix.of(rows)
 

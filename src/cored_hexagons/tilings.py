@@ -743,35 +743,3 @@ def plane_partition_diagonal_count(heights: list[list[int]]) -> int:
         if heights[r][r] >= r + 1:
             count += 1
     return count
-
-
-def region_to_text(region: Region) -> str:
-    h = region.hexagon
-    lines = [f"region {h.a} {h.b} {h.c} {h.m} {h.placement}"]
-    for x, y, orient in region.cells:
-        lines.append(f"cell {x} {y} {'U' if orient == UP else 'D'}")
-    return "\n".join(lines) + "\n"
-
-
-def tiling_to_text(tiling: Tiling) -> str:
-    lines = []
-    for (x1, y1, o1), (x2, y2, o2) in tiling.pairs:
-        lines.append(
-            f"pair {x1} {y1} {'U' if o1 == UP else 'D'} "
-            f"{x2} {y2} {'U' if o2 == UP else 'D'}"
-        )
-    return "\n".join(lines) + "\n"
-
-
-def tiling_from_text(text: str) -> Tiling:
-    pairs = []
-    for line in text.strip().splitlines():
-        parts = line.split()
-        if not parts or parts[0] != "pair":
-            continue
-        x1, y1 = int(parts[1]), int(parts[2])
-        o1 = UP if parts[3] == "U" else DOWN
-        x2, y2 = int(parts[4]), int(parts[5])
-        o2 = UP if parts[6] == "U" else DOWN
-        pairs.append(((x1, y1, o1), (x2, y2, o2)))
-    return Tiling(tuple(sorted(tuple(sorted(p)) for p in pairs)))

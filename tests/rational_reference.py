@@ -1,0 +1,139 @@
+"""Test references for the integer-summed series in `exactnum`, `hypergeom`,
+`formulas` and `lgv`.
+
+These are the former Fraction-per-term forms: the shifted factorial and the
+binomial multiply one Fraction factor at a time; the terminating series,
+the Gessel-Stanton 5F4 sum and the Watson multiple sum update a Fraction
+term per index and add it to a Fraction total; omega*I + B adds a binomial
+to each entry by ring arithmetic, and Z_n accumulates each entry one
+Fraction term at a time.  The package's forms must agree with them in
+value, in return type and in the exception they raise.
+"""
+
+from __future__ import annotations
+
+import math
+from fractions import Fraction
+from itertools import combinations
+
+from cored_hexagons.exactnum import Number, frac
+from cored_hexagons.formulas import _watson_lower_params
+from cored_hexagons.hypergeom import PochhammerZeroError, TerminatingSeries
+from cored_hexagons.lgv import ExactMatrix, _join_rings, _ring_of
+
+
+def binomial(top: Number, bottom: int) -> Number:
+    if bottom < 0:
+        return 0
+    if isinstance(top, Fraction) and top.denominator == 1:
+        top = int(top)
+    num: Number = 1
+    for i in range(bottom):
+        num = num * (top - i)
+    if isinstance(num, int):
+        return num // math.factorial(bottom)
+    return num / math.factorial(bottom)
+
+
+def pochhammer(base: Number, k: int) -> Number:
+    if k < 0:
+        raise ValueError(f"pochhammer with negative index {k}")
+    result: Number = 1
+    for i in range(k):
+        result = result * (base + i)
+    return result
+
+
+def eval_terminating(series: TerminatingSeries) -> Fraction:
+    n = series.termination_index()
+    total = Fraction(0)
+    term = Fraction(1)
+    for k in range(n + 1):
+        total += term
+        if k == n:
+            break
+        for u in series.upper:
+            term *= u + k
+        for l in series.lower:
+            if l + k == 0:
+                raise PochhammerZeroError(l, k + 1)
+            term /= l + k
+        term = term * series.argument / (k + 1)
+    return total
+
+
+def gessel_stanton_lhs(A: Fraction, F: Fraction, n: int) -> Fraction:
+    """The very-well-poised 5F4 at z = 4, for A != 0 and lower parameters
+    already checked clean over the first n terms."""
+    lhs = Fraction(0)
+    term = Fraction(1)
+    for k in range(n + 1):
+        lhs += term * (A + 3 * k) / A
+        if k == n:
+            break
+        for u in (A, F / 2, Fraction(1, 2) + A - F / 2 + n, -n):
+            term *= u + k
+        for low in (1 + A - F, -A + F - 2 * n, 1 + A + 2 * n):
+            term /= low + k
+        term = term * 4 / (k + 1)
+    return lhs
+
+
+def watson_lhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
+    B, C = frac(B), frac(C)
+    low1, low2 = _watson_lower_params(variant, a, M, B, C)
+    factors = []
+    for k in range(M + 1):
+        num = frac(pochhammer(-M, k)) * frac(pochhammer(C, k)) * frac(pochhammer(B, k))
+        for low in (low1, low2):
+            for t in range(k):
+                if low + t == 0:
+                    raise PochhammerZeroError(low, k)
+        den = (
+            Fraction(math.factorial(k))
+            * frac(pochhammer(low1, k))
+            * frac(pochhammer(low2, k))
+        )
+        factors.append(num / den)
+    total = Fraction(0)
+    for ks in combinations(range(M + 1), a):
+        vand = 1
+        for i in range(a):
+            for j in range(i + 1, a):
+                vand *= (ks[i] - ks[j]) ** 2
+        term = Fraction(vand)
+        for k in ks:
+            term *= factors[k]
+        total += term
+    return total
+
+
+def build_omega_shift(N: int, m: Number, omega) -> ExactMatrix:
+    zero = omega * 0
+    rows = [
+        [(omega if i == j else zero) + binomial(m + i + j, j) for j in range(N)] for i in range(N)
+    ]
+    return ExactMatrix.of(rows, _join_rings([_ring_of(omega), _ring_of(frac(m))]))
+
+
+def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
+    x, mu = frac(x), frac(mu)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(n):
+            acc = Fraction(0)
+            for t in range(n):
+                bi = binomial(i + mu, t)
+                if bi == 0:
+                    continue
+                for k in range(t, n):
+                    bk = math.comb(k, t)
+                    bj = binomial(j - k + mu - 1, j - k)
+                    if bk and bj:
+                        acc += bi * bk * bj * x ** (k - t)
+            if i == j:
+                acc -= 1
+            row.append(acc)
+        rows.append(row)
+    return ExactMatrix.of(rows)

@@ -51,8 +51,8 @@ from cored_hexagons.tilings import (
     count_weighted,
     statistic_n,
     statistic_n6,
-    tiling_from_text,
 )
+from text_formats import tiling_from_text
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

@@ -27,13 +27,13 @@ from cored_hexagons.lgv import (
     matrix_add,
     matrix_mul,
     matrix_scale,
-    matrix_to_text,
     principal_minor_sum,
     th10_pair,
     transformed_cored_matrix,
     zn_factor_pair,
 )
 from cored_hexagons.tilings import CoredHexagon, count_weighted
+from text_formats import matrix_to_text
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -121,20 +121,21 @@ class TestDeterminant:
             assert det.ring == ring
 
     def test_each_ring_checks_exact_division(self):
-        _, _, _, _, int_div = lgv._INT_RING
-        assert int_div(-12, 4) == -3
+        _, _, _, _, int_divider = lgv._INT_RING
+        assert int_divider(4)(-12) == -3
         with pytest.raises(AssertionError, match="exact division"):
-            int_div(7, 2)
+            int_divider(2)(7)
         for ring, prime in ((RING_CYCLO3, (1, -1)), (RING_CYCLO6, (1, 1))):
-            _, _, mul, _, exact_div = lgv._KERNEL_RINGS[ring]
+            _, _, mul, _, divider = lgv._KERNEL_RINGS[ring]
             # 1 - w3 and 1 + w6 have norm 3; 1, 2 and 4 + 6w have norms prime to 3
-            assert exact_div(mul((5, -3), prime), prime) == (5, -3)
-            assert exact_div((4, 6), (2, 0)) == (2, 3)
+            by_prime, by_two = divider(prime), divider((2, 0))
+            assert by_prime(mul((5, -3), prime)) == (5, -3)
+            assert by_two((4, 6)) == (2, 3)
             with pytest.raises(AssertionError, match="exact division"):
-                exact_div((1, 0), (2, 0))
+                by_two((1, 0))
             for non_multiple in ((1, 0), (2, 0), (4, 6)):
                 with pytest.raises(AssertionError, match="exact division"):
-                    exact_div(non_multiple, prime)
+                    by_prime(non_multiple)
 
     # The pivots are rows 1, 2 and 3 at steps 0, 1 and 2: three swaps.  Row 3
     # is 0 in columns 0 and 1, so steps 0 and 1 skip it; at step 2 it is the
@@ -168,17 +169,22 @@ class TestDeterminant:
         # total bit length of every Bareiss quotient on an order-40 cored
         # matrix; diagonal pivots form 6,838,654 bits, the smallest ones
         # 1,442,513
-        zero, one, mul, sub, int_div = lgv._INT_RING
+        zero, one, mul, sub, int_divider = lgv._INT_RING
         bits = 0
 
-        def counting_div(x, d):
-            nonlocal bits
-            q = int_div(x, d)
-            bits += q.bit_length()
-            return q
+        def counting_divider(d):
+            div = int_divider(d)
+
+            def counting_div(x):
+                nonlocal bits
+                q = div(x)
+                bits += q.bit_length()
+                return q
+
+            return counting_div
 
         rows = [list(row) for row in build_cored_matrix(20, 20, 20, 20).rows]
-        lgv._bareiss(rows, zero, one, mul, sub, counting_div)
+        lgv._bareiss(rows, zero, one, mul, sub, counting_divider)
         assert 0 < bits < 2_000_000
 
     def test_cored_determinants_match_the_formula_up_to_order_61(self):

@@ -1,0 +1,122 @@
+"""The integer-summed series and matrix builders against their former
+Fraction-per-term forms in `rational_reference`: the same value of the same
+type, or the same exception with the same arguments."""
+
+from fractions import Fraction
+from unittest import mock
+
+from hypothesis import given, settings, strategies as st
+
+import rational_reference as ref
+from cored_hexagons import exactnum, formulas, hypergeom, lgv
+from cored_hexagons.exactnum import CycloElement, omega3, omega6
+
+ints = st.integers(-12, 12)
+rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
+integral_fractions = ints.map(Fraction)
+half_integers = st.integers(-25, 25).map(lambda n: Fraction(n, 2))
+# zero and the negative integers are the poles of a lower parameter
+bases = st.one_of(ints, rationals, integral_fractions, half_integers, st.just(Fraction(0)))
+parameters = st.one_of(rationals, integral_fractions, half_integers, st.just(Fraction(0)))
+
+
+def outcome(fn, *args):
+    """('value', type, value) or ('raises', type, args, pole) of one call;
+    pole is the (parameter, its type, index) of a PochhammerZeroError."""
+    try:
+        value = fn(*args)
+    except Exception as exc:  # the exception is the outcome under test
+        pole = None
+        if isinstance(exc, hypergeom.PochhammerZeroError):
+            pole = (exc.parameter, type(exc.parameter), exc.index)
+        return ("raises", type(exc), exc.args, pole)
+    return ("value", type(value), value)
+
+
+def entries(matrix):
+    """Each entry with its type, and a cyclotomic one with its coordinates'."""
+    return matrix.ring, [
+        [
+            (type(v), v, type(v.c0), type(v.c1)) if isinstance(v, CycloElement) else (type(v), v)
+            for v in row
+        ]
+        for row in matrix.rows
+    ]
+
+
+@given(bases, st.integers(-2, 12))
+@settings(max_examples=400)
+def test_pochhammer(base, k):
+    assert outcome(exactnum.pochhammer, base, k) == outcome(ref.pochhammer, base, k)
+
+
+@given(bases, st.integers(-3, 12))
+@settings(max_examples=400)
+def test_binomial(top, bottom):
+    assert outcome(exactnum.binomial, top, bottom) == outcome(ref.binomial, top, bottom)
+
+
+@given(
+    st.lists(parameters, max_size=3),
+    st.one_of(st.none(), st.integers(0, 8)),
+    st.lists(parameters, max_size=3),
+    st.one_of(rationals, st.just(Fraction(0))),
+)
+@settings(max_examples=400)
+def test_eval_terminating(upper, stop, lower, argument):
+    # stop is the -n that terminates the series; None leaves it to chance
+    if stop is not None:
+        upper = upper + [-stop]
+    series = hypergeom.TerminatingSeries.of(upper, lower, argument)
+    assert outcome(hypergeom.eval_terminating, series) == outcome(ref.eval_terminating, series)
+
+
+# per identity, the number of rational parameters before the integer n
+_RATIONALS = {
+    hypergeom.CHU_VANDERMONDE: 2,
+    hypergeom.PFAFF_SAALSCHUETZ: 3,
+    hypergeom.THOMAE: 4,
+    hypergeom.GESSEL_STANTON_5F4: 2,
+}
+
+
+@given(st.sampled_from(hypergeom.IDENTITY_IDS), st.lists(parameters, min_size=4, max_size=4),
+       st.integers(0, 8))
+@settings(max_examples=400)
+def test_identity_pair(identity, rationals, n):
+    params = rationals[: _RATIONALS[identity]] + [n]
+    with mock.patch.multiple(
+        hypergeom,
+        pochhammer=ref.pochhammer,
+        eval_terminating=ref.eval_terminating,
+        _gessel_stanton_lhs=ref.gessel_stanton_lhs,
+    ):
+        expected = outcome(hypergeom.identity_pair, identity, params)
+    assert outcome(hypergeom.identity_pair, identity, params) == expected
+
+
+@given(st.sampled_from(formulas.WATSON_VARIANTS), st.integers(0, 3), st.integers(-1, 6),
+       parameters, parameters)
+@settings(max_examples=300)
+def test_watson_sides(variant, a, M, B, C):
+    assert outcome(formulas.watson_lhs, variant, a, M, B, C) == outcome(
+        ref.watson_lhs, variant, a, M, B, C
+    )
+    # the closed form divides by Pochhammer symbols: an int (x)_k there
+    # would give a float
+    with mock.patch.object(formulas, "pochhammer", ref.pochhammer):
+        expected = outcome(formulas.watson_rhs, variant, a, M, B, C)
+    assert outcome(formulas.watson_rhs, variant, a, M, B, C) == expected
+
+
+@given(st.integers(0, 6), st.one_of(ints, rationals, integral_fractions),
+       st.sampled_from([0, 1, -1, Fraction(1, 2), omega3(), omega6()]))
+@settings(max_examples=200)
+def test_build_omega_shift(N, m, omega):
+    assert entries(lgv.build_omega_shift(N, m, omega)) == entries(ref.build_omega_shift(N, m, omega))
+
+
+@given(st.integers(0, 5), bases, bases)
+@settings(max_examples=200)
+def test_build_Zn(n, x, mu):
+    assert entries(lgv.build_Zn(n, x, mu)) == entries(ref.build_Zn(n, x, mu))

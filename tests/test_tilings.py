@@ -34,14 +34,12 @@ from cored_hexagons.tilings import (
     plane_partition_diagonal_count,
     plane_partition_size,
     paths_to_tiling,
-    region_to_text,
     statistic_n,
     statistic_n6,
-    tiling_from_text,
     tiling_to_paths,
     tiling_to_plane_partition,
-    tiling_to_text,
 )
+from text_formats import region_to_text, tiling_from_text, tiling_to_text
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 

@@ -53,6 +53,20 @@ GOLDEN_DIGESTS = {
 }
 
 
+# SHA-256 of reports_to_jsonl(run_suite(name, {}, seed=0)): the suites that
+# sum rational series or build omega*I + B and Z_n matrices, at their default
+# bounds
+DEFAULT_BOUND_DIGESTS = {
+    "BlockFactorizations": "f0dd7364b0047466c35ec6c9e592aa9d6f06f85bfb5739fde5e74769f6c43292",
+    "DetsVsFormulas": "e4d32134d0ddb7c47d255454a06aa4d51579a4465f8c4f52673badcdcbd5912b",
+    "HypergeomIdentities": "f1d8e06cb00826690dbb78e0a3884c2017ac84a7715627954ffbdafbc346f53e",
+    "PrefactorIdentity": "762d662b72421a784649ed9db9d13d0a6b21dcc73319412077de7574d9edc17a",
+    "VWReduction": "b6186884025e142123c9969cd7aa9e92c0b93e0db99926d2848d4d816f57033e",
+    "Watson": "e202bb15a513e185ead3e94b77d94be46af8bc683f0fb1b25fa32c37b7571096",
+    "ZnFactorization": "53633b28c60562e4027abe6c3bda95edd32d19467e477ef6a2935ee74f01f233",
+}
+
+
 def test_zn_factorization_does_not_resample_failed_assertions(monkeypatch):
     def failing_pair(n, x, mu):
         raise AssertionError("inexact division")
@@ -134,6 +148,12 @@ def test_suite_runs_clean(name):
 def test_reports_match_their_golden_digest(name):
     jsonl = reports_to_jsonl(run_suite(name, SMALL_BOUNDS[name], seed=3))
     assert hashlib.sha256(jsonl.encode()).hexdigest() == GOLDEN_DIGESTS[name]
+
+
+@pytest.mark.parametrize("name", sorted(DEFAULT_BOUND_DIGESTS))
+def test_default_bound_reports_match_their_golden_digest(name):
+    jsonl = reports_to_jsonl(run_suite(name, {}, seed=0))
+    assert hashlib.sha256(jsonl.encode()).hexdigest() == DEFAULT_BOUND_DIGESTS[name]
 
 
 def test_polynomiality_at_cap_zero_stops_its_oracle_check():
