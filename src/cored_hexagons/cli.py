@@ -196,6 +196,8 @@ def _cmd_asymptotic(args) -> int:
         ns = [int(part) for part in args.n_list.split(",") if part]
     except ValueError:
         raise ValueError(f"bad --n-list {args.n_list!r}") from None
+    if any(n <= 0 for n in ns):
+        raise ValueError(f"--n-list entries must be positive, got {args.n_list!r}")
     _check_digits(args.digits)
     k = formulas.asymptotic_k(args.a, args.b, args.c, args.m, digits=args.digits)
     lines = ["n,log_count_over_n2,deviation"]

@@ -4,6 +4,10 @@ Everything downstream (region counts, determinants, product formulas) is
 computed over arbitrary-precision integers, rationals, or one of the two
 cyclotomic rings Z[w] with w a primitive third or sixth root of unity.  No
 floats live here.
+
+Both rings are Z[tau], tau^2 = t*tau - 1 with t = `TRACE[ring]` (-1 for w3,
+1 for w6).  This tau-rule is written out only in `pair_mul`, `pair_conjugate`
+and `pair_norm`, which `CycloElement`, `lgv` and `tilings` share.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ Number = Union[int, Fraction]
 
 THIRD = "third"
 SIXTH = "sixth"
+TRACE = {THIRD: -1, SIXTH: 1}
 
 
 def frac(x: Number, denominator: int | None = None) -> Fraction:
@@ -81,15 +86,42 @@ def pochhammer(base: Number, k: int) -> Number:
     return _stepped_product(base, 1, k)
 
 
+def pair_mul(t: int):
+    """Multiplication of coordinate pairs (c0, c1) of c0 + c1*tau, with
+    tau^2 = t*tau - 1; t is bound once, so a product costs no lookup."""
+
+    def mul(x, y):
+        a, b = x
+        c, d = y
+        bd = b * d
+        return (a * c - bd, a * d + b * c + t * bd)
+
+    return mul
+
+
+def pair_conjugate(x, t: int) -> tuple:
+    """tau -> t - tau: (c0 + t*c1) - c1*tau."""
+    return (x[0] + t * x[1], -x[1])
+
+
+def pair_norm(x, t: int):
+    """x times its conjugate, c0^2 + t*c0*c1 + c1^2 (rational)."""
+    a, b = x
+    return a * a + t * a * b + b * b
+
+
+_PAIR_MUL = {ring: pair_mul(t) for ring, t in TRACE.items()}
+
+
 class RingMismatchError(ValueError):
     pass
 
 
 @dataclass(frozen=True)
 class CycloElement:
-    """c0 + c1*tau with tau a primitive third (tau^2 = -1-tau) or sixth
-    (tau^2 = tau-1) root of unity.  Coordinates are rational because the
-    closed-form determinant values multiply root-of-unity powers by
+    """c0 + c1*tau with tau a primitive third or sixth root of unity
+    (tau^2 = t*tau - 1, t = TRACE[ring]).  Coordinates are rational because
+    the closed-form determinant values multiply root-of-unity powers by
     rational products."""
 
     ring: str
@@ -98,7 +130,7 @@ class CycloElement:
 
     @staticmethod
     def of(ring: str, c0: Number, c1: Number = 0) -> CycloElement:
-        if ring not in (THIRD, SIXTH):
+        if ring not in TRACE:
             raise ValueError(f"unknown cyclotomic ring {ring!r}")
         return CycloElement(ring, frac(c0), frac(c1))
 
@@ -131,26 +163,17 @@ class CycloElement:
 
     def __mul__(self, other: CycloElement | Number) -> CycloElement:
         o = self._coerce(other)
-        a, b, c, d = self.c0, self.c1, o.c0, o.c1
-        if self.ring == THIRD:
-            # tau^2 = -1 - tau
-            return CycloElement.of(THIRD, a * c - b * d, a * d + b * c - b * d)
-        # tau^2 = tau - 1
-        return CycloElement.of(SIXTH, a * c - b * d, a * d + b * c + b * d)
+        c0, c1 = _PAIR_MUL[self.ring]((self.c0, self.c1), (o.c0, o.c1))
+        return CycloElement.of(self.ring, c0, c1)
 
     __rmul__ = __mul__
 
     def conjugate(self) -> CycloElement:
-        if self.ring == THIRD:
-            # tau -> -1 - tau
-            return CycloElement.of(THIRD, self.c0 - self.c1, -self.c1)
-        # tau -> 1 - tau
-        return CycloElement.of(SIXTH, self.c0 + self.c1, -self.c1)
+        c0, c1 = pair_conjugate((self.c0, self.c1), TRACE[self.ring])
+        return CycloElement.of(self.ring, c0, c1)
 
     def norm(self) -> Fraction:
-        product = self * self.conjugate()
-        assert product.c1 == 0, "norm must be rational"
-        return product.c0
+        return pair_norm((self.c0, self.c1), TRACE[self.ring])
 
     def __pow__(self, n: int) -> CycloElement:
         if n < 0:
@@ -185,16 +208,11 @@ class CycloElement:
 
     def to_ring(self, ring: str) -> CycloElement:
         """Rewrite in the other ring; Z[w3] and Z[w6] are the same set,
-        linked by w6 = 1 + w3."""
+        linked by w6 = 1 + w3, so a + b*tau = (a + t*b) + b*tau' with t the
+        trace of the source ring's tau."""
         if ring == self.ring:
             return self
-        if self.ring == THIRD and ring == SIXTH:
-            # a + b*w3 = (a - b) + b*w6
-            return CycloElement.of(SIXTH, self.c0 - self.c1, self.c1)
-        if self.ring == SIXTH and ring == THIRD:
-            # a + b*w6 = (a + b) + b*w3
-            return CycloElement.of(THIRD, self.c0 + self.c1, self.c1)
-        raise ValueError(f"unknown cyclotomic ring {ring!r}")
+        return CycloElement.of(ring, self.c0 + TRACE[self.ring] * self.c1, self.c1)
 
     def __repr__(self) -> str:
         return f"CycloElement({self.ring!r}, {self.c0}, {self.c1})"

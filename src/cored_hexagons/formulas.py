@@ -50,10 +50,6 @@ class FormulaDomainError(ValueError):
     """The parameters fall outside the formula's stated domain."""
 
 
-def _ceil(x: Number) -> int:
-    return math.ceil(frac(x))
-
-
 # --- hyperfactorial product formulas as term tables -----------------------
 #
 # A term table is a list of (arguments, multiplicity): the formula is the
@@ -245,31 +241,19 @@ def andrews_rhs(a: int, m: Number) -> Fraction:
     """Closed form of det(I + B(a, m)).  Like om3_rhs and om6_rhs it is a
     polynomial identity in m, so m may be any rational, negative or not
     (the orbit-count factorization uses shifted m); zare1_rhs alone needs
-    an integer m >= 0."""
+    an integer m >= 0.  Both parities of a share each loop, through p, and
+    the double-factorial denominator is _om_rhs's."""
     _check_order(a)
-    m2 = frac(m) / 2
-    value = Fraction(2) ** ((a + 1) // 2)
-    if a % 2 == 0:
-        for i in range(1, a - 1):
-            value *= frac(pochhammer(m2 + (i + 1) // 2 + 1, (i + 3) // 4))
-        for i in range(1, a // 2 + 1):
-            base = m2 + Fraction(3 * a, 2) - _ceil(frac(3 * i, 2)) + Fraction(3, 2)
-            value *= frac(pochhammer(base, (i + 1) // 2 - 1))
-            value *= frac(pochhammer(base, (i + 1) // 2))
-        for i in range(1, a // 2):
-            value /= double_factorial_odd(i) * double_factorial_odd(i + 1)
-    else:
-        for i in range(1, a - 1):
-            value *= frac(pochhammer(m2 + (i + 1) // 2 + 1, (i + 3) // 4))
-        for i in range(1, (a - 1) // 2 + 1):
-            value *= frac(
-                pochhammer(m2 + Fraction(3 * a, 2) - _ceil(frac(3 * i - 1, 2)) + 1, i // 2)
-            )
-            value *= frac(
-                pochhammer(m2 + Fraction(3 * a, 2) - _ceil(frac(3 * i, 2)), (i + 1) // 2)
-            )
-        for i in range(1, (a - 1) // 2 + 1):
-            value /= double_factorial_odd(i) ** 2
+    p, m2 = a % 2, frac(m) / 2
+    value = Fraction(2) ** ((a + 1) // 2) / math.prod(
+        double_factorial_odd(j // 2) for j in range(1, a + 1)
+    )
+    for i in range(1, a - 1):
+        value *= pochhammer(m2 + (i + 1) // 2 + 1, (i + 3) // 4)
+    top = m2 + Fraction(3 * a + 3 - p, 2)
+    for i in range(1, a // 2 + 1):
+        value *= pochhammer(top - (3 * i - p + 1) // 2, (i - 1 + p) // 2)
+        value *= pochhammer(top - p - (3 * i + 1) // 2, (i + 1) // 2)
     return value
 
 
@@ -364,15 +348,10 @@ def rhs_case10(a: int, m: int) -> Fraction:
         return Fraction(1)
     if a % 2 == 0 and m % 2 == 0:
         return om6_rhs(a // 2, m // 2).norm()
-    if a % 2 == 1 and m % 2 == 0:
-        return frac(andrews_rhs((a + 1) // 2, frac(m, 2) - 1)) * frac(
-            andrews_rhs((a - 1) // 2, frac(m, 2) + 1)
-        )
-    if a % 2 == 0 and m % 2 == 1:
-        return frac(andrews_rhs(a // 2, frac(m - 1, 2))) * zare1_rhs(a // 2, frac(m + 1, 2))
-    return frac(andrews_rhs((a + 1) // 2, frac(m - 1, 2))) * zare1_rhs(
-        (a - 1) // 2, frac(m + 1, 2)
-    )
+    if m % 2 == 0:
+        m2 = frac(m, 2)
+        return andrews_rhs((a + 1) // 2, m2 - 1) * andrews_rhs((a - 1) // 2, m2 + 1)
+    return andrews_rhs((a + 1) // 2, frac(m - 1, 2)) * zare1_rhs(a // 2, frac(m + 1, 2))
 
 
 # --- asymptotics ------------------------------------------------------------

@@ -110,16 +110,6 @@ GESSEL_STANTON_5F4 = "gessel_stanton_5f4"
 IDENTITY_IDS = (CHU_VANDERMONDE, PFAFF_SAALSCHUETZ, THOMAE, GESSEL_STANTON_5F4)
 
 
-def _require_clean_lowers(lowers, n: int) -> None:
-    """Reject lower parameters whose Pochhammer vanishes anywhere inside the
-    designated terminating range, even if an upper parameter would truncate
-    the sum earlier: such 0/0 terms poison the identity."""
-    for low in lowers:
-        low = frac(low)
-        if is_integer(low) and -n < low <= 0:
-            raise PochhammerZeroError(low, int(-low) + 1)
-
-
 def _gessel_stanton_lhs(A: Fraction, F: Fraction, n: int) -> Fraction:
     """The 5F4 side of the Gessel-Stanton identity, for A != 0.
 
@@ -141,19 +131,22 @@ def identity_pair(identity: str, params) -> tuple[Fraction, Fraction]:
       pfaff_saalschuetz   (A, B, C, n):    3F2[A, B, -n; C, 1+A+B-C-n; 1]
       thomae              (A, B, D, E, n): 3F2[A, B, -n; D, E; 1] vs transformed 3F2
       gessel_stanton_5f4  (A, F, n):       the quadratic-argument 5F4 at z=4
+
+    A lower parameter with a pole in 0..n is rejected even where an upper one
+    truncates the sum earlier: such 0/0 terms poison the identity.
     """
     params = [frac(p) for p in params]
     if identity == CHU_VANDERMONDE:
         A, C, n = params
         n = int(n)
-        _require_clean_lowers([C], n)
+        check_lower_poles([C], n)
         lhs = hyper([A, -n], [C])
         rhs = frac(pochhammer(C - A, n)) / frac(pochhammer(C, n))
         return lhs, rhs
     if identity == PFAFF_SAALSCHUETZ:
         A, B, C, n = params
         n = int(n)
-        _require_clean_lowers([C, 1 + A + B - C - n], n)
+        check_lower_poles([C, 1 + A + B - C - n], n)
         lhs = hyper([A, B, -n], [C, 1 + A + B - C - n])
         rhs = (
             frac(pochhammer(C - A, n))
@@ -164,7 +157,7 @@ def identity_pair(identity: str, params) -> tuple[Fraction, Fraction]:
     if identity == THOMAE:
         A, B, D, E, n = params
         n = int(n)
-        _require_clean_lowers([D, E, 1 + B - E - n], n)
+        check_lower_poles([D, E, 1 + B - E - n], n)
         lhs = hyper([A, B, -n], [D, E])
         rhs = (
             frac(pochhammer(E - B, n))
@@ -177,7 +170,7 @@ def identity_pair(identity: str, params) -> tuple[Fraction, Fraction]:
         n = int(n)
         if A == 0:
             raise PochhammerZeroError(A, 0)
-        _require_clean_lowers([1 + A - F, -A + F - 2 * n, 1 + A + 2 * n], n)
+        check_lower_poles([1 + A - F, -A + F - 2 * n, 1 + A + 2 * n], n)
         lhs = _gessel_stanton_lhs(A, F, n)
         rhs = frac(pochhammer(1 + A, 2 * n)) / frac(pochhammer(1 + A - F, 2 * n))
         return lhs, rhs

@@ -2,9 +2,11 @@
 
 One Bareiss (fraction-free) kernel serves all four rings.  It runs over a
 ring table (zero, one, mul, sub, divider) for Python ints and for Z[w3]
-and Z[w6] as (c0, c1) integer pairs; rational coordinates are scaled to
-integers at the edge, so no Fraction or CycloElement arithmetic runs in the
-loop.  Every division is exact in the ring and checked (AssertionError
+and Z[w6] as (c0, c1) integer pairs.  The pair multiply, conjugate and
+norm (the tau-rule tau^2 = t*tau - 1) are `exactnum`'s; this module adds
+only the checked divider.  Rational coordinates are scaled to integers at
+the edge, so no Fraction or CycloElement arithmetic runs in the loop.
+Every division is exact in the ring and checked (AssertionError
 otherwise); rows that a step would only rescale are rescaled when next used.
 Each step pivots on the smallest nonzero entry of its column (bit length;
 the larger coordinate for a pair), which keeps the intermediate minors small.
@@ -23,22 +25,25 @@ from .exactnum import (
     Number,
     SIXTH,
     THIRD,
+    TRACE,
     binomial,
     frac,
+    pair_conjugate,
+    pair_mul,
+    pair_norm,
     pochhammer,
 )
 
 RING_INTEGER = "integer"
 RING_RATIONAL = "rational"
-RING_CYCLO3 = "cyclo3"
-RING_CYCLO6 = "cyclo6"
-
-_CYCLO_RINGS = {RING_CYCLO3: THIRD, RING_CYCLO6: SIXTH}
+# a cyclotomic matrix's ring is its CycloElement ring
+RING_CYCLO3 = THIRD
+RING_CYCLO6 = SIXTH
 
 
 def _ring_of(value) -> str:
     if isinstance(value, CycloElement):
-        return RING_CYCLO3 if value.ring == THIRD else RING_CYCLO6
+        return value.ring
     if isinstance(value, Fraction) and value.denominator != 1:
         return RING_RATIONAL
     return RING_INTEGER
@@ -48,9 +53,8 @@ def _join_rings(rings) -> str:
     order = {RING_INTEGER: 0, RING_RATIONAL: 1, RING_CYCLO3: 2, RING_CYCLO6: 2}
     best = RING_INTEGER
     for ring in rings:
-        if ring in (RING_CYCLO3, RING_CYCLO6) and best in (RING_CYCLO3, RING_CYCLO6):
-            if ring != best:
-                raise ValueError("cannot mix the two cyclotomic rings")
+        if ring in TRACE and best in TRACE and ring != best:
+            raise ValueError("cannot mix the two cyclotomic rings")
         if order[ring] > order[best]:
             best = ring
     return best
@@ -93,8 +97,8 @@ class ExactMatrix:
 
 def _scalar(ring: str, value: int):
     """The integer value as an element of ring."""
-    if ring in _CYCLO_RINGS:
-        return CycloElement.of(_CYCLO_RINGS[ring], value)
+    if ring in TRACE:
+        return CycloElement.of(ring, value)
     return Fraction(value) if ring == RING_RATIONAL else value
 
 
@@ -111,23 +115,16 @@ def _int_divider(d: int):
 
 
 def _pair_ring(t: int):
-    """Z[tau] on (c0, c1) integer pairs, tau^2 = t*tau - 1 (t = -1: third
-    root of unity, t = 1: sixth).  Division by y multiplies by its conjugate
-    (c0 + t*c1) - c1*tau and divides by its norm c0^2 + t*c0*c1 + c1^2; the
-    divider computes both once per divisor."""
-
-    def mul(x, y):
-        a, b = x
-        c, d = y
-        bd = b * d
-        return (a * c - bd, a * d + b * c + t * bd)
+    """Z[tau] on (c0, c1) integer pairs, tau^2 = t*tau - 1.  Division by y
+    multiplies by its conjugate and divides by its norm; the divider
+    computes both once per divisor."""
+    mul = pair_mul(t)
 
     def sub(x, y):
         return (x[0] - y[0], x[1] - y[1])
 
     def divider(y):
-        c, d = y
-        conjugate, norm_div = (c + t * d, -d), _int_divider(c * c + t * c * d + d * d)
+        conjugate, norm_div = pair_conjugate(y, t), _int_divider(pair_norm(y, t))
 
         def div(x):
             a, b = mul(x, conjugate)
@@ -139,7 +136,7 @@ def _pair_ring(t: int):
 
 
 _INT_RING = (0, 1, operator.mul, operator.sub, _int_divider)
-_KERNEL_RINGS = {RING_CYCLO3: _pair_ring(-1), RING_CYCLO6: _pair_ring(1)}
+_KERNEL_RINGS = {ring: _pair_ring(t) for ring, t in TRACE.items()}
 
 
 def _size(value) -> int:
@@ -224,7 +221,7 @@ def det_fraction_free(matrix: ExactMatrix):
         raise ValueError("determinant of a non-square matrix")
     if matrix.ring == RING_INTEGER:
         return _bareiss([list(row) for row in matrix.rows], *_INT_RING)
-    cyclo = _CYCLO_RINGS.get(matrix.ring)
+    cyclo = matrix.ring if matrix.ring in TRACE else None
     scale, rows = 1, []
     for row in matrix.rows:
         flat = [x for v in row for x in _coordinates(v, cyclo)]
@@ -234,7 +231,7 @@ def det_fraction_free(matrix: ExactMatrix):
         rows.append(flat if cyclo is None else list(zip(flat[::2], flat[1::2])))
     if cyclo is None:
         return Fraction(_bareiss(rows, *_INT_RING), scale)
-    c0, c1 = _bareiss(rows, *_KERNEL_RINGS[matrix.ring])
+    c0, c1 = _bareiss(rows, *_KERNEL_RINGS[cyclo])
     return CycloElement.of(cyclo, Fraction(c0, scale), Fraction(c1, scale))
 
 
@@ -290,7 +287,7 @@ def build_omega_shift(N: int, m: Number, omega) -> ExactMatrix:
     rows = [[binomial(m + i + j, j) for j in range(N)] for i in range(N)]
     # each entry is made once, in its ring's own type, so it needs neither
     # ring addition nor ExactMatrix.of's per-entry conversion
-    if ring in _CYCLO_RINGS:
+    if ring in TRACE:
         zero = Fraction(0)
         rows = [
             [

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterator, Optional
 
-from .exactnum import SIXTH, THIRD, CycloElement
+from .exactnum import TRACE, CycloElement, omega3, omega6, pair_mul
 
 UP = 0
 DOWN = 1
@@ -598,13 +598,13 @@ def count_weighted(
         return sum(hist)
     if weight in (WEIGHT_MINUS1, WEIGHT_MINUS1_N6):
         return sum(hist[0::2]) - sum(hist[1::2])
-    # sum of h omega^r on coordinates: omega (c0 + c1 tau) = -c1 + (c0 + t c1) tau,
-    # with tau^2 = t tau - 1
-    ring, t = (THIRD, -1) if weight == WEIGHT_OMEGA3 else (SIXTH, 1)
-    c0, c1, p0, p1 = 0, 0, 1, 0
-    for h in hist:
-        c0, c1, p0, p1 = c0 + h * p0, c1 + h * p1, -p1, p0 + t * p1
-    return CycloElement.of(ring, c0, c1)
+    # sum of h_r omega^r by Horner's rule; omega is its ring's tau, the pair (0, 1)
+    ring = (omega3() if weight == WEIGHT_OMEGA3 else omega6()).ring
+    mul, total = pair_mul(TRACE[ring]), (0, 0)
+    for h in reversed(hist):
+        c0, c1 = mul(total, (0, 1))
+        total = (c0 + h, c1)
+    return CycloElement.of(ring, *total)
 
 
 def count_tilings(hexagon: CoredHexagon, cap: Optional[int] = None) -> int:

@@ -441,6 +441,9 @@ def _suite_polynomiality(bounds, seed):
 def _suite_asymptotics(bounds, seed):
     a, b, c, m = bounds.get("params", (1, 1, 1, 1))
     ns = bounds.get("ns", (4, 8, 16))
+    # log(count) / n^2 needs n > 0, and the final deviation a last n
+    if min(ns, default=0) <= 0:
+        raise ValueError(f"bound ns must be nonempty and positive, got {ns}")
     digits = bounds.get("digits", 50)
     k = formulas.asymptotic_k(a, b, c, m, digits=digits)
     k_again = formulas.asymptotic_k(a, b, c, m, digits=digits)

@@ -1,13 +1,15 @@
 """Test references for the integer-summed series in `exactnum`, `hypergeom`,
-`formulas` and `lgv`.
+`formulas` and `lgv`, and for the shared Z[w3]/Z[w6] arithmetic.
 
 These are the former Fraction-per-term forms: the shifted factorial and the
 binomial multiply one Fraction factor at a time; the terminating series,
 the Gessel-Stanton 5F4 sum and the Watson multiple sum update a Fraction
 term per index and add it to a Fraction total; omega*I + B adds a binomial
 to each entry by ring arithmetic, and Z_n accumulates each entry one
-Fraction term at a time.  The package's forms must agree with them in
-value, in return type and in the exception they raise.
+Fraction term at a time.  The cyclotomic multiply, conjugate, norm and ring
+change are written out per ring, and det(I + B(a, m)) by parity branch.
+The package's forms must agree with them in value, in return type and in
+the exception they raise.
 """
 
 from __future__ import annotations
@@ -16,8 +18,8 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from cored_hexagons.exactnum import Number, frac
-from cored_hexagons.formulas import _watson_lower_params
+from cored_hexagons.exactnum import SIXTH, THIRD, CycloElement, Number, double_factorial_odd, frac
+from cored_hexagons.formulas import _check_order, _watson_lower_params
 from cored_hexagons.hypergeom import PochhammerZeroError, TerminatingSeries
 from cored_hexagons.lgv import ExactMatrix, _join_rings, _ring_of
 
@@ -137,3 +139,67 @@ def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
             row.append(acc)
         rows.append(row)
     return ExactMatrix.of(rows)
+
+
+def cyclo_mul(x: CycloElement, y: CycloElement) -> CycloElement:
+    """x * y for y already in the ring of x."""
+    a, b, c, d = x.c0, x.c1, y.c0, y.c1
+    if x.ring == THIRD:
+        # tau^2 = -1 - tau
+        return CycloElement.of(THIRD, a * c - b * d, a * d + b * c - b * d)
+    # tau^2 = tau - 1
+    return CycloElement.of(SIXTH, a * c - b * d, a * d + b * c + b * d)
+
+
+def cyclo_conjugate(x: CycloElement) -> CycloElement:
+    if x.ring == THIRD:
+        # tau -> -1 - tau
+        return CycloElement.of(THIRD, x.c0 - x.c1, -x.c1)
+    # tau -> 1 - tau
+    return CycloElement.of(SIXTH, x.c0 + x.c1, -x.c1)
+
+
+def cyclo_norm(x: CycloElement) -> Fraction:
+    product = cyclo_mul(x, cyclo_conjugate(x))
+    assert product.c1 == 0, "norm must be rational"
+    return product.c0
+
+
+def cyclo_to_ring(x: CycloElement, ring: str) -> CycloElement:
+    if ring == x.ring:
+        return x
+    if x.ring == THIRD and ring == SIXTH:
+        # a + b*w3 = (a - b) + b*w6
+        return CycloElement.of(SIXTH, x.c0 - x.c1, x.c1)
+    if x.ring == SIXTH and ring == THIRD:
+        # a + b*w6 = (a + b) + b*w3
+        return CycloElement.of(THIRD, x.c0 + x.c1, x.c1)
+    raise ValueError(f"unknown cyclotomic ring {ring!r}")
+
+
+def andrews_rhs(a: int, m: Number) -> Fraction:
+    _check_order(a)
+    m2 = frac(m) / 2
+    value = Fraction(2) ** ((a + 1) // 2)
+    if a % 2 == 0:
+        for i in range(1, a - 1):
+            value *= frac(pochhammer(m2 + (i + 1) // 2 + 1, (i + 3) // 4))
+        for i in range(1, a // 2 + 1):
+            base = m2 + Fraction(3 * a, 2) - math.ceil(Fraction(3 * i, 2)) + Fraction(3, 2)
+            value *= frac(pochhammer(base, (i + 1) // 2 - 1))
+            value *= frac(pochhammer(base, (i + 1) // 2))
+        for i in range(1, a // 2):
+            value /= double_factorial_odd(i) * double_factorial_odd(i + 1)
+    else:
+        for i in range(1, a - 1):
+            value *= frac(pochhammer(m2 + (i + 1) // 2 + 1, (i + 3) // 4))
+        for i in range(1, (a - 1) // 2 + 1):
+            value *= frac(
+                pochhammer(m2 + Fraction(3 * a, 2) - math.ceil(Fraction(3 * i - 1, 2)) + 1, i // 2)
+            )
+            value *= frac(
+                pochhammer(m2 + Fraction(3 * a, 2) - math.ceil(Fraction(3 * i, 2)), (i + 1) // 2)
+            )
+        for i in range(1, (a - 1) // 2 + 1):
+            value /= double_factorial_odd(i) ** 2
+    return value

@@ -153,12 +153,14 @@ class TestCount:
              2, "parameters must be nonnegative"),
             (("asymptotic", "--a", "1", "--b", "1", "--c", "1", "--m", "0", "--n-list", "x"),
              2, "bad --n-list 'x'"),
+            (("asymptotic", "--a", "1", "--b", "1", "--c", "1", "--m", "1", "--n-list", "2,0"),
+             2, "--n-list entries must be positive, got '2,0'"),
         ],
         ids=[
             "count-negative-side", "count-brute-over-cap", "cyclic-count-over-cap",
             "formula-enum-negative-side", "formula-asymptotic-k-negative-side",
             "formula-shifted-equal-parity", "asymptotic-negative-side",
-            "asymptotic-bad-n-list",
+            "asymptotic-bad-n-list", "asymptotic-nonpositive-n",
         ],
     )
     def test_error_paths_print_one_line(self, capsys, argv, code, err):

@@ -90,6 +90,13 @@ class TestIdentityExamples:
         lhs, rhs = identity_pair(GESSEL_STANTON_5F4, [-3, Fraction(1, 2), 2])
         assert lhs == rhs
 
+    def test_pole_with_the_smallest_index_is_named(self):
+        # lower parameters D = -4, E = -1 and 1 + B - E - n = -3 vanish from
+        # the indices 5, 2 and 4 on
+        with pytest.raises(PochhammerZeroError) as err:
+            identity_pair(THOMAE, [1, 1, -4, -1, 6])
+        assert (err.value.parameter, err.value.index) == (-1, 2)
+
     def test_5f4_vanishes_for_negative_integer_A(self):
         for A in (-1, -2, -3, -5, -6):
             lhs, rhs = identity_pair(GESSEL_STANTON_5F4, [A, Fraction(1, 3), 4])

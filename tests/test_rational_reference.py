@@ -1,6 +1,7 @@
-"""The integer-summed series and matrix builders against their former
-Fraction-per-term forms in `rational_reference`: the same value of the same
-type, or the same exception with the same arguments."""
+"""The integer-summed series and matrix builders, the shared Z[w3]/Z[w6]
+arithmetic and det(I + B(a, m)) against their former forms in
+`rational_reference`: the same value of the same type, or the same
+exception with the same arguments."""
 
 from fractions import Fraction
 from unittest import mock
@@ -9,7 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 import rational_reference as ref
 from cored_hexagons import exactnum, formulas, hypergeom, lgv
-from cored_hexagons.exactnum import CycloElement, omega3, omega6
+from cored_hexagons.exactnum import SIXTH, THIRD, CycloElement, omega3, omega6
 
 ints = st.integers(-12, 12)
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=6)
@@ -120,3 +121,50 @@ def test_build_omega_shift(N, m, omega):
 @settings(max_examples=200)
 def test_build_Zn(n, x, mu):
     assert entries(lgv.build_Zn(n, x, mu)) == entries(ref.build_Zn(n, x, mu))
+
+
+def typed(value):
+    """The value with its type, and a cyclotomic one with its ring and its
+    coordinates' types."""
+    if isinstance(value, CycloElement):
+        return (type(value), value.ring, value, type(value.c0), type(value.c1))
+    return (type(value), value)
+
+
+rings = st.sampled_from([THIRD, SIXTH])
+cyclo = st.builds(CycloElement.of, rings, rationals, rationals)
+# a second factor: one of either ring (a rational one moves across rings,
+# any other raises RingMismatchError), or a plain int or Fraction
+factors = st.one_of(cyclo, st.builds(CycloElement.of, rings, rationals), ints, rationals)
+
+
+def product(reference, x, y):
+    return outcome(lambda: typed(reference(x, x._coerce(y))))
+
+
+@given(cyclo, factors)
+@settings(max_examples=400)
+def test_cyclo_mul(x, y):
+    assert outcome(lambda: typed(x * y)) == product(ref.cyclo_mul, x, y)
+    if isinstance(y, CycloElement):
+        # the left factor's ring rules
+        assert outcome(lambda: typed(y * x)) == product(ref.cyclo_mul, y, x)
+    else:
+        assert typed(y * x) == typed(x * y)
+
+
+@given(cyclo)
+@settings(max_examples=300)
+def test_cyclo_conjugate_norm_and_ring_change(x):
+    assert typed(x.conjugate()) == typed(ref.cyclo_conjugate(x))
+    assert typed(x.norm()) == typed(ref.cyclo_norm(x))
+    for ring in (THIRD, SIXTH, "fifth"):
+        assert outcome(lambda: typed(x.to_ring(ring))) == outcome(
+            lambda: typed(ref.cyclo_to_ring(x, ring))
+        )
+
+
+@given(st.integers(-1, 29), st.one_of(ints, half_integers, rationals))
+@settings(max_examples=300)
+def test_andrews_rhs(a, m):
+    assert outcome(formulas.andrews_rhs, a, m) == outcome(ref.andrews_rhs, a, m)

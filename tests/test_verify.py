@@ -54,10 +54,12 @@ GOLDEN_DIGESTS = {
 
 
 # SHA-256 of reports_to_jsonl(run_suite(name, {}, seed=0)): the suites that
-# sum rational series or build omega*I + B and Z_n matrices, at their default
-# bounds
+# sum rational series, build omega*I + B and Z_n matrices, or check the
+# cyclic counts and the case-10 form, at their default bounds
 DEFAULT_BOUND_DIGESTS = {
     "BlockFactorizations": "f0dd7364b0047466c35ec6c9e592aa9d6f06f85bfb5739fde5e74769f6c43292",
+    "Case10": "e2ecb2fa0f9b831f277fcc900f2eb067f38801bc0ca2c48963ffd9fcfb287817",
+    "CyclicWeights": "428c1dd8807c0f5e652e3f4cf6033d421773fd9b3a9c78ad11e9d8c866fd4d21",
     "DetsVsFormulas": "e4d32134d0ddb7c47d255454a06aa4d51579a4465f8c4f52673badcdcbd5912b",
     "HypergeomIdentities": "f1d8e06cb00826690dbb78e0a3884c2017ac84a7715627954ffbdafbc346f53e",
     "PrefactorIdentity": "762d662b72421a784649ed9db9d13d0a6b21dcc73319412077de7574d9edc17a",
@@ -154,6 +156,12 @@ def test_reports_match_their_golden_digest(name):
 def test_default_bound_reports_match_their_golden_digest(name):
     jsonl = reports_to_jsonl(run_suite(name, {}, seed=0))
     assert hashlib.sha256(jsonl.encode()).hexdigest() == DEFAULT_BOUND_DIGESTS[name]
+
+
+@pytest.mark.parametrize("ns", [(0, 2), (4, -1), ()])
+def test_asymptotics_rejects_a_ladder_without_positive_rungs(ns):
+    with pytest.raises(ValueError, match="bound ns must be nonempty and positive"):
+        run_suite("Asymptotics", {"ns": ns})
 
 
 def test_polynomiality_at_cap_zero_stops_its_oracle_check():
