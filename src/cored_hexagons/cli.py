@@ -164,6 +164,14 @@ def _cmd_verify(args) -> int:
     for name in names:
         if name not in verify.SUITES:
             raise ValueError(f"unknown suite {name!r}; pick one of {sorted(verify.SUITES)} or all")
+    # an output path that cannot be written fails before any suite runs
+    for flag in ("jsonl", "csv"):
+        path = getattr(args, flag)
+        if path:
+            try:
+                open(path, "a").close()
+            except OSError as exc:
+                raise ValueError(f"cannot write --{flag} {path}: {exc.strerror}") from None
     jobs = args.jobs or os.cpu_count() or 1
     if len(names) > 1 and jobs > 1:
         # one worker per suite; output order stays the fixed suite order
@@ -316,8 +324,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        # a negative sweep bound would check nothing and read as a pass
-        for flag in ("cap", "max_a", "max_m"):
+        # a negative sweep bound would check nothing and read as a pass, and
+        # a negative --jobs would quietly run serially
+        for flag in ("cap", "max_a", "max_m", "jobs"):
             bound = getattr(args, flag, None)
             if bound is not None and bound < 0:
                 raise ValueError(f"--{flag.replace('_', '-')} must be nonnegative, got {bound}")

@@ -284,18 +284,16 @@ def zare1_rhs(a: int, m: Number) -> Fraction:
 
 
 # det(wI + B(a, m)) for w a primitive third or sixth root is (1 + w)^a times
-# scale^floor(a/2) over prod_{j=1}^{a} (2 floor(j/2) - 1)!!, times for every
-# i with 4i <= a one Pochhammer symbol per row (k, x0, with_a, d):
-# (m/2 + k i + x0 + with_a a)_{floor((a - 4i - d)/2)}, a negative length
-# read as 0.
+# (2 / (2 + t))^floor(a/2) over prod_{j=1}^{a} (2 floor(j/2) - 1)!!, t the
+# trace of w, times for every i with 4i <= a one Pochhammer symbol per row
+# (k, x0, with_a, d): (m/2 + k i + x0 + with_a a)_{floor((a - 4i - d)/2)}, a
+# negative length read as 0.
 _OM_TABLES = {
     OMEGA_THIRD: (
-        Fraction(2),
         omega3,
         ((3, 1, 0, 0), (3, 3, 0, 3), (-1, Fraction(1, 2), 1, 1), (-1, Fraction(-1, 2), 1, 2)),
     ),
     OMEGA_SIXTH: (
-        Fraction(2, 3),
         omega6,
         ((3, Fraction(3, 2), 0, 1), (3, Fraction(5, 2), 0, 2), (-1, 0, 1, 0), (-1, 0, 1, 3)),
     ),
@@ -304,13 +302,18 @@ _OM_TABLES = {
 
 def _om_rhs(a: int, m: Number, omega_case: str) -> CycloElement:
     _check_order(a)
-    scale, root, rows = _OM_TABLES[omega_case]
+    root, rows = _OM_TABLES[omega_case]
     m2 = frac(m) / 2
-    rational = scale ** (a // 2) / math.prod(double_factorial_odd(j // 2) for j in range(1, a + 1))
+    rational = Fraction(2) ** (a // 2) / math.prod(
+        double_factorial_odd(j // 2) for j in range(1, a + 1)
+    )
     for i in range(a // 4 + 1):
         for k, x0, with_a, d in rows:
             rational *= pochhammer(m2 + k * i + x0 + with_a * a, max(0, (a - 4 * i - d) // 2))
-    return (1 + root()) ** a * rational
+    # (1 + w)^2 = (2 + t) w, so (1 + w)^a (2 + t)^-floor(a/2) is
+    # w^floor(a/2) (1 + w)^(a mod 2), and w^6 = 1
+    w = root()
+    return w ** (a // 2 % 6) * (1 + w) ** (a % 2) * rational
 
 
 def om3_rhs(a: int, m: Number) -> CycloElement:
@@ -369,20 +372,16 @@ def asymptotic_k(a: int, b: int, c: int, m: int, digits: int = 50) -> mpmath.mpf
         raise FormulaDomainError("parameters must be nonnegative")
     # At doubled sides every ceiling and floor of the table is exact, and
     # its arguments are linear in (a, b, c, m); with the table's own
-    # doubling, each entry lists 4x.
-    args = [
-        (ts[0], mult * len(ts)) for ts, mult in _count_table(2 * a, 2 * b, 2 * c, 2 * m, False)
-    ]
-    balance = sum(t * t * mult for t, mult in args)
-    assert balance == 0, "x^2 terms must cancel for a finite constant"
+    # doubling, each entry lists 4x.  Merged by argument t = 4x, the entries
+    # give k = sum of w_t log(t/4) / 32 with integer weights w_t; the log 4
+    # terms cancel exactly, since the weights sum to 0.
+    weights: dict[int, int] = {}
+    for ts, mult in _count_table(2 * a, 2 * b, 2 * c, 2 * m, False):
+        t = ts[0]
+        weights[t] = weights.get(t, 0) + t * t * mult * len(ts)
+    assert sum(weights.values()) == 0, "x^2 terms must cancel for a finite constant"
     with mpmath.workdps(digits):
-        k = mpmath.mpf(0)
-        for t, mult in args:
-            if t == 0:
-                continue
-            # (x^2/2) log x at x = t/4; both quotients are exact dyadics
-            k += mpmath.mpf(t * t * mult) / 32 * mpmath.log(mpmath.mpf(t) / 4)
-        return +k
+        return mpmath.fsum(w * mpmath.log(t) for t, w in weights.items() if w) / 32
 
 
 # --- conjectured off-center formulas ---------------------------------------

@@ -1,12 +1,13 @@
 """Cored-hexagon regions, matching-level tiling counts, enumeration, and
 tiling statistics.
 
-Every count runs one frontier transfer matrix: plain and (-1)-weighted
-counts over the cells swept along the shorter lines of the hexagon,
-cyclically symmetric counts over the orbits of the 120-degree rotation,
-where it keeps a histogram of the statistic mod 6 and applies the weight
-once.  Backtracking is left only for the enumeration generators.  Nothing
-here uses the determinant or closed-form routes that these counts check.
+One lattice graph per region, `Region.graph`, feeds every count and the
+enumeration.  Every count runs one frontier transfer matrix over it: plain
+and (-1)-weighted counts over the cells, cyclically symmetric counts over
+the orbits of the 120-degree rotation, where it keeps a histogram of the
+statistic mod 6 and applies the weight once.  Backtracking is left only
+for the enumeration generators.  Nothing here uses the determinant or
+closed-form routes that these counts check.
 
 Lattice conventions (fixed once, validated by the pinned counts in the test
 suite):
@@ -169,31 +170,43 @@ def _reference_ray(hexagon: CoredHexagon, index: dict[Cell, int]) -> tuple[tuple
 
 
 class Region:
-    """The cell set of a cored hexagon plus precomputed combinatorial data."""
+    """A cored hexagon's cells in sweep order, the forward edges of their
+    lattice graph, and the reference ray.
+
+    The sweep runs along the shorter lines, columns (a+c+m cells) when
+    a <= b and rows (b+c+m cells) otherwise, so a frontier mask spans about
+    one line; relabelling sides instead would move the ray and can flip the
+    sign of the (-1)-count.  graph[i] lists the edges from cell i to later
+    cells j as (1 << (j - i), 1): U(x, y) -> D(x, y), right after it and a
+    forced step, and D(x, y) -> U(x+1, y), U(x, y+1).  U(x, y)'s other
+    neighbours D(x-1, y), D(x, y-1) come before it."""
 
     def __init__(self, hexagon: CoredHexagon):
         self.hexagon = hexagon
         self.a, self.b, self.c, self.m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
         self.x0, self.y0 = hexagon.core_position
 
-        cells = tuple(_cells(hexagon))
+        cells = tuple(_cells(hexagon, by_rows=self.a > self.b))
         self.cells: tuple[Cell, ...] = cells
         self.cell_index: dict[Cell, int] = {cell: i for i, cell in enumerate(cells)}
 
-        expected = hexagon.cell_count
-        ups = sum(1 for cell in cells if cell[2] == UP)
-        assert len(cells) == expected, (len(cells), expected)
-        assert 2 * ups == len(cells), "up/down cell counts must balance"
-
         get = self.cell_index.get
-        adjacency: list[tuple[int, ...]] = []
-        for x, y, orient in cells:
+        graph: Graph = []
+        ups = 0
+        for i, (x, y, orient) in enumerate(cells):
             if orient == UP:
-                partners = ((x, y, DOWN), (x - 1, y, DOWN), (x, y - 1, DOWN))
+                ups += 1
+                later = (get((x, y, DOWN)),)
             else:
-                partners = ((x, y, UP), (x + 1, y, UP), (x, y + 1, UP))
-            adjacency.append(tuple(j for j in map(get, partners) if j is not None))
-        self.adjacency: tuple[tuple[int, ...], ...] = tuple(adjacency)
+                later = (get((x + 1, y, UP)), get((x, y + 1, UP)))
+            moves = []
+            for j in later:
+                if j is not None:
+                    moves.append((1 << (j - i), 1))
+            graph.append(moves)
+        self.graph = graph
+        assert len(cells) == hexagon.cell_count, (len(cells), hexagon.cell_count)
+        assert 2 * ups == len(cells), "up/down cell counts must balance"
 
         self.reference_ray: tuple[tuple[int, int], ...] = _reference_ray(hexagon, self.cell_index)
 
@@ -275,16 +288,17 @@ def _check_cap(units: int, cap: Optional[int]) -> None:
 
 
 def _matchings(region: Region, cyclic: bool) -> Iterator[list[int]]:
-    """Backtracking over perfect matchings: always branch on the
-    lexicographically first uncovered cell.  The search keeps its own stack,
-    so region size is bounded by the cap alone, not the recursion limit.  It
-    yields one partner array, updated in place, per matching.
+    """Backtracking over perfect matchings: always branch on the first
+    uncovered cell, whose free neighbours are all later cells, so it
+    branches over the region's forward edges.  The search keeps its own
+    stack, so region size is bounded by the cap alone, not the recursion
+    limit.  It yields one partner array, updated in place, per matching.
 
     With cyclic=True it ranges over rotation-invariant matchings: each
     placement fixes the whole orbit of three lozenges, so coverage stays
     invariant and a free cell always has its whole orbit free."""
     n = len(region.cells)
-    adjacency = region.adjacency
+    later = [[i + bit.bit_length() - 1 for bit, _ in out] for i, out in enumerate(region.graph)]
     # with the identity in place of the rotation, the three lozenges of a
     # placement coincide
     rot = region.rotation if cyclic else range(n)
@@ -297,7 +311,7 @@ def _matchings(region: Region, cyclic: bool) -> Iterator[list[int]]:
         if i == n:
             yield partner
         else:
-            stack.append((i, iter(adjacency[i])))
+            stack.append((i, iter(later[i])))
         while stack:
             i, options = stack[-1]
             j = partner[i]
@@ -389,38 +403,6 @@ def _frontier_count(graph: Graph, modulus: int = 0) -> int:
     return states.get(0, 0)
 
 
-def _cell_graph(hexagon: CoredHexagon, straddle_sign: int) -> tuple[Graph, int]:
-    """The cells as a graph for `_frontier_count`, a lozenge on a reference
-    ray segment D(x0-1, y) -> U(x0, y) with factor straddle_sign and every
-    other with 1, and the length of the ray.
-
-    The sweep runs along the shorter lines, columns (a+c+m cells) when
-    a <= b and rows (b+c+m cells) otherwise, so a mask spans about one
-    line.  Sides are never relabelled, which would move the ray and can
-    flip the sign of the (-1)-count.  In either sweep U(x, y) has the one
-    later neighbour D(x, y), right after it, which no other cell reaches:
-    a forced step that `_frontier_count` fuses."""
-    cells = list(_cells(hexagon, by_rows=hexagon.a > hexagon.b))
-    index = {cell: i for i, cell in enumerate(cells)}
-    ray = _reference_ray(hexagon, index)
-    straddles = {west for west, east in ray if min(west, east) >= 0}
-    get = index.get
-    graph: Graph = []
-    for i, (x, y, orient) in enumerate(cells):
-        if orient == UP:
-            graph.append([(2, 1)] if (x, y, DOWN) in index else [])
-            continue
-        moves = []
-        j = get((x + 1, y, UP))
-        if j is not None:
-            moves.append((1 << (j - i), straddle_sign if i in straddles else 1))
-        j = get((x, y + 1, UP))
-        if j is not None:
-            moves.append((1 << (j - i), 1))
-        graph.append(moves)
-    return graph, len(ray)
-
-
 def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int]) -> list[int]:
     """hist[r] is the number of rotation-invariant tilings whose lozenges'
     weights sum to r mod 6; lozenge_weight is keyed (up cell, down cell),
@@ -429,13 +411,13 @@ def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int])
     The rotation acts freely on the cells and keeps their orientations, so
     its orbits, numbered by their lowest cell, form a bipartite graph on a
     third of the cells whose perfect matchings are the invariant tilings.
-    An edge is an orbit of three lozenges, taken once at the up cell lowest
-    in its orbit, and weighs the sum e of their weights.  The transfer
-    matrix runs over the orbits in Z[q]/(q^6 - 1) at q = 2^B: an edge's
-    factor is 2^(B (e mod 6)) and values are reduced modulo 2^(6B) - 1, so
-    a value packs its six residue counts in B-bit slots.  A count never
-    exceeds the product of the out-degrees, which B bits hold with a bit to
-    spare."""
+    An edge is an orbit of three lozenges, read from the region's graph at
+    the one lozenge whose up cell is lowest in its orbit, and weighs the
+    sum e of their weights.  The transfer matrix runs over the orbits in
+    Z[q]/(q^6 - 1) at q = 2^B: an edge's factor is 2^(B (e mod 6)) and
+    values are reduced modulo 2^(6B) - 1, so a value packs its six residue
+    counts in B-bit slots.  A count never exceeds the product of the
+    out-degrees, which B bits hold with a bit to spare."""
     rot = region.rotation
     orbit = [-1] * len(rot)
     lowest = []
@@ -444,16 +426,18 @@ def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int])
             orbit[i] = orbit[rot[i]] = orbit[rot[rot[i]]] = len(lowest)
             lowest.append(i)
     edges: list[list[tuple[int, int]]] = [[] for _ in lowest]
-    for k, up in enumerate(lowest):
-        if region.cells[up][2] != UP:
-            continue
-        for down in region.adjacency[up]:
+    for i, moves in enumerate(region.graph):
+        for bit, _ in moves:
+            j = i + bit.bit_length() - 1
+            up, down = (i, j) if region.cells[i][2] == UP else (j, i)
+            if lowest[orbit[up]] != up:
+                continue
             e, u, d = 0, up, down
             for _ in range(3):
                 e += lozenge_weight.get((u, d), 0)
                 u, d = rot[u], rot[d]
-            i, j = sorted((k, orbit[down]))
-            edges[i].append((j, e % 6))
+            low, high = sorted((orbit[up], orbit[down]))
+            edges[low].append((high, e % 6))
     branches = 1
     for out in edges:
         branches *= max(1, len(out))
@@ -588,9 +572,16 @@ def count_weighted(
     # the size is known before any cell is listed
     if not cyclic:
         _check_cap(hexagon.cell_count, cap)
-        sign = 1 if weight == WEIGHT_ONE else -1
-        graph, ray_length = _cell_graph(hexagon, sign)
-        return sign**ray_length * _frontier_count(graph)
+        region = build_region(hexagon)
+        if weight == WEIGHT_ONE:
+            return _frontier_count(region.graph)
+        # a full ray segment is the edge D(x0-1, y) -> U(x0, y)
+        graph = list(region.graph)
+        for west, east in region.reference_ray:
+            if min(west, east) >= 0:
+                straddle = 1 << (east - west)
+                graph[west] = [(bit, -1 if bit == straddle else 1) for bit, _ in graph[west]]
+        return (-1) ** len(region.reference_ray) * _frontier_count(graph)
 
     _check_cyclic(hexagon, cap)
     hist = _cyclic_histogram(build_region(hexagon), n6=weight == WEIGHT_MINUS1_N6)
@@ -711,14 +702,9 @@ def tiling_to_plane_partition(tiling: Tiling, region: Region) -> list[list[int]]
     family = tiling_to_paths(tiling, region)
     rows = []
     for path in family.paths:
-        souths_after = 0
-        heights = []
-        for (x1, y1), (x2, y2) in zip(path, path[1:]):
-            if y2 < y1:
-                souths_after += 1
-        # second pass: height of the k-th east step = south steps after it
-        remaining = souths_after
-        for (x1, y1), (x2, y2) in zip(path, path[1:]):
+        # the height of an east step is the number of south steps after it
+        remaining, heights = path[0][1] - path[-1][1], []
+        for (_, y1), (_, y2) in zip(path, path[1:]):
             if y2 < y1:
                 remaining -= 1
             else:

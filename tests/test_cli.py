@@ -3,7 +3,7 @@ from fractions import Fraction
 
 import pytest
 
-from cored_hexagons import lgv
+from cored_hexagons import lgv, verify
 from cored_hexagons.cli import main
 
 
@@ -155,16 +155,37 @@ class TestCount:
              2, "bad --n-list 'x'"),
             (("asymptotic", "--a", "1", "--b", "1", "--c", "1", "--m", "1", "--n-list", "2,0"),
              2, "--n-list entries must be positive, got '2,0'"),
+            (("verify", "--suite", "Case10", "--jsonl", "/nonexistent/x.jsonl"),
+             2, "cannot write --jsonl /nonexistent/x.jsonl: No such file or directory"),
+            (("verify", "--suite", "Case10", "--jsonl", "/"),
+             2, "cannot write --jsonl /: Is a directory"),
+            (("verify", "--suite", "all", "--csv", "/nonexistent/x.csv"),
+             2, "cannot write --csv /nonexistent/x.csv: No such file or directory"),
+            (("verify", "--suite", "Case10", "--jobs", "-1"),
+             2, "--jobs must be nonnegative, got -1"),
         ],
         ids=[
             "count-negative-side", "count-brute-over-cap", "cyclic-count-over-cap",
             "formula-enum-negative-side", "formula-asymptotic-k-negative-side",
             "formula-shifted-equal-parity", "asymptotic-negative-side",
             "asymptotic-bad-n-list", "asymptotic-nonpositive-n",
+            "verify-jsonl-missing-dir", "verify-jsonl-is-a-dir", "verify-csv-missing-dir",
+            "verify-negative-jobs",
         ],
     )
     def test_error_paths_print_one_line(self, capsys, argv, code, err):
         assert run_cli(capsys, *argv) == (code, "", f"error: {err}\n")
+
+    def test_unwritable_output_is_refused_before_any_suite_runs(self, capsys, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("a suite ran before the output paths were checked")
+
+        monkeypatch.setattr(verify, "run_suite", refuse)
+        code, out, err = run_cli(
+            capsys, "verify", "--suite", "all", "--jobs", "1", "--jsonl", "/nonexistent/x.jsonl"
+        )
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot write --jsonl /nonexistent/x.jsonl")
 
     def test_byte_stable_output(self, capsys):
         outs = set()

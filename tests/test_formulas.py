@@ -319,6 +319,15 @@ class TestAsymptotics:
         k30 = asymptotic_k(2, 2, 2, 1, digits=30)
         assert abs(k50 - k30) < mpmath.mpf(10) ** (-25)
 
+    @pytest.mark.parametrize("params", [(1, 0, 0, 0), (0, 0, 0, 1), (0, 1, 1, 0), (3, 0, 0, 3)])
+    def test_exactly_zero_with_one_tiling(self, params):
+        # two of a, b, c are 0, so every scaled region has exactly one tiling
+        a, b, c, m = params
+        assert all(count_cored_formula(a * n, b * n, c * n, m * n) == 1 for n in range(1, 5))
+        for digits in (30, 50, 80):
+            k = asymptotic_k(*params, digits=digits)
+            assert k == 0 and mpmath.nstr(k, digits - 5) == "0.0"
+
     def test_convergence_with_zero_core(self):
         k = asymptotic_k(1, 1, 1, 0)
         devs = []

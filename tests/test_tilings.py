@@ -1,5 +1,6 @@
 import ast
 import inspect
+import itertools
 import os
 import sys
 from fractions import Fraction
@@ -23,6 +24,7 @@ from cored_hexagons.lgv import build_cored_matrix, det_fraction_free
 from cored_hexagons.tilings import (
     CellCapError,
     CoredHexagon,
+    DOWN,
     UP,
     build_region,
     count_weighted,
@@ -60,6 +62,41 @@ class TestRegion:
 
     def test_empty_region(self):
         assert build_region(CoredHexagon(0, 0, 0, 4)).cells == ()
+
+    def test_graph_holds_every_lozenge_once(self):
+        # reference: each up cell U(x, y) meets D(x, y), D(x-1, y) and
+        # D(x, y-1); a > b sweeps by rows, a <= b by columns
+        for sides in itertools.product(range(5), repeat=4):
+            if sides[1] % 2 != sides[2] % 2:
+                continue
+            region = build_region(CoredHexagon(*sides))
+            index = region.cell_index
+            lozenges = set()
+            for x, y, orient in region.cells:
+                if orient == UP:
+                    for down in ((x, y, DOWN), (x - 1, y, DOWN), (x, y - 1, DOWN)):
+                        if down in index:
+                            lozenges.add(tuple(sorted((index[(x, y, UP)], index[down]))))
+            edges = [
+                (i, i + bit.bit_length() - 1, factor)
+                for i, moves in enumerate(region.graph)
+                for bit, factor in moves
+            ]
+            assert all(factor == 1 for _, _, factor in edges), sides
+            assert len(edges) == len(lozenges), sides
+            assert {(i, j) for i, j, _ in edges} == lozenges, sides
+
+    @pytest.mark.parametrize("sides", [(3, 1, 1, 1), (4, 2, 0, 2), (2, 1, 3, 2), (3, 2, 2, 1)])
+    def test_row_swept_regions_enumerate_what_they_count(self, sides):
+        # a > b: the cells run by rows, and the search branches over the
+        # same forward edges as the counts
+        hexagon = CoredHexagon(*sides)
+        region = build_region(hexagon)
+        assert region.cells == tuple(tilings._cells(hexagon, by_rows=True))
+        found = list(enumerate_tilings(region))
+        assert len(set(found)) == len(found) == count_weighted(hexagon, "one")
+        signed = sum((-1) ** statistic_n(t, region) for t in found)
+        assert signed == count_weighted(hexagon, "minus1")
 
     def test_placements(self):
         assert CoredHexagon(3, 5, 1, 2).placement == "centered"
@@ -125,7 +162,7 @@ class TestEnumeration:
         def refuse(hexagon, by_rows=False):
             raise AssertionError("cells listed before the cap check")
 
-        # every region and every cell graph takes its cells from _cells
+        # every region takes its cells from _cells
         monkeypatch.setattr(tilings, "_cells", refuse)
         with pytest.raises(CellCapError):
             count_weighted(CoredHexagon(200, 200, 200, 0), weight, cyclic=cyclic)
