@@ -16,7 +16,7 @@ from cored_hexagons import (
     rhs_omega_det,
 )
 from cored_hexagons.exactnum import cyclo_to_dict
-from cored_hexagons.lgv import identity_matrix, matrix_add, matrix_mul, matrix_scale
+from cored_hexagons.lgv import matrix_mul, plus_scaled
 
 print(__doc__)
 
@@ -44,14 +44,13 @@ print("det(-I + B^3) = det(-I + B) * |det(wI + B)|^2   (w a 6th root)")
 for a, m in [(3, 2), (5, 4), (6, 8)]:
     B = build_B(a, m)
     B3 = matrix_mul(matrix_mul(B, B), B)
-    eye = identity_matrix(a)
-    plus = det_fraction_free(matrix_add(eye, B3))
-    plus_rhs = det_fraction_free(matrix_add(eye, B)) * det_fraction_free(
+    plus = det_fraction_free(plus_scaled(B3, 1))
+    plus_rhs = det_fraction_free(plus_scaled(B, 1)) * det_fraction_free(
         build_omega_shift(a, m, omega3())
     ).norm()
-    minus = det_fraction_free(matrix_add(matrix_scale(eye, -1), B3))
-    minus_rhs = det_fraction_free(
-        matrix_add(matrix_scale(eye, -1), B)
-    ) * det_fraction_free(build_omega_shift(a, m, omega6())).norm()
+    minus = det_fraction_free(plus_scaled(B3, -1))
+    minus_rhs = det_fraction_free(plus_scaled(B, -1)) * det_fraction_free(
+        build_omega_shift(a, m, omega6())
+    ).norm()
     print(f"a={a}, m={m}:  det(I+B^3) = {plus} ({'ok' if plus == plus_rhs else 'FAIL'})"
           f",  det(-I+B^3) = {minus} ({'ok' if minus == minus_rhs else 'FAIL'})")

@@ -55,7 +55,6 @@ from .tilings import (
     Region,
     Tiling,
     build_region,
-    count_tilings,
     count_weighted,
     enumerate_cyclic_tilings,
     enumerate_tilings,

@@ -43,7 +43,7 @@ def double_factorial_odd(i: int) -> int:
     return math.factorial(2 * i) // (2**i * math.factorial(i))
 
 
-def _stepped_product(start: Number, step: Number, k: int) -> Number:
+def stepped_product(start: Number, step: Number, k: int) -> Number:
     """start * (start + step) * ... * (start + (k-1)*step); 1 for k = 0."""
     result: Number = 1
     for i in range(k):
@@ -67,11 +67,11 @@ def binomial(top: Number, bottom: int) -> Number:
         if d != 1:
             if bottom == 0:
                 return 1
-            return Fraction(_stepped_product(n, -d, bottom), d**bottom * math.factorial(bottom))
+            return Fraction(stepped_product(n, -d, bottom), d**bottom * math.factorial(bottom))
         top = n
     if top >= 0:
         return math.comb(top, bottom)
-    return _stepped_product(top, -1, bottom) // math.factorial(bottom)
+    return stepped_product(top, -1, bottom) // math.factorial(bottom)
 
 
 def pochhammer(base: Number, k: int) -> Number:
@@ -82,8 +82,8 @@ def pochhammer(base: Number, k: int) -> Number:
         raise ValueError(f"pochhammer with negative index {k}")
     if isinstance(base, Fraction) and k:
         d = base.denominator
-        return Fraction(_stepped_product(base.numerator, d, k), d**k)
-    return _stepped_product(base, 1, k)
+        return Fraction(stepped_product(base.numerator, d, k), d**k)
+    return stepped_product(base, 1, k)
 
 
 def pair_mul(t: int):

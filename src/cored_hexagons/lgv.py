@@ -1,15 +1,17 @@
 """Exact matrices for the lattice-path determinants and their evaluation.
 
-One Bareiss (fraction-free) kernel serves all four rings.  It runs over a
-ring table (zero, one, mul, sub, divider) for Python ints and for Z[w3]
-and Z[w6] as (c0, c1) integer pairs.  The pair multiply, conjugate and
-norm (the tau-rule tau^2 = t*tau - 1) are `exactnum`'s; this module adds
-only the checked divider.  Rational coordinates are scaled to integers at
-the edge, so no Fraction or CycloElement arithmetic runs in the loop.
-Every division is exact in the ring and checked (AssertionError
-otherwise); rows that a step would only rescale are rescaled when next used.
-Each step pivots on the smallest nonzero entry of its column (bit length;
-the larger coordinate for a pair), which keeps the intermediate minors small.
+A matrix holds what the one Bareiss (fraction-free) kernel eats: rows of
+ints over Z and Q, or of (c0, c1) int pairs over Z[w3] and Z[w6], each row
+over a positive denominator.  The builders emit these coordinates, a
+rational argument giving the rows a denominator; `ExactMatrix.of` is the one
+adapter from exact entries.  The kernel runs over a ring table (zero, one,
+mul, sub, divider); the pair multiply, conjugate and norm (tau^2 = t*tau - 1)
+are `exactnum`'s, and this module adds only the checked divider.  The
+determinant is divided once by the product of the row denominators.  Every
+division is exact and checked (AssertionError otherwise); rows that a step
+would only rescale are rescaled when next used.  Each step pivots on the
+smallest nonzero entry of its column (bit length; the larger coordinate for
+a pair), which keeps the intermediate minors small.
 """
 
 from __future__ import annotations
@@ -17,8 +19,8 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
-from math import comb, factorial, lcm
+from itertools import chain, combinations
+from math import comb, factorial, gcd, lcm, prod
 
 from .exactnum import (
     CycloElement,
@@ -32,6 +34,7 @@ from .exactnum import (
     pair_mul,
     pair_norm,
     pochhammer,
+    stepped_product,
 )
 
 RING_INTEGER = "integer"
@@ -41,44 +44,45 @@ RING_CYCLO3 = THIRD
 RING_CYCLO6 = SIXTH
 
 
-def _ring_of(value) -> str:
-    if isinstance(value, CycloElement):
-        return value.ring
-    if isinstance(value, Fraction) and value.denominator != 1:
-        return RING_RATIONAL
-    return RING_INTEGER
-
-
-def _join_rings(rings) -> str:
-    order = {RING_INTEGER: 0, RING_RATIONAL: 1, RING_CYCLO3: 2, RING_CYCLO6: 2}
-    best = RING_INTEGER
-    for ring in rings:
-        if ring in TRACE and best in TRACE and ring != best:
-            raise ValueError("cannot mix the two cyclotomic rings")
-        if order[ring] > order[best]:
-            best = ring
-    return best
-
-
 @dataclass(frozen=True)
 class ExactMatrix:
-    """Dense matrix over one exact ring."""
+    """Dense matrix over one exact ring: row i is rows[i] / dens[i].  Rows
+    hold ints in the integer and rational rings and (c0, c1) int pairs in
+    THIRD and SIXTH; the row denominators are positive, all 1 when left out,
+    and always 1 in the integer ring."""
 
     ring: str
     rows: tuple[tuple, ...]
+    dens: tuple[int, ...] = None
+
+    def __post_init__(self):
+        if self.dens is None:
+            object.__setattr__(self, "dens", (1,) * len(self.rows))
 
     @staticmethod
-    def of(rows, ring: str | None = None) -> ExactMatrix:
-        rows = tuple(tuple(r) for r in rows)
+    def of(values, ring: str | None = None) -> ExactMatrix:
+        """The matrix of exact entries, each row over the lcm of its
+        coordinates' denominators; the ring defaults to the smallest that
+        holds every entry."""
+        values = [tuple(row) for row in values]
         if ring is None:
-            ring = _join_rings(_ring_of(v) for row in rows for v in row)
-        if ring == RING_INTEGER:
-            if any(_ring_of(v) != RING_INTEGER for row in rows for v in row):
-                raise ValueError("a non-integral entry cannot be put in the integer ring")
-            rows = tuple(tuple(int(v) for v in row) for row in rows)
-        elif ring == RING_RATIONAL:
-            rows = tuple(tuple(frac(v) for v in row) for row in rows)
-        return ExactMatrix(ring, rows)
+            rings = {v.ring for row in values for v in row if isinstance(v, CycloElement)}
+            if len(rings) > 1:
+                raise ValueError("cannot mix the two cyclotomic rings")
+            ring = rings.pop() if rings else None
+        rows, dens = [], []
+        for row in values:
+            if ring in TRACE:
+                row = [
+                    v.to_ring(ring) if isinstance(v, CycloElement) else CycloElement.of(ring, v)
+                    for v in row
+                ]
+                row = [x for v in row for x in (v.c0, v.c1)]
+            den = lcm(*(x.denominator for x in row))
+            row = [x.numerator * (den // x.denominator) for x in row]
+            rows.append(list(zip(row[::2], row[1::2])) if ring in TRACE else row)
+            dens.append(den)
+        return _matrix(rows, dens, ring)
 
     @property
     def nrows(self) -> int:
@@ -92,14 +96,28 @@ class ExactMatrix:
         return ExactMatrix(
             self.ring,
             tuple(tuple(self.rows[i][j] for j in col_indices) for i in row_indices),
+            tuple(self.dens[i] for i in row_indices),
         )
 
 
-def _scalar(ring: str, value: int):
-    """The integer value as an element of ring."""
-    if ring in TRACE:
-        return CycloElement.of(ring, value)
-    return Fraction(value) if ring == RING_RATIONAL else value
+def _matrix(rows, dens, ring: str | None = None) -> ExactMatrix:
+    """The rows over their denominators, each row put in lowest terms.  The
+    ring defaults to the integer ring when every denominator is then 1, else
+    the rational ring; the integer ring takes no other denominator."""
+    pairs = ring in TRACE
+    reduced_rows, reduced_dens = [], []
+    for row, den in zip(rows, dens):
+        g = gcd(den, *(chain.from_iterable(row) if pairs else row))
+        if g > 1:
+            row = [(x // g, y // g) for x, y in row] if pairs else [x // g for x in row]
+        reduced_rows.append(tuple(row))
+        reduced_dens.append(den // g)
+    integral = all(den == 1 for den in reduced_dens)
+    if ring is None:
+        ring = RING_INTEGER if integral else RING_RATIONAL
+    elif ring == RING_INTEGER and not integral:
+        raise ValueError("a non-integral entry cannot be put in the integer ring")
+    return ExactMatrix(ring, tuple(reduced_rows), tuple(reduced_dens))
 
 
 def _int_divider(d: int):
@@ -202,109 +220,90 @@ def _bareiss(m, zero, one, mul, sub, divider):
     return result if sign > 0 else sub(zero, result)
 
 
-def _coordinates(value, cyclo: str | None) -> tuple:
-    if cyclo is None:
-        return (frac(value),)
-    if isinstance(value, CycloElement):
-        value = value.to_ring(cyclo)
-        return value.c0, value.c1
-    return frac(value), Fraction(0)
-
-
 def det_fraction_free(matrix: ExactMatrix):
-    """Bareiss determinant: an int, a Fraction, or a CycloElement in the
-    matrix's ring.  Rational and cyclotomic matrices have each row scaled by
-    the lcm of its coordinate denominators and cyclotomic entries become
-    integer pairs; the kernel's result is divided by the product of the
-    scales.  Every division is exact and checked."""
+    """Bareiss determinant of the coordinate rows, divided once by the
+    product of the row denominators: an int, a Fraction, or a CycloElement
+    in the matrix's ring.  Every division is exact and checked."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    if matrix.ring == RING_INTEGER:
-        return _bareiss([list(row) for row in matrix.rows], *_INT_RING)
-    cyclo = matrix.ring if matrix.ring in TRACE else None
-    scale, rows = 1, []
-    for row in matrix.rows:
-        flat = [x for v in row for x in _coordinates(v, cyclo)]
-        row_scale = lcm(*(x.denominator for x in flat))
-        scale *= row_scale
-        flat = [x.numerator * (row_scale // x.denominator) for x in flat]
-        rows.append(flat if cyclo is None else list(zip(flat[::2], flat[1::2])))
-    if cyclo is None:
-        return Fraction(_bareiss(rows, *_INT_RING), scale)
-    c0, c1 = _bareiss(rows, *_KERNEL_RINGS[cyclo])
-    return CycloElement.of(cyclo, Fraction(c0, scale), Fraction(c1, scale))
+    rows, scale = [list(row) for row in matrix.rows], prod(matrix.dens)
+    if matrix.ring in TRACE:
+        c0, c1 = _bareiss(rows, *_KERNEL_RINGS[matrix.ring])
+        return CycloElement.of(matrix.ring, Fraction(c0, scale), Fraction(c1, scale))
+    det = _bareiss(rows, *_INT_RING)
+    return det if matrix.ring == RING_INTEGER else Fraction(det, scale)
+
+
+def plus_scaled(Y: ExactMatrix, omega, X: ExactMatrix | None = None) -> ExactMatrix:
+    """Y + omega*X for Y and X over Z or Q, X the identity when left out, and
+    omega an int, a Fraction or a CycloElement.  The sum is over omega's
+    cyclotomic ring, else over Q when omega, Y or X is rational, else Z."""
+    n = Y.nrows
+    if X is None:
+        eye = tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+        X = ExactMatrix(RING_INTEGER, eye)
+    if (X.nrows, X.ncols) != (n, Y.ncols) or {X.ring, Y.ring} - {RING_INTEGER, RING_RATIONAL}:
+        raise ValueError("Y + omega*X needs two matrices of one shape over Z or Q")
+    cyclo = isinstance(omega, CycloElement)
+    w = (omega.c0, omega.c1) if cyclo else (omega,)
+    q = lcm(*(c.denominator for c in w))
+    w = [c.numerator * (q // c.denominator) for c in w]
+    rational = q > 1 or RING_RATIONAL in (X.ring, Y.ring)
+    ring = omega.ring if cyclo else RING_RATIONAL if rational else RING_INTEGER
+    rows, dens = [], []
+    for x_row, dx, y_row, dy in zip(X.rows, X.dens, Y.rows, Y.dens):
+        den = lcm(q * dx, dy)
+        sy = den // dy
+        wx = [c * (den // (q * dx)) for c in w]
+        if cyclo:
+            rows.append([(wx[0] * x + sy * y, wx[1] * x) for x, y in zip(x_row, y_row)])
+        else:
+            rows.append([wx[0] * x + sy * y for x, y in zip(x_row, y_row)])
+        dens.append(den)
+    return _matrix(rows, dens, ring)
+
+
+def matrix_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
+    """A B over the integers."""
+    if A.ring != RING_INTEGER or B.ring != RING_INTEGER or A.ncols != B.nrows:
+        raise ValueError("matrix_mul needs two integer matrices of matching shapes")
+    cols = list(zip(*B.rows))
+    return ExactMatrix(
+        RING_INTEGER,
+        tuple(tuple(sum(map(operator.mul, row, col)) for col in cols) for row in A.rows),
+    )
 
 
 # --- matrix builders keyed to the lattice-path determinants ---------------
 
 
+def _binomial_den(q: int, K: int) -> int:
+    """A common denominator of binom(p/q, k) for every int p and
+    0 <= k <= K: q^K K!, or 1 when q = 1."""
+    return 1 if q == 1 else q**K * factorial(K)
+
+
+def _binomial_num(p: int, q: int, k: int, K: int) -> int:
+    """binom(p/q, k) times _binomial_den(q, K), an int for k <= K."""
+    if q == 1 or k < 0:
+        return binomial(p, k)
+    return stepped_product(p, -q, k) * q ** (K - k) * (factorial(K) // factorial(k))
+
+
 def build_B(N: int, m: Number) -> ExactMatrix:
     """The N x N matrix with entries binom(m+i+j, j), 0 <= i, j < N; over Q
-    when m is not an integer."""
+    when m = p/q is not an integer, each row over q^(N-1) (N-1)!."""
     if N < 0:
         raise ValueError("size must be nonnegative")
-    return build_omega_shift(N, m, 0)
-
-
-def identity_matrix(N: int, ring: str = RING_INTEGER) -> ExactMatrix:
-    one, zero = _scalar(ring, 1), _scalar(ring, 0)
-    return ExactMatrix.of(
-        [[one if i == j else zero for j in range(N)] for i in range(N)], ring
-    )
-
-
-def matrix_add(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    assert (A.nrows, A.ncols) == (B.nrows, B.ncols)
-    return ExactMatrix.of(
-        [
-            [A.rows[i][j] + B.rows[i][j] for j in range(A.ncols)]
-            for i in range(A.nrows)
-        ]
-    )
-
-
-def matrix_scale(A: ExactMatrix, s) -> ExactMatrix:
-    return ExactMatrix.of([[s * v for v in row] for row in A.rows])
-
-
-def matrix_mul(A: ExactMatrix, B: ExactMatrix) -> ExactMatrix:
-    assert A.ncols == B.nrows
-    rows = []
-    for i in range(A.nrows):
-        row = []
-        for j in range(B.ncols):
-            acc = A.rows[i][0] * B.rows[0][j]
-            for k in range(1, A.ncols):
-                acc = acc + A.rows[i][k] * B.rows[k][j]
-            row.append(acc)
-        rows.append(row)
-    return ExactMatrix.of(rows)
+    p, q, K = m.numerator, m.denominator, max(N - 1, 0)
+    rows = [[_binomial_num(p + (i + j) * q, q, j, K) for j in range(N)] for i in range(N)]
+    ring = RING_INTEGER if q == 1 else RING_RATIONAL
+    return _matrix(rows, [_binomial_den(q, K)] * N, ring)
 
 
 def build_omega_shift(N: int, m: Number, omega) -> ExactMatrix:
     """omega*I(N) + B(N, m) over the smallest ring containing omega and m."""
-    ring = _join_rings([_ring_of(omega), _ring_of(frac(m))])
-    rows = [[binomial(m + i + j, j) for j in range(N)] for i in range(N)]
-    # each entry is made once, in its ring's own type, so it needs neither
-    # ring addition nor ExactMatrix.of's per-entry conversion
-    if ring in TRACE:
-        zero = Fraction(0)
-        rows = [
-            [
-                CycloElement(omega.ring, omega.c0 + v, omega.c1)
-                if i == j
-                else CycloElement(omega.ring, Fraction(v), zero)
-                for j, v in enumerate(row)
-            ]
-            for i, row in enumerate(rows)
-        ]
-    else:
-        convert = int if ring == RING_INTEGER else Fraction
-        rows = [
-            [convert(v + omega if i == j else v) for j, v in enumerate(row)]
-            for i, row in enumerate(rows)
-        ]
-    return ExactMatrix(ring, tuple(map(tuple, rows)))
+    return plus_scaled(build_B(N, m), omega)
 
 
 def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number | None = None) -> ExactMatrix:
@@ -319,14 +318,15 @@ def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number | None = 
         raise ValueError("side lengths must be nonnegative")
     if b % 2 != c % 2:
         raise ValueError("b and c must have equal parity")
-    eps = Fraction((a + b) % 2, 2) if epsilon is None else frac(epsilon)
-    shift = Fraction(b + a, 2) + eps
-    if shift.denominator != 1:
+    # epsilon = e/q, so the column shift (b + a)/2 + epsilon is twice/(2q)
+    e, q = ((a + b) % 2, 2) if epsilon is None else (epsilon.numerator, epsilon.denominator)
+    twice = (b + a) * q + 2 * e
+    shift, rest = divmod(twice, 2 * q)
+    if rest:
         raise ValueError(
-            f"(b+a)/2 + epsilon = {shift} must be an integer; pick epsilon from "
-            "{0, 1} when a = b (mod 2) and {1/2, 3/2} otherwise"
+            f"(b+a)/2 + epsilon = {Fraction(twice, 2 * q)} must be an integer; pick epsilon "
+            "from {0, 1} when a = b (mod 2) and {1/2, 3/2} otherwise"
         )
-    shift = int(shift)
     n = a + m
     rows = []
     for i in range(1, n + 1):
@@ -339,14 +339,11 @@ def build_n6_matrix(a: int, m: int) -> ExactMatrix:
     """delta_ij + (-1)^j [m+i+j, j]_{q=-1}, 0 <= i, j < a."""
     from .hypergeom import qbinom_neg1
 
-    rows = []
-    for i in range(a):
-        row = []
-        for j in range(a):
-            v = (-1) ** j * qbinom_neg1(m + i + j, j)
-            row.append(v + (1 if i == j else 0))
-        rows.append(row)
-    return ExactMatrix.of(rows, RING_INTEGER)
+    rows = [
+        tuple((-1) ** j * qbinom_neg1(m + i + j, j) + (i == j) for j in range(a))
+        for i in range(a)
+    ]
+    return ExactMatrix(RING_INTEGER, tuple(rows))
 
 
 def cored_det_transform(
@@ -370,35 +367,37 @@ def cored_det_transform(
             top = (b + 3 * a) // 2 + m - i
             bottom = (c - a) // 2 + i - 1
         prefactor *= Fraction(factorial((b + c) // 2), factorial(top) * factorial(bottom))
-    matrix = transformed_cored_matrix(a, frac(b), frac(c), m, shifted)
-    return prefactor, matrix
+    return prefactor, transformed_cored_matrix(a, b, c, m, shifted)
 
 
 def transformed_cored_matrix(
     a: int, b: Number, c: Number, m: int, shifted: bool = False
 ) -> ExactMatrix:
     """The Pochhammer-product matrix D_1 (unshifted) or D_2 (shifted); its
-    entries are polynomials in b and c, so rational arguments are allowed."""
+    entries are polynomials in b and c, so rational arguments are allowed.
+
+    Entry (i, j) is a product of j-1 and n-j stepped factors, each an
+    integer over L = 2 lcm(den b, den c), so every row is over L^(n-1)."""
     n = a + m
-    b, c = frac(b), frac(c)
-    half = Fraction(1, 2) if shifted else Fraction(0)
+    L = 2 * lcm(b.denominator, c.denominator)
+    B, C = b.numerator * (L // b.denominator), c.numerator * (L // c.denominator)
+    half = L // 2 if shifted else 0
     rows = []
-    for i in range(1, a + 1):
+    for i in range(1, n + 1):
+        # the two bases at j = 0, times L: c + m + i + 1 and b - i + 1 on the
+        # first a rows, (c - a)/2 - half + i + 1 and (b + a)/2 + half - i + 1 below
+        if i <= a:
+            low, high = C + (m + i + 1) * L, B + (1 - i) * L
+        else:
+            low = (C - a * L) // 2 - half + (i + 1) * L
+            high = (B + a * L) // 2 + half + (1 - i) * L
         rows.append(
             [
-                pochhammer(c + m + i - j + 1, j - 1) * pochhammer(b - i + j + 1, n - j)
+                stepped_product(low - j * L, L, j - 1) * stepped_product(high + j * L, L, n - j)
                 for j in range(1, n + 1)
             ]
         )
-    for i in range(a + 1, n + 1):
-        rows.append(
-            [
-                pochhammer((c - a) / 2 - half + i - j + 1, j - 1)
-                * pochhammer((b + a) / 2 + half - i + j + 1, n - j)
-                for j in range(1, n + 1)
-            ]
-        )
-    return ExactMatrix.of(rows)
+    return _matrix(rows, [L ** max(n - 1, 0)] * n)
 
 
 def laplace_two_block(matrix: ExactMatrix, top_rows: int):
@@ -407,7 +406,7 @@ def laplace_two_block(matrix: ExactMatrix, top_rows: int):
     complementary minors.  Equals the determinant."""
     n = matrix.nrows
     t = top_rows
-    total = _scalar(matrix.ring, 0)
+    total = 0
     base = t * (t + 1) // 2
     for K in combinations(range(1, n + 1), t):
         sign = (-1) ** (sum(K) - base)
@@ -426,14 +425,14 @@ def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
     """-delta_ij + sum_{t,k} binom(i+mu, t) binom(k, t) binom(j-k+mu-1, j-k)
     x^(k-t), 0 <= i, j < n.
 
-    Every binomial here is an integer over scale = den(mu)^(n-1) (n-1)! and
-    every power of x an integer over den(x)^(n-1), so each entry is summed
-    on ints and divided once."""
-    x, mu = frac(x), frac(mu)
+    Every binomial here is an integer over scale = _binomial_den(den(mu), n-1)
+    and every power of x an integer over den(x)^(n-1), so each entry is
+    summed on ints and every row is over scale^2 den(x)^(n-1)."""
     top = max(n - 1, 0)
-    scale = mu.denominator**top * factorial(top)
-    left = [[int(binomial(i + mu, t) * scale) for t in range(n)] for i in range(n)]
-    right = [int(binomial(d + mu - 1, d) * scale) for d in range(n)]
+    p, q = mu.numerator, mu.denominator
+    scale = _binomial_den(q, top)
+    left = [[_binomial_num(p + i * q, q, t, top) for t in range(n)] for i in range(n)]
+    right = [_binomial_num(p + (d - 1) * q, q, d, top) for d in range(n)]
     powers = [x.numerator**e * x.denominator ** (top - e) for e in range(n)]
     den = scale * scale * x.denominator**top
     rows = []
@@ -445,9 +444,9 @@ def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
                 for t in range(j + 1)
                 for k in range(t, j + 1)
             )
-            row.append(Fraction(acc - den if i == j else acc, den))
+            row.append(acc - den if i == j else acc)
         rows.append(row)
-    return ExactMatrix.of(rows)
+    return _matrix(rows, [den] * n)
 
 
 def zn_factor_pair(n: int, x: Number, mu: Number) -> tuple[Fraction, Fraction]:
@@ -489,21 +488,19 @@ def zn_factor_pair(n: int, x: Number, mu: Number) -> tuple[Fraction, Fraction]:
 
 def build_VW(n: int, m: Number) -> tuple[ExactMatrix, ExactMatrix]:
     """The two n x n matrices indexed by (2i+r, 2j+s), r, s in {0, 1}:
-    V = (-1)^(r+s) binom(i+j+r+s+m/2, s+2j-i),  W = binom(i+j+m/2, s+2j-i-r)."""
+    V = (-1)^(r+s) binom(i+j+r+s+m/2, s+2j-i),  W = binom(i+j+m/2, s+2j-i-r);
+    over Q when m/2 = p/q is not an integer, each row over q^(n-1) (n-1)!."""
     half_m = frac(m) / 2
-    v_rows = []
-    w_rows = []
-    for row in range(n):
-        i, r = divmod(row, 2)
-        v_row = []
-        w_row = []
-        for col in range(n):
-            j, s = divmod(col, 2)
-            v_row.append((-1) ** (r + s) * binomial(i + j + r + s + half_m, s + 2 * j - i))
-            w_row.append(binomial(i + j + half_m, s + 2 * j - i - r))
-        v_rows.append(v_row)
-        w_rows.append(w_row)
-    return ExactMatrix.of(v_rows), ExactMatrix.of(w_rows)
+    p, q, K = half_m.numerator, half_m.denominator, max(n - 1, 0)
+    cells = [divmod(k, 2) for k in range(n)]
+
+    def num(top, k):  # binom(top + m/2, k) over the row denominator
+        return _binomial_num(p + top * q, q, k, K)
+
+    V = [[(-1) ** (r + s) * num(i + j + r + s, s + 2 * j - i) for j, s in cells] for i, r in cells]
+    W = [[num(i + j, s + 2 * j - i - r) for j, s in cells] for i, r in cells]
+    dens = [_binomial_den(q, K)] * n
+    return _matrix(V, dens), _matrix(W, dens)
 
 
 def _reciprocal_factorial(k: int) -> Fraction:
@@ -540,7 +537,7 @@ def principal_minor_sum(matrix: ExactMatrix):
     """Sum of all principal minors (including the empty one); equals
     det(I + M)."""
     n = matrix.nrows
-    total = _scalar(matrix.ring, 1)
+    total = 1
     for k in range(1, n + 1):
         for rows in combinations(range(n), k):
             total = total + det_fraction_free(matrix.submatrix(rows, rows))

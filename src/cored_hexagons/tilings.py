@@ -598,10 +598,6 @@ def count_weighted(
     return CycloElement.of(ring, *total)
 
 
-def count_tilings(hexagon: CoredHexagon, cap: Optional[int] = None) -> int:
-    return count_weighted(hexagon, WEIGHT_ONE, cap)
-
-
 @dataclass(frozen=True)
 class PathFamily:
     """Nonintersecting lattice paths of a tiling, in orthogonal coordinates

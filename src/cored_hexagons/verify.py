@@ -230,7 +230,7 @@ def _suite_vw_reduction(bounds, seed):
         for m in range(0, max_m + 1, 2):
             V, W = lgv.build_VW(n, m)
             for name, omega, _ in _OMEGAS[1:]:
-                lhs = lgv.det_fraction_free(lgv.matrix_add(lgv.matrix_scale(V, omega), W))
+                lhs = lgv.det_fraction_free(lgv.plus_scaled(W, omega, V))
                 rhs = lgv.det_fraction_free(lgv.build_omega_shift(n, m, omega))
                 yield _report(
                     "VWReduction", {"n": n, "m": m, "omega": name}, lhs, rhs
@@ -244,16 +244,15 @@ def _suite_block_factorizations(bounds, seed):
         for m in range(max_m + 1):
             B = lgv.build_B(a, m)
             B3 = lgv.matrix_mul(lgv.matrix_mul(B, B), B)
-            eye = lgv.identity_matrix(a)
-            lhs = lgv.det_fraction_free(lgv.matrix_add(eye, B3))
-            rhs = lgv.det_fraction_free(lgv.matrix_add(eye, B)) * lgv.det_fraction_free(
+            lhs = lgv.det_fraction_free(lgv.plus_scaled(B3, 1))
+            rhs = lgv.det_fraction_free(lgv.plus_scaled(B, 1)) * lgv.det_fraction_free(
                 lgv.build_omega_shift(a, m, omega3())
             ).norm()
             yield _report("BlockFactorizations", {"a": a, "m": m, "root": "third"}, lhs, rhs)
-            lhs = lgv.det_fraction_free(lgv.matrix_add(lgv.matrix_scale(eye, -1), B3))
-            rhs = lgv.det_fraction_free(
-                lgv.matrix_add(lgv.matrix_scale(eye, -1), B)
-            ) * lgv.det_fraction_free(lgv.build_omega_shift(a, m, omega6())).norm()
+            lhs = lgv.det_fraction_free(lgv.plus_scaled(B3, -1))
+            rhs = lgv.det_fraction_free(lgv.plus_scaled(B, -1)) * lgv.det_fraction_free(
+                lgv.build_omega_shift(a, m, omega6())
+            ).norm()
             yield _report("BlockFactorizations", {"a": a, "m": m, "root": "sixth"}, lhs, rhs)
     for idx in range(bounds.get("minor_checks", 3)):
         rng = _case_rng(seed, 10_000 + idx)
@@ -261,7 +260,7 @@ def _suite_block_factorizations(bounds, seed):
             [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
         )
         lhs = lgv.principal_minor_sum(M)
-        rhs = lgv.det_fraction_free(lgv.matrix_add(lgv.identity_matrix(4), M))
+        rhs = lgv.det_fraction_free(lgv.plus_scaled(M, 1))
         yield _report(
             "BlockFactorizations", {"check": "principal-minors", "index": idx}, lhs, rhs
         )

@@ -21,7 +21,7 @@ from itertools import combinations
 from cored_hexagons.exactnum import SIXTH, THIRD, CycloElement, Number, double_factorial_odd, frac
 from cored_hexagons.formulas import _check_order, _watson_lower_params
 from cored_hexagons.hypergeom import PochhammerZeroError, TerminatingSeries
-from cored_hexagons.lgv import ExactMatrix, _join_rings, _ring_of
+from cored_hexagons.lgv import RING_INTEGER, RING_RATIONAL, ExactMatrix
 
 
 def binomial(top: Number, bottom: int) -> Number:
@@ -115,7 +115,13 @@ def build_omega_shift(N: int, m: Number, omega) -> ExactMatrix:
     rows = [
         [(omega if i == j else zero) + binomial(m + i + j, j) for j in range(N)] for i in range(N)
     ]
-    return ExactMatrix.of(rows, _join_rings([_ring_of(omega), _ring_of(frac(m))]))
+    if isinstance(omega, CycloElement):
+        ring = omega.ring
+    elif frac(omega).denominator == frac(m).denominator == 1:
+        ring = RING_INTEGER
+    else:
+        ring = RING_RATIONAL
+    return ExactMatrix.of(rows, ring)
 
 
 def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:

@@ -31,17 +31,14 @@ from cored_hexagons.hypergeom import (
     qbinom_neg1_by_product,
 )
 from cored_hexagons.lgv import (
-    ExactMatrix,
     build_B,
     build_cored_matrix,
     build_n6_matrix,
     build_omega_shift,
     build_VW,
     det_fraction_free,
-    identity_matrix,
-    matrix_add,
     matrix_mul,
-    matrix_scale,
+    plus_scaled,
     th10_pair,
     zn_factor_pair,
 )
@@ -205,37 +202,25 @@ def test_criterion_07_zn_factorization():
 
 
 def test_criterion_08_vw_and_blocks():
-    from cored_hexagons.exactnum import CycloElement
-
     ok = True
     for n in range(6):
         for m in range(0, 7, 2):
             V, W = build_VW(n, m)
             for omega in (-1, omega3(), omega6()):
-                if isinstance(omega, CycloElement):
-                    Wc = ExactMatrix.of(
-                        [
-                            [CycloElement.of(omega.ring, Fraction(v)) for v in row]
-                            for row in W.rows
-                        ]
-                    )
-                    lhs = det_fraction_free(matrix_add(matrix_scale(V, omega), Wc))
-                else:
-                    lhs = det_fraction_free(matrix_add(matrix_scale(V, omega), W))
+                lhs = det_fraction_free(plus_scaled(W, omega, V))
                 ok = ok and lhs == det_fraction_free(build_omega_shift(n, m, omega))
     for a in range(7):
         for m in range(9):
             B = build_B(a, m)
             B3 = matrix_mul(matrix_mul(B, B), B)
-            eye = identity_matrix(a)
-            lhs3 = det_fraction_free(matrix_add(eye, B3))
-            rhs3 = det_fraction_free(matrix_add(eye, B)) * det_fraction_free(
+            lhs3 = det_fraction_free(plus_scaled(B3, 1))
+            rhs3 = det_fraction_free(plus_scaled(B, 1)) * det_fraction_free(
                 build_omega_shift(a, m, omega3())
             ).norm()
-            lhs6 = det_fraction_free(matrix_add(matrix_scale(eye, -1), B3))
-            rhs6 = det_fraction_free(
-                matrix_add(matrix_scale(eye, -1), B)
-            ) * det_fraction_free(build_omega_shift(a, m, omega6())).norm()
+            lhs6 = det_fraction_free(plus_scaled(B3, -1))
+            rhs6 = det_fraction_free(plus_scaled(B, -1)) * det_fraction_free(
+                build_omega_shift(a, m, omega6())
+            ).norm()
             ok = ok and lhs3 == rhs3 and lhs6 == rhs6
     report(8, "det(wV+W) reduction (n <= 5, even m <= 6) and block factorizations (a <= 6, m <= 8)", ok)
 

@@ -6,7 +6,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from cored_hexagons import lgv
+from cored_hexagons import exactnum, lgv
 from cored_hexagons.exactnum import CycloElement, SIXTH, THIRD, omega3, omega6
 from cored_hexagons.formulas import count_cored_formula
 from cored_hexagons.lgv import (
@@ -22,18 +22,16 @@ from cored_hexagons.lgv import (
     build_omega_shift,
     cored_det_transform,
     det_fraction_free,
-    identity_matrix,
     laplace_two_block,
-    matrix_add,
     matrix_mul,
-    matrix_scale,
+    plus_scaled,
     principal_minor_sum,
     th10_pair,
     transformed_cored_matrix,
     zn_factor_pair,
 )
 from cored_hexagons.tilings import CoredHexagon, count_weighted
-from text_formats import matrix_to_text
+from text_formats import matrix_to_text, matrix_values
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -57,7 +55,8 @@ class TestDeterminant:
         assert det_fraction_free(ExactMatrix.of([])) == 1
 
     def test_identity(self):
-        assert det_fraction_free(identity_matrix(5)) == 1
+        zero = ExactMatrix.of([[0] * 5] * 5)
+        assert det_fraction_free(plus_scaled(zero, 1)) == 1
 
     def test_small_example(self):
         assert det_fraction_free(ExactMatrix.of([[2, 1], [1, 3]])) == 5
@@ -205,7 +204,8 @@ class TestBuilders:
         assert det_fraction_free(build_omega_shift(2, 4, 1)) == 9
         assert det_fraction_free(build_omega_shift(2, 4, -1)) == -5
         one_by_one = build_omega_shift(1, 3, omega6())
-        assert one_by_one.rows[0][0] == omega6() + 1
+        assert matrix_values(one_by_one) == [[omega6() + 1]]
+        assert one_by_one.rows == (((1, 1),),)
 
     def test_non_integer_m_is_not_truncated(self):
         # det(I + B(2, 1/2)) = det [[2, 3/2], [1, 7/2]] = 11/2
@@ -256,6 +256,43 @@ class TestBuilders:
         assert text == "ring integer 2 2\n1 1\n1 2\n"
 
 
+class TestIntegerRows:
+    def test_builders_and_kernel_build_no_fraction(self, monkeypatch):
+        class Refused(Fraction):
+            def __new__(cls, *args):
+                raise AssertionError("a Fraction was built")
+
+        def refuse(*args):
+            raise AssertionError("a Fraction was built")
+
+        w3, w6, three_halves = omega3(), omega6(), Fraction(3, 2)
+        for module in (lgv, exactnum):
+            monkeypatch.setattr(module, "Fraction", Refused)
+            monkeypatch.setattr(module, "frac", refuse)
+        matrices = [
+            build_cored_matrix(3, 5, 1, 2),
+            build_cored_matrix(3, 4, 2, 3),
+            build_cored_matrix(2, 1, 3, 2, three_halves),
+            build_n6_matrix(4, 3),
+            build_omega_shift(5, 3, -1),
+            build_omega_shift(5, 3, w3),
+            build_omega_shift(5, 4, w6),
+            transformed_cored_matrix(3, 5, 1, 2),
+            transformed_cored_matrix(2, 5, 3, 3, True),
+        ]
+        for matrix in matrices:
+            ring = lgv._KERNEL_RINGS.get(matrix.ring, lgv._INT_RING)
+            lgv._bareiss([list(row) for row in matrix.rows], *ring)
+
+    def test_plus_scaled_and_matrix_mul_check_their_operands(self):
+        with pytest.raises(ValueError, match="one shape"):
+            plus_scaled(build_B(2, 0), 1, build_B(3, 0))
+        with pytest.raises(ValueError, match="over Z or Q"):
+            plus_scaled(build_omega_shift(2, 0, omega3()), 1)
+        with pytest.raises(ValueError, match="integer matrices"):
+            matrix_mul(build_B(2, 0), build_B(2, Fraction(1, 2)))
+
+
 class TestTransform:
     @pytest.mark.parametrize(
         "params", [(2, 2, 2, 2, False), (1, 3, 1, 2, False), (2, 5, 1, 2, True), (1, 2, 2, 3, True)]
@@ -287,6 +324,18 @@ class TestLaplace:
     def test_cored_matrix_expansion(self):
         m = build_cored_matrix(2, 2, 2, 2, 0)
         assert laplace_two_block(m, 2) == det_fraction_free(m)
+
+    @pytest.mark.parametrize("omega", [Fraction(-1, 3), omega6()])
+    def test_minors_carry_the_row_denominators(self, omega):
+        # omega*I + B(4, 1/2): rows over 2^3 3!, of ints for omega = -1/3 and
+        # of Z[w6] pairs for omega = w6
+        m = build_omega_shift(4, Fraction(1, 2), omega)
+        assert max(m.dens) > 1
+        det = det_fraction_free(m)
+        for t in range(5):
+            assert laplace_two_block(m, t) == det
+        plus_identity = build_omega_shift(4, Fraction(1, 2), omega + 1)
+        assert principal_minor_sum(m) == det_fraction_free(plus_identity)
 
 
 class TestZn:
@@ -321,24 +370,21 @@ class TestZn:
 
 class TestVW:
     def test_even_even_entries_agree(self):
-        V, W = build_VW(6, 4)
+        V, W = map(matrix_values, build_VW(6, 4))
         for i in range(3):
             for j in range(3):
-                assert V.rows[2 * i][2 * j] == W.rows[2 * i][2 * j]
+                assert V[2 * i][2 * j] == W[2 * i][2 * j]
 
     def test_reduction_minus_one(self):
         V, W = build_VW(2, 0)
-        lhs = det_fraction_free(matrix_add(matrix_scale(V, -1), W))
+        lhs = det_fraction_free(plus_scaled(W, -1, V))
         assert lhs == det_fraction_free(build_omega_shift(2, 0, -1)) == -1
 
     def test_reduction_sixth_root(self):
         n, m = 3, 2
         V, W = build_VW(n, m)
         w = omega6()
-        Wc = ExactMatrix.of(
-            [[CycloElement.of(w.ring, Fraction(v)) for v in row] for row in W.rows]
-        )
-        lhs = det_fraction_free(matrix_add(matrix_scale(V, w), Wc))
+        lhs = det_fraction_free(plus_scaled(W, w, V))
         assert lhs == det_fraction_free(build_omega_shift(n, m, w))
 
     def test_odd_m_gives_rational_entries(self):
@@ -350,24 +396,21 @@ class TestBlocks:
     def test_principal_minors(self):
         rng = random.Random(3)
         m = ExactMatrix.of([[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)])
-        assert principal_minor_sum(m) == det_fraction_free(
-            matrix_add(identity_matrix(4), m)
-        )
+        assert principal_minor_sum(m) == det_fraction_free(plus_scaled(m, 1))
 
     def test_det3_and_det6(self):
         for a, m in ((3, 2), (4, 1)):
             B = build_B(a, m)
             B3 = matrix_mul(matrix_mul(B, B), B)
-            eye = identity_matrix(a)
-            lhs = det_fraction_free(matrix_add(eye, B3))
-            rhs = det_fraction_free(matrix_add(eye, B)) * det_fraction_free(
+            lhs = det_fraction_free(plus_scaled(B3, 1))
+            rhs = det_fraction_free(plus_scaled(B, 1)) * det_fraction_free(
                 build_omega_shift(a, m, omega3())
             ).norm()
             assert lhs == rhs
-            lhs = det_fraction_free(matrix_add(matrix_scale(eye, -1), B3))
-            rhs = det_fraction_free(
-                matrix_add(matrix_scale(eye, -1), B)
-            ) * det_fraction_free(build_omega_shift(a, m, omega6())).norm()
+            lhs = det_fraction_free(plus_scaled(B3, -1))
+            rhs = det_fraction_free(plus_scaled(B, -1)) * det_fraction_free(
+                build_omega_shift(a, m, omega6())
+            ).norm()
             assert lhs == rhs
 
 

@@ -1,7 +1,8 @@
 """The integer-summed series and matrix builders, the shared Z[w3]/Z[w6]
 arithmetic and det(I + B(a, m)) against their former forms in
-`rational_reference`: the same value of the same type, or the same
-exception with the same arguments."""
+`rational_reference`: the same value of the same type (for a matrix, the
+same ring and entry values), or the same exception with the same
+arguments."""
 
 from fractions import Fraction
 from unittest import mock
@@ -9,6 +10,7 @@ from unittest import mock
 from hypothesis import given, settings, strategies as st
 
 import rational_reference as ref
+from text_formats import matrix_values
 from cored_hexagons import exactnum, formulas, hypergeom, lgv
 from cored_hexagons.exactnum import SIXTH, THIRD, CycloElement, omega3, omega6
 
@@ -35,14 +37,9 @@ def outcome(fn, *args):
 
 
 def entries(matrix):
-    """Each entry with its type, and a cyclotomic one with its coordinates'."""
-    return matrix.ring, [
-        [
-            (type(v), v, type(v.c0), type(v.c1)) if isinstance(v, CycloElement) else (type(v), v)
-            for v in row
-        ]
-        for row in matrix.rows
-    ]
+    """The ring and each entry's value, rebuilt from the coordinate rows and
+    the row denominators."""
+    return matrix.ring, matrix_values(matrix)
 
 
 @given(bases, st.integers(-2, 12))

@@ -9,7 +9,9 @@ cyclotomic entry written `c0+c1t`.
 
 from __future__ import annotations
 
-from cored_hexagons.exactnum import CycloElement, frac, value_to_str
+from fractions import Fraction
+
+from cored_hexagons.exactnum import TRACE, CycloElement, value_to_str
 from cored_hexagons.lgv import ExactMatrix
 from cored_hexagons.tilings import DOWN, UP, Region, Tiling
 
@@ -46,14 +48,26 @@ def tiling_from_text(text: str) -> Tiling:
     return Tiling(tuple(sorted(tuple(sorted(p)) for p in pairs)))
 
 
+def matrix_values(matrix: ExactMatrix) -> list[list]:
+    """The entries as exact values, rebuilt from the coordinate rows and the
+    row denominators: Fractions, or CycloElements in the matrix's ring."""
+
+    def value(x, den):
+        if matrix.ring in TRACE:
+            return CycloElement.of(matrix.ring, Fraction(x[0], den), Fraction(x[1], den))
+        return Fraction(x, den)
+
+    return [[value(x, den) for x in row] for row, den in zip(matrix.rows, matrix.dens)]
+
+
 def matrix_to_text(matrix: ExactMatrix) -> str:
     lines = [f"ring {matrix.ring} {matrix.nrows} {matrix.ncols}"]
-    for row in matrix.rows:
+    for row in matrix_values(matrix):
         parts = []
         for v in row:
             if isinstance(v, CycloElement):
                 parts.append(f"{value_to_str(v.c0)}+{value_to_str(v.c1)}t")
             else:
-                parts.append(value_to_str(frac(v)))
+                parts.append(value_to_str(v))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
