@@ -390,7 +390,11 @@ def asymptotic_k(a: int, b: int, c: int, m: int, digits: int = 50) -> mpmath.mpf
 def conjecture_rhs(which: int, a: int, b: int, c: int, m: int) -> Fraction:
     """Right-hand sides of the two off-center conjectures (core moved by one
     unit, respectively 3/2 units).  Degenerate hexagons with a+b < 2 or
-    a+c < 2 are outside the formula's domain."""
+    a+c < 2, and negative parameters, are outside the formula's domain."""
+    if min(a, b, c, m) < 0:
+        raise FormulaDomainError(
+            f"a, b, c and m must be nonnegative, got a={a}, b={b}, c={c}, m={m}"
+        )
     if which == 1:
         if a % 2 != b % 2 or b % 2 != c % 2:
             raise FormulaDomainError("the one-unit shift needs a, b, c of equal parity")

@@ -20,7 +20,7 @@ import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, combinations
-from math import comb, factorial, gcd, lcm, prod
+from math import comb, factorial, gcd, lcm, perm, prod
 
 from .exactnum import (
     CycloElement,
@@ -503,34 +503,34 @@ def build_VW(n: int, m: Number) -> tuple[ExactMatrix, ExactMatrix]:
     return _matrix(V, dens), _matrix(W, dens)
 
 
-def _reciprocal_factorial(k: int) -> Fraction:
-    """1/k!, with the convention 1/k! = 0 for negative integers."""
-    return Fraction(0) if k < 0 else Fraction(1, factorial(k))
-
-
 def th10_pair(n: int, x: int, y: int) -> tuple[Fraction, Fraction]:
-    """Determinant of ((x+y+i+j-1)! / ((x+2i-j)! (y+2j-i)!)) against its
-    product evaluation, both exact."""
-    if x < 0 or y < 0:
-        raise ValueError("x and y must be nonnegative integers")
+    """Determinant of ((x+y+i+j-1)! / ((x+2i-j)! (y+2j-i)!)), 1/k! = 0 for
+    negative k, against its product evaluation, both exact.
+
+    Row i is over (x+2i)! (y+2n-2-i)!, which turns each entry into
+    (x+y+i+j-1)! times the falling factorials (x+2i)!/(x+2i-j)! and
+    (y+2n-2-i)!/(y+2j-i)!; each has a zero factor exactly when its lower
+    argument is negative, as 1/k! = 0 asks."""
+    if min(n, x, y) < 0:
+        raise ValueError("n, x and y must be nonnegative integers")
     if n > 0 and x + y == 0:
         raise ValueError("x + y must be positive for a nonempty matrix")
-    rows = []
+    top = 2 * n - 2
+    rows = [
+        [
+            factorial(x + y + i + j - 1) * perm(x + 2 * i, j) * perm(y + top - i, top - 2 * j)
+            for j in range(n)
+        ]
+        for i in range(n)
+    ]
+    dens = [factorial(x + 2 * i) * factorial(y + top - i) for i in range(n)]
+    lhs = frac(det_fraction_free(_matrix(rows, dens)))
+    num = den = 1
     for i in range(n):
-        row = []
-        for j in range(n):
-            num = factorial(x + y + i + j - 1)
-            row.append(
-                num * _reciprocal_factorial(x + 2 * i - j) * _reciprocal_factorial(y + 2 * j - i)
-            )
-        rows.append(row)
-    lhs = frac(det_fraction_free(ExactMatrix.of(rows))) if n else Fraction(1)
-    rhs = Fraction(1)
-    for i in range(n):
-        rhs *= Fraction(factorial(i) * factorial(x + y + i - 1))
-        rhs *= frac(pochhammer(2 * x + y + 2 * i, i)) * frac(pochhammer(x + 2 * y + 2 * i, i))
-        rhs /= factorial(x + 2 * i) * factorial(y + 2 * i)
-    return lhs, rhs
+        num *= factorial(i) * factorial(x + y + i - 1)
+        num *= pochhammer(2 * x + y + 2 * i, i) * pochhammer(x + 2 * y + 2 * i, i)
+        den *= factorial(x + 2 * i) * factorial(y + 2 * i)
+    return lhs, Fraction(num, den)
 
 
 def principal_minor_sum(matrix: ExactMatrix):

@@ -9,6 +9,12 @@ statistic mod 6 and applies the weight once.  Backtracking is left only
 for the enumeration generators.  Nothing here uses the determinant or
 closed-form routes that these counts check.
 
+A tiling is a perfect matching of the region's cells, held as the tuple of
+their partners: entry i is the index in `Region.cells` of the cell that
+cell i shares its lozenge with.  The enumerators yield the search's partner
+arrays as such tuples, and the statistics n and n6, the symmetry test and
+the path bijection read them directly.
+
 Lattice conventions (fixed once, validated by the pinned counts in the test
 suite):
 
@@ -44,6 +50,7 @@ DOWN = 1
 
 Cell = tuple[int, int, int]
 Graph = list[list[tuple[int, int]]]
+Tiling = tuple[int, ...]  # entry i: the index of the cell paired with cell i
 
 WEIGHT_ONE = "one"
 WEIGHT_MINUS1 = "minus1"
@@ -254,30 +261,6 @@ def build_region(hexagon: CoredHexagon) -> Region:
     return Region(hexagon)
 
 
-@dataclass(frozen=True)
-class Tiling:
-    """A perfect matching of region cells into lozenges."""
-
-    pairs: tuple[tuple[Cell, Cell], ...]
-
-    @staticmethod
-    def from_partner(region: Region, partner: list[int]) -> Tiling:
-        pairs = []
-        for i, j in enumerate(partner):
-            if i < j:
-                pairs.append((region.cells[i], region.cells[j]))
-        return Tiling(tuple(sorted(pairs)))
-
-    def partner_array(self, region: Region) -> list[int]:
-        partner = [-1] * len(region.cells)
-        for u, v in self.pairs:
-            iu, iv = region.cell_index[u], region.cell_index[v]
-            partner[iu] = iv
-            partner[iv] = iu
-        assert -1 not in partner, "not a perfect matching of the region"
-        return partner
-
-
 def _check_cap(units: int, cap: Optional[int]) -> None:
     limit = default_cell_cap() if cap is None else cap
     if units > limit:
@@ -347,12 +330,12 @@ def _check_cyclic(hexagon: CoredHexagon, cap: Optional[int]) -> None:
 
 def enumerate_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
     _check_cap(len(region.cells), cap)
-    return (Tiling.from_partner(region, p) for p in _matchings(region, cyclic=False))
+    return map(tuple, _matchings(region, cyclic=False))
 
 
 def enumerate_cyclic_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
     _check_cyclic(region.hexagon, cap)
-    return (Tiling.from_partner(region, p) for p in _matchings(region, cyclic=True))
+    return map(tuple, _matchings(region, cyclic=True))
 
 
 def _frontier_count(graph: Graph, modulus: int = 0) -> int:
@@ -451,7 +434,7 @@ def _n6_weights(region: Region) -> dict[tuple[int, int], int]:
     """Weight x on the lozenge (sigma U(x, y), sigma D(x, y)) for 0 <= x < a
     and a-1-x <= y <= 2a+m-2-x, sigma the reflection: on a cyclically
     symmetric tiling the weights of its lozenges sum to n6, as read by the
-    path walk of `_statistic_n6_from_partner`.  Weight 0 is left out."""
+    path walk of `statistic_n6`.  Weight 0 is left out."""
     sigma, index = region.reflection, region.cell_index
     a, m = region.a, region.m
     return {
@@ -473,29 +456,25 @@ def _cyclic_histogram(region: Region, n6: bool) -> list[int]:
     return [by_straddles[(length - r) % 6] for r in range(6)]
 
 
-def _statistic_n_from_partner(region: Region, partner: list[int]) -> int:
-    n = 0
-    for west, east in region.reference_ray:
-        if west < 0 or east < 0 or partner[west] != east:
-            n += 1
-    return n
-
-
 def statistic_n(tiling: Tiling, region: Region) -> int:
     """Number of ray segments that are lozenge edges (not interior to a
     lozenge); equals the number of lattice paths passing the core on the
     reference-ray side."""
-    return _statistic_n_from_partner(region, tiling.partner_array(region))
+    return sum(min(west, east) < 0 or tiling[west] != east for west, east in region.reference_ray)
 
 
-def _statistic_n6_from_partner(region: Region, partner: list[int]) -> int:
+def statistic_n6(tiling: Tiling, region: Region) -> int:
+    """Sum of distances of the horizontal lozenges of one fundamental domain
+    to its border along the core; defined for cyclically symmetric tilings."""
+    if not is_cyclically_symmetric(tiling, region):
+        raise ValueError("statistic is defined for cyclically symmetric tilings only")
     # The walk below reads off the paths of one fundamental domain, bounded
     # by the cut through the core side on the ray line and the cut along the
     # third lattice direction.  Conjugating by the reflection symmetry picks
     # the domain orientation that makes the m = 0 specialization count the
     # off-diagonal cube orbits of the plane partition (rather than their
     # complement, which has the same parity).  The reflection is an
-    # involution, so the conjugate matches u with sigma[partner[sigma[u]]].
+    # involution, so the conjugate matches u with sigma[tiling[sigma[u]]].
     sigma = region.reflection
     a, m = region.a, region.m
     index = region.cell_index
@@ -505,13 +484,13 @@ def _statistic_n6_from_partner(region: Region, partner: list[int]) -> int:
         start_down = index.get((j, a - 1 - j, DOWN), -1)
         if start_up < 0 or start_down < 0:
             continue
-        if sigma[partner[sigma[start_up]]] != start_down:
+        if sigma[tiling[sigma[start_up]]] != start_down:
             continue
         total += j
         x, y = j, a - j
         while True:
             u = index[(x, y, UP)]
-            p = sigma[partner[sigma[u]]]
+            p = sigma[tiling[sigma[u]]]
             if p == index.get((x, y, DOWN), -2):
                 total += x
                 y += 1
@@ -527,24 +506,11 @@ def _statistic_n6_from_partner(region: Region, partner: list[int]) -> int:
     return total
 
 
-def statistic_n6(tiling: Tiling, region: Region) -> int:
-    """Sum of distances of the horizontal lozenges of one fundamental domain
-    to its border along the core; defined for cyclically symmetric tilings."""
-    partner = tiling.partner_array(region)
-    if not _is_cyclic_partner(region, partner):
-        raise ValueError("statistic is defined for cyclically symmetric tilings only")
-    return _statistic_n6_from_partner(region, partner)
-
-
-def _is_cyclic_partner(region: Region, partner: list[int]) -> bool:
-    if not (region.a == region.b == region.c):
-        raise ValueError("cyclic symmetry needs a hexagon with a = b = c")
-    rot = region.rotation
-    return [partner[r] for r in rot] == [rot[p] for p in partner]
-
-
 def is_cyclically_symmetric(tiling: Tiling, region: Region) -> bool:
-    return _is_cyclic_partner(region, tiling.partner_array(region))
+    """Whether the 120-degree rotation maps the tiling to itself; only
+    defined for a = b = c."""
+    rot = region.rotation
+    return [tiling[r] for r in rot] == [rot[p] for p in tiling]
 
 
 def count_weighted(
@@ -608,23 +574,6 @@ class PathFamily:
     ends: tuple[tuple[int, int], ...]
     sigma: tuple[int, ...]  # sigma[i-1] = j: path from A_i ends at E_j (1-based)
 
-    @property
-    def sign(self) -> int:
-        seen = [False] * len(self.sigma)
-        sign = 1
-        for i in range(len(self.sigma)):
-            if seen[i]:
-                continue
-            length = 0
-            j = i
-            while not seen[j]:
-                seen[j] = True
-                j = self.sigma[j] - 1
-                length += 1
-            if length % 2 == 0:
-                sign = -sign
-        return sign
-
 
 def _path_start_bases(region: Region) -> list[tuple[int, int]]:
     a, c, m = region.a, region.c, region.m
@@ -636,7 +585,6 @@ def _path_start_bases(region: Region) -> list[tuple[int, int]]:
 def tiling_to_paths(tiling: Tiling, region: Region) -> PathFamily:
     """The standard bijection onto nonintersecting paths from the side of
     length a (and the core side parallel to it) to the side of length a+m."""
-    partner = tiling.partner_array(region)
     index = region.cell_index
     b = region.b
     paths = []
@@ -644,8 +592,7 @@ def tiling_to_paths(tiling: Tiling, region: Region) -> PathFamily:
     for x, y in _path_start_bases(region):
         vertices = [(x + y, y)]
         while x < b:
-            u = index[(x, y, UP)]
-            p = partner[u]
+            p = tiling[index[(x, y, UP)]]
             if p == index.get((x, y, DOWN), -2):
                 x += 1
             elif p == index.get((x, y - 1, DOWN), -2):
@@ -661,33 +608,6 @@ def tiling_to_paths(tiling: Tiling, region: Region) -> PathFamily:
     starts = tuple(path[0] for path in paths)
     ends = tuple(path[-1] for path in paths)
     return PathFamily(tuple(paths), starts, ends, tuple(sigma))
-
-
-def paths_to_tiling(family: PathFamily, region: Region) -> Tiling:
-    """Inverse of tiling_to_paths: path steps fix two lozenge orientations,
-    the remaining cells pair into the third."""
-    index = region.cell_index
-    partner = [-1] * len(region.cells)
-
-    def place(i: int, j: int) -> None:
-        assert partner[i] < 0 and partner[j] < 0, "overlapping lozenges"
-        partner[i] = j
-        partner[j] = i
-
-    for path in family.paths:
-        for (x1, y1), (x2, y2) in zip(path, path[1:]):
-            bx, by = x1 - y1, y1
-            if (x2, y2) == (x1 + 1, y1):
-                place(index[(bx, by, UP)], index[(bx, by, DOWN)])
-            elif (x2, y2) == (x1, y1 - 1):
-                place(index[(bx, by, UP)], index[(bx, by - 1, DOWN)])
-            else:
-                raise ValueError("steps must be east or south")
-    for i, (x, y, orient) in enumerate(region.cells):
-        if orient == UP and partner[i] < 0:
-            place(i, index[(x - 1, y, DOWN)])
-    assert all(p >= 0 for p in partner), "paths do not determine a tiling"
-    return Tiling.from_partner(region, partner)
 
 
 def tiling_to_plane_partition(tiling: Tiling, region: Region) -> list[list[int]]:

@@ -530,10 +530,12 @@ def run_suite(name: str, bounds: dict | None = None, seed: int = 0) -> list[Veri
     if name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; pick one of {sorted(SUITES)}")
     bounds = bounds or {}
-    # a negative bound would check nothing and read as a pass
+    # a negative bound, or a negative core size in Conjectures' ms and
+    # odd_ms, would check nothing and read as a pass
     for key, bound in bounds.items():
-        if isinstance(bound, int) and bound < 0:
-            raise ValueError(f"bound {key} must be nonnegative, got {bound}")
+        for value in bound if key in ("ms", "odd_ms") else (bound,):
+            if isinstance(value, int) and value < 0:
+                raise ValueError(f"bound {key} must be nonnegative, got {value}")
     return list(SUITES[name](bounds, seed))
 
 

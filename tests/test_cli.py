@@ -219,8 +219,20 @@ class TestOtherCommands:
                 ("--id", "lemma-rhs", "--a", "2", "--b", "2", "--c", "2", "--m", "-1"),
                 "got a=2, m=-1",
             ),
+            (
+                ("--id", "conjecture1", "--a", "4", "--b", "4", "--c", "4", "--m", "-1"),
+                "got a=4, b=4, c=4, m=-1",
+            ),
+            (
+                ("--id", "conjecture1", "--a", "2", "--b", "2", "--c", "2", "--m", "-1"),
+                "got a=2, b=2, c=2, m=-1",
+            ),
+            (
+                ("--id", "conjecture2", "--a", "3", "--b", "2", "--c", "2", "--m", "-1"),
+                "got a=3, b=2, c=2, m=-1",
+            ),
         ],
-        ids=["zare1", "lemma-rhs"],
+        ids=["zare1", "lemma-rhs", "conjecture1", "conjecture1-small", "conjecture2"],
     )
     def test_negative_m_is_a_named_domain_error(self, capsys, argv, message):
         code, out, err = run_cli(capsys, "formula", *argv)

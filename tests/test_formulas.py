@@ -363,6 +363,14 @@ class TestConjectures:
         with pytest.raises(FormulaDomainError):
             conjecture_rhs(2, 2, 2, 2, 2)
 
+    def test_negative_sides_are_named(self):
+        # before any table is built, whose hyperfactorials would reject
+        # them with an internal message or not at all
+        with pytest.raises(FormulaDomainError, match="got a=4, b=-2, c=4, m=1"):
+            conjecture_rhs(1, 4, -2, 4, 1)
+        with pytest.raises(FormulaDomainError, match="got a=3, b=2, c=-4, m=0"):
+            conjecture_rhs(2, 3, 2, -4, 0)
+
 
 class TestPlanePartitionSpecialization:
     def test_signed_diagonal_count_over_plane_partitions(self):

@@ -364,6 +364,9 @@ class TestZn:
     def test_th10_rejects_bad_args(self):
         with pytest.raises(ValueError):
             th10_pair(2, -1, 3)
+        # a negative order would give an empty matrix and a vacuous 1 = 1
+        with pytest.raises(ValueError):
+            th10_pair(-1, 1, 1)
         with pytest.raises(ValueError):
             th10_pair(1, 0, 0)
 

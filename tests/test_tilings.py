@@ -35,7 +35,6 @@ from cored_hexagons.tilings import (
     normalize_sides,
     plane_partition_diagonal_count,
     plane_partition_size,
-    paths_to_tiling,
     statistic_n,
     statistic_n6,
     tiling_to_paths,
@@ -46,9 +45,25 @@ from text_formats import region_to_text, tiling_from_text, tiling_to_text
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def load_tiling(name):
+def load_tiling(name, region):
     with open(os.path.join(DATA, name)) as fh:
-        return tiling_from_text(fh.read())
+        tiling = tiling_from_text(fh.read(), region)
+    assert is_perfect_matching(tiling, region), name
+    return tiling
+
+
+def is_perfect_matching(tiling, region):
+    """Whether the partner tuple pairs every cell with another cell along
+    an edge of the region's graph, each pair read the same from both ends."""
+    edges = {
+        (i, i + bit.bit_length() - 1)
+        for i, moves in enumerate(region.graph)
+        for bit, _ in moves
+    }
+    return len(tiling) == len(region.cells) and all(
+        0 <= j < len(tiling) and tiling[j] == i and (min(i, j), max(i, j)) in edges
+        for i, j in enumerate(tiling)
+    )
 
 
 class TestRegion:
@@ -334,15 +349,13 @@ class TestOrbitCount:
                 region = build_region(hexagon)
                 n6_weights = tilings._n6_weights(region)
                 hist_n, hist_n6 = [0] * 6, [0] * 6
-                # the search's own partner arrays, scored before the next
-                # matching updates them in place
-                for partner in tilings._matchings(region, cyclic=True):
-                    assert tilings._is_cyclic_partner(region, partner)
-                    n6 = tilings._statistic_n6_from_partner(region, partner)
-                    hist_n[tilings._statistic_n_from_partner(region, partner) % 6] += 1
+                for tiling in enumerate_cyclic_tilings(region, cap=80):
+                    assert is_cyclically_symmetric(tiling, region)
+                    n6 = statistic_n6(tiling, region)
+                    hist_n[statistic_n(tiling, region) % 6] += 1
                     hist_n6[n6 % 6] += 1
                     # the weight table reproduces the path walk of statistic_n6
-                    assert sum(w for (u, d), w in n6_weights.items() if partner[u] == d) == n6
+                    assert sum(w for (u, d), w in n6_weights.items() if tiling[u] == d) == n6
                 assert tilings._cyclic_histogram(region, n6=False) == hist_n, (a, m)
                 assert tilings._cyclic_histogram(region, n6=True) == hist_n6, (a, m)
                 expected = {
@@ -359,9 +372,7 @@ class TestOrbitCount:
 
     def test_enumeration_wraps_the_partner_arrays_of_the_search(self):
         region = build_region(CoredHexagon(3, 3, 3, 2))
-        expected = [
-            tilings.Tiling.from_partner(region, p) for p in tilings._matchings(region, cyclic=True)
-        ]
+        expected = [tuple(p) for p in tilings._matchings(region, cyclic=True)]
         assert len(expected) > 1
         assert list(enumerate_cyclic_tilings(region)) == expected
 
@@ -387,7 +398,7 @@ class TestStatisticN:
         # the worked example tiling of C_{5,3,1}(2) has two lozenge edges on
         # the extension of the core side
         region = build_region(CoredHexagon(5, 3, 1, 2))
-        tiling = load_tiling("ray_example.txt")
+        tiling = load_tiling("ray_example.txt", region)
         assert statistic_n(tiling, region) == 2
 
     def test_b_c_zero_value(self):
@@ -406,21 +417,16 @@ class TestStatisticN:
         region = build_region(CoredHexagon(3, 3, 3, 2))
         rot = region.rotation
         for tiling in enumerate_cyclic_tilings(region):
-            partner = tiling.partner_array(region)
-            rotated = [-1] * len(partner)
-            for i, j in enumerate(partner):
+            rotated = [-1] * len(tiling)
+            for i, j in enumerate(tiling):
                 rotated[rot[i]] = rot[j]
-            from cored_hexagons.tilings import Tiling
-
-            assert statistic_n(Tiling.from_partner(region, rotated), region) == (
-                statistic_n(tiling, region)
-            )
+            assert statistic_n(tuple(rotated), region) == statistic_n(tiling, region)
 
 
 class TestCyclic:
     def test_figure_tiling_is_cyclic(self):
         region = build_region(CoredHexagon(3, 3, 3, 2))
-        tiling = load_tiling("cyclic_example.txt")
+        tiling = load_tiling("cyclic_example.txt", region)
         assert is_cyclically_symmetric(tiling, region)
 
     def test_extreme_tilings_are_cyclic(self):
@@ -440,11 +446,9 @@ class TestCyclic:
         for a, m in [(2, 1), (3, 0), (3, 2)]:
             region = build_region(CoredHexagon(a, a, a, m))
             filtered = {
-                t.pairs
-                for t in enumerate_tilings(region)
-                if is_cyclically_symmetric(t, region)
+                t for t in enumerate_tilings(region) if is_cyclically_symmetric(t, region)
             }
-            direct = {t.pairs for t in enumerate_cyclic_tilings(region)}
+            direct = set(enumerate_cyclic_tilings(region))
             assert filtered == direct
 
     def test_needs_equilateral(self):
@@ -452,6 +456,31 @@ class TestCyclic:
         tiling = next(enumerate_tilings(region))
         with pytest.raises(ValueError):
             is_cyclically_symmetric(tiling, region)
+
+
+class TestEnumeratedTilings:
+    @pytest.mark.parametrize("sides", [(2, 2, 2, 1), (3, 1, 1, 2)], ids=["columns", "rows"])
+    def test_every_tiling_is_a_perfect_matching_of_the_graph(self, sides):
+        # a <= b sweeps the cells by columns, a > b by rows
+        region = build_region(CoredHexagon(*sides))
+        found = list(enumerate_tilings(region))
+        assert len(found) == count_weighted(region.hexagon, "one") > 1
+        assert all(is_perfect_matching(t, region) for t in found)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    def test_every_cyclic_tiling_is_a_rotation_invariant_matching(self, monkeypatch, rows):
+        # a = b = c sweeps by columns; the row order is forced here
+        cells = tilings._cells
+        monkeypatch.setattr(tilings, "_cells", lambda hexagon, by_rows=False: cells(hexagon, rows))
+        hexagon = CoredHexagon(3, 3, 3, 2)
+        region = build_region(hexagon)
+        assert region.cells == tuple(cells(hexagon, rows))
+        rot = region.rotation
+        found = list(enumerate_cyclic_tilings(region))
+        assert len(found) == count_weighted(hexagon, "one", cyclic=True) > 1
+        for tiling in found:
+            assert is_perfect_matching(tiling, region)
+            assert all(tiling[rot[i]] == rot[j] for i, j in enumerate(tiling))
 
 
 class TestLazyEnumeration:
@@ -466,10 +495,9 @@ class TestLazyEnumeration:
 
     def test_search_deeper_than_the_recursion_limit(self):
         region = build_region(CoredHexagon(14, 14, 14, 14))
-        lozenges = len(region.cells) // 2
-        assert lozenges > sys.getrecursionlimit()
-        assert len(next(enumerate_tilings(region, cap=3000)).pairs) == lozenges
-        assert len(next(enumerate_cyclic_tilings(region, cap=3000)).pairs) == lozenges
+        assert len(region.cells) // 2 > sys.getrecursionlimit()
+        assert is_perfect_matching(next(enumerate_tilings(region, cap=3000)), region)
+        assert is_perfect_matching(next(enumerate_cyclic_tilings(region, cap=3000)), region)
 
 
 class TestStatisticN6:
@@ -477,7 +505,7 @@ class TestStatisticN6:
         # the worked example: distances 2+1+0+0+0 of the five horizontal
         # lozenges in one fundamental domain
         region = build_region(CoredHexagon(3, 3, 3, 2))
-        tiling = load_tiling("orbit_example.txt")
+        tiling = load_tiling("orbit_example.txt", region)
         assert statistic_n6(tiling, region) == 3
 
     def test_m_zero_counts_off_diagonal_orbits(self):
@@ -508,6 +536,51 @@ class TestStatisticN6:
         ]
         with pytest.raises(ValueError):
             statistic_n6(non_cyclic[0], region)
+
+
+def paths_to_tiling(family, region):
+    """Inverse of tiling_to_paths: path steps fix two lozenge orientations,
+    the remaining cells pair into the third."""
+    index = region.cell_index
+    partner = [-1] * len(region.cells)
+
+    def place(i, j):
+        assert partner[i] < 0 and partner[j] < 0, "overlapping lozenges"
+        partner[i] = j
+        partner[j] = i
+
+    for path in family.paths:
+        for (x1, y1), (x2, y2) in zip(path, path[1:]):
+            bx, by = x1 - y1, y1
+            if (x2, y2) == (x1 + 1, y1):
+                place(index[(bx, by, UP)], index[(bx, by, DOWN)])
+            elif (x2, y2) == (x1, y1 - 1):
+                place(index[(bx, by, UP)], index[(bx, by - 1, DOWN)])
+            else:
+                raise ValueError("steps must be east or south")
+    for i, (x, y, orient) in enumerate(region.cells):
+        if orient == UP and partner[i] < 0:
+            place(i, index[(x - 1, y, DOWN)])
+    assert all(p >= 0 for p in partner), "paths do not determine a tiling"
+    return tuple(partner)
+
+
+def path_sign(family):
+    """The sign of the permutation sending each path's start to its end."""
+    seen = [False] * len(family.sigma)
+    sign = 1
+    for i in range(len(family.sigma)):
+        if seen[i]:
+            continue
+        length = 0
+        j = i
+        while not seen[j]:
+            seen[j] = True
+            j = family.sigma[j] - 1
+            length += 1
+        if length % 2 == 0:
+            sign = -sign
+    return sign
 
 
 class TestPaths:
@@ -549,13 +622,13 @@ class TestPaths:
         region = build_region(CoredHexagon(*sides))
         for tiling in enumerate_tilings(region):
             family = tiling_to_paths(tiling, region)
-            assert family.sign == (-1) ** statistic_n(tiling, region)
+            assert path_sign(family) == (-1) ** statistic_n(tiling, region)
 
     @pytest.mark.parametrize("sides", [(2, 2, 2, 2), (1, 2, 2, 2), (2, 1, 1, 0)])
     def test_sign_is_plus_one_for_even_core(self, sides):
         region = build_region(CoredHexagon(*sides))
         for tiling in enumerate_tilings(region):
-            assert tiling_to_paths(tiling, region).sign == 1
+            assert path_sign(tiling_to_paths(tiling, region)) == 1
 
 
 class TestPlanePartitions:
@@ -640,7 +713,7 @@ class TestSerialization:
     def test_round_trip(self):
         region = build_region(CoredHexagon(2, 2, 2, 1))
         tiling = next(enumerate_tilings(region))
-        assert tiling_from_text(tiling_to_text(tiling)) == tiling
+        assert tiling_from_text(tiling_to_text(tiling, region), region) == tiling
 
     def test_golden_region(self):
         expected = open(os.path.join(DATA, "region_1_1_1_0.txt")).read()
@@ -648,8 +721,6 @@ class TestSerialization:
 
     def test_golden_tiling(self):
         region = build_region(CoredHexagon(5, 3, 1, 2))
-        tiling = load_tiling("ray_example.txt")
+        tiling = load_tiling("ray_example.txt", region)
         expected = open(os.path.join(DATA, "ray_example.txt")).read()
-        assert tiling_to_text(tiling) == expected
-        # and it really is a perfect matching of that region
-        assert all(p >= 0 for p in tiling.partner_array(region))
+        assert tiling_to_text(tiling, region) == expected

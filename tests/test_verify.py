@@ -223,3 +223,12 @@ def test_negative_bound_rejected(name, bounds):
     (key, value), = bounds.items()
     with pytest.raises(ValueError, match=f"bound {key} must be nonnegative, got {value}"):
         run_suite(name, bounds)
+
+
+@pytest.mark.parametrize("bounds", [{"ms": (0, -1)}, {"odd_ms": [-3]}])
+def test_negative_core_size_rejected(bounds):
+    # conjecture_rhs refuses a negative m with a domain error, which the
+    # suite reports as a skip, so a run of such skips would read as a pass
+    (key, values), = bounds.items()
+    with pytest.raises(ValueError, match=f"bound {key} must be nonnegative, got {min(values)}"):
+        run_suite("Conjectures", bounds)

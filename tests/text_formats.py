@@ -2,9 +2,10 @@
 tests/data and the serialization tests.
 
 A region is one `region a b c m placement` line and one `cell x y U|D` line
-per unit triangle; a tiling one `pair x1 y1 U|D x2 y2 U|D` line per lozenge;
-a matrix a `ring name rows cols` line and one line of entries per row, a
-cyclotomic entry written `c0+c1t`.
+per unit triangle; a tiling, a partner tuple over a region's cells, one
+`pair x1 y1 U|D x2 y2 U|D` line per lozenge; a matrix a `ring name rows
+cols` line and one line of entries per row, a cyclotomic entry written
+`c0+c1t`.
 """
 
 from __future__ import annotations
@@ -16,36 +17,40 @@ from cored_hexagons.lgv import ExactMatrix
 from cored_hexagons.tilings import DOWN, UP, Region, Tiling
 
 
+def _cell_text(cell) -> str:
+    x, y, orient = cell
+    return f"{x} {y} {'U' if orient == UP else 'D'}"
+
+
 def region_to_text(region: Region) -> str:
     h = region.hexagon
     lines = [f"region {h.a} {h.b} {h.c} {h.m} {h.placement}"]
-    for x, y, orient in region.cells:
-        lines.append(f"cell {x} {y} {'U' if orient == UP else 'D'}")
+    lines += [f"cell {_cell_text(cell)}" for cell in region.cells]
     return "\n".join(lines) + "\n"
 
 
-def tiling_to_text(tiling: Tiling) -> str:
-    lines = []
-    for (x1, y1, o1), (x2, y2, o2) in tiling.pairs:
-        lines.append(
-            f"pair {x1} {y1} {'U' if o1 == UP else 'D'} "
-            f"{x2} {y2} {'U' if o2 == UP else 'D'}"
-        )
-    return "\n".join(lines) + "\n"
+def tiling_to_text(tiling: Tiling, region: Region) -> str:
+    """One line per lozenge, its two cells in lattice order, the lines
+    sorted the same way."""
+    cells = region.cells
+    pairs = sorted(tuple(sorted((cells[i], cells[j]))) for i, j in enumerate(tiling) if i < j)
+    return "\n".join(f"pair {_cell_text(u)} {_cell_text(v)}" for u, v in pairs) + "\n"
 
 
-def tiling_from_text(text: str) -> Tiling:
-    pairs = []
+def tiling_from_text(text: str, region: Region) -> Tiling:
+    """The partner tuple of the lozenges listed in `text`; a cell that no
+    line names is left paired with -1."""
+    partner = [-1] * len(region.cells)
     for line in text.strip().splitlines():
         parts = line.split()
         if not parts or parts[0] != "pair":
             continue
-        x1, y1 = int(parts[1]), int(parts[2])
-        o1 = UP if parts[3] == "U" else DOWN
-        x2, y2 = int(parts[4]), int(parts[5])
-        o2 = UP if parts[6] == "U" else DOWN
-        pairs.append(((x1, y1, o1), (x2, y2, o2)))
-    return Tiling(tuple(sorted(tuple(sorted(p)) for p in pairs)))
+        u, v = (
+            region.cell_index[(int(x), int(y), UP if o == "U" else DOWN)]
+            for x, y, o in (parts[1:4], parts[4:7])
+        )
+        partner[u], partner[v] = v, u
+    return tuple(partner)
 
 
 def matrix_values(matrix: ExactMatrix) -> list[list]:
