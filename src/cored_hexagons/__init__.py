@@ -14,7 +14,7 @@ from .exactnum import (
     binomial,
     omega3,
     omega6,
-    pochhammer,
+    pochhammer_ratio,
 )
 from .hypergeom import (
     IDENTITY_IDS,

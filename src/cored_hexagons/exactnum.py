@@ -7,7 +7,7 @@ floats live here.
 
 Both rings are Z[tau], tau^2 = t*tau - 1 with t = `TRACE[ring]` (-1 for w3,
 1 for w6).  This tau-rule is written out only in `pair_mul`, `pair_conjugate`
-and `pair_norm`, which `CycloElement`, `lgv` and `tilings` share.
+and `pair_norm`, which `CycloElement`, `lgv`, `tilings` and `formulas` share.
 """
 
 from __future__ import annotations
@@ -74,16 +74,24 @@ def binomial(top: Number, bottom: int) -> Number:
     return stepped_product(top, -1, bottom) // math.factorial(bottom)
 
 
-def pochhammer(base: Number, k: int) -> Number:
-    """Shifted factorial (base)_k = base*(base+1)*...*(base+k-1); (base)_0 is
-    the int 1.  A rational base n/d gives the Fraction
-    n (n + d) ... (n + (k-1) d) / d^k, built once; an int base an int."""
-    if k < 0:
-        raise ValueError(f"pochhammer with negative index {k}")
-    if isinstance(base, Fraction) and k:
-        d = base.denominator
-        return Fraction(stepped_product(base.numerator, d, k), d**k)
-    return stepped_product(base, 1, k)
+def pochhammer_ratio(ups, downs=()) -> Fraction:
+    """The product of the shifted factorials (x)_k = x (x+1) ... (x+k-1)
+    over the pairs (x, k) of ``ups`` over the product over ``downs``, for
+    int or Fraction x.  (n/d)_k is the integer n (n + d) ... (n + (k-1) d)
+    over d^k, so the ratio is multiplied on ints and one Fraction is built
+    at the end.  A negative k raises ValueError, and the first vanishing
+    symbol in ``downs`` a ZeroDivisionError that names it."""
+    num = den = 1
+    for up, symbols in ((True, ups), (False, downs)):
+        for x, k in symbols:
+            if k < 0:
+                raise ValueError(f"pochhammer with negative index {k}")
+            n, d = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
+            top, bottom = stepped_product(n, d, k), d**k
+            if not (up or top):
+                raise ZeroDivisionError(f"({x})_{k} vanishes in a denominator")
+            num, den = (num * top, den * bottom) if up else (num * bottom, den * top)
+    return Fraction(num, den)
 
 
 def pair_mul(t: int):

@@ -25,21 +25,24 @@ from itertools import accumulate, combinations
 import mpmath
 
 from .exactnum import (
+    SIXTH,
+    THIRD,
+    TRACE,
     CycloElement,
     Number,
     double_factorial_odd,
     frac,
     is_integer,
-    omega3,
-    omega6,
-    pochhammer,
+    pair_mul,
+    pochhammer_ratio,
 )
 from .hypergeom import check_lower_poles
 
 OMEGA_ONE = "one"
 OMEGA_MINUS_ONE = "minus1"
-OMEGA_THIRD = "third"
-OMEGA_SIXTH = "sixth"
+# the third- and sixth-root cases carry the names of their rings
+OMEGA_THIRD = THIRD
+OMEGA_SIXTH = SIXTH
 OMEGA_CASES = (OMEGA_ONE, OMEGA_MINUS_ONE, OMEGA_THIRD, OMEGA_SIXTH)
 
 W1, W2, W3 = "W1", "W2", "W3"
@@ -237,24 +240,25 @@ def _check_order(a: int) -> None:
         raise FormulaDomainError(f"the order a of B(a, m) must be nonnegative, got {a}")
 
 
+def _double_factorials(a: int) -> int:
+    """prod_{j=1}^{a} (2 floor(j/2) - 1)!!, the denominator of andrews_rhs and _om_rhs."""
+    return math.prod(double_factorial_odd(j // 2) for j in range(1, a + 1))
+
+
 def andrews_rhs(a: int, m: Number) -> Fraction:
     """Closed form of det(I + B(a, m)).  Like om3_rhs and om6_rhs it is a
     polynomial identity in m, so m may be any rational, negative or not
     (the orbit-count factorization uses shifted m); zare1_rhs alone needs
-    an integer m >= 0.  Both parities of a share each loop, through p, and
-    the double-factorial denominator is _om_rhs's."""
+    an integer m >= 0.  Both parities of a share each loop, through p."""
     _check_order(a)
     p, m2 = a % 2, frac(m) / 2
-    value = Fraction(2) ** ((a + 1) // 2) / math.prod(
-        double_factorial_odd(j // 2) for j in range(1, a + 1)
-    )
-    for i in range(1, a - 1):
-        value *= pochhammer(m2 + (i + 1) // 2 + 1, (i + 3) // 4)
+    ups = [(m2 + (i + 1) // 2 + 1, (i + 3) // 4) for i in range(1, a - 1)]
     top = m2 + Fraction(3 * a + 3 - p, 2)
     for i in range(1, a // 2 + 1):
-        value *= pochhammer(top - (3 * i - p + 1) // 2, (i - 1 + p) // 2)
-        value *= pochhammer(top - p - (3 * i + 1) // 2, (i + 1) // 2)
-    return value
+        ups.append((top - (3 * i - p + 1) // 2, (i - 1 + p) // 2))
+        ups.append((top - p - (3 * i + 1) // 2, (i + 1) // 2))
+    # an integer scalar x enters as (x)_1 = x
+    return pochhammer_ratio([(2 ** ((a + 1) // 2), 1), *ups], [(_double_factorials(a), 1)])
 
 
 def zare1_rhs(a: int, m: Number) -> Fraction:
@@ -290,30 +294,30 @@ def zare1_rhs(a: int, m: Number) -> Fraction:
 # negative length read as 0.
 _OM_TABLES = {
     OMEGA_THIRD: (
-        omega3,
-        ((3, 1, 0, 0), (3, 3, 0, 3), (-1, Fraction(1, 2), 1, 1), (-1, Fraction(-1, 2), 1, 2)),
+        (3, 1, 0, 0), (3, 3, 0, 3), (-1, Fraction(1, 2), 1, 1), (-1, Fraction(-1, 2), 1, 2)
     ),
     OMEGA_SIXTH: (
-        omega6,
-        ((3, Fraction(3, 2), 0, 1), (3, Fraction(5, 2), 0, 2), (-1, 0, 1, 0), (-1, 0, 1, 3)),
+        (3, Fraction(3, 2), 0, 1), (3, Fraction(5, 2), 0, 2), (-1, 0, 1, 0), (-1, 0, 1, 3)
     ),
 }
 
 
 def _om_rhs(a: int, m: Number, omega_case: str) -> CycloElement:
     _check_order(a)
-    root, rows = _OM_TABLES[omega_case]
+    rows = _OM_TABLES[omega_case]
     m2 = frac(m) / 2
-    rational = Fraction(2) ** (a // 2) / math.prod(
-        double_factorial_odd(j // 2) for j in range(1, a + 1)
-    )
-    for i in range(a // 4 + 1):
-        for k, x0, with_a, d in rows:
-            rational *= pochhammer(m2 + k * i + x0 + with_a * a, max(0, (a - 4 * i - d) // 2))
+    ups = [
+        (m2 + k * i + x0 + with_a * a, max(0, (a - 4 * i - d) // 2))
+        for i in range(a // 4 + 1)
+        for k, x0, with_a, d in rows
+    ]
+    rational = pochhammer_ratio([(2 ** (a // 2), 1), *ups], [(_double_factorials(a), 1)])
     # (1 + w)^2 = (2 + t) w, so (1 + w)^a (2 + t)^-floor(a/2) is
-    # w^floor(a/2) (1 + w)^(a mod 2), and w^6 = 1
-    w = root()
-    return w ** (a // 2 % 6) * (1 + w) ** (a % 2) * rational
+    # w^floor(a/2) (1 + w)^(a mod 2), and w^6 = 1; w is the pair (0, 1)
+    mul, unit = pair_mul(TRACE[omega_case]), (1, 0)
+    for factor in [(0, 1)] * (a // 2 % 6) + [(1, 1)] * (a % 2):
+        unit = mul(unit, factor)
+    return CycloElement.of(omega_case, unit[0] * rational, unit[1] * rational)
 
 
 def om3_rhs(a: int, m: Number) -> CycloElement:
@@ -452,18 +456,16 @@ def lemma_rhs(a: int, b: Number, c: Number, m: int, shifted: bool = False) -> Fr
     if not shifted and a % 2 == m % 2 == 1:
         return Fraction(0)
     b, c = frac(b), frac(c)
-    value = _evaluate(
-        [((2 * (a + m),), 1), (_rounded(0, a), 1), (_rounded(0, m), 1), (_rounded(0, a + m), -1)]
-    )
-    value /= 2 ** ((m * (a + m - 1) + 1) // 2)
     theta = (a + shifted) % 2
     ell = a // 2 if shifted else (a + 1) // 2
-    for x in (b, c):
-        for j in range(1, m + 1):
-            if j % 2:
-                value *= pochhammer((x - theta) / 2 + (j + 1) // 2, ell)
-            else:
-                value *= pochhammer((x + theta) / 2 + j // 2, a - ell)
+    ups = [
+        ((x - theta) / 2 + (j + 1) // 2, ell) if j % 2 else ((x + theta) / 2 + j // 2, a - ell)
+        for x in (b, c)
+        for j in range(1, m + 1)
+    ]
+    value = _evaluate(
+        [((2 * (a + m),), 1), (_rounded(0, a), 1), (_rounded(0, m), 1), (_rounded(0, a + m), -1)]
+    ) * pochhammer_ratio(ups, [(2 ** ((m * (a + m - 1) + 1) // 2), 1)])
     s = b + c
     for j in range(m % 2, a, 2):
         value *= (s + m + 1 + j) ** (a - 1 - j)
@@ -544,32 +546,28 @@ def watson_rhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
     if a < 0:
         raise FormulaDomainError(f"the number a of summation indices must be nonnegative, got {a}")
     B, C = frac(B), frac(C)
-    if M < a:
-        # fewer than a admissible indices: the sum is empty
+    if M < a or variant == W1 and a % 2 == M % 2 == 1:
+        # fewer than a admissible indices leave the sum empty; W1 vanishes
+        # for odd a and M
         return Fraction(0)
     e, f = _watson_lower_params(variant, a, M, B, C)
-    if variant == W1 and a % 2 == M % 2 == 1:
-        return Fraction(0)
     sigma, tau = int(variant == W2), int(variant != W1)
     u = M - a
     phi, eta, odd_u = (u + sigma) % 2, (a + tau) % 2, u % 2
     g = B - C / 2 - tau + Fraction(sigma, 2)
-    # divide v itself: pochhammer(x, 0) is the int 1, and int / int is a float
-    v = Fraction(2) ** (a * a - a - a * M) * math.factorial(M) ** a
-    v *= (-1) ** (a // 2 + a * ((u - sigma) // 2 + 1))
-    v /= pochhammer(e, (u - sigma + 1) // 2) ** a
+    # the scalars enter as (x)_1 = x and the factorials as (1)_n = n!
+    ups = [((-1) ** (a // 2 + a * ((u - sigma) // 2 + 1)), 1)] + [(1, M)] * a
+    downs = [(2 ** (a * (M + 1 - a)), 1)] + [(e, (u - sigma + 1) // 2)] * a
     for j in range(1, a + 1):
-        v *= pochhammer(B, j - 1) * math.factorial((j - 1) // 2)
-        v /= math.factorial((M - j + 1) // 2)
-        v *= pochhammer(C / 2 + Fraction(1 - phi, 2), (j - 1 + phi) // 2)
-        v /= pochhammer(f / 2 + Fraction(1 - eta, 2), (j - 1 + eta) // 2)
-        v /= pochhammer(f / 2 + Fraction(eta, 2), (M + 2 - eta - j) // 2)
         k = j + tau - sigma
         low = (k - odd_u) // 2
-        v *= pochhammer(g + low + Fraction(odd_u, 2), (k + 1) // 2 - low + u // 2)
+        ups += [(B, j - 1), (1, (j - 1) // 2), (C / 2 + Fraction(1 - phi, 2), (j - 1 + phi) // 2)]
+        ups.append((g + low + Fraction(odd_u, 2), (k + 1) // 2 - low + u // 2))
+        downs += [(1, (M - j + 1) // 2), (f / 2 + Fraction(1 - eta, 2), (j - 1 + eta) // 2)]
+        downs.append((f / 2 + Fraction(eta, 2), (M + 2 - eta - j) // 2))
         if (a + j + sigma) % 2:
-            v /= pochhammer((C + M - j + 1) / 2, j)
-    return v
+            downs.append(((C + M - j + 1) / 2, j))
+    return pochhammer_ratio(ups, downs)
 
 
 def watson_pair(variant: str, a: int, M: int, B: Number, C: Number) -> tuple[Fraction, Fraction]:
@@ -587,8 +585,7 @@ def watson_3f2_closed(M: int, B: Number, C: Number) -> Fraction:
     if M % 2 == 1:
         return Fraction(0)
     half = M // 2
-    v = frac(pochhammer(Fraction(1 - M, 2), half))
-    v *= frac(pochhammer(Fraction(1, 2) - C / 2 + B, half))
-    v /= frac(pochhammer(Fraction(1, 2) + B, half))
-    v /= frac(pochhammer(Fraction(1 - M, 2) + C / 2, half))
-    return v
+    return pochhammer_ratio(
+        [(Fraction(1 - M, 2), half), (Fraction(1, 2) - C / 2 + B, half)],
+        [(Fraction(1, 2) + B, half), (Fraction(1 - M, 2) + C / 2, half)],
+    )

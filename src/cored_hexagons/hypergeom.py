@@ -12,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import Number, binomial, frac, is_integer, pochhammer
+from .exactnum import Number, binomial, frac, is_integer, pochhammer_ratio
 
 
 class NonTerminatingError(ValueError):
@@ -135,44 +135,33 @@ def identity_pair(identity: str, params) -> tuple[Fraction, Fraction]:
     A lower parameter with a pole in 0..n is rejected even where an upper one
     truncates the sum earlier: such 0/0 terms poison the identity.
     """
-    params = [frac(p) for p in params]
+    *params, n = [frac(p) for p in params]
+    n = int(n)
     if identity == CHU_VANDERMONDE:
-        A, C, n = params
-        n = int(n)
+        A, C = params
         check_lower_poles([C], n)
         lhs = hyper([A, -n], [C])
-        rhs = frac(pochhammer(C - A, n)) / frac(pochhammer(C, n))
+        rhs = pochhammer_ratio([(C - A, n)], [(C, n)])
         return lhs, rhs
     if identity == PFAFF_SAALSCHUETZ:
-        A, B, C, n = params
-        n = int(n)
+        A, B, C = params
         check_lower_poles([C, 1 + A + B - C - n], n)
         lhs = hyper([A, B, -n], [C, 1 + A + B - C - n])
-        rhs = (
-            frac(pochhammer(C - A, n))
-            * frac(pochhammer(C - B, n))
-            / (frac(pochhammer(C, n)) * frac(pochhammer(C - A - B, n)))
-        )
+        rhs = pochhammer_ratio([(C - A, n), (C - B, n)], [(C, n), (C - A - B, n)])
         return lhs, rhs
     if identity == THOMAE:
-        A, B, D, E, n = params
-        n = int(n)
+        A, B, D, E = params
         check_lower_poles([D, E, 1 + B - E - n], n)
         lhs = hyper([A, B, -n], [D, E])
-        rhs = (
-            frac(pochhammer(E - B, n))
-            / frac(pochhammer(E, n))
-            * hyper([-n, B, D - A], [D, 1 + B - E - n])
-        )
+        rhs = pochhammer_ratio([(E - B, n)], [(E, n)]) * hyper([-n, B, D - A], [D, 1 + B - E - n])
         return lhs, rhs
     if identity == GESSEL_STANTON_5F4:
-        A, F, n = params
-        n = int(n)
+        A, F = params
         if A == 0:
             raise PochhammerZeroError(A, 0)
         check_lower_poles([1 + A - F, -A + F - 2 * n, 1 + A + 2 * n], n)
         lhs = _gessel_stanton_lhs(A, F, n)
-        rhs = frac(pochhammer(1 + A, 2 * n)) / frac(pochhammer(1 + A - F, 2 * n))
+        rhs = pochhammer_ratio([(1 + A, 2 * n)], [(1 + A - F, 2 * n)])
         return lhs, rhs
     raise ValueError(f"unknown identity {identity!r}")
 

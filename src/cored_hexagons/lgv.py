@@ -33,7 +33,7 @@ from .exactnum import (
     pair_conjugate,
     pair_mul,
     pair_norm,
-    pochhammer,
+    pochhammer_ratio,
     stepped_product,
 )
 
@@ -337,6 +337,8 @@ def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number | None = 
 
 def build_n6_matrix(a: int, m: int) -> ExactMatrix:
     """delta_ij + (-1)^j [m+i+j, j]_{q=-1}, 0 <= i, j < a."""
+    if min(a, m) < 0:
+        raise ValueError(f"a and m must be nonnegative, got a={a}, m={m}")
     from .hypergeom import qbinom_neg1
 
     rows = [
@@ -353,21 +355,15 @@ def cored_det_transform(
 
     Returns (prefactor, D) with prefactor * det(D) = det(build_cored_matrix)
     at epsilon = 0 (unshifted) or 1/2 (shifted); D's entries are the
-    Pochhammer products, polynomial in b and c."""
-    prefactor = Fraction(1)
-    for i in range(1, a + 1):
-        prefactor *= Fraction(
-            factorial(b + c + m), factorial(b + a + m - i) * factorial(c + m + i - 1)
-        )
-    for i in range(a + 1, a + m + 1):
-        if shifted:
-            top = (b + 3 * a + 1) // 2 + m - i
-            bottom = (c - a - 1) // 2 + i - 1
-        else:
-            top = (b + 3 * a) // 2 + m - i
-            bottom = (c - a) // 2 + i - 1
-        prefactor *= Fraction(factorial((b + c) // 2), factorial(top) * factorial(bottom))
-    return prefactor, transformed_cored_matrix(a, b, c, m, shifted)
+    Pochhammer products, polynomial in b and c.  The prefactor is a
+    quotient of factorials n! = (1)_n."""
+    matrix = transformed_cored_matrix(a, b, c, m, shifted)
+    h = int(shifted)
+    ups = [(1, b + c + m)] * a + [(1, (b + c) // 2)] * m
+    downs = [(1, n) for i in range(1, a + 1) for n in (b + a + m - i, c + m + i - 1)]
+    for r in range(1, m + 1):  # core row a + r
+        downs += [(1, (b + a + h) // 2 + m - r), (1, (c + a - h) // 2 + r - 1)]
+    return pochhammer_ratio(ups, downs), matrix
 
 
 def transformed_cored_matrix(
@@ -378,6 +374,8 @@ def transformed_cored_matrix(
 
     Entry (i, j) is a product of j-1 and n-j stepped factors, each an
     integer over L = 2 lcm(den b, den c), so every row is over L^(n-1)."""
+    if min(a, m) < 0:
+        raise ValueError(f"a and m must be nonnegative, got a={a}, m={m}")
     n = a + m
     L = 2 * lcm(b.denominator, c.denominator)
     B, C = b.numerator * (L // b.denominator), c.numerator * (L // c.denominator)
@@ -402,19 +400,19 @@ def transformed_cored_matrix(
 
 def laplace_two_block(matrix: ExactMatrix, top_rows: int):
     """Laplace expansion along the first ``top_rows`` rows:
-    sum over column subsets K of (-1)^(sum K - binom(t+1, 2)) times the two
-    complementary minors.  Equals the determinant."""
-    n = matrix.nrows
-    t = top_rows
+    sum over column subsets K, counted from 0, of (-1)^(sum K - binom(t, 2))
+    times the two complementary minors.  Equals the determinant."""
+    n, t = matrix.nrows, top_rows
+    if n != matrix.ncols:
+        raise ValueError("determinant of a non-square matrix")
+    if not 0 <= t <= n:
+        raise ValueError(f"top_rows must lie in 0..{n}, got {t}")
     total = 0
-    base = t * (t + 1) // 2
-    for K in combinations(range(1, n + 1), t):
-        sign = (-1) ** (sum(K) - base)
-        top = matrix.submatrix(range(t), [k - 1 for k in K])
-        rest_cols = [j for j in range(n) if (j + 1) not in K]
-        bottom = matrix.submatrix(range(t, n), rest_cols)
+    for K in combinations(range(n), t):
+        top = matrix.submatrix(range(t), K)
+        bottom = matrix.submatrix(range(t, n), [j for j in range(n) if j not in K])
         term = det_fraction_free(top) * det_fraction_free(bottom)
-        total = total + (term if sign > 0 else -term)
+        total = total + (term if (sum(K) - t * (t - 1) // 2) % 2 == 0 else -term)
     return total
 
 
@@ -428,6 +426,8 @@ def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
     Every binomial here is an integer over scale = _binomial_den(den(mu), n-1)
     and every power of x an integer over den(x)^(n-1), so each entry is
     summed on ints and every row is over scale^2 den(x)^(n-1)."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     top = max(n - 1, 0)
     p, q = mu.numerator, mu.denominator
     scale = _binomial_den(q, top)
@@ -490,6 +490,8 @@ def build_VW(n: int, m: Number) -> tuple[ExactMatrix, ExactMatrix]:
     """The two n x n matrices indexed by (2i+r, 2j+s), r, s in {0, 1}:
     V = (-1)^(r+s) binom(i+j+r+s+m/2, s+2j-i),  W = binom(i+j+m/2, s+2j-i-r);
     over Q when m/2 = p/q is not an integer, each row over q^(n-1) (n-1)!."""
+    if n < 0:
+        raise ValueError("size must be nonnegative")
     half_m = frac(m) / 2
     p, q, K = half_m.numerator, half_m.denominator, max(n - 1, 0)
     cells = [divmod(k, 2) for k in range(n)]
@@ -528,7 +530,7 @@ def th10_pair(n: int, x: int, y: int) -> tuple[Fraction, Fraction]:
     num = den = 1
     for i in range(n):
         num *= factorial(i) * factorial(x + y + i - 1)
-        num *= pochhammer(2 * x + y + 2 * i, i) * pochhammer(x + 2 * y + 2 * i, i)
+        num *= stepped_product(2 * x + y + 2 * i, 1, i) * stepped_product(x + 2 * y + 2 * i, 1, i)
         den *= factorial(x + 2 * i) * factorial(y + 2 * i)
     return lhs, Fraction(num, den)
 
@@ -537,6 +539,8 @@ def principal_minor_sum(matrix: ExactMatrix):
     """Sum of all principal minors (including the empty one); equals
     det(I + M)."""
     n = matrix.nrows
+    if n != matrix.ncols:
+        raise ValueError("determinant of a non-square matrix")
     total = 1
     for k in range(1, n + 1):
         for rows in combinations(range(n), k):

@@ -2,7 +2,8 @@
 `formulas` and `lgv`, and for the shared Z[w3]/Z[w6] arithmetic.
 
 These are the former Fraction-per-term forms: the shifted factorial and the
-binomial multiply one Fraction factor at a time; the terminating series,
+binomial multiply one Fraction factor at a time, and a ratio of shifted
+factorials one Fraction symbol at a time; the terminating series,
 the Gessel-Stanton 5F4 sum and the Watson multiple sum update a Fraction
 term per index and add it to a Fraction total; omega*I + B adds a binomial
 to each entry by ring arithmetic, and Z_n accumulates each entry one
@@ -44,6 +45,18 @@ def pochhammer(base: Number, k: int) -> Number:
     for i in range(k):
         result = result * (base + i)
     return result
+
+
+def pochhammer_ratio(ups, downs=()) -> Fraction:
+    value = Fraction(1)
+    for x, k in ups:
+        value *= frac(pochhammer(x, k))
+    for x, k in downs:
+        symbol = frac(pochhammer(x, k))
+        if symbol == 0:
+            raise ZeroDivisionError(f"({x})_{k} vanishes in a denominator")
+        value /= symbol
+    return value
 
 
 def eval_terminating(series: TerminatingSeries) -> Fraction:

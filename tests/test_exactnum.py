@@ -13,7 +13,7 @@ from cored_hexagons.exactnum import (
     double_factorial_odd,
     omega3,
     omega6,
-    pochhammer,
+    pochhammer_ratio,
     value_to_str,
 )
 from hyperfactorial_reference import SqrtPiScaled, hyperfactorial
@@ -62,16 +62,22 @@ class TestHyperfactorial:
 
 
 class TestPochhammerBinomial:
-    def test_pochhammer_examples(self):
-        assert pochhammer(Fraction(1, 2), 0) == 1
-        assert pochhammer(Fraction(1, 2), 3) == Fraction(15, 8)
-        assert pochhammer(-2, 4) == 0
+    def test_pochhammer_ratio_examples(self):
+        assert pochhammer_ratio([(Fraction(1, 2), 0)]) == 1
+        assert pochhammer_ratio([(Fraction(1, 2), 3)]) == Fraction(15, 8)
+        assert pochhammer_ratio([(-2, 4)]) == 0
+        assert pochhammer_ratio([(1, 5)], [(1, 3), (Fraction(1, 2), 2)]) == Fraction(80, 3)
+        assert type(pochhammer_ratio([])) is Fraction
+        with pytest.raises(ZeroDivisionError, match=r"^\(-2\)_4 vanishes"):
+            pochhammer_ratio([(1, 2)], [(-3, 1), (-2, 4), (0, 1)])
+        with pytest.raises(ValueError, match="negative index -1"):
+            pochhammer_ratio([(1, 2)], [(1, -1)])
 
     @given(rationals, st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=60)
     def test_pochhammer_additivity(self, alpha, j, k):
-        assert pochhammer(alpha, j + k) == pochhammer(alpha, j) * pochhammer(
-            alpha + j, k
+        assert pochhammer_ratio([(alpha, j + k)]) == pochhammer_ratio(
+            [(alpha, j), (alpha + j, k)]
         )
 
     def test_binomial_examples(self):

@@ -239,9 +239,11 @@ class TestOmegaDets:
     @pytest.mark.parametrize("case", ["one", "third", "sixth"])
     def test_polynomial_in_m(self, case):
         # andrews, om3 and om6 are polynomial identities in m: they equal the
-        # determinant at negative and half-integer m too (zare1 does not)
+        # determinant at negative, half-integer and third-integer m too
+        # (zare1 does not); at m = k/3 the bases m/2 + ... have denominator 6
         omega = {"one": 1, "third": omega3(), "sixth": omega6()}[case]
         ms = [Fraction(k) for k in range(-6, 0)] + [Fraction(k, 2) for k in range(-7, 12, 2)]
+        ms += [Fraction(k, 3) for k in range(-8, 12) if k % 3]
         for a in range(8):
             for m in ms:
                 det = det_fraction_free(build_omega_shift(a, m, omega))

@@ -38,10 +38,10 @@ class TestEvalTerminating:
 
     def test_matches_chu_vandermonde_closed_form(self):
         n, A, C = 3, Fraction(1, 2), Fraction(5, 2)
-        from cored_hexagons.exactnum import pochhammer
+        from cored_hexagons.exactnum import pochhammer_ratio
 
         lhs = hyper([-n, A], [C])
-        rhs = Fraction(pochhammer(C - A, n)) / Fraction(pochhammer(C, n))
+        rhs = pochhammer_ratio([(C - A, n)], [(C, n)])
         assert lhs == rhs
 
 

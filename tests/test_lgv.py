@@ -223,6 +223,44 @@ class TestBuilders:
         with pytest.raises(ValueError, match="nonnegative"):
             build_cored_matrix(-1, 2, 2, 1)
 
+    @pytest.mark.parametrize(
+        "fn, args, message",
+        [
+            pytest.param(zn_factor_pair, (-2, 1, 1), "size must be", id="zn_factor_pair-n"),
+            pytest.param(lgv.build_Zn, (-1, 1, 1), "size must be", id="build_Zn-n"),
+            pytest.param(build_VW, (-1, 2), "size must be", id="build_VW-n"),
+            pytest.param(build_n6_matrix, (2, -1), "a and m must be", id="build_n6_matrix-m"),
+            pytest.param(build_n6_matrix, (-1, 2), "a and m must be", id="build_n6_matrix-a"),
+            pytest.param(
+                transformed_cored_matrix, (-1, 2, 2, 1), "a and m must be", id="transformed-a"
+            ),
+            pytest.param(
+                transformed_cored_matrix, (2, 2, 2, -1), "a and m must be", id="transformed-m"
+            ),
+            pytest.param(cored_det_transform, (-1, 2, 2, 1), "a and m must be", id="transform-a"),
+            pytest.param(cored_det_transform, (2, 1, 1, -1), "a and m must be", id="transform-m"),
+            pytest.param(laplace_two_block, (build_B(3, 1), 4), r"0\.\.3, got 4", id="laplace-t>n"),
+            pytest.param(laplace_two_block, (build_B(3, 1), -1), r"0\.\.3, got -1", id="laplace-t<0"),
+            pytest.param(
+                laplace_two_block,
+                (ExactMatrix.of([[1, 2, 3], [4, 5, 6]]), 1),
+                "non-square",
+                id="laplace-2x3",
+            ),
+            pytest.param(
+                principal_minor_sum,
+                (ExactMatrix.of([[1, 2, 3], [4, 5, 6]]),),
+                "non-square",
+                id="principal_minor_sum-2x3",
+            ),
+        ],
+    )
+    def test_out_of_domain_input_is_refused(self, fn, args, message):
+        # each of these calls used to answer: a float, an empty matrix, a
+        # det of 0 or 1, or a Laplace sum of a non-square matrix
+        with pytest.raises(ValueError, match=message):
+            fn(*args)
+
     def test_cored_matrix_derives_epsilon_from_the_placement(self):
         for a, b, c, m in product(range(5), range(5), range(5), range(4)):
             if b % 2 != c % 2:

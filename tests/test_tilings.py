@@ -45,9 +45,13 @@ from text_formats import region_to_text, tiling_from_text, tiling_to_text
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
-def load_tiling(name, region):
+def read_data(name):
     with open(os.path.join(DATA, name)) as fh:
-        tiling = tiling_from_text(fh.read(), region)
+        return fh.read()
+
+
+def load_tiling(name, region):
+    tiling = tiling_from_text(read_data(name), region)
     assert is_perfect_matching(tiling, region), name
     return tiling
 
@@ -716,11 +720,11 @@ class TestSerialization:
         assert tiling_from_text(tiling_to_text(tiling, region), region) == tiling
 
     def test_golden_region(self):
-        expected = open(os.path.join(DATA, "region_1_1_1_0.txt")).read()
+        expected = read_data("region_1_1_1_0.txt")
         assert region_to_text(build_region(CoredHexagon(1, 1, 1, 0))) == expected
 
     def test_golden_tiling(self):
         region = build_region(CoredHexagon(5, 3, 1, 2))
         tiling = load_tiling("ray_example.txt", region)
-        expected = open(os.path.join(DATA, "ray_example.txt")).read()
+        expected = read_data("ray_example.txt")
         assert tiling_to_text(tiling, region) == expected
