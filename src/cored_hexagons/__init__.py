@@ -10,7 +10,6 @@ against each other.
 
 from .exactnum import (
     CycloElement,
-    Rational,
     binomial,
     omega3,
     omega6,

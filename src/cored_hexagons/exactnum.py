@@ -8,6 +8,11 @@ floats live here.
 Both rings are Z[tau], tau^2 = t*tau - 1 with t = `TRACE[ring]` (-1 for w3,
 1 for w6).  This tau-rule is written out only in `pair_mul`, `pair_conjugate`
 and `pair_norm`, which `CycloElement`, `lgv`, `tilings` and `formulas` share.
+`CycloElement` is the value type of results and closed forms: it adds,
+subtracts, multiplies and takes norms, and has no division, power or ring
+change.  Matrices and series work on integer coordinates instead: `binomial`
+takes an integer top, and `lgv` writes a binomial with a rational top as an
+integer over a common denominator.
 """
 
 from __future__ import annotations
@@ -17,7 +22,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Union
 
-Rational = Fraction
 Number = Union[int, Fraction]
 
 THIRD = "third"
@@ -51,24 +55,15 @@ def stepped_product(start: Number, step: Number, k: int) -> Number:
     return result
 
 
-def binomial(top: Number, bottom: int) -> Number:
+def binomial(top: int, bottom: int) -> int:
     """Generalized binomial coefficient via falling factorials.
 
-    Valid for negative and rational ``top``; ``bottom < 0`` gives 0, which is
-    the convention that makes the lattice-path matrices vanish outside the
-    admissible index range.  An integral ``top`` gives an int; a rational
-    top n/d the Fraction n (n - d) ... (n - (bottom-1) d) / (d^bottom bottom!),
-    built once.
+    Valid for negative ``top``; ``bottom < 0`` gives 0, which is the
+    convention that makes the lattice-path matrices vanish outside the
+    admissible index range.
     """
     if bottom < 0:
         return 0
-    if isinstance(top, Fraction):
-        n, d = top.numerator, top.denominator
-        if d != 1:
-            if bottom == 0:
-                return 1
-            return Fraction(stepped_product(n, -d, bottom), d**bottom * math.factorial(bottom))
-        top = n
     if top >= 0:
         return math.comb(top, bottom)
     return stepped_product(top, -1, bottom) // math.factorial(bottom)
@@ -176,20 +171,8 @@ class CycloElement:
 
     __rmul__ = __mul__
 
-    def conjugate(self) -> CycloElement:
-        c0, c1 = pair_conjugate((self.c0, self.c1), TRACE[self.ring])
-        return CycloElement.of(self.ring, c0, c1)
-
     def norm(self) -> Fraction:
         return pair_norm((self.c0, self.c1), TRACE[self.ring])
-
-    def __pow__(self, n: int) -> CycloElement:
-        if n < 0:
-            raise ValueError(f"negative power {n}: CycloElement has no division")
-        result = CycloElement.of(self.ring, 1)
-        for _ in range(n):
-            result = result * self
-        return result
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, CycloElement):
@@ -208,19 +191,6 @@ class CycloElement:
     @property
     def is_rational(self) -> bool:
         return self.c1 == 0
-
-    def to_rational(self) -> Fraction:
-        if not self.is_rational:
-            raise ValueError(f"{self} is not rational")
-        return self.c0
-
-    def to_ring(self, ring: str) -> CycloElement:
-        """Rewrite in the other ring; Z[w3] and Z[w6] are the same set,
-        linked by w6 = 1 + w3, so a + b*tau = (a + t*b) + b*tau' with t the
-        trace of the source ring's tau."""
-        if ring == self.ring:
-            return self
-        return CycloElement.of(ring, self.c0 + TRACE[self.ring] * self.c1, self.c1)
 
     def __repr__(self) -> str:
         return f"CycloElement({self.ring!r}, {self.c0}, {self.c1})"

@@ -2,16 +2,17 @@
 
 A matrix holds what the one Bareiss (fraction-free) kernel eats: rows of
 ints over Z and Q, or of (c0, c1) int pairs over Z[w3] and Z[w6], each row
-over a positive denominator.  The builders emit these coordinates, a
-rational argument giving the rows a denominator; `ExactMatrix.of` is the one
-adapter from exact entries.  The kernel runs over a ring table (zero, one,
-mul, sub, divider); the pair multiply, conjugate and norm (tau^2 = t*tau - 1)
-are `exactnum`'s, and this module adds only the checked divider.  The
-determinant is divided once by the product of the row denominators.  Every
-division is exact and checked (AssertionError otherwise); rows that a step
-would only rescale are rescaled when next used.  Each step pivots on the
-smallest nonzero entry of its column (bit length; the larger coordinate for
-a pair), which keeps the intermediate minors small.
+over a positive denominator.  Every builder, Z_n's half-size blocks
+included, sums its entries on these coordinates, a rational argument giving
+the rows a denominator; no matrix is built from exact entries.  The kernel
+runs over a ring table (zero, one, mul, sub, divider); the pair multiply,
+conjugate and norm (tau^2 = t*tau - 1) are `exactnum`'s, and this module
+adds only the checked divider.  The determinant is divided once by the
+product of the row denominators.  Every division is exact and checked
+(AssertionError otherwise); rows that a step would only rescale are
+rescaled when next used.  Each step pivots on the smallest nonzero entry of
+its column (bit length; the larger coordinate for a pair), which keeps the
+intermediate minors small.
 """
 
 from __future__ import annotations
@@ -58,31 +59,6 @@ class ExactMatrix:
     def __post_init__(self):
         if self.dens is None:
             object.__setattr__(self, "dens", (1,) * len(self.rows))
-
-    @staticmethod
-    def of(values, ring: str | None = None) -> ExactMatrix:
-        """The matrix of exact entries, each row over the lcm of its
-        coordinates' denominators; the ring defaults to the smallest that
-        holds every entry."""
-        values = [tuple(row) for row in values]
-        if ring is None:
-            rings = {v.ring for row in values for v in row if isinstance(v, CycloElement)}
-            if len(rings) > 1:
-                raise ValueError("cannot mix the two cyclotomic rings")
-            ring = rings.pop() if rings else None
-        rows, dens = [], []
-        for row in values:
-            if ring in TRACE:
-                row = [
-                    v.to_ring(ring) if isinstance(v, CycloElement) else CycloElement.of(ring, v)
-                    for v in row
-                ]
-                row = [x for v in row for x in (v.c0, v.c1)]
-            den = lcm(*(x.denominator for x in row))
-            row = [x.numerator * (den // x.denominator) for x in row]
-            rows.append(list(zip(row[::2], row[1::2])) if ring in TRACE else row)
-            dens.append(den)
-        return _matrix(rows, dens, ring)
 
     @property
     def nrows(self) -> int:
@@ -357,6 +333,10 @@ def cored_det_transform(
     at epsilon = 0 (unshifted) or 1/2 (shifted); D's entries are the
     Pochhammer products, polynomial in b and c.  The prefactor is a
     quotient of factorials n! = (1)_n."""
+    if min(b, c) < 0:
+        raise ValueError("side lengths must be nonnegative")
+    if b % 2 != c % 2:
+        raise ValueError("b and c must have equal parity")
     matrix = transformed_cored_matrix(a, b, c, m, shifted)
     h = int(shifted)
     ups = [(1, b + c + m)] * a + [(1, (b + c) // 2)] * m
@@ -451,39 +431,57 @@ def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
 
 def zn_factor_pair(n: int, x: Number, mu: Number) -> tuple[Fraction, Fraction]:
     """(det Z_n, the signed product of the two half-size determinants);
-    the right component is 0 for odd n."""
+    the right component is 0 for odd n.
+
+    For even n = 2h the blocks are, for 0 <= i, j < h and t < n,
+    sum_t (t+1)/(j+1) binom(i+mu, t-i) binom(j+1, t-j) x^(2j+1-t) and
+    sum_t (t+mu+1)/(i+mu+1) binom(i+mu+1, t-i) binom(j, t-j) x^(2j-t).
+    With mu = p/q, every binomial in mu is an integer over
+    scale = _binomial_den(q, n-1) and every power of x an integer over
+    den(x)^h, so the entries are summed on ints: the first block's column
+    factors 1/(j+1) come out as one division by h!, and the second block's
+    row i is over (p + (i+1) q) scale den(x)^h.  A zero i + mu + 1 raises
+    ZeroDivisionError."""
     x, mu = frac(x), frac(mu)
     lhs = frac(det_fraction_free(build_Zn(n, x, mu)))
     if n % 2 == 1:
         return lhs, Fraction(0)
-    half = n // 2
-    first_rows = []
-    second_rows = []
+    half, top = n // 2, max(n - 1, 0)
+    p, q = mu.numerator, mu.denominator
+    binoms = [[_binomial_num(p + r * q, q, k, top) for k in range(n)] for r in range(half + 1)]
+    powers = [x.numerator**e * x.denominator ** (half - e) for e in range(half + 1)]
+    den = _binomial_den(q, top) * x.denominator**half
+    first = [
+        [
+            sum(
+                (t + 1) * binoms[i][t - i] * comb(j + 1, t - j) * powers[2 * j + 1 - t]
+                for t in range(max(i, j), 2 * j + 2)
+            )
+            for j in range(half)
+        ]
+        for i in range(half)
+    ]
+    second, second_dens = [], []
     for i in range(half):
-        row1 = []
-        row2 = []
-        for j in range(half):
-            acc1 = Fraction(0)
-            acc2 = Fraction(0)
-            for t in range(n):
-                b1 = binomial(i + mu, t - i)
-                if b1:
-                    b2 = binomial(j + 1, t - j)
-                    if b2:
-                        acc1 += Fraction(t + 1, j + 1) * b1 * b2 * x ** (2 * j + 1 - t)
-                b3 = binomial(i + mu + 1, t - i)
-                if b3:
-                    b4 = binomial(j, t - j)
-                    if b4:
-                        acc2 += (t + mu + 1) / (i + mu + 1) * b3 * b4 * x ** (2 * j - t)
-            row1.append(acc1)
-            row2.append(acc2)
-        first_rows.append(row1)
-        second_rows.append(row2)
-    d1 = frac(det_fraction_free(ExactMatrix.of(first_rows)))
-    d2 = frac(det_fraction_free(ExactMatrix.of(second_rows)))
-    rhs = (-1) ** half * d1 * d2
-    return lhs, rhs
+        pole = p + (i + 1) * q  # (i + mu + 1) q
+        if pole == 0:
+            raise ZeroDivisionError(f"i + mu + 1 vanishes at row {i} of the second block")
+        sign = 1 if pole > 0 else -1
+        second.append(
+            [
+                sign * sum(
+                    (p + (t + 1) * q) * binoms[i + 1][t - i] * comb(j, t - j) * powers[2 * j - t]
+                    for t in range(max(i, j), 2 * j + 1)
+                )
+                for j in range(half)
+            ]
+        )
+        second_dens.append(sign * pole * den)
+    num, scale = (-1) ** half, factorial(half)
+    for block in (_matrix(first, [den] * half), _matrix(second, second_dens)):
+        num *= _bareiss([list(row) for row in block.rows], *_INT_RING)
+        scale *= prod(block.dens)
+    return lhs, Fraction(num, scale)
 
 
 def build_VW(n: int, m: Number) -> tuple[ExactMatrix, ExactMatrix]:

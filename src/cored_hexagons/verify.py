@@ -256,8 +256,8 @@ def _suite_block_factorizations(bounds, seed):
             yield _report("BlockFactorizations", {"a": a, "m": m, "root": "sixth"}, lhs, rhs)
     for idx in range(bounds.get("minor_checks", 3)):
         rng = _case_rng(seed, 10_000 + idx)
-        M = lgv.ExactMatrix.of(
-            [[rng.randint(-5, 5) for _ in range(4)] for _ in range(4)]
+        M = lgv.ExactMatrix(
+            lgv.RING_INTEGER, tuple(tuple(rng.randint(-5, 5) for _ in range(4)) for _ in range(4))
         )
         lhs = lgv.principal_minor_sum(M)
         rhs = lgv.det_fraction_free(lgv.plus_scaled(M, 1))

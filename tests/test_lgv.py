@@ -10,7 +10,6 @@ from cored_hexagons import exactnum, lgv
 from cored_hexagons.exactnum import CycloElement, SIXTH, THIRD, omega3, omega6
 from cored_hexagons.formulas import count_cored_formula
 from cored_hexagons.lgv import (
-    ExactMatrix,
     RING_CYCLO3,
     RING_CYCLO6,
     RING_INTEGER,
@@ -31,7 +30,7 @@ from cored_hexagons.lgv import (
     zn_factor_pair,
 )
 from cored_hexagons.tilings import CoredHexagon, count_weighted
-from text_formats import matrix_to_text, matrix_values
+from text_formats import matrix_of, matrix_to_text, matrix_values
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
@@ -52,38 +51,38 @@ def cofactor_det(rows):
 
 class TestDeterminant:
     def test_empty_matrix(self):
-        assert det_fraction_free(ExactMatrix.of([])) == 1
+        assert det_fraction_free(matrix_of([])) == 1
 
     def test_identity(self):
-        zero = ExactMatrix.of([[0] * 5] * 5)
+        zero = matrix_of([[0] * 5] * 5)
         assert det_fraction_free(plus_scaled(zero, 1)) == 1
 
     def test_small_example(self):
-        assert det_fraction_free(ExactMatrix.of([[2, 1], [1, 3]])) == 5
+        assert det_fraction_free(matrix_of([[2, 1], [1, 3]])) == 5
 
     def test_matches_cofactor_expansion(self):
         rng = random.Random(5)
         for _ in range(25):
             n = rng.randint(1, 5)
             rows = [[rng.randint(-9, 9) for _ in range(n)] for _ in range(n)]
-            assert det_fraction_free(ExactMatrix.of(rows)) == cofactor_det(rows)
+            assert det_fraction_free(matrix_of(rows)) == cofactor_det(rows)
 
     def test_rational_entries(self):
         rows = [[Fraction(1, 2), Fraction(1, 3)], [Fraction(1, 5), Fraction(2, 7)]]
-        assert det_fraction_free(ExactMatrix.of(rows)) == cofactor_det(rows)
+        assert det_fraction_free(matrix_of(rows)) == cofactor_det(rows)
 
     def test_singular(self):
-        assert det_fraction_free(ExactMatrix.of([[1, 2], [2, 4]])) == 0
+        assert det_fraction_free(matrix_of([[1, 2], [2, 4]])) == 0
 
     def test_cyclo_diagonal(self):
         w = omega3()
         zero = CycloElement.of(THIRD, 0)
-        m = ExactMatrix.of([[w, zero], [zero, w]])
+        m = matrix_of([[w, zero], [zero, w]])
         assert det_fraction_free(m) == CycloElement.of(THIRD, -1, -1)
 
     def test_needs_square(self):
         with pytest.raises(ValueError):
-            det_fraction_free(ExactMatrix.of([[1, 2, 3], [4, 5, 6]]))
+            det_fraction_free(matrix_of([[1, 2, 3], [4, 5, 6]]))
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
@@ -106,7 +105,7 @@ class TestDeterminant:
             return coordinate()
 
         rows = [[entry() for _ in range(n)] for _ in range(n)]
-        matrix = ExactMatrix.of(rows)
+        matrix = matrix_of(rows)
         det = det_fraction_free(matrix)
         assert det == cofactor_det(rows)
         expected_type = {
@@ -162,7 +161,7 @@ class TestDeterminant:
             rows = [[CycloElement.of(SIXTH, *v) for v in row] for row in rows]
         expected = cofactor_det(rows)
         assert expected != 0
-        assert det_fraction_free(ExactMatrix.of(rows, ring)) == expected
+        assert det_fraction_free(matrix_of(rows, ring)) == expected
 
     def test_pivot_rule_keeps_the_quotients_small(self):
         # total bit length of every Bareiss quotient on an order-40 cored
@@ -213,7 +212,7 @@ class TestBuilders:
         assert build_omega_shift(2, Fraction(1, 2), -1).ring == RING_RATIONAL
         assert det_fraction_free(build_omega_shift(2, Fraction(1, 2), 1)) == Fraction(11, 2)
         with pytest.raises(ValueError, match="integer ring"):
-            ExactMatrix.of([[1, Fraction(1, 2)]], RING_INTEGER)
+            matrix_of([[1, Fraction(1, 2)]], RING_INTEGER)
 
     def test_cored_matrix_parity_checks(self):
         with pytest.raises(ValueError):
@@ -239,17 +238,21 @@ class TestBuilders:
             ),
             pytest.param(cored_det_transform, (-1, 2, 2, 1), "a and m must be", id="transform-a"),
             pytest.param(cored_det_transform, (2, 1, 1, -1), "a and m must be", id="transform-m"),
+            pytest.param(cored_det_transform, (2, -1, 1, 1), "nonnegative", id="transform-b"),
+            pytest.param(cored_det_transform, (2, 1, -1, 1), "nonnegative", id="transform-c"),
+            pytest.param(cored_det_transform, (2, 1, 2, 1), "equal parity", id="transform-b-odd"),
+            pytest.param(cored_det_transform, (2, 2, 1, 1), "equal parity", id="transform-c-odd"),
             pytest.param(laplace_two_block, (build_B(3, 1), 4), r"0\.\.3, got 4", id="laplace-t>n"),
             pytest.param(laplace_two_block, (build_B(3, 1), -1), r"0\.\.3, got -1", id="laplace-t<0"),
             pytest.param(
                 laplace_two_block,
-                (ExactMatrix.of([[1, 2, 3], [4, 5, 6]]), 1),
+                (matrix_of([[1, 2, 3], [4, 5, 6]]), 1),
                 "non-square",
                 id="laplace-2x3",
             ),
             pytest.param(
                 principal_minor_sum,
-                (ExactMatrix.of([[1, 2, 3], [4, 5, 6]]),),
+                (matrix_of([[1, 2, 3], [4, 5, 6]]),),
                 "non-square",
                 id="principal_minor_sum-2x3",
             ),
@@ -257,7 +260,8 @@ class TestBuilders:
     )
     def test_out_of_domain_input_is_refused(self, fn, args, message):
         # each of these calls used to answer: a float, an empty matrix, a
-        # det of 0 or 1, or a Laplace sum of a non-square matrix
+        # det of 0 or 1, a Laplace sum of a non-square matrix, or a product
+        # for sides b and c that build_cored_matrix refuses
         with pytest.raises(ValueError, match=message):
             fn(*args)
 
@@ -356,7 +360,7 @@ class TestLaplace:
         rng = random.Random(11)
         for _ in range(10):
             rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-            m = ExactMatrix.of(rows)
+            m = matrix_of(rows)
             assert laplace_two_block(m, 1) == det_fraction_free(m)
 
     def test_cored_matrix_expansion(self):
@@ -436,7 +440,7 @@ class TestVW:
 class TestBlocks:
     def test_principal_minors(self):
         rng = random.Random(3)
-        m = ExactMatrix.of([[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)])
+        m = matrix_of([[rng.randint(-4, 4) for _ in range(4)] for _ in range(4)])
         assert principal_minor_sum(m) == det_fraction_free(plus_scaled(m, 1))
 
     def test_det3_and_det6(self):

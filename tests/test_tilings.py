@@ -338,8 +338,12 @@ class TestFrontierCount:
 
 
 def weighted(hist, omega):
-    """The sum of omega ** r over a histogram of a statistic mod 6."""
-    return sum(h * omega**r for r, h in enumerate(hist))
+    """The sum of omega ** r over a histogram of a statistic mod 6, each
+    power one multiply past the last."""
+    total, power = 0, 1
+    for h in hist:
+        total, power = total + h * power, power * omega
+    return total
 
 
 class TestOrbitCount:

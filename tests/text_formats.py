@@ -5,15 +5,17 @@ A region is one `region a b c m placement` line and one `cell x y U|D` line
 per unit triangle; a tiling, a partner tuple over a region's cells, one
 `pair x1 y1 U|D x2 y2 U|D` line per lozenge; a matrix a `ring name rows
 cols` line and one line of entries per row, a cyclotomic entry written
-`c0+c1t`.
+`c0+c1t`.  `matrix_of` builds a matrix from exact entries, the way the
+tests write small matrices by hand.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 from cored_hexagons.exactnum import TRACE, CycloElement, value_to_str
-from cored_hexagons.lgv import ExactMatrix
+from cored_hexagons.lgv import ExactMatrix, _matrix
 from cored_hexagons.tilings import DOWN, UP, Region, Tiling
 
 
@@ -51,6 +53,29 @@ def tiling_from_text(text: str, region: Region) -> Tiling:
         )
         partner[u], partner[v] = v, u
     return tuple(partner)
+
+
+def matrix_of(values, ring: str | None = None) -> ExactMatrix:
+    """The matrix of exact entries (ints, Fractions or CycloElements), each
+    row over the lcm of its coordinates' denominators; the ring defaults to
+    the smallest that holds every entry.  The inverse of `matrix_values`."""
+    values = [tuple(row) for row in values]
+    if ring is None:
+        rings = {v.ring for row in values for v in row if isinstance(v, CycloElement)}
+        if len(rings) > 1:
+            raise ValueError("cannot mix the two cyclotomic rings")
+        ring = rings.pop() if rings else None
+    rows, dens = [], []
+    for row in values:
+        if ring in TRACE:
+            # adding to zero moves a rational entry of either ring into `ring`
+            row = [CycloElement.of(ring, 0) + v for v in row]
+            row = [x for v in row for x in (v.c0, v.c1)]
+        den = lcm(*(x.denominator for x in row))
+        row = [x.numerator * (den // x.denominator) for x in row]
+        rows.append(list(zip(row[::2], row[1::2])) if ring in TRACE else row)
+        dens.append(den)
+    return _matrix(rows, dens, ring)
 
 
 def matrix_values(matrix: ExactMatrix) -> list[list]:
