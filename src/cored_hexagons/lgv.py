@@ -5,14 +5,14 @@ ints over Z and Q, or of (c0, c1) int pairs over Z[w3] and Z[w6], each row
 over a positive denominator.  Every builder, Z_n's half-size blocks
 included, sums its entries on these coordinates, a rational argument giving
 the rows a denominator; no matrix is built from exact entries.  The kernel
-runs over a ring table (zero, one, mul, sub, divider); the pair multiply,
-conjugate and norm (tau^2 = t*tau - 1) are `exactnum`'s, and this module
-adds only the checked divider.  The determinant is divided once by the
-product of the row denominators.  Every division is exact and checked
-(AssertionError otherwise); rows that a step would only rescale are
-rescaled when next used.  Each step pivots on the smallest nonzero entry of
-its column (bit length; the larger coordinate for a pair), which keeps the
-intermediate minors small.
+runs over a ring table (zero, one, size, step) whose step is one checked
+whole-row operation, [(a v - b w) / d for v, w in zip(row, tail)]; the pair
+multiply, conjugate and norm (tau^2 = t*tau - 1) are `exactnum`'s.  The
+determinant is divided once by the product of the row denominators.  Every
+division is exact and checked (AssertionError otherwise), a step by d = 1
+divides nothing, and rows that a step would only rescale are rescaled when
+next used.  Each step pivots on the smallest nonzero entry of its column
+(in bit length), which keeps the intermediate minors small.
 """
 
 from __future__ import annotations
@@ -96,59 +96,61 @@ def _matrix(rows, dens, ring: str | None = None) -> ExactMatrix:
     return ExactMatrix(ring, tuple(reduced_rows), tuple(reduced_dens))
 
 
-def _int_divider(d: int):
-    """Exact division by d, checked."""
-
-    def div(x: int) -> int:
-        q, r = divmod(x, d)
+def _int_step(row, a, tail, b, d):
+    """[(a v - b w) / d for v, w in zip(row, tail)], each division checked."""
+    if d == 1:
+        return [a * v - b * w for v, w in zip(row, tail)]
+    out = []
+    for v, w in zip(row, tail):
+        q, r = divmod(a * v - b * w, d)
         if r:
             raise AssertionError("fraction-free elimination requires exact division")
-        return q
-
-    return div
+        out.append(q)
+    return out
 
 
 def _pair_ring(t: int):
-    """Z[tau] on (c0, c1) integer pairs, tau^2 = t*tau - 1.  Division by y
-    multiplies by its conjugate and divides by its norm; the divider
-    computes both once per divisor."""
-    mul = pair_mul(t)
+    """Z[tau] on (c0, c1) integer pairs, tau^2 = t*tau - 1.  A row step
+    divides by d as a multiply by its conjugate and a checked division by
+    its norm, both computed once per step; by d = 1 it divides nothing."""
+    mul, one = pair_mul(t), (1, 0)
 
-    def sub(x, y):
-        return (x[0] - y[0], x[1] - y[1])
+    def size(x) -> int:
+        return max(x[0].bit_length(), x[1].bit_length())
 
-    def divider(y):
-        conjugate, norm_div = pair_conjugate(y, t), _int_divider(pair_norm(y, t))
+    def step(row, a, tail, b, d):
+        out = []
+        for v, w in zip(row, tail):
+            x, y = mul(a, v), mul(b, w)
+            out.append((x[0] - y[0], x[1] - y[1]))
+        if d == one:
+            return out
+        conjugate, norm = pair_conjugate(d, t), pair_norm(d, t)
+        for j, x in enumerate(out):
+            c0, c1 = mul(x, conjugate)
+            (q0, r0), (q1, r1) = divmod(c0, norm), divmod(c1, norm)
+            if r0 or r1:
+                raise AssertionError("fraction-free elimination requires exact division")
+            out[j] = (q0, q1)
+        return out
 
-        def div(x):
-            a, b = mul(x, conjugate)
-            return (norm_div(a), norm_div(b))
-
-        return div
-
-    return (0, 0), (1, 0), mul, sub, divider
+    return (0, 0), one, size, step
 
 
-_INT_RING = (0, 1, operator.mul, operator.sub, _int_divider)
+_INT_RING = (0, 1, int.bit_length, _int_step)
 _KERNEL_RINGS = {ring: _pair_ring(t) for ring, t in TRACE.items()}
 
 
-def _size(value) -> int:
-    """Bit length of an int, or of the larger coordinate of a ring pair."""
-    if isinstance(value, int):
-        return value.bit_length()
-    return max(value[0].bit_length(), value[1].bit_length())
-
-
-def _bareiss(m, zero, one, mul, sub, divider):
-    """Determinant of the square list of rows m (overwritten) over one ring;
-    divider(d) is the checked exact division by d.
+def _bareiss(m, zero, one, size, step):
+    """Determinant of the square list of rows m (overwritten) over one ring:
+    step(row, a, tail, b, d) is [(a v - b w) / d for v, w in zip(row, tail)],
+    each division checked, and size(x) the bit length the pivot rule uses.
 
     Step k sets each later row to (p_k row - row[k] pivot_row) / p_{k-1}.
     A row with row[k] = 0 would only be scaled by p_k / p_{k-1}, so it is
-    skipped and since[i] keeps the pivot it is current for; when next used
-    it catches up by one multiply and exact divide by p_now / p_then.  Its
-    entries are minors, so that division is exact too, and it is checked.
+    skipped, since[i] keeping the pivot it is current for and its size;
+    when next used it catches up by step(row, p_now, row, zero, p_then), a
+    division exact too, as the entries are minors, and checked.
 
     The pivot p_k is the smallest nonzero column-k entry among rows k..n-1,
     a deferred row sized as it will be after catching up (its entry's size
@@ -159,21 +161,22 @@ def _bareiss(m, zero, one, mul, sub, divider):
     n = len(m)
     if n == 0:
         return one
-    sign, prev, since = 1, one, [one] * n
+    sign, prev, since = 1, one, [(one, size(one))] * n
 
     def catch_up(i, k):
-        then, row = since[i], m[i]
+        then, row = since[i][0], m[i]
         if then is not prev:  # the same object means the same value
-            div = divider(then)
-            row[k:] = [div(mul(v, prev)) for v in row[k:]]
+            row[k:] = step(row[k:], prev, row[k:], zero, then)
         return row
 
     for k in range(n - 1):
-        best = min(
-            (i for i in range(k, n) if m[i][k] != zero),
-            key=lambda i: _size(m[i][k]) - _size(since[i]),
-            default=None,
-        )
+        best = None
+        for i in range(k, n):
+            x = m[i][k]
+            if x != zero:
+                s = size(x) - since[i][1]
+                if best is None or s < least:
+                    best, least = i, s
         if best is None:
             return zero
         if best != k:
@@ -181,19 +184,16 @@ def _bareiss(m, zero, one, mul, sub, divider):
             since[k], since[best] = since[best], since[k]
             sign = -sign
         pivot_row = catch_up(k, k)
-        p, tail, div = pivot_row[k], pivot_row[k + 1 :], divider(prev)
+        p, tail = pivot_row[k], pivot_row[k + 1 :]
+        pivot = (p, size(p))
         for i in range(k + 1, n):
             if m[i][k] != zero:
                 row = catch_up(i, k)
-                x = row[k]
-                row[k + 1 :] = [
-                    div(sub(mul(p, v), mul(x, w)))
-                    for v, w in zip(row[k + 1 :], tail)
-                ]
-                since[i] = p
+                row[k + 1 :] = step(row[k + 1 :], p, tail, row[k], prev)
+                since[i] = pivot
         prev = p
     result = catch_up(n - 1, n - 1)[n - 1]
-    return result if sign > 0 else sub(zero, result)
+    return result if sign > 0 else step([result], zero, [result], one, one)[0]
 
 
 def det_fraction_free(matrix: ExactMatrix):

@@ -119,21 +119,74 @@ class TestDeterminant:
             assert det.ring == ring
 
     def test_each_ring_checks_exact_division(self):
-        _, _, _, _, int_divider = lgv._INT_RING
-        assert int_divider(4)(-12) == -3
+        def divide(ring, x, d):  # the catch-up form of the row step
+            zero, one, _, step = ring
+            return step([x], one, [x], zero, d)[0]
+
+        assert divide(lgv._INT_RING, -12, 4) == -3
         with pytest.raises(AssertionError, match="exact division"):
-            int_divider(2)(7)
+            divide(lgv._INT_RING, 7, 2)
         for ring, prime in ((RING_CYCLO3, (1, -1)), (RING_CYCLO6, (1, 1))):
-            _, _, mul, _, divider = lgv._KERNEL_RINGS[ring]
+            table, mul = lgv._KERNEL_RINGS[ring], exactnum.pair_mul(exactnum.TRACE[ring])
             # 1 - w3 and 1 + w6 have norm 3; 1, 2 and 4 + 6w have norms prime to 3
-            by_prime, by_two = divider(prime), divider((2, 0))
-            assert by_prime(mul((5, -3), prime)) == (5, -3)
-            assert by_two((4, 6)) == (2, 3)
+            assert divide(table, mul((5, -3), prime), prime) == (5, -3)
+            assert divide(table, (4, 6), (2, 0)) == (2, 3)
             with pytest.raises(AssertionError, match="exact division"):
-                by_two((1, 0))
+                divide(table, (1, 0), (2, 0))
             for non_multiple in ((1, 0), (2, 0), (4, 6)):
                 with pytest.raises(AssertionError, match="exact division"):
-                    by_prime(non_multiple)
+                    divide(table, non_multiple, prime)
+
+    @pytest.mark.parametrize(
+        "ring, row, a, tail, b, d",
+        [
+            # elimination form: the second entry 2*4 - 3*1 = 5 is odd
+            (RING_INTEGER, [3, 4], 2, [2, 1], 3, 2),
+            (RING_INTEGER, [3, 4], 2, [2, 1], 3, -2),
+            (RING_INTEGER, [5], 2, [3], 1, -3),
+            # catch-up form, b = zero
+            (RING_INTEGER, [6, 7], 1, [6, 7], 0, -3),
+            (RING_INTEGER, [7], 2, [7], 0, 3),
+            # (3, 1) - (0, 1) = 3 is not a multiple of 2; 1 - w3 and 1 + w6
+            # have norm 3, and 3 is their multiple while 1 and 2 - w3 are not
+            (RING_CYCLO3, [(4, 2), (3, 1)], (1, 0), [(0, 2), (0, 1)], (1, 0), (2, 0)),
+            (RING_CYCLO6, [(4, 2), (3, 1)], (1, 0), [(0, 2), (0, 1)], (1, 0), (2, 0)),
+            (RING_CYCLO3, [(1, 0)], (2, 0), [(0, 1)], (1, 0), (1, -1)),
+            (RING_CYCLO3, [(3, 0), (1, 0)], (1, 0), [(3, 0), (1, 0)], (0, 0), (1, -1)),
+            (RING_CYCLO6, [(3, 0), (1, 0)], (1, 0), [(3, 0), (1, 0)], (0, 0), (1, 1)),
+            (RING_CYCLO6, [(1, 0)], (0, 1), [(1, 0)], (0, 0), (-2, 0)),
+        ],
+    )
+    def test_row_step_refuses_an_inexact_division(self, ring, row, a, tail, b, d):
+        _, _, _, step = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
+        with pytest.raises(AssertionError, match="exact division"):
+            step(row, a, tail, b, d)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_row_step_by_one_equals_the_dividing_path(self, data):
+        ring = data.draw(st.sampled_from([RING_INTEGER, RING_CYCLO3, RING_CYCLO6]))
+        zero, one, _, step = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
+        coordinate = st.integers(-50, 50)
+        if ring == RING_INTEGER:
+            value, mul = coordinate, lambda x, y: x * y
+        else:
+            value, mul = st.tuples(coordinate, coordinate), exactnum.pair_mul(exactnum.TRACE[ring])
+        n = data.draw(st.integers(0, 4))
+        row, tail = (data.draw(st.lists(value, min_size=n, max_size=n)) for _ in range(2))
+        a, b = data.draw(value), data.draw(value)
+        d = data.draw(value.filter(lambda x: x not in (zero, one)))
+        by_one = step(row, a, tail, b, one)
+        assert by_one == step(row, mul(a, d), tail, mul(b, d), d)
+        if ring == RING_INTEGER:
+            assert by_one == [a * v - b * w for v, w in zip(row, tail)]
+        else:
+            def elem(x):
+                return CycloElement.of(ring, *x)
+
+            assert [elem(x) for x in by_one] == [
+                elem(a) * elem(v) - elem(b) * elem(w) for v, w in zip(row, tail)
+            ]
 
     # The pivots are rows 1, 2 and 3 at steps 0, 1 and 2: three swaps.  Row 3
     # is 0 in columns 0 and 1, so steps 0 and 1 skip it; at step 2 it is the
@@ -164,26 +217,27 @@ class TestDeterminant:
         assert det_fraction_free(matrix_of(rows, ring)) == expected
 
     def test_pivot_rule_keeps_the_quotients_small(self):
-        # total bit length of every Bareiss quotient on an order-40 cored
-        # matrix; diagonal pivots form 6,838,654 bits, the smallest ones
-        # 1,442,513
-        zero, one, mul, sub, int_divider = lgv._INT_RING
-        bits = 0
+        # total bit length (the larger coordinate for a pair) of every entry
+        # a row step forms, unit-divisor steps included; on the order-40
+        # cored matrix diagonal pivots form 6,838,654 bits, the smallest ones
+        # 1,442,513.  Exact totals pin the pivot sequence.
+        for matrix, total in (
+            (build_cored_matrix(20, 20, 20, 20), 1_442_513),
+            (build_omega_shift(18, 6, omega3()), 73_626),
+            (build_omega_shift(18, 6, omega6()), 74_704),
+        ):
+            zero, one, size, step = lgv._KERNEL_RINGS.get(matrix.ring, lgv._INT_RING)
+            bits = 0
 
-        def counting_divider(d):
-            div = int_divider(d)
-
-            def counting_div(x):
+            def counting_step(*args):
                 nonlocal bits
-                q = div(x)
-                bits += q.bit_length()
-                return q
+                out = step(*args)
+                bits += sum(map(size, out))
+                return out
 
-            return counting_div
-
-        rows = [list(row) for row in build_cored_matrix(20, 20, 20, 20).rows]
-        lgv._bareiss(rows, zero, one, mul, sub, counting_divider)
-        assert 0 < bits < 2_000_000
+            lgv._bareiss([list(row) for row in matrix.rows], zero, one, size, counting_step)
+            assert 0 < bits < 2_000_000
+            assert bits == total, matrix.ring
 
     def test_cored_determinants_match_the_formula_up_to_order_61(self):
         # both core placements, plain counts for even m and (-1)-counts for odd
