@@ -43,7 +43,6 @@ OMEGA_MINUS_ONE = "minus1"
 # the third- and sixth-root cases carry the names of their rings
 OMEGA_THIRD = THIRD
 OMEGA_SIXTH = SIXTH
-OMEGA_CASES = (OMEGA_ONE, OMEGA_MINUS_ONE, OMEGA_THIRD, OMEGA_SIXTH)
 
 W1, W2, W3 = "W1", "W2", "W3"
 WATSON_VARIANTS = (W1, W2, W3)

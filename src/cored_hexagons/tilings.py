@@ -2,18 +2,22 @@
 tiling statistics.
 
 One lattice graph per region, `Region.graph`, feeds every count and the
-enumeration.  Every count runs one frontier transfer matrix over it: plain
-and (-1)-weighted counts over the cells, cyclically symmetric counts over
-the orbits of the 120-degree rotation, where it keeps a histogram of the
+enumeration.  It is built on one flat list of slots, one per orientation
+and place of the bounding box, line by line in sweep order with a padding
+place per line, each holding a cell's index or -1 (see `Region`); the views
+`Region.cells` and `Region.cell_index` are derived for tests and demos.
+Every count runs one frontier transfer matrix over the graph: plain and
+(-1)-weighted counts over the cells, cyclically symmetric counts over the
+orbits of the 120-degree rotation, where it keeps a histogram of the
 statistic mod 6 and applies the weight once.  Backtracking is left only
 for the enumeration generators.  Nothing here uses the determinant or
 closed-form routes that these counts check.
 
 A tiling is a perfect matching of the region's cells, held as the tuple of
-their partners: entry i is the index in `Region.cells` of the cell that
-cell i shares its lozenge with.  The enumerators yield the search's partner
-arrays as such tuples, and the statistics n and n6, the symmetry test and
-the path bijection read them directly.
+their partners: entry i is the index of the cell that cell i shares its
+lozenge with, cells numbered in sweep order.  The enumerators yield the
+search's partner arrays as such tuples, and the statistics n and n6, the
+symmetry test and the path bijection read them directly.
 
 Lattice conventions (fixed once, validated by the pinned counts in the test
 suite):
@@ -41,6 +45,8 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count, takewhile
+from types import MappingProxyType
 from typing import Callable, Iterator, Optional
 
 from .exactnum import TRACE, CycloElement, omega3, omega6, pair_mul
@@ -139,83 +145,93 @@ class CoredHexagon:
         return 2 * (a * b + b * c + c * a) + 2 * m * (a + b + c)
 
 
-def _cells(hexagon: CoredHexagon, by_rows: bool = False) -> Iterator[Cell]:
-    """The cells of the region, column by column (x outer, y inner) or row
-    by row (y outer, x inner), U(x, y) right before D(x, y).
-
-    U(x, y) lies in the hexagon when -c-m <= x < b, 0 <= y < a+c+m and
-    0 <= x+y <= a+b+m-1; D(x, y) shifts the x+y bounds by -1.  A cell lies
-    in the core when x < x0, y < y0+m and x+y >= x0+y0 (x0+y0-1 for D),
-    which no cell does for m = 0."""
-    a, b, c, m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
-    x0, y0 = hexagon.core_position
-    xs, ys = range(-c - m, b), range(a + c + m)
-    outer, inner = (ys, xs) if by_rows else (xs, ys)
-    for p in outer:
-        for q in range(max(inner.start, -p - 1), min(inner.stop, a + b + m - p)):
-            x, y = (q, p) if by_rows else (p, q)
-            for orient in (UP, DOWN):
-                s = x + y + orient
-                if 0 <= s < a + b + m and (x >= x0 or y >= y0 + m or s < x0 + y0):
-                    yield x, y, orient
-
-
-def _reference_ray(hexagon: CoredHexagon, index: dict[Cell, int]) -> tuple[tuple[int, int], ...]:
-    """Segments of the reference ray, ordered outward from the core, as
-    index pairs (west cell D(x0-1, y), east cell U(x0, y)) with -1 for a
-    missing flank."""
-    x0, y = hexagon.core_position
-    y += hexagon.m
-    segments = []
-    while True:
-        west = index.get((x0 - 1, y, DOWN), -1)
-        east = index.get((x0, y, UP), -1)
-        if west < 0 and east < 0:
-            return tuple(segments)
-        segments.append((west, east))
-        y += 1
+def _sweeps_rows(hexagon: CoredHexagon) -> bool:
+    """Sweep by rows when a > b: lines run along the shorter of b+c+m, a+c+m."""
+    return hexagon.a > hexagon.b
 
 
 class Region:
-    """A cored hexagon's cells in sweep order, the forward edges of their
-    lattice graph, and the reference ray.
+    """A cored hexagon's cells, the forward edges of their lattice graph,
+    and the reference ray, built on one flat list of slots.
 
-    The sweep runs along the shorter lines, columns (a+c+m cells) when
-    a <= b and rows (b+c+m cells) otherwise, so a frontier mask spans about
-    one line; relabelling sides instead would move the ray and can flip the
-    sign of the (-1)-count.  graph[i] lists the edges from cell i to later
-    cells j as (1 << (j - i), 1): U(x, y) -> D(x, y), right after it and a
-    forced step, and D(x, y) -> U(x+1, y), U(x, y+1).  U(x, y)'s other
-    neighbours D(x-1, y), D(x, y-1) come before it."""
+    The sweep runs along the lines `_sweeps_rows` picks; relabelling sides
+    instead would move the ray and can flip the sign of the (-1)-count.
+    With p the line (x for columns, y for rows), q the place along it and
+    L the line length plus one padding place, slot
+    ((p - p0) * L + (q - q0)) * 2 + orient holds a cell's index or -1, and
+    cells are numbered in slot order.  U(x, y) lies in the region when
+    -c-m <= x < b, 0 <= y < a+c+m and 0 <= x+y < a+b+m, D(x, y) when
+    0 <= x+y+1 < a+b+m, unless x < x0, y < y0+m and x+y+orient >= x0+y0
+    (the core).  graph[i] lists the edges from cell i in slot k to later
+    cells j as (1 << (j - i), 1): U(x, y) -> D(x, y) in slot k+1, a forced
+    step; D(x, y) -> U(x+1, y), U(x, y+1), one in slot k+1 on the same line
+    and one in slot k+2L-1 on the next.  `find` reads one slot; `cells` and
+    `cell_index` are read-only views derived on demand."""
 
     def __init__(self, hexagon: CoredHexagon):
         self.hexagon = hexagon
-        self.a, self.b, self.c, self.m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
-        self.x0, self.y0 = hexagon.core_position
-
-        cells = tuple(_cells(hexagon, by_rows=self.a > self.b))
-        self.cells: tuple[Cell, ...] = cells
-        self.cell_index: dict[Cell, int] = {cell: i for i, cell in enumerate(cells)}
-
-        get = self.cell_index.get
+        a, b, c, m = self.a, self.b, self.c, self.m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
+        x0, y0 = self.x0, self.y0 = hexagon.core_position
+        self._rows = rows = _sweeps_rows(hexagon)
+        self._box = xs, ys = range(-c - m, b), range(a + c + m)
+        lines, along = (ys, xs) if rows else (xs, ys)
+        self._stride = stride = 2 * len(along) + 2
+        core_line, core_along = (y0 + m, x0) if rows else (x0, y0 + m)
+        top, apex = a + b + m, x0 + y0
+        # a last line of padding takes D's next-line lookups off the end
+        slots = [-1] * (stride * (len(lines) + 1))
+        self.slot_of = where = []
+        for p in lines:
+            at = (p - lines.start) * stride - 2 * along.start
+            for q in range(max(along.start, -p - 1), min(along.stop, top - p)):
+                s, k = p + q, at + 2 * q
+                free = p >= core_line or q >= core_along
+                if s >= 0 and (free or s < apex):
+                    slots[k] = len(where)
+                    where.append(k)
+                if s + 1 < top and (free or s + 1 < apex):
+                    slots[k + 1] = len(where)
+                    where.append(k + 1)
+        assert len(where) == hexagon.cell_count, (len(where), hexagon.cell_count)
+        assert 2 * sum(map((1).__and__, where)) == len(where), "up/down cell counts must balance"
         graph: Graph = []
-        ups = 0
-        for i, (x, y, orient) in enumerate(cells):
-            if orient == UP:
-                ups += 1
-                later = (get((x, y, DOWN)),)
-            else:
-                later = (get((x + 1, y, UP)), get((x, y + 1, UP)))
-            moves = []
-            for j in later:
-                if j is not None:
-                    moves.append((1 << (j - i), 1))
+        for i, k in enumerate(where):
+            # slot k+1 holds cell i+1 or no cell
+            moves = [(2, 1)] if slots[k + 1] >= 0 else []
+            j = slots[k + stride - 1] if k & 1 else -1
+            if j >= 0:
+                # U(x+1, y) comes first: beside D(x, y) on a row, ahead on a column
+                moves.insert(len(moves) if rows else 0, (1 << (j - i), 1))
             graph.append(moves)
-        self.graph = graph
-        assert len(cells) == hexagon.cell_count, (len(cells), hexagon.cell_count)
-        assert 2 * ups == len(cells), "up/down cell counts must balance"
+        self.slots, self.graph = slots, graph
+        # the reference ray outward from the core: (D(x0-1, y), U(x0, y)), -1 if missing
+        ray = ((self.find(x0 - 1, y, DOWN), self.find(x0, y, UP)) for y in count(y0 + m))
+        self.reference_ray = tuple(takewhile(lambda segment: max(segment) >= 0, ray))
 
-        self.reference_ray: tuple[tuple[int, int], ...] = _reference_ray(hexagon, self.cell_index)
+    def find(self, x: int, y: int, orient: int) -> int:
+        """The index of the cell (x, y, orient), or -1 when the region lacks
+        it; a point outside the bounding box reads no slot."""
+        xs, ys = self._box
+        if x in xs and y in ys:
+            p, q = (y, x - xs.start) if self._rows else (x - xs.start, y)
+            return self.slots[p * self._stride + 2 * q + orient]
+        return -1
+
+    def _cell(self, k: int) -> Cell:
+        """The cell (x, y, orient) in slot k."""
+        p, r = divmod(k, self._stride)
+        u, y = (r >> 1, p) if self._rows else (p, r >> 1)
+        return u + self._box[0].start, y, r & 1
+
+    @cached_property
+    def cells(self) -> tuple[Cell, ...]:
+        """The cells (x, y, orient) in index order, for tests and demos."""
+        return tuple(map(self._cell, self.slot_of))
+
+    @cached_property
+    def cell_index(self) -> MappingProxyType:
+        """The index of each cell (x, y, orient), for tests and demos."""
+        return MappingProxyType({cell: i for i, cell in enumerate(self.cells)})
 
     def _symmetry(
         self, name: str, linear: Callable[[int, int], tuple[int, int]]
@@ -227,22 +243,21 @@ class Region:
             raise ValueError(f"{name} needs a hexagon with a = b = c")
         ox, oy = 3 * self.x0 - self.m, 3 * self.y0 + 2 * self.m
         mapping = []
-        for x, y, orient in self.cells:
+        for k in self.slot_of:
+            x, y, orient = self._cell(k)
             # the centroid of U(x, y) is (3x+1, 3y+1)/3, of D(x, y) (3x+2, 3y+2)/3
             offset = 1 + orient
             qx, qy = linear(3 * x + offset - ox, 3 * y + offset - oy)
             qx, qy = qx + ox - offset, qy + oy - offset
             assert qx % 3 == 0 and qy % 3 == 0
-            mapping.append(self.cell_index[(qx // 3, qy // 3, orient)])
+            mapping.append(self.find(qx // 3, qy // 3, orient))
+        assert -1 not in mapping, f"{name} leaves the region"
         return tuple(mapping)
 
     @cached_property
     def rotation(self) -> tuple[int, ...]:
         """Index map of the 120-degree rotation about the core centroid.
-
-        Only defined for a = b = c, where the rotation is a symmetry of the
-        region.
-        """
+        Only defined for a = b = c, where it is a symmetry of the region."""
         return self._symmetry("rotation", lambda ux, uy: (-ux - uy, ux))
 
     @cached_property
@@ -254,7 +269,7 @@ class Region:
 
     def __repr__(self) -> str:
         h = self.hexagon
-        return f"Region(C_{{{h.a},{h.b},{h.c}}}({h.m}), {len(self.cells)} cells)"
+        return f"Region(C_{{{h.a},{h.b},{h.c}}}({h.m}), {len(self.graph)} cells)"
 
 
 def build_region(hexagon: CoredHexagon) -> Region:
@@ -280,7 +295,7 @@ def _matchings(region: Region, cyclic: bool) -> Iterator[list[int]]:
     With cyclic=True it ranges over rotation-invariant matchings: each
     placement fixes the whole orbit of three lozenges, so coverage stays
     invariant and a free cell always has its whole orbit free."""
-    n = len(region.cells)
+    n = len(region.graph)
     later = [[i + bit.bit_length() - 1 for bit, _ in out] for i, out in enumerate(region.graph)]
     # with the identity in place of the rotation, the three lozenges of a
     # placement coincide
@@ -329,7 +344,7 @@ def _check_cyclic(hexagon: CoredHexagon, cap: Optional[int]) -> None:
 
 
 def enumerate_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
-    _check_cap(len(region.cells), cap)
+    _check_cap(len(region.graph), cap)
     return map(tuple, _matchings(region, cyclic=False))
 
 
@@ -412,7 +427,7 @@ def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int])
     for i, moves in enumerate(region.graph):
         for bit, _ in moves:
             j = i + bit.bit_length() - 1
-            up, down = (i, j) if region.cells[i][2] == UP else (j, i)
+            up, down = (j, i) if region.slot_of[i] & 1 else (i, j)
             if lowest[orbit[up]] != up:
                 continue
             e, u, d = 0, up, down
@@ -435,10 +450,10 @@ def _n6_weights(region: Region) -> dict[tuple[int, int], int]:
     and a-1-x <= y <= 2a+m-2-x, sigma the reflection: on a cyclically
     symmetric tiling the weights of its lozenges sum to n6, as read by the
     path walk of `statistic_n6`.  Weight 0 is left out."""
-    sigma, index = region.reflection, region.cell_index
+    sigma, find = region.reflection, region.find
     a, m = region.a, region.m
     return {
-        (sigma[index[(x, y, UP)]], sigma[index[(x, y, DOWN)]]): x
+        (sigma[find(x, y, UP)], sigma[find(x, y, DOWN)]): x
         for x in range(1, a)
         for y in range(a - 1 - x, 2 * a + m - 1 - x)
     }
@@ -475,26 +490,22 @@ def statistic_n6(tiling: Tiling, region: Region) -> int:
     # off-diagonal cube orbits of the plane partition (rather than their
     # complement, which has the same parity).  The reflection is an
     # involution, so the conjugate matches u with sigma[tiling[sigma[u]]].
-    sigma = region.reflection
-    a, m = region.a, region.m
-    index = region.cell_index
+    sigma, find, a, m = region.reflection, region.find, region.a, region.m
     total = 0
     for j in range(a):
-        start_up = index.get((j, a - 1 - j, UP), -1)
-        start_down = index.get((j, a - 1 - j, DOWN), -1)
-        if start_up < 0 or start_down < 0:
-            continue
-        if sigma[tiling[sigma[start_up]]] != start_down:
+        start_up, start_down = find(j, a - 1 - j, UP), find(j, a - 1 - j, DOWN)
+        if min(start_up, start_down) < 0 or sigma[tiling[sigma[start_up]]] != start_down:
             continue
         total += j
         x, y = j, a - j
         while True:
-            u = index[(x, y, UP)]
+            u = find(x, y, UP)
+            assert u >= 0, "statistic path left the region"
             p = sigma[tiling[sigma[u]]]
-            if p == index.get((x, y, DOWN), -2):
+            if p == find(x, y, DOWN):
                 total += x
                 y += 1
-            elif p == index.get((x - 1, y, DOWN), -2):
+            elif p == find(x - 1, y, DOWN):
                 if x == 0:
                     # crossed out of the fundamental domain; path complete
                     assert a + m <= y < 2 * a + m, (x, y)
@@ -514,10 +525,7 @@ def is_cyclically_symmetric(tiling: Tiling, region: Region) -> bool:
 
 
 def count_weighted(
-    hexagon: CoredHexagon,
-    weight: str,
-    cap: Optional[int] = None,
-    cyclic: Optional[bool] = None,
+    hexagon: CoredHexagon, weight: str, cap: Optional[int] = None, cyclic: Optional[bool] = None
 ) -> int | CycloElement:
     """Exact weighted count at the level of matchings.
 
@@ -575,27 +583,22 @@ class PathFamily:
     sigma: tuple[int, ...]  # sigma[i-1] = j: path from A_i ends at E_j (1-based)
 
 
-def _path_start_bases(region: Region) -> list[tuple[int, int]]:
-    a, c, m = region.a, region.c, region.m
-    bases = [(-c - m, c + m + i) for i in range(a)]
-    bases += [(region.x0, region.y0 + t) for t in range(m)]
-    return bases
-
-
 def tiling_to_paths(tiling: Tiling, region: Region) -> PathFamily:
     """The standard bijection onto nonintersecting paths from the side of
     length a (and the core side parallel to it) to the side of length a+m."""
-    index = region.cell_index
-    b = region.b
-    paths = []
-    sigma = []
-    for x, y in _path_start_bases(region):
+    a, b, c, m, find = region.a, region.b, region.c, region.m, region.find
+    paths, sigma = [], []
+    # the paths start on the side of length a, then on the core side
+    bases = [(-c - m, c + m + i) for i in range(a)]
+    for x, y in bases + [(region.x0, region.y0 + t) for t in range(m)]:
         vertices = [(x + y, y)]
         while x < b:
-            p = tiling[index[(x, y, UP)]]
-            if p == index.get((x, y, DOWN), -2):
+            u = find(x, y, UP)
+            assert u >= 0, "path left the region"
+            p = tiling[u]
+            if p == find(x, y, DOWN):
                 x += 1
-            elif p == index.get((x, y - 1, DOWN), -2):
+            elif p == find(x, y - 1, DOWN):
                 x += 1
                 y -= 1
             else:
@@ -640,8 +643,5 @@ def plane_partition_size(heights: list[list[int]]) -> int:
 
 def plane_partition_diagonal_count(heights: list[list[int]]) -> int:
     """Number of cubes (i, i, i) on the main diagonal, 1-based."""
-    count = 0
-    for r in range(min(len(heights), len(heights[0]) if heights else 0)):
-        if heights[r][r] >= r + 1:
-            count += 1
-    return count
+    size = min(len(heights), len(heights[0]) if heights else 0)
+    return sum(heights[r][r] >= r + 1 for r in range(size))

@@ -1,0 +1,97 @@
+"""Test references for `tilings.Region`: the region read off tuple keys.
+
+These are the former forms of the region build: the cells listed straight
+from the nine lattice inequalities, one (x, y, orient) tuple each, an index
+dict over them, the forward edges found by one dict lookup per neighbour,
+the rotation and reflection mapped cell tuple to cell tuple, and the
+reference ray walked through the dict.  The slot-array region must agree
+with them exactly, in both sweep orders.
+"""
+
+from __future__ import annotations
+
+from typing import Callable, Iterator
+
+from cored_hexagons.tilings import DOWN, UP, CoredHexagon
+
+Cell = tuple[int, int, int]
+
+
+def reference_cells(hexagon: CoredHexagon, by_rows: bool) -> Iterator[Cell]:
+    """The cells of the region, column by column (x outer, y inner) or row
+    by row (y outer, x inner), U(x, y) right before D(x, y).
+
+    U(x, y) lies in the hexagon when -c-m <= x < b, 0 <= y < a+c+m and
+    0 <= x+y <= a+b+m-1; D(x, y) shifts the x+y bounds by -1.  A cell lies
+    in the core when x < x0, y < y0+m and x+y >= x0+y0 (x0+y0-1 for D),
+    which no cell does for m = 0."""
+    a, b, c, m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
+    x0, y0 = hexagon.core_position
+    xs, ys = range(-c - m, b), range(a + c + m)
+    outer, inner = (ys, xs) if by_rows else (xs, ys)
+    for p in outer:
+        for q in range(max(inner.start, -p - 1), min(inner.stop, a + b + m - p)):
+            x, y = (q, p) if by_rows else (p, q)
+            for orient in (UP, DOWN):
+                s = x + y + orient
+                if 0 <= s < a + b + m and (x >= x0 or y >= y0 + m or s < x0 + y0):
+                    yield x, y, orient
+
+
+def reference_graph(cells: tuple[Cell, ...]) -> list[list[tuple[int, int]]]:
+    """Edges from each cell to its later neighbours as (1 << (j - i), 1):
+    U(x, y) -> D(x, y), and D(x, y) -> U(x+1, y), U(x, y+1) in that order."""
+    index = {cell: i for i, cell in enumerate(cells)}
+    graph = []
+    for i, (x, y, orient) in enumerate(cells):
+        if orient == UP:
+            later = (index.get((x, y, DOWN)),)
+        else:
+            later = (index.get((x + 1, y, UP)), index.get((x, y + 1, UP)))
+        graph.append([(1 << (j - i), 1) for j in later if j is not None])
+    return graph
+
+
+def reference_ray(hexagon: CoredHexagon, cells: tuple[Cell, ...]) -> tuple[tuple[int, int], ...]:
+    """Segments of the reference ray, ordered outward from the core, as
+    index pairs (west cell D(x0-1, y), east cell U(x0, y)) with -1 for a
+    missing flank."""
+    index = {cell: i for i, cell in enumerate(cells)}
+    x0, y = hexagon.core_position
+    y += hexagon.m
+    segments = []
+    while True:
+        west = index.get((x0 - 1, y, DOWN), -1)
+        east = index.get((x0, y, UP), -1)
+        if west < 0 and east < 0:
+            return tuple(segments)
+        segments.append((west, east))
+        y += 1
+
+
+def reference_symmetry(
+    hexagon: CoredHexagon,
+    cells: tuple[Cell, ...],
+    linear: Callable[[int, int], tuple[int, int]],
+) -> tuple[int, ...]:
+    """Index map of the cell symmetry whose linear part, in tripled
+    coordinates about the core centroid, is `linear` (a = b = c)."""
+    index = {cell: i for i, cell in enumerate(cells)}
+    x0, y0 = hexagon.core_position
+    ox, oy = 3 * x0 - hexagon.m, 3 * y0 + 2 * hexagon.m
+    mapping = []
+    for x, y, orient in cells:
+        offset = 1 + orient
+        qx, qy = linear(3 * x + offset - ox, 3 * y + offset - oy)
+        qx, qy = qx + ox - offset, qy + oy - offset
+        assert qx % 3 == 0 and qy % 3 == 0
+        mapping.append(index[(qx // 3, qy // 3, orient)])
+    return tuple(mapping)
+
+
+def reference_rotation(hexagon: CoredHexagon, cells: tuple[Cell, ...]) -> tuple[int, ...]:
+    return reference_symmetry(hexagon, cells, lambda ux, uy: (-ux - uy, ux))
+
+
+def reference_reflection(hexagon: CoredHexagon, cells: tuple[Cell, ...]) -> tuple[int, ...]:
+    return reference_symmetry(hexagon, cells, lambda ux, uy: (ux, -ux - uy))

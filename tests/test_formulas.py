@@ -10,7 +10,10 @@ from cored_hexagons import formulas
 from cored_hexagons.exactnum import omega3, omega6
 from cored_hexagons.formulas import (
     FormulaDomainError,
-    OMEGA_CASES,
+    OMEGA_MINUS_ONE,
+    OMEGA_ONE,
+    OMEGA_SIXTH,
+    OMEGA_THIRD,
     andrews_rhs,
     asymptotic_k,
     conjecture_rhs,
@@ -38,6 +41,8 @@ from cored_hexagons.lgv import (
 )
 from cored_hexagons.tilings import CoredHexagon, count_weighted
 from hyperfactorial_reference import hyperfactorial, legendre_exponents
+
+OMEGA_CASES = (OMEGA_ONE, OMEGA_MINUS_ONE, OMEGA_THIRD, OMEGA_SIXTH)
 
 
 class TestMacMahon:

@@ -40,6 +40,13 @@ from cored_hexagons.tilings import (
     tiling_to_paths,
     tiling_to_plane_partition,
 )
+from region_reference import (
+    reference_cells,
+    reference_graph,
+    reference_ray,
+    reference_reflection,
+    reference_rotation,
+)
 from text_formats import region_to_text, tiling_from_text, tiling_to_text
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -105,13 +112,59 @@ class TestRegion:
             assert len(edges) == len(lozenges), sides
             assert {(i, j) for i, j, _ in edges} == lozenges, sides
 
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    def test_slots_match_the_tuple_key_reference(self, monkeypatch, rows):
+        # every a, b, c <= 5 and m <= 4, each shape forced into both sweeps
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
+        for a, b, c, m in itertools.product(range(6), range(6), range(6), range(5)):
+            if b % 2 != c % 2:
+                continue
+            hexagon = CoredHexagon(a, b, c, m)
+            region = build_region(hexagon)
+            cells = tuple(reference_cells(hexagon, rows))
+            assert region.cells == cells, (a, b, c, m)
+            assert region.graph == reference_graph(cells), (a, b, c, m)
+            assert region.reference_ray == reference_ray(hexagon, cells), (a, b, c, m)
+            if a == b == c:
+                assert region.rotation == reference_rotation(hexagon, cells), (a, m)
+                assert region.reflection == reference_reflection(hexagon, cells), (a, m)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    def test_a_lookup_outside_the_box_finds_no_cell(self, monkeypatch, rows):
+        # the box is -c-m <= x < b, 0 <= y < a+c+m; a step or two past any
+        # side must neither reach a cell of another line nor wrap around
+        # the slot list
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
+        for sides in [(3, 1, 1, 1), (2, 4, 2, 1), (3, 3, 3, 2), (0, 2, 2, 1), (4, 0, 0, 3)]:
+            a, b, c, m = sides
+            region = build_region(CoredHexagon(*sides))
+            xs, ys = range(-c - m - 2, b + 2), range(-2, a + c + m + 2)
+            for x, y, orient in itertools.product(xs, ys, (UP, DOWN)):
+                expected = region.cell_index.get((x, y, orient), -1)
+                assert region.find(x, y, orient) == expected, (sides, x, y, orient)
+            assert region.find(-10**6, 0, UP) == region.find(0, 10**6, DOWN) == -1
+
+    def test_counts_build_no_derived_view(self, monkeypatch):
+        def refuse(region):
+            raise AssertionError("a count read a derived view")
+
+        for view in ("cells", "cell_index"):
+            monkeypatch.setattr(tilings.Region, view, property(refuse))
+        for weight in ("one", "minus1"):
+            assert count_weighted(CoredHexagon(3, 2, 2, 1), weight) == count_cored_formula(
+                3, 2, 2, 1, signed=weight == "minus1"
+            )
+        for weight in tilings.WEIGHTS:
+            count_weighted(CoredHexagon(3, 3, 3, 2), weight, cyclic=True)
+
     @pytest.mark.parametrize("sides", [(3, 1, 1, 1), (4, 2, 0, 2), (2, 1, 3, 2), (3, 2, 2, 1)])
     def test_row_swept_regions_enumerate_what_they_count(self, sides):
         # a > b: the cells run by rows, and the search branches over the
         # same forward edges as the counts
         hexagon = CoredHexagon(*sides)
+        assert tilings._sweeps_rows(hexagon)
         region = build_region(hexagon)
-        assert region.cells == tuple(tilings._cells(hexagon, by_rows=True))
+        assert region.cells == tuple(reference_cells(hexagon, by_rows=True))
         found = list(enumerate_tilings(region))
         assert len(set(found)) == len(found) == count_weighted(hexagon, "one")
         signed = sum((-1) ** statistic_n(t, region) for t in found)
@@ -178,11 +231,11 @@ class TestEnumeration:
 
     @pytest.mark.parametrize("weight, cyclic", [("one", False), ("omega3", True)])
     def test_cap_is_checked_before_the_region_is_built(self, monkeypatch, weight, cyclic):
-        def refuse(hexagon, by_rows=False):
-            raise AssertionError("cells listed before the cap check")
+        def refuse(hexagon):
+            raise AssertionError("region built before the cap check")
 
-        # every region takes its cells from _cells
-        monkeypatch.setattr(tilings, "_cells", refuse)
+        # every region asks _sweeps_rows for its sweep direction first
+        monkeypatch.setattr(tilings, "_sweeps_rows", refuse)
         with pytest.raises(CellCapError):
             count_weighted(CoredHexagon(200, 200, 200, 0), weight, cyclic=cyclic)
 
@@ -297,10 +350,8 @@ class TestFrontierCount:
             return count_weighted(hexagon, "one"), count_weighted(hexagon, "minus1")
 
         expected = {sides: counts(sides) for sides in admissible(120)}
-        cells = tilings._cells
-        monkeypatch.setattr(
-            tilings, "_cells", lambda hexagon, by_rows=False: cells(hexagon, not by_rows)
-        )
+        sweeps_rows = tilings._sweeps_rows
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: not sweeps_rows(hexagon))
         for sides, values in expected.items():
             assert counts(sides) == values, sides
 
@@ -478,11 +529,10 @@ class TestEnumeratedTilings:
     @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
     def test_every_cyclic_tiling_is_a_rotation_invariant_matching(self, monkeypatch, rows):
         # a = b = c sweeps by columns; the row order is forced here
-        cells = tilings._cells
-        monkeypatch.setattr(tilings, "_cells", lambda hexagon, by_rows=False: cells(hexagon, rows))
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
         hexagon = CoredHexagon(3, 3, 3, 2)
         region = build_region(hexagon)
-        assert region.cells == tuple(cells(hexagon, rows))
+        assert region.cells == tuple(reference_cells(hexagon, rows))
         rot = region.rotation
         found = list(enumerate_cyclic_tilings(region))
         assert len(found) == count_weighted(hexagon, "one", cyclic=True) > 1
