@@ -9,7 +9,10 @@ place per line, each holding a cell's index or -1 (see `Region`); the views
 Every count runs one frontier transfer matrix over the graph: plain and
 (-1)-weighted counts over the cells, cyclically symmetric counts over the
 orbits of the 120-degree rotation, where it keeps a histogram of the
-statistic mod 6 and applies the weight once.  Backtracking is left only
+statistic mod 6 and applies the weight once: the rotation is an affine
+map read through the slot array, each orbit's weight is folded onto one
+lozenge of it, and the packed residue counts are reduced only where a
+product by a factor other than 1 is formed.  Backtracking is left only
 for the enumeration generators.  Nothing here uses the determinant or
 closed-form routes that these counts check.
 
@@ -46,6 +49,7 @@ import os
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import count, takewhile
+from math import prod
 from types import MappingProxyType
 from typing import Callable, Iterator, Optional
 
@@ -126,9 +130,7 @@ class CoredHexagon:
 
     @property
     def placement(self) -> str:
-        if self.a % 2 == self.b % 2:
-            return CENTERED
-        return SHIFTED_TOWARD_B
+        return CENTERED if self.a % 2 == self.b % 2 else SHIFTED_TOWARD_B
 
     @property
     def core_position(self) -> tuple[int, int]:
@@ -212,10 +214,12 @@ class Region:
         """The index of the cell (x, y, orient), or -1 when the region lacks
         it; a point outside the bounding box reads no slot."""
         xs, ys = self._box
-        if x in xs and y in ys:
-            p, q = (y, x - xs.start) if self._rows else (x - xs.start, y)
-            return self.slots[p * self._stride + 2 * q + orient]
-        return -1
+        return self.slots[self._slot(x, y, orient)] if x in xs and y in ys else -1
+
+    def _slot(self, x: int, y: int, orient: int) -> int:
+        """The slot of the point (x, y, orient), unchecked."""
+        p, q = (y, x - self._box[0].start) if self._rows else (x - self._box[0].start, y)
+        return p * self._stride + 2 * q + orient
 
     def _cell(self, k: int) -> Cell:
         """The cell (x, y, orient) in slot k."""
@@ -233,39 +237,34 @@ class Region:
         """The index of each cell (x, y, orient), for tests and demos."""
         return MappingProxyType({cell: i for i, cell in enumerate(self.cells)})
 
-    def _symmetry(
-        self, name: str, linear: Callable[[int, int], tuple[int, int]]
-    ) -> tuple[int, ...]:
-        """Index map of the cell symmetry whose linear part, in tripled
-        coordinates about the core centroid, is `linear`.  Only defined for
-        a = b = c; it preserves cell orientations."""
+    def _symmetry(self, name: str, image: Callable[..., tuple[int, int]]) -> tuple[int, ...]:
+        """Index map of the cell symmetry (x, y, o) -> (image(x, y, o), o),
+        an integer affine map.  Only defined for a = b = c, where it maps the
+        region onto itself.  The slot of the image of the cell in slot k is
+        affine in k // L, (k % L) >> 1 and k & 1, fixed by four points, and
+        is read through the slot array."""
         if not (self.a == self.b == self.c):
             raise ValueError(f"{name} needs a hexagon with a = b = c")
-        ox, oy = 3 * self.x0 - self.m, 3 * self.y0 + 2 * self.m
-        mapping = []
-        for k in self.slot_of:
-            x, y, orient = self._cell(k)
-            # the centroid of U(x, y) is (3x+1, 3y+1)/3, of D(x, y) (3x+2, 3y+2)/3
-            offset = 1 + orient
-            qx, qy = linear(3 * x + offset - ox, 3 * y + offset - oy)
-            qx, qy = qx + ox - offset, qy + oy - offset
-            assert qx % 3 == 0 and qy % 3 == 0
-            mapping.append(self.find(qx // 3, qy // 3, orient))
+        cell, slot, stride = self._cell, self._slot, self._stride
+        base, line, place, orient = (slot(*image(*cell(k)), k & 1) for k in (0, stride, 2, 1))
+        rest = [base + (r >> 1) * (place - base) + (r & 1) * (orient - base) for r in range(stride)]
+        mapping = [self.slots[k // stride * (line - base) + rest[k % stride]] for k in self.slot_of]
         assert -1 not in mapping, f"{name} leaves the region"
         return tuple(mapping)
 
     @cached_property
     def rotation(self) -> tuple[int, ...]:
-        """Index map of the 120-degree rotation about the core centroid.
-        Only defined for a = b = c, where it is a symmetry of the region."""
-        return self._symmetry("rotation", lambda ux, uy: (-ux - uy, ux))
+        """Index map of the 120-degree rotation about the core centroid,
+        (x, y, o) -> (2x0 + y0 - 1 - o - x - y, x + y0 - x0 + m, o)."""
+        dx, dy = 2 * self.x0 + self.y0 - 1, self.y0 - self.x0 + self.m
+        return self._symmetry("rotation", lambda x, y, o: (dx - o - x - y, x + dy))
 
     @cached_property
     def reflection(self) -> tuple[int, ...]:
         """Index map of the reflection fixing the core's ray-side edge
-        setwise (linear part (x, y) -> (x, -x-y) about the core centroid).
-        Only defined for a = b = c."""
-        return self._symmetry("reflection", lambda ux, uy: (ux, -ux - uy))
+        setwise, (x, y, o) -> (x, x0 + 2y0 + m - 1 - o - x - y, o)."""
+        dy = self.x0 + 2 * self.y0 + self.m - 1
+        return self._symmetry("reflection", lambda x, y, o: (x, dy - o - x - y))
 
     def __repr__(self) -> str:
         h = self.hexagon
@@ -278,6 +277,8 @@ def build_region(hexagon: CoredHexagon) -> Region:
 
 def _check_cap(units: int, cap: Optional[int]) -> None:
     limit = default_cell_cap() if cap is None else cap
+    if limit < 0:
+        raise ValueError(f"cap must be nonnegative, got {limit}")
     if units > limit:
         raise CellCapError(
             f"region needs {units} search units, above the cap {limit}; "
@@ -363,10 +364,12 @@ def _frontier_count(graph: Graph, modulus: int = 0) -> int:
     its value is the weighted number of ways to reach it.  A covered vertex
     is shifted out, a free one is paired along an edge with a free later
     vertex.  A forced step is fused with the next: when vertex i's only
-    edge goes to i+1 and no other edge reaches i+1, bit 1 is always clear
-    at i, so one pass over the states does both vertices, pairing a free i
-    with i+1 or letting i+1 take its own edges once i is covered.  With a
-    modulus, the values are reduced by it after each pass."""
+    edge goes to i+1, with factor 1, and no other edge reaches i+1, bit 1
+    is always clear at i, so one pass over the states does both vertices,
+    pairing a free i with i+1 or letting i+1 take its own edges once i is
+    covered.  With a modulus, a product by a factor other than 1 is reduced
+    by it, and so is the final value; sums are left as they come, so no
+    pass rebuilds the states, and the result is the same for any modulus."""
     reached = [0] * (len(graph) + 1)
     for i, moves in enumerate(graph):
         for bit, _ in moves:
@@ -375,9 +378,8 @@ def _frontier_count(graph: Graph, modulus: int = 0) -> int:
     i = 0
     while i < len(graph):
         moves = graph[i]
-        fused = len(moves) == 1 and moves[0][0] == 2 and reached[i + 1] == 1
+        fused = moves == [(2, 1)] and reached[i + 1] == 1
         if fused:
-            forced = moves[0][1]
             moves = graph[i + 1]
         advanced: dict[int, int] = {}
         for mask, value in states.items():
@@ -388,17 +390,18 @@ def _frontier_count(graph: Graph, modulus: int = 0) -> int:
                     continue
             elif fused:
                 key = mask >> 2
-                advanced[key] = advanced.get(key, 0) + forced * value
+                advanced[key] = advanced.get(key, 0) + value
                 continue
             for bit, factor in moves:
                 if not mask & bit:
                     key = (mask | bit) >> 1
-                    advanced[key] = advanced.get(key, 0) + factor * value
-        if modulus:
-            advanced = {key: value % modulus for key, value in advanced.items()}
+                    if modulus and factor != 1:
+                        advanced[key] = advanced.get(key, 0) + factor * value % modulus
+                    else:
+                        advanced[key] = advanced.get(key, 0) + factor * value
         states = advanced
         i += 1 + fused
-    return states.get(0, 0)
+    return states.get(0, 0) % modulus if modulus else states.get(0, 0)
 
 
 def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int]) -> list[int]:
@@ -411,34 +414,33 @@ def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int])
     third of the cells whose perfect matchings are the invariant tilings.
     An edge is an orbit of three lozenges, read from the region's graph at
     the one lozenge whose up cell is lowest in its orbit, and weighs the
-    sum e of their weights.  The transfer matrix runs over the orbits in
-    Z[q]/(q^6 - 1) at q = 2^B: an edge's factor is 2^(B (e mod 6)) and
-    values are reduced modulo 2^(6B) - 1, so a value packs its six residue
-    counts in B-bit slots.  A count never exceeds the product of the
-    out-degrees, which B bits hold with a bit to spare."""
-    rot = region.rotation
-    orbit = [-1] * len(rot)
-    lowest = []
-    for i in range(len(rot)):
-        if orbit[i] < 0:
-            orbit[i] = orbit[rot[i]] = orbit[rot[rot[i]]] = len(lowest)
-            lowest.append(i)
+    sum e of their weights, folded onto it in one pass over the weights.
+    The transfer matrix runs over the orbits in Z[q]/(q^6 - 1) at q = 2^B:
+    an edge's factor is 2^(B (e mod 6)), and a product by it is reduced
+    modulo 2^(6B) - 1, which turns the slots of the six residue counts, B
+    bits each, by e.  A partial count never exceeds the product of the
+    out-degrees, which is below 2^(B-1), so no slot carries, not even in
+    the unreduced sums, and every value stays below 2^(6B)."""
+    rot, slot_of = region.rotation, region.slot_of
+    lowest = [i for i in range(len(rot)) if i < rot[i] and i < rot[rot[i]]]
+    orbit = [0] * len(rot)
+    for o, i in enumerate(lowest):
+        orbit[i] = orbit[rot[i]] = orbit[rot[rot[i]]] = o
+    # the lozenge with the lowest up cell of its orbit is two turns away at most
+    folded: dict[tuple[int, int], int] = {}
+    for (up, down), weight in lozenge_weight.items():
+        while lowest[orbit[up]] != up:
+            up, down = rot[up], rot[down]
+        folded[up, down] = (folded.get((up, down), 0) + weight) % 6
     edges: list[list[tuple[int, int]]] = [[] for _ in lowest]
     for i, moves in enumerate(region.graph):
         for bit, _ in moves:
             j = i + bit.bit_length() - 1
-            up, down = (j, i) if region.slot_of[i] & 1 else (i, j)
-            if lowest[orbit[up]] != up:
-                continue
-            e, u, d = 0, up, down
-            for _ in range(3):
-                e += lozenge_weight.get((u, d), 0)
-                u, d = rot[u], rot[d]
-            low, high = sorted((orbit[up], orbit[down]))
-            edges[low].append((high, e % 6))
-    branches = 1
-    for out in edges:
-        branches *= max(1, len(out))
+            up, down = (j, i) if slot_of[i] & 1 else (i, j)
+            if lowest[orbit[up]] == up:
+                low, high = sorted((orbit[up], orbit[down]))
+                edges[low].append((high, folded.get((up, down), 0)))
+    branches = prod(max(1, len(out)) for out in edges)
     bits = branches.bit_length() + 1
     graph = [[(1 << (j - i), 1 << (bits * e)) for j, e in out] for i, out in enumerate(edges)]
     packed = _frontier_count(graph, (1 << (6 * bits)) - 1)
@@ -449,13 +451,11 @@ def _n6_weights(region: Region) -> dict[tuple[int, int], int]:
     """Weight x on the lozenge (sigma U(x, y), sigma D(x, y)) for 0 <= x < a
     and a-1-x <= y <= 2a+m-2-x, sigma the reflection: on a cyclically
     symmetric tiling the weights of its lozenges sum to n6, as read by the
-    path walk of `statistic_n6`.  Weight 0 is left out."""
-    sigma, find = region.reflection, region.find
-    a, m = region.a, region.m
+    path walk of `statistic_n6`.  Weight 0 is left out.  Here x0 = 0 and
+    y0 = a, so sigma gives (U(x, t), D(x, t-1)) with 1 <= t = 2a+m-1-x-y <= a+m."""
+    find, a, m = region.find, region.a, region.m
     return {
-        (sigma[find(x, y, UP)], sigma[find(x, y, DOWN)]): x
-        for x in range(1, a)
-        for y in range(a - 1 - x, 2 * a + m - 1 - x)
+        (find(x, t, UP), find(x, t - 1, DOWN)): x for x in range(1, a) for t in range(1, a + m + 1)
     }
 
 
@@ -465,10 +465,9 @@ def _cyclic_histogram(region: Region, n6: bool) -> list[int]:
     if n6:
         return _orbit_histogram(region, _n6_weights(region))
     # n = ray length - straddles; a ray pair is (west down cell, east up cell)
-    straddles = {(east, west): 1 for west, east in region.reference_ray if min(west, east) >= 0}
-    by_straddles = _orbit_histogram(region, straddles)
-    length = len(region.reference_ray)
-    return [by_straddles[(length - r) % 6] for r in range(6)]
+    ray = region.reference_ray
+    by_straddles = _orbit_histogram(region, {(e, w): 1 for w, e in ray if min(w, e) >= 0})
+    return [by_straddles[(len(ray) - r) % 6] for r in range(6)]
 
 
 def statistic_n(tiling: Tiling, region: Region) -> int:

@@ -125,9 +125,20 @@ class TestRegion:
             assert region.cells == cells, (a, b, c, m)
             assert region.graph == reference_graph(cells), (a, b, c, m)
             assert region.reference_ray == reference_ray(hexagon, cells), (a, b, c, m)
-            if a == b == c:
-                assert region.rotation == reference_rotation(hexagon, cells), (a, m)
-                assert region.reflection == reference_reflection(hexagon, cells), (a, m)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    def test_affine_symmetries_match_the_tuple_key_reference_up_to_a_6_m_8(
+        self, monkeypatch, rows
+    ):
+        # the oracle draws C_a(m) up to m = 8; every such region, and a = 6
+        # past it, each forced into both sweeps
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
+        for a, m in itertools.product(range(7), range(9)):
+            hexagon = CoredHexagon(a, a, a, m)
+            region = build_region(hexagon)
+            cells = tuple(reference_cells(hexagon, rows))
+            assert region.rotation == reference_rotation(hexagon, cells), (a, m)
+            assert region.reflection == reference_reflection(hexagon, cells), (a, m)
 
     @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
     def test_a_lookup_outside_the_box_finds_no_cell(self, monkeypatch, rows):
@@ -247,6 +258,10 @@ class TestEnumeration:
             count_weighted(huge, "omega6", cap=1, cyclic=False)
         with pytest.raises(ValueError, match="a = b = c"):
             count_weighted(CoredHexagon(200, 200, 0, 0), "omega3", cap=1)
+        # a negative cap is a domain error, not a cap that the region exceeds
+        for weight, cyclic in [("one", False), ("minus1", False), ("one", True), ("omega3", True)]:
+            with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
+                count_weighted(CoredHexagon(0, 0, 0, 0), weight, cap=-1, cyclic=cyclic)
 
     def test_signed_count_all_odd_is_zero(self):
         assert count_weighted(CoredHexagon(1, 1, 1, 1), "minus1") == 0
@@ -361,10 +376,16 @@ class TestFrontierCount:
     @example((4, [(0, 1, 4), (0, 2, 2), (0, 3, 1), (1, 2, 3), (2, 3, 5)], [0, 1, 2, 3], 0))
     @example((6, [(0, 1, 2), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (0, 5, 7)],
               [0, 1, 2, 3, 4, 5], 11))
+    @example((4, [(0, 1, 1), (1, 2, 3), (1, 3, -1), (2, 3, 5)], [0, 1, 2, 3], 0))
+    @example((6, [(0, 1, 1), (0, 3, 2), (1, 2, 1), (2, 3, 3), (2, 5, 5), (3, 4, 1), (4, 5, 7)],
+              [0, 1, 2, 3, 4, 5], 11))
     def test_transfer_loop_matches_brute_force(self, drawn):
-        # the examples hold a fusable pair (0's only later edge goes to 1,
-        # which nothing else reaches), a vertex 1 whose only later edge goes
-        # to 2 while 0 reaches 2 too, and a chain of fusable pairs under a
+        # the examples hold a forced step (0's only later edge goes to 1,
+        # which nothing else reaches) of factor 2, a vertex 1 whose only
+        # later edge goes to 2 while 0 reaches 2 too, and a chain of forced
+        # steps of factors 3 to 6 under a modulus, none of them fused, as
+        # only steps of factor 1 are; then the first again with factor 1,
+        # and two fused steps of factor 1 between other factors under a
         # modulus
         n, edges, order, modulus = drawn
         position = {vertex: p for p, vertex in enumerate(order)}
@@ -428,6 +449,19 @@ class TestOrbitCount:
                     assert count_weighted(hexagon, weight, cap=80, cyclic=True) == value, (
                         a, m, weight
                     )
+
+    def test_row_and_column_sweeps_agree_up_to_a_5_m_8(self, monkeypatch):
+        # the other sweep renumbers the cells, and with them the orbits, their
+        # representatives and the order of the transfer matrix
+        def histograms(a, m):
+            region = build_region(CoredHexagon(a, a, a, m))
+            return [tilings._cyclic_histogram(region, n6) for n6 in (False, True)]
+
+        expected = {(a, m): histograms(a, m) for a in range(6) for m in range(9)}
+        sweeps_rows = tilings._sweeps_rows
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: not sweeps_rows(hexagon))
+        for (a, m), hists in expected.items():
+            assert histograms(a, m) == hists, (a, m)
 
     def test_enumeration_wraps_the_partner_arrays_of_the_search(self):
         region = build_region(CoredHexagon(3, 3, 3, 2))
@@ -550,6 +584,9 @@ class TestLazyEnumeration:
             enumerate_cyclic_tilings(region, cap=10)
         with pytest.raises(ValueError):
             enumerate_cyclic_tilings(build_region(CoredHexagon(2, 4, 2, 1)))
+        for enumerate_ in (enumerate_tilings, enumerate_cyclic_tilings):
+            with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
+                enumerate_(build_region(CoredHexagon(0, 0, 0, 0)), cap=-1)
 
     def test_search_deeper_than_the_recursion_limit(self):
         region = build_region(CoredHexagon(14, 14, 14, 14))
