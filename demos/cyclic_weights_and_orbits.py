@@ -10,8 +10,8 @@ cyclically symmetric plane partitions.
 
 from cored_hexagons import (
     CoredHexagon,
+    Region,
     build_n6_matrix,
-    build_region,
     count_weighted,
     det_fraction_free,
     enumerate_cyclic_tilings,
@@ -27,7 +27,7 @@ from cored_hexagons.tilings import plane_partition_diagonal_count, plane_partiti
 print(__doc__)
 
 a, m = 3, 2
-region = build_region(CoredHexagon(a, a, a, m))
+region = Region(CoredHexagon(a, a, a, m))
 tilings = list(enumerate_cyclic_tilings(region))
 print(f"C_{a}({m}) has {len(tilings)} cyclically symmetric tilings; statistics:")
 print("  n  values:", sorted(statistic_n(t, region) for t in tilings))
@@ -55,7 +55,7 @@ print()
 print("at m = 0 the statistics become plane-partition quantities:")
 print("n counts the cubes on the main diagonal, n6 the off-diagonal orbits")
 print("-" * 60)
-region = build_region(CoredHexagon(3, 3, 3, 0))
+region = Region(CoredHexagon(3, 3, 3, 0))
 for tiling in enumerate_cyclic_tilings(region):
     pp = tiling_to_plane_partition(tiling, region)
     m1 = plane_partition_diagonal_count(pp)

@@ -17,8 +17,6 @@ from .exactnum import (
 )
 from .hypergeom import (
     IDENTITY_IDS,
-    TerminatingSeries,
-    eval_terminating,
     identity_pair,
     qbinom_neg1,
 )
@@ -50,10 +48,8 @@ from .formulas import (
 from .tilings import (
     CellCapError,
     CoredHexagon,
-    PathFamily,
     Region,
     Tiling,
-    build_region,
     count_weighted,
     enumerate_cyclic_tilings,
     enumerate_tilings,

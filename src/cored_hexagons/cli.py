@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 import mpmath
 
 from . import formulas, lgv, tilings, verify
-from .exactnum import CycloElement, cyclo_to_dict, value_to_str
+from .exactnum import json_value
 
 EXIT_OK = 0
 EXIT_SUITE_FAILED = 1
@@ -30,12 +30,6 @@ EXIT_RESOURCE = 3
 def _emit(payload: dict) -> None:
     # fixed key order, so identical invocations produce identical bytes
     sys.stdout.write(json.dumps(payload) + "\n")
-
-
-def _value_payload(value) -> object:
-    if isinstance(value, CycloElement) and not value.is_rational:
-        return cyclo_to_dict(value)
-    return value_to_str(value)
 
 
 def _cmd_count(args) -> int:
@@ -59,7 +53,7 @@ def _cmd_count(args) -> int:
             "relabel": relabel,
             "weight": args.weight,
             "method": args.method,
-            "value": _value_payload(value),
+            "value": json_value(value),
         }
     )
     return EXIT_OK
@@ -72,7 +66,7 @@ def _cmd_cyclic_count(args) -> int:
         {
             "params": {"a": args.a, "m": args.m},
             "weight": args.weight,
-            "value": _value_payload(value),
+            "value": json_value(value),
         }
     )
     return EXIT_OK
@@ -142,7 +136,7 @@ def _cmd_formula(args) -> int:
         factors = {str(k): value[k] for k in sorted(value)}
         _emit({"id": args.id, "params": params, "factors": factors})
     else:
-        _emit({"id": args.id, "params": params, "value": _value_payload(value)})
+        _emit({"id": args.id, "params": params, "value": json_value(value)})
     return EXIT_OK
 
 

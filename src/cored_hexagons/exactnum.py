@@ -29,15 +29,9 @@ SIXTH = "sixth"
 TRACE = {THIRD: -1, SIXTH: 1}
 
 
-def frac(x: Number, denominator: int | None = None) -> Fraction:
-    """Coerce to Fraction; with two arguments, the fraction x/denominator."""
-    if denominator is not None:
-        return Fraction(x, denominator)
+def frac(x: Number) -> Fraction:
+    """Coerce to Fraction."""
     return x if isinstance(x, Fraction) else Fraction(x)
-
-
-def is_integer(x: Number) -> bool:
-    return isinstance(x, int) or x.denominator == 1
 
 
 def double_factorial_odd(i: int) -> int:
@@ -206,23 +200,20 @@ def omega6() -> CycloElement:
     return CycloElement.of(SIXTH, 0, 1)
 
 
-def value_to_str(value) -> str:
-    """Decimal-string form used by the CLI: integers plain, rationals p/q."""
-    if isinstance(value, CycloElement):
-        if value.is_rational:
-            value = value.c0
-        else:
-            raise ValueError("use cyclo_to_dict for non-rational cyclotomic values")
-    if isinstance(value, Fraction):
-        if value.denominator == 1:
-            return str(value.numerator)
-        return f"{value.numerator}/{value.denominator}"
-    return str(value)
-
-
 def cyclo_to_dict(value: CycloElement) -> dict:
     return {
         "ring": value.ring,
-        "c0": value_to_str(value.c0),
-        "c1": value_to_str(value.c1),
+        "c0": str(value.c0),
+        "c1": str(value.c1),
     }
+
+
+def json_value(value) -> str | dict:
+    """The JSON form of a value: a non-rational CycloElement as its ring and
+    coordinates, anything else as its string (a Fraction as p/q, or plain
+    when integral; a rational CycloElement as its rational part)."""
+    if isinstance(value, CycloElement):
+        if not value.is_rational:
+            return cyclo_to_dict(value)
+        value = value.c0
+    return str(value)

@@ -32,7 +32,6 @@ from .exactnum import (
     Number,
     double_factorial_odd,
     frac,
-    is_integer,
     pair_mul,
     pochhammer_ratio,
 )
@@ -269,7 +268,7 @@ def zare1_rhs(a: int, m: Number) -> Fraction:
     As a term table, x! = h(x+1)/h(x), and the runs of consecutive
     factorials telescope to single hyperfactorial quotients."""
     _check_order(a)
-    if m < 0 or not is_integer(m):
+    if m < 0 or m.denominator != 1:
         raise FormulaDomainError(
             f"the parameter m of B(a, m) must be a nonnegative integer, got {frac(m)}"
         )
@@ -355,9 +354,9 @@ def rhs_case10(a: int, m: int) -> Fraction:
     if a % 2 == 0 and m % 2 == 0:
         return om6_rhs(a // 2, m // 2).norm()
     if m % 2 == 0:
-        m2 = frac(m, 2)
+        m2 = Fraction(m, 2)
         return andrews_rhs((a + 1) // 2, m2 - 1) * andrews_rhs((a - 1) // 2, m2 + 1)
-    return andrews_rhs((a + 1) // 2, frac(m - 1, 2)) * zare1_rhs(a // 2, frac(m + 1, 2))
+    return andrews_rhs((a + 1) // 2, Fraction(m - 1, 2)) * zare1_rhs(a // 2, Fraction(m + 1, 2))
 
 
 # --- asymptotics ------------------------------------------------------------

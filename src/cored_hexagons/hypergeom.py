@@ -1,18 +1,19 @@
 """Terminating hypergeometric series and the classical summation identities.
 
-A terminating series sum_{k=0}^n t_k is summed by its term ratio
-r_k = t_{k+1}/t_k, inside out (Horner form): 1 + r_0 (1 + r_1 (1 + ...
-(1 + r_{n-1}))).  Each r_k is a quotient of two integers built from the
-integer numerators and denominators of the parameters, so the whole sum runs
-on ints and is normalised once, into the one Fraction returned.
+`hyper(upper, lower, argument)` is the one entry point for a series pFq:
+it stops at the smallest nonpositive-integer upper parameter -n and sums
+sum_{k=0}^n t_k by its term ratio r_k = t_{k+1}/t_k, inside out (Horner
+form): 1 + r_0 (1 + r_1 (1 + ... (1 + r_{n-1}))).  Each r_k is a quotient
+of two integers built from the integer numerators and denominators of the
+parameters, so the whole sum runs on ints and is normalised once, into the
+one Fraction returned.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .exactnum import Number, binomial, frac, is_integer, pochhammer_ratio
+from .exactnum import Number, binomial, frac, pochhammer_ratio
 
 
 class NonTerminatingError(ValueError):
@@ -28,29 +29,6 @@ class PochhammerZeroError(ValueError):
         super().__init__(
             f"lower parameter {parameter} hits zero at term k={index}"
         )
-
-
-@dataclass(frozen=True)
-class TerminatingSeries:
-    """pFq data with at least one nonpositive-integer upper parameter."""
-
-    upper: tuple
-    lower: tuple
-    argument: Fraction = field(default_factory=lambda: Fraction(1))
-
-    @staticmethod
-    def of(upper, lower, argument: Number = 1) -> TerminatingSeries:
-        return TerminatingSeries(
-            tuple(frac(u) for u in upper),
-            tuple(frac(l) for l in lower),
-            frac(argument),
-        )
-
-    def termination_index(self) -> int:
-        indices = [int(-u) for u in self.upper if is_integer(u) and u <= 0]
-        if not indices:
-            raise NonTerminatingError(f"no nonpositive-integer upper parameter in {self.upper}")
-        return min(indices)
 
 
 def check_lower_poles(lower, n: int) -> None:
@@ -93,13 +71,14 @@ def _ratio_sum(upper, lower, argument, n: int, slope: Fraction = Fraction(0)) ->
     return Fraction(num, den * sd)
 
 
-def eval_terminating(series: TerminatingSeries) -> Fraction:
-    """Exact finite sum sum_k prod(upper)_k / (k! prod(lower)_k) z^k."""
-    return _ratio_sum(series.upper, series.lower, series.argument, series.termination_index())
-
-
 def hyper(upper, lower, argument: Number = 1) -> Fraction:
-    return eval_terminating(TerminatingSeries.of(upper, lower, argument))
+    """Exact finite sum sum_k prod(upper)_k / (k! prod(lower)_k) z^k, up to
+    the smallest n with -n among the upper parameters."""
+    upper, lower = tuple(frac(u) for u in upper), tuple(frac(l) for l in lower)
+    indices = [-u.numerator for u in upper if u.denominator == 1 and u <= 0]
+    if not indices:
+        raise NonTerminatingError(f"no nonpositive-integer upper parameter in {upper}")
+    return _ratio_sum(upper, lower, frac(argument), min(indices))
 
 
 CHU_VANDERMONDE = "chu_vandermonde"

@@ -271,10 +271,6 @@ class Region:
         return f"Region(C_{{{h.a},{h.b},{h.c}}}({h.m}), {len(self.graph)} cells)"
 
 
-def build_region(hexagon: CoredHexagon) -> Region:
-    return Region(hexagon)
-
-
 def _check_cap(units: int, cap: Optional[int]) -> None:
     limit = default_cell_cap() if cap is None else cap
     if limit < 0:
@@ -545,7 +541,7 @@ def count_weighted(
     # the size is known before any cell is listed
     if not cyclic:
         _check_cap(hexagon.cell_count, cap)
-        region = build_region(hexagon)
+        region = Region(hexagon)
         if weight == WEIGHT_ONE:
             return _frontier_count(region.graph)
         # a full ray segment is the edge D(x0-1, y) -> U(x0, y)
@@ -557,7 +553,7 @@ def count_weighted(
         return (-1) ** len(region.reference_ray) * _frontier_count(graph)
 
     _check_cyclic(hexagon, cap)
-    hist = _cyclic_histogram(build_region(hexagon), n6=weight == WEIGHT_MINUS1_N6)
+    hist = _cyclic_histogram(Region(hexagon), n6=weight == WEIGHT_MINUS1_N6)
     if weight == WEIGHT_ONE:
         return sum(hist)
     if weight in (WEIGHT_MINUS1, WEIGHT_MINUS1_N6):
@@ -571,22 +567,15 @@ def count_weighted(
     return CycloElement.of(ring, *total)
 
 
-@dataclass(frozen=True)
-class PathFamily:
-    """Nonintersecting lattice paths of a tiling, in orthogonal coordinates
-    where every step is east (X+1, Y) or south (X, Y-1)."""
-
-    paths: tuple[tuple[tuple[int, int], ...], ...]
-    starts: tuple[tuple[int, int], ...]
-    ends: tuple[tuple[int, int], ...]
-    sigma: tuple[int, ...]  # sigma[i-1] = j: path from A_i ends at E_j (1-based)
-
-
-def tiling_to_paths(tiling: Tiling, region: Region) -> PathFamily:
+def tiling_to_paths(tiling: Tiling, region: Region) -> tuple[tuple[tuple[int, int], ...], ...]:
     """The standard bijection onto nonintersecting paths from the side of
-    length a (and the core side parallel to it) to the side of length a+m."""
+    length a (and the core side parallel to it) to the side of length a+m,
+    in orthogonal coordinates where every step is east (X+1, Y) or south
+    (X, Y-1).  Paths A_1, ..., A_a start on the side of length a and
+    A_{a+1}, ..., A_{a+m} on the core side; the path from A_i ends at E_j
+    with j = Y_end + 1."""
     a, b, c, m, find = region.a, region.b, region.c, region.m, region.find
-    paths, sigma = [], []
+    paths = []
     # the paths start on the side of length a, then on the core side
     bases = [(-c - m, c + m + i) for i in range(a)]
     for x, y in bases + [(region.x0, region.y0 + t) for t in range(m)]:
@@ -603,13 +592,10 @@ def tiling_to_paths(tiling: Tiling, region: Region) -> PathFamily:
             else:
                 raise AssertionError("path stepped onto an interior edge")
             vertices.append((x + y, y))
-        sigma.append(y + 1)
         paths.append(tuple(vertices))
     all_vertices = [v for path in paths for v in path]
     assert len(set(all_vertices)) == len(all_vertices), "paths must be vertex-disjoint"
-    starts = tuple(path[0] for path in paths)
-    ends = tuple(path[-1] for path in paths)
-    return PathFamily(tuple(paths), starts, ends, tuple(sigma))
+    return tuple(paths)
 
 
 def tiling_to_plane_partition(tiling: Tiling, region: Region) -> list[list[int]]:
@@ -617,9 +603,8 @@ def tiling_to_plane_partition(tiling: Tiling, region: Region) -> list[list[int]]
     heights bounded by c, weakly decreasing along rows and columns."""
     if region.m != 0:
         raise ValueError("plane partitions correspond to tilings with m = 0")
-    family = tiling_to_paths(tiling, region)
     rows = []
-    for path in family.paths:
+    for path in tiling_to_paths(tiling, region):
         # the height of an east step is the number of south steps after it
         remaining, heights = path[0][1] - path[-1][1], []
         for (_, y1), (_, y2) in zip(path, path[1:]):

@@ -19,7 +19,7 @@ from fractions import Fraction
 import mpmath
 
 from . import formulas, hypergeom, lgv, tilings
-from .exactnum import CycloElement, cyclo_to_dict, frac, omega3, omega6, value_to_str
+from .exactnum import frac, json_value, omega3, omega6
 
 PASS = "pass"
 FAIL = "fail"
@@ -35,20 +35,10 @@ class VerificationReport:
     equal: bool
     status: str
 
-    def to_json_dict(self) -> dict:
-        return dict(vars(self))
-
 
 def _fmt(value) -> str:
-    if isinstance(value, CycloElement):
-        if value.is_rational:
-            return value_to_str(value.c0)
-        return json.dumps(cyclo_to_dict(value), sort_keys=True)
-    if isinstance(value, bool):
-        return str(value)
-    if isinstance(value, mpmath.mpf):
-        return mpmath.nstr(value, 30)
-    return value_to_str(value)
+    shown = json_value(value)
+    return shown if isinstance(shown, str) else json.dumps(shown, sort_keys=True)
 
 
 def _case_rng(seed: int, index: int) -> random.Random:
@@ -443,7 +433,10 @@ def _suite_asymptotics(bounds, seed):
     # log(count) / n^2 needs n > 0, and the final deviation a last n
     if min(ns, default=0) <= 0:
         raise ValueError(f"bound ns must be nonempty and positive, got {ns}")
+    # the precision-agreement check holds k to a 30-digit value within 10^-25
     digits = bounds.get("digits", 50)
+    if digits < 30:
+        raise ValueError(f"bound digits must be at least 30, got {digits}")
     k = formulas.asymptotic_k(a, b, c, m, digits=digits)
     k_again = formulas.asymptotic_k(a, b, c, m, digits=digits)
     yield _report(
@@ -544,7 +537,7 @@ def suite_failed(reports) -> bool:
 
 
 def reports_to_jsonl(reports) -> str:
-    lines = [json.dumps(r.to_json_dict(), sort_keys=True) for r in reports]
+    lines = [json.dumps(vars(r), sort_keys=True) for r in reports]
     return "\n".join(lines) + "\n"
 
 

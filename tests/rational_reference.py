@@ -22,7 +22,7 @@ from itertools import combinations
 
 from cored_hexagons.exactnum import SIXTH, THIRD, CycloElement, Number, double_factorial_odd, frac
 from cored_hexagons.formulas import _check_order, _watson_lower_params
-from cored_hexagons.hypergeom import PochhammerZeroError, TerminatingSeries
+from cored_hexagons.hypergeom import NonTerminatingError, PochhammerZeroError
 from cored_hexagons import lgv
 from cored_hexagons.lgv import RING_INTEGER, RING_RATIONAL, ExactMatrix
 from text_formats import matrix_of
@@ -62,21 +62,27 @@ def pochhammer_ratio(ups, downs=()) -> Fraction:
     return value
 
 
-def eval_terminating(series: TerminatingSeries) -> Fraction:
-    n = series.termination_index()
+def hyper(upper, lower, argument: Number = 1) -> Fraction:
+    upper = tuple(frac(u) for u in upper)
+    lower = tuple(frac(l) for l in lower)
+    argument = frac(argument)
+    stops = [int(-u) for u in upper if u == int(u) and u <= 0]
+    if not stops:
+        raise NonTerminatingError(f"no nonpositive-integer upper parameter in {upper}")
+    n = min(stops)
     total = Fraction(0)
     term = Fraction(1)
     for k in range(n + 1):
         total += term
         if k == n:
             break
-        for u in series.upper:
+        for u in upper:
             term *= u + k
-        for l in series.lower:
+        for l in lower:
             if l + k == 0:
                 raise PochhammerZeroError(l, k + 1)
             term /= l + k
-        term = term * series.argument / (k + 1)
+        term = term * argument / (k + 1)
     return total
 
 

@@ -44,7 +44,7 @@ from cored_hexagons.lgv import (
 )
 from cored_hexagons.tilings import (
     CoredHexagon,
-    build_region,
+    Region,
     count_weighted,
     statistic_n,
     statistic_n6,
@@ -150,12 +150,12 @@ def test_criterion_05_case10():
 
 
 def test_criterion_06_pinned_values():
-    region = build_region(CoredHexagon(5, 3, 1, 2))
+    region = Region(CoredHexagon(5, 3, 1, 2))
     with open(os.path.join(DATA, "ray_example.txt")) as fh:
         tiling = tiling_from_text(fh.read(), region)
     ok = statistic_n(tiling, region) == 2
 
-    region6 = build_region(CoredHexagon(3, 3, 3, 2))
+    region6 = Region(CoredHexagon(3, 3, 3, 2))
     with open(os.path.join(DATA, "orbit_example.txt")) as fh:
         tiling6 = tiling_from_text(fh.read(), region6)
     ok = ok and statistic_n6(tiling6, region6) == 3

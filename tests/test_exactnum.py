@@ -11,10 +11,10 @@ from cored_hexagons.exactnum import (
     binomial,
     cyclo_to_dict,
     double_factorial_odd,
+    json_value,
     omega3,
     omega6,
     pochhammer_ratio,
-    value_to_str,
 )
 from hyperfactorial_reference import SqrtPiScaled, hyperfactorial
 
@@ -146,6 +146,21 @@ class TestCyclo:
         assert x + omega3() == CycloElement.of(THIRD, Fraction(3, 2), 1)
 
     def test_serialization(self):
-        assert value_to_str(Fraction(3, 4)) == "3/4"
-        assert value_to_str(Fraction(8, 4)) == "2"
+        # the formatter leans on Fraction's own str: p/q, plain when integral
+        assert str(Fraction(3, 4)) == "3/4"
+        assert str(Fraction(8, 4)) == "2"
+        assert str(Fraction(-3, 4)) == "-3/4"
         assert cyclo_to_dict(omega6() * 2) == {"ring": "sixth", "c0": "0", "c1": "2"}
+        assert json_value(7) == "7"
+        assert json_value(-7) == "-7"
+        assert json_value(Fraction(8, 4)) == "2"
+        assert json_value(Fraction(-3, 4)) == "-3/4"
+        assert json_value(True) == "True"
+        assert json_value(False) == "False"
+        # a rational cyclotomic value prints as its rational part, in either ring
+        assert json_value(CycloElement.of(THIRD, Fraction(-6, 4))) == "-3/2"
+        assert json_value(CycloElement.of(SIXTH, 5)) == "5"
+        assert json_value(omega3() * Fraction(1, 2) - 1) == {
+            "ring": "third", "c0": "-1", "c1": "1/2"
+        }
+        assert json_value(omega6() * 2) == {"ring": "sixth", "c0": "0", "c1": "2"}

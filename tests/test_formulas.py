@@ -384,14 +384,14 @@ class TestPlanePartitionSpecialization:
         # at m = 0 the cyclic (-1)^n count is the sum of (-1)^(m1) over
         # cyclically symmetric plane partitions, against the closed form
         from cored_hexagons.tilings import (
-            build_region,
+            Region,
             enumerate_cyclic_tilings,
             plane_partition_diagonal_count,
             tiling_to_plane_partition,
         )
 
         for a in range(1, 5):
-            region = build_region(CoredHexagon(a, a, a, 0))
+            region = Region(CoredHexagon(a, a, a, 0))
             total = 0
             for tiling in enumerate_cyclic_tilings(region):
                 pp = tiling_to_plane_partition(tiling, region)

@@ -96,8 +96,9 @@ def test_eval_terminating(upper, stop, lower, argument):
     # stop is the -n that terminates the series; None leaves it to chance
     if stop is not None:
         upper = upper + [-stop]
-    series = hypergeom.TerminatingSeries.of(upper, lower, argument)
-    assert outcome(hypergeom.eval_terminating, series) == outcome(ref.eval_terminating, series)
+    assert outcome(hypergeom.hyper, upper, lower, argument) == outcome(
+        ref.hyper, upper, lower, argument
+    )
 
 
 # per identity, the number of rational parameters before the integer n
@@ -117,7 +118,7 @@ def test_identity_pair(identity, rationals, n):
     with mock.patch.multiple(
         hypergeom,
         pochhammer_ratio=ref.pochhammer_ratio,
-        eval_terminating=ref.eval_terminating,
+        hyper=ref.hyper,
         _gessel_stanton_lhs=ref.gessel_stanton_lhs,
     ):
         expected = outcome(hypergeom.identity_pair, identity, params)

@@ -25,8 +25,8 @@ from cored_hexagons.tilings import (
     CellCapError,
     CoredHexagon,
     DOWN,
+    Region,
     UP,
-    build_region,
     count_weighted,
     default_cell_cap,
     enumerate_cyclic_tilings,
@@ -81,13 +81,13 @@ class TestRegion:
     def test_cell_counts(self):
         for a, b, c, m in [(3, 5, 1, 2), (2, 5, 1, 2), (1, 1, 1, 0), (4, 0, 0, 3)]:
             h = CoredHexagon(a, b, c, m)
-            region = build_region(h)
+            region = Region(h)
             assert len(region.cells) == h.cell_count
             ups = sum(1 for cell in region.cells if cell[2] == UP)
             assert 2 * ups == len(region.cells)
 
     def test_empty_region(self):
-        assert build_region(CoredHexagon(0, 0, 0, 4)).cells == ()
+        assert Region(CoredHexagon(0, 0, 0, 4)).cells == ()
 
     def test_graph_holds_every_lozenge_once(self):
         # reference: each up cell U(x, y) meets D(x, y), D(x-1, y) and
@@ -95,7 +95,7 @@ class TestRegion:
         for sides in itertools.product(range(5), repeat=4):
             if sides[1] % 2 != sides[2] % 2:
                 continue
-            region = build_region(CoredHexagon(*sides))
+            region = Region(CoredHexagon(*sides))
             index = region.cell_index
             lozenges = set()
             for x, y, orient in region.cells:
@@ -120,7 +120,7 @@ class TestRegion:
             if b % 2 != c % 2:
                 continue
             hexagon = CoredHexagon(a, b, c, m)
-            region = build_region(hexagon)
+            region = Region(hexagon)
             cells = tuple(reference_cells(hexagon, rows))
             assert region.cells == cells, (a, b, c, m)
             assert region.graph == reference_graph(cells), (a, b, c, m)
@@ -135,7 +135,7 @@ class TestRegion:
         monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
         for a, m in itertools.product(range(7), range(9)):
             hexagon = CoredHexagon(a, a, a, m)
-            region = build_region(hexagon)
+            region = Region(hexagon)
             cells = tuple(reference_cells(hexagon, rows))
             assert region.rotation == reference_rotation(hexagon, cells), (a, m)
             assert region.reflection == reference_reflection(hexagon, cells), (a, m)
@@ -148,7 +148,7 @@ class TestRegion:
         monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
         for sides in [(3, 1, 1, 1), (2, 4, 2, 1), (3, 3, 3, 2), (0, 2, 2, 1), (4, 0, 0, 3)]:
             a, b, c, m = sides
-            region = build_region(CoredHexagon(*sides))
+            region = Region(CoredHexagon(*sides))
             xs, ys = range(-c - m - 2, b + 2), range(-2, a + c + m + 2)
             for x, y, orient in itertools.product(xs, ys, (UP, DOWN)):
                 expected = region.cell_index.get((x, y, orient), -1)
@@ -174,7 +174,7 @@ class TestRegion:
         # same forward edges as the counts
         hexagon = CoredHexagon(*sides)
         assert tilings._sweeps_rows(hexagon)
-        region = build_region(hexagon)
+        region = Region(hexagon)
         assert region.cells == tuple(reference_cells(hexagon, by_rows=True))
         found = list(enumerate_tilings(region))
         assert len(set(found)) == len(found) == count_weighted(hexagon, "one")
@@ -331,7 +331,7 @@ class TestFrontierCount:
     def test_matches_backtracking_up_to_60_cells(self):
         for sides in admissible(60):
             hexagon = CoredHexagon(*sides)
-            region = build_region(hexagon)
+            region = Region(hexagon)
             plain = signed = 0
             for tiling in enumerate_tilings(region):
                 plain += 1
@@ -426,7 +426,7 @@ class TestOrbitCount:
                 hexagon = CoredHexagon(a, a, a, m)
                 if hexagon.cell_count // 3 > 80:
                     continue
-                region = build_region(hexagon)
+                region = Region(hexagon)
                 n6_weights = tilings._n6_weights(region)
                 hist_n, hist_n6 = [0] * 6, [0] * 6
                 for tiling in enumerate_cyclic_tilings(region, cap=80):
@@ -454,7 +454,7 @@ class TestOrbitCount:
         # the other sweep renumbers the cells, and with them the orbits, their
         # representatives and the order of the transfer matrix
         def histograms(a, m):
-            region = build_region(CoredHexagon(a, a, a, m))
+            region = Region(CoredHexagon(a, a, a, m))
             return [tilings._cyclic_histogram(region, n6) for n6 in (False, True)]
 
         expected = {(a, m): histograms(a, m) for a in range(6) for m in range(9)}
@@ -464,7 +464,7 @@ class TestOrbitCount:
             assert histograms(a, m) == hists, (a, m)
 
     def test_enumeration_wraps_the_partner_arrays_of_the_search(self):
-        region = build_region(CoredHexagon(3, 3, 3, 2))
+        region = Region(CoredHexagon(3, 3, 3, 2))
         expected = [tuple(p) for p in tilings._matchings(region, cyclic=True)]
         assert len(expected) > 1
         assert list(enumerate_cyclic_tilings(region)) == expected
@@ -490,24 +490,24 @@ class TestStatisticN:
     def test_figure_example(self):
         # the worked example tiling of C_{5,3,1}(2) has two lozenge edges on
         # the extension of the core side
-        region = build_region(CoredHexagon(5, 3, 1, 2))
+        region = Region(CoredHexagon(5, 3, 1, 2))
         tiling = load_tiling("ray_example.txt", region)
         assert statistic_n(tiling, region) == 2
 
     def test_b_c_zero_value(self):
         for a, m in [(2, 1), (4, 3), (4, 2)]:
-            region = build_region(CoredHexagon(a, 0, 0, m))
+            region = Region(CoredHexagon(a, 0, 0, m))
             (tiling,) = list(enumerate_tilings(region))
             assert statistic_n(tiling, region) == a // 2
 
     def test_m_zero_counts_diagonal_boxes(self):
-        region = build_region(CoredHexagon(2, 2, 2, 0))
+        region = Region(CoredHexagon(2, 2, 2, 0))
         for tiling in enumerate_tilings(region):
             pp = tiling_to_plane_partition(tiling, region)
             assert statistic_n(tiling, region) == plane_partition_diagonal_count(pp)
 
     def test_rotation_invariance_for_cyclic_tilings(self):
-        region = build_region(CoredHexagon(3, 3, 3, 2))
+        region = Region(CoredHexagon(3, 3, 3, 2))
         rot = region.rotation
         for tiling in enumerate_cyclic_tilings(region):
             rotated = [-1] * len(tiling)
@@ -518,12 +518,12 @@ class TestStatisticN:
 
 class TestCyclic:
     def test_figure_tiling_is_cyclic(self):
-        region = build_region(CoredHexagon(3, 3, 3, 2))
+        region = Region(CoredHexagon(3, 3, 3, 2))
         tiling = load_tiling("cyclic_example.txt", region)
         assert is_cyclically_symmetric(tiling, region)
 
     def test_extreme_tilings_are_cyclic(self):
-        region = build_region(CoredHexagon(2, 2, 2, 0))
+        region = Region(CoredHexagon(2, 2, 2, 0))
         cyclic = [
             t for t in enumerate_tilings(region) if is_cyclically_symmetric(t, region)
         ]
@@ -537,7 +537,7 @@ class TestCyclic:
 
     def test_cyclic_enumeration_matches_filter(self):
         for a, m in [(2, 1), (3, 0), (3, 2)]:
-            region = build_region(CoredHexagon(a, a, a, m))
+            region = Region(CoredHexagon(a, a, a, m))
             filtered = {
                 t for t in enumerate_tilings(region) if is_cyclically_symmetric(t, region)
             }
@@ -545,7 +545,7 @@ class TestCyclic:
             assert filtered == direct
 
     def test_needs_equilateral(self):
-        region = build_region(CoredHexagon(2, 4, 2, 1))
+        region = Region(CoredHexagon(2, 4, 2, 1))
         tiling = next(enumerate_tilings(region))
         with pytest.raises(ValueError):
             is_cyclically_symmetric(tiling, region)
@@ -555,7 +555,7 @@ class TestEnumeratedTilings:
     @pytest.mark.parametrize("sides", [(2, 2, 2, 1), (3, 1, 1, 2)], ids=["columns", "rows"])
     def test_every_tiling_is_a_perfect_matching_of_the_graph(self, sides):
         # a <= b sweeps the cells by columns, a > b by rows
-        region = build_region(CoredHexagon(*sides))
+        region = Region(CoredHexagon(*sides))
         found = list(enumerate_tilings(region))
         assert len(found) == count_weighted(region.hexagon, "one") > 1
         assert all(is_perfect_matching(t, region) for t in found)
@@ -565,7 +565,7 @@ class TestEnumeratedTilings:
         # a = b = c sweeps by columns; the row order is forced here
         monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
         hexagon = CoredHexagon(3, 3, 3, 2)
-        region = build_region(hexagon)
+        region = Region(hexagon)
         assert region.cells == tuple(reference_cells(hexagon, rows))
         rot = region.rotation
         found = list(enumerate_cyclic_tilings(region))
@@ -577,19 +577,19 @@ class TestEnumeratedTilings:
 
 class TestLazyEnumeration:
     def test_errors_raise_at_the_call(self):
-        region = build_region(CoredHexagon(3, 3, 3, 2))
+        region = Region(CoredHexagon(3, 3, 3, 2))
         with pytest.raises(CellCapError):
             enumerate_tilings(region, cap=10)
         with pytest.raises(CellCapError):
             enumerate_cyclic_tilings(region, cap=10)
         with pytest.raises(ValueError):
-            enumerate_cyclic_tilings(build_region(CoredHexagon(2, 4, 2, 1)))
+            enumerate_cyclic_tilings(Region(CoredHexagon(2, 4, 2, 1)))
         for enumerate_ in (enumerate_tilings, enumerate_cyclic_tilings):
             with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
-                enumerate_(build_region(CoredHexagon(0, 0, 0, 0)), cap=-1)
+                enumerate_(Region(CoredHexagon(0, 0, 0, 0)), cap=-1)
 
     def test_search_deeper_than_the_recursion_limit(self):
-        region = build_region(CoredHexagon(14, 14, 14, 14))
+        region = Region(CoredHexagon(14, 14, 14, 14))
         assert len(region.cells) // 2 > sys.getrecursionlimit()
         assert is_perfect_matching(next(enumerate_tilings(region, cap=3000)), region)
         assert is_perfect_matching(next(enumerate_cyclic_tilings(region, cap=3000)), region)
@@ -599,13 +599,13 @@ class TestStatisticN6:
     def test_figure_example(self):
         # the worked example: distances 2+1+0+0+0 of the five horizontal
         # lozenges in one fundamental domain
-        region = build_region(CoredHexagon(3, 3, 3, 2))
+        region = Region(CoredHexagon(3, 3, 3, 2))
         tiling = load_tiling("orbit_example.txt", region)
         assert statistic_n6(tiling, region) == 3
 
     def test_m_zero_counts_off_diagonal_orbits(self):
         for a in (1, 2, 3):
-            region = build_region(CoredHexagon(a, a, a, 0))
+            region = Region(CoredHexagon(a, a, a, 0))
             for tiling in enumerate_cyclic_tilings(region):
                 pp = tiling_to_plane_partition(tiling, region)
                 m1 = plane_partition_diagonal_count(pp)
@@ -613,7 +613,7 @@ class TestStatisticN6:
                 assert statistic_n6(tiling, region) == m6
 
     def test_empty_plane_partition(self):
-        region = build_region(CoredHexagon(3, 3, 3, 0))
+        region = Region(CoredHexagon(3, 3, 3, 0))
         empties = [
             t
             for t in enumerate_cyclic_tilings(region)
@@ -623,7 +623,7 @@ class TestStatisticN6:
         assert statistic_n6(empties[0], region) == 0
 
     def test_non_cyclic_rejected(self):
-        region = build_region(CoredHexagon(2, 2, 2, 1))
+        region = Region(CoredHexagon(2, 2, 2, 1))
         non_cyclic = [
             t
             for t in enumerate_tilings(region)
@@ -633,7 +633,7 @@ class TestStatisticN6:
             statistic_n6(non_cyclic[0], region)
 
 
-def paths_to_tiling(family, region):
+def paths_to_tiling(paths, region):
     """Inverse of tiling_to_paths: path steps fix two lozenge orientations,
     the remaining cells pair into the third."""
     index = region.cell_index
@@ -644,7 +644,7 @@ def paths_to_tiling(family, region):
         partner[i] = j
         partner[j] = i
 
-    for path in family.paths:
+    for path in paths:
         for (x1, y1), (x2, y2) in zip(path, path[1:]):
             bx, by = x1 - y1, y1
             if (x2, y2) == (x1 + 1, y1):
@@ -660,18 +660,20 @@ def paths_to_tiling(family, region):
     return tuple(partner)
 
 
-def path_sign(family):
-    """The sign of the permutation sending each path's start to its end."""
-    seen = [False] * len(family.sigma)
+def path_sign(paths):
+    """The sign of the permutation sending each path's start to its end:
+    the path from A_i ends at E_j with j = Y_end + 1."""
+    sigma = [path[-1][1] + 1 for path in paths]
+    seen = [False] * len(sigma)
     sign = 1
-    for i in range(len(family.sigma)):
+    for i in range(len(sigma)):
         if seen[i]:
             continue
         length = 0
         j = i
         while not seen[j]:
             seen[j] = True
-            j = family.sigma[j] - 1
+            j = sigma[j] - 1
             length += 1
         if length % 2 == 0:
             sign = -sign
@@ -681,31 +683,30 @@ def path_sign(family):
 class TestPaths:
     @pytest.mark.parametrize("sides", [(2, 2, 2, 1), (3, 1, 1, 2), (2, 3, 1, 1), (1, 2, 2, 2)])
     def test_bijection_round_trip(self, sides):
-        region = build_region(CoredHexagon(*sides))
+        region = Region(CoredHexagon(*sides))
         for tiling in enumerate_tilings(region):
-            family = tiling_to_paths(tiling, region)
-            assert paths_to_tiling(family, region) == tiling
+            paths = tiling_to_paths(tiling, region)
+            assert paths_to_tiling(paths, region) == tiling
 
     def test_start_and_end_coordinates(self):
         a, b, c, m = 3, 5, 1, 2
-        region = build_region(CoredHexagon(a, b, c, m))
+        region = Region(CoredHexagon(a, b, c, m))
         tiling = next(enumerate_tilings(region))
-        family = tiling_to_paths(tiling, region)
+        paths = tiling_to_paths(tiling, region)
         starts = [(i - 1, c + m + i - 1) for i in range(1, a + 1)]
         starts += [
             ((a + b) // 2 + i - a - 1, (a + c) // 2 + i - a - 1)
             for i in range(a + 1, a + m + 1)
         ]
-        assert list(family.starts) == starts
-        for X, Y in family.ends:
+        assert [path[0] for path in paths] == starts
+        for X, Y in (path[-1] for path in paths):
             assert X - Y == b
 
     def test_shifted_start_coordinates(self):
         a, b, c, m = 2, 5, 1, 2
-        region = build_region(CoredHexagon(a, b, c, m))
+        region = Region(CoredHexagon(a, b, c, m))
         tiling = next(enumerate_tilings(region))
-        family = tiling_to_paths(tiling, region)
-        core_starts = family.starts[a:]
+        core_starts = [path[0] for path in tiling_to_paths(tiling, region)[a:]]
         expected = [
             ((a + b - 1) // 2 + i - a - 1, (a + c - 1) // 2 + i - a - 1)
             for i in range(a + 1, a + m + 1)
@@ -714,14 +715,14 @@ class TestPaths:
 
     @pytest.mark.parametrize("sides", [(2, 2, 2, 1), (1, 2, 2, 1), (3, 1, 1, 1)])
     def test_sign_tracks_statistic_for_odd_core(self, sides):
-        region = build_region(CoredHexagon(*sides))
+        region = Region(CoredHexagon(*sides))
         for tiling in enumerate_tilings(region):
-            family = tiling_to_paths(tiling, region)
-            assert path_sign(family) == (-1) ** statistic_n(tiling, region)
+            paths = tiling_to_paths(tiling, region)
+            assert path_sign(paths) == (-1) ** statistic_n(tiling, region)
 
     @pytest.mark.parametrize("sides", [(2, 2, 2, 2), (1, 2, 2, 2), (2, 1, 1, 0)])
     def test_sign_is_plus_one_for_even_core(self, sides):
-        region = build_region(CoredHexagon(*sides))
+        region = Region(CoredHexagon(*sides))
         for tiling in enumerate_tilings(region):
             assert path_sign(tiling_to_paths(tiling, region)) == 1
 
@@ -729,7 +730,7 @@ class TestPaths:
 class TestPlanePartitions:
     def test_distinct_arrays_match_box_count(self):
         for a, b, c in [(2, 2, 2), (2, 1, 3), (1, 2, 2)]:
-            region = build_region(CoredHexagon(a, b, c, 0))
+            region = Region(CoredHexagon(a, b, c, 0))
             arrays = {
                 tuple(map(tuple, tiling_to_plane_partition(t, region)))
                 for t in enumerate_tilings(region)
@@ -737,7 +738,7 @@ class TestPlanePartitions:
             assert len(arrays) == macmahon_box(a, b, c)
 
     def test_extremes(self):
-        region = build_region(CoredHexagon(2, 2, 2, 0))
+        region = Region(CoredHexagon(2, 2, 2, 0))
         sizes = sorted(
             plane_partition_size(tiling_to_plane_partition(t, region))
             for t in enumerate_tilings(region)
@@ -746,14 +747,14 @@ class TestPlanePartitions:
 
     def test_monotone_and_bounded(self):
         a, b, c = 2, 3, 3
-        region = build_region(CoredHexagon(a, b, c, 0))
+        region = Region(CoredHexagon(a, b, c, 0))
         for tiling in enumerate_tilings(region):
             pp = tiling_to_plane_partition(tiling, region)
             assert len(pp) == a and all(len(row) == b for row in pp)
             assert all(0 <= v <= c for row in pp for v in row)
 
     def test_requires_m_zero(self):
-        region = build_region(CoredHexagon(1, 1, 1, 1))
+        region = Region(CoredHexagon(1, 1, 1, 1))
         tiling = next(enumerate_tilings(region))
         with pytest.raises(ValueError):
             tiling_to_plane_partition(tiling, region)
@@ -768,15 +769,15 @@ class TestRandomRegions:
     @given(small_hexagons)
     @settings(max_examples=25, deadline=None)
     def test_paths_are_disjoint_and_invertible(self, sides):
-        region = build_region(CoredHexagon(*sides))
+        region = Region(CoredHexagon(*sides))
         for tiling in enumerate_tilings(region):
-            family = tiling_to_paths(tiling, region)
-            assert paths_to_tiling(family, region) == tiling
+            paths = tiling_to_paths(tiling, region)
+            assert paths_to_tiling(paths, region) == tiling
 
     @given(small_hexagons)
     @settings(max_examples=25, deadline=None)
     def test_statistic_n_bounded_by_ray(self, sides):
-        region = build_region(CoredHexagon(*sides))
+        region = Region(CoredHexagon(*sides))
         for tiling in enumerate_tilings(region):
             n = statistic_n(tiling, region)
             assert 0 <= n <= len(region.reference_ray)
@@ -806,16 +807,16 @@ class TestPolynomialityInCore:
 
 class TestSerialization:
     def test_round_trip(self):
-        region = build_region(CoredHexagon(2, 2, 2, 1))
+        region = Region(CoredHexagon(2, 2, 2, 1))
         tiling = next(enumerate_tilings(region))
         assert tiling_from_text(tiling_to_text(tiling, region), region) == tiling
 
     def test_golden_region(self):
         expected = read_data("region_1_1_1_0.txt")
-        assert region_to_text(build_region(CoredHexagon(1, 1, 1, 0))) == expected
+        assert region_to_text(Region(CoredHexagon(1, 1, 1, 0))) == expected
 
     def test_golden_tiling(self):
-        region = build_region(CoredHexagon(5, 3, 1, 2))
+        region = Region(CoredHexagon(5, 3, 1, 2))
         tiling = load_tiling("ray_example.txt", region)
         expected = read_data("ray_example.txt")
         assert tiling_to_text(tiling, region) == expected

@@ -53,16 +53,19 @@ GOLDEN_DIGESTS = {
 }
 
 
-# SHA-256 of reports_to_jsonl(run_suite(name, {}, seed=0)): the suites that
-# sum rational series, build omega*I + B and Z_n matrices, or check the
-# cyclic counts and the case-10 form, at their default bounds
+# SHA-256 of reports_to_jsonl(run_suite(name, {}, seed=0)): every suite at
+# its default bounds, so a change to how any value is printed shows here
 DEFAULT_BOUND_DIGESTS = {
+    "Asymptotics": "bf65f751311ced34b1d2cd88f50cfd92a8387fd6e46fc99abddd29fc5da056bf",
     "BlockFactorizations": "f0dd7364b0047466c35ec6c9e592aa9d6f06f85bfb5739fde5e74769f6c43292",
     "Case10": "e2ecb2fa0f9b831f277fcc900f2eb067f38801bc0ca2c48963ffd9fcfb287817",
+    "Conjectures": "1607046519529b55557c7308555426d8c4780f7b1b835c9f72f6c950ecb1cb86",
     "CyclicWeights": "428c1dd8807c0f5e652e3f4cf6033d421773fd9b3a9c78ad11e9d8c866fd4d21",
     "DetsVsFormulas": "e4d32134d0ddb7c47d255454a06aa4d51579a4465f8c4f52673badcdcbd5912b",
     "HypergeomIdentities": "f1d8e06cb00826690dbb78e0a3884c2017ac84a7715627954ffbdafbc346f53e",
+    "Polynomiality": "c2f67901ec86cbcb7c31f5dc2c9bc096fcae23bdae6183a574b0e16c4ce92492",
     "PrefactorIdentity": "762d662b72421a784649ed9db9d13d0a6b21dcc73319412077de7574d9edc17a",
+    "TilingsVsFormula": "d48529a125e0c3a6ba28c0ec71402fe5a7c90deb0a9eee31dad6b38233122c69",
     "VWReduction": "b6186884025e142123c9969cd7aa9e92c0b93e0db99926d2848d4d816f57033e",
     "Watson": "e202bb15a513e185ead3e94b77d94be46af8bc683f0fb1b25fa32c37b7571096",
     "ZnFactorization": "53633b28c60562e4027abe6c3bda95edd32d19467e477ef6a2935ee74f01f233",
@@ -164,6 +167,15 @@ def test_asymptotics_rejects_a_ladder_without_positive_rungs(ns):
         run_suite("Asymptotics", {"ns": ns})
 
 
+@pytest.mark.parametrize("digits", [0, 5, 20, 29])
+def test_asymptotics_rejects_digits_below_its_precision_check(digits):
+    # precision-agreement holds k to a fixed 30-digit value within 10^-25,
+    # which fewer digits fail spuriously; at 5 the determinism check prints
+    # k to no digits at all, and at 0 the suite raised IndexError
+    with pytest.raises(ValueError, match=f"bound digits must be at least 30, got {digits}"):
+        run_suite("Asymptotics", {"digits": digits})
+
+
 def test_polynomiality_at_cap_zero_stops_its_oracle_check():
     reports = run_suite("Polynomiality", {"cap": 0})
     assert reports and not suite_failed(reports)
@@ -217,6 +229,7 @@ def test_unknown_suite_rejected():
     ("Case10", {"max_a": -1}),
     ("CyclicWeights", {"max_m": -3}),
     ("TilingsVsFormula", {"cap": -1}),
+    ("Asymptotics", {"digits": -1}),
 ])
 def test_negative_bound_rejected(name, bounds):
     # a sweep over no cases would read as a pass

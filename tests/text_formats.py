@@ -14,7 +14,7 @@ from __future__ import annotations
 from fractions import Fraction
 from math import lcm
 
-from cored_hexagons.exactnum import TRACE, CycloElement, value_to_str
+from cored_hexagons.exactnum import TRACE, CycloElement
 from cored_hexagons.lgv import ExactMatrix, _matrix
 from cored_hexagons.tilings import DOWN, UP, Region, Tiling
 
@@ -96,8 +96,8 @@ def matrix_to_text(matrix: ExactMatrix) -> str:
         parts = []
         for v in row:
             if isinstance(v, CycloElement):
-                parts.append(f"{value_to_str(v.c0)}+{value_to_str(v.c1)}t")
+                parts.append(f"{str(v.c0)}+{str(v.c1)}t")
             else:
-                parts.append(value_to_str(v))
+                parts.append(str(v))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
