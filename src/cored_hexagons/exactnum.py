@@ -203,17 +203,37 @@ def omega6() -> CycloElement:
 def cyclo_to_dict(value: CycloElement) -> dict:
     return {
         "ring": value.ring,
-        "c0": str(value.c0),
-        "c1": str(value.c1),
+        "c0": json_value(value.c0),
+        "c1": json_value(value.c1),
     }
+
+
+def _decimal(n: int) -> str:
+    """str(n) for an int of any size.  CPython refuses str() on an int past
+    its digit limit (4300 by default, 640 at least), so a long n is cut by
+    divmod by a power of ten into halves that are converted alone."""
+    if n.bit_length() <= 2000:
+        # at most 603 digits
+        return str(n)
+    if n < 0:
+        return "-" + _decimal(-n)
+    # about half of n's digits, log10(2) > 3/10
+    k = n.bit_length() * 3 // 20
+    high, low = divmod(n, 10**k)
+    return _decimal(high) + _decimal(low).zfill(k)
 
 
 def json_value(value) -> str | dict:
     """The JSON form of a value: a non-rational CycloElement as its ring and
     coordinates, anything else as its string (a Fraction as p/q, or plain
-    when integral; a rational CycloElement as its rational part)."""
+    when integral; a rational CycloElement as its rational part).  An int
+    of any size is printed in full."""
     if isinstance(value, CycloElement):
         if not value.is_rational:
             return cyclo_to_dict(value)
         value = value.c0
-    return str(value)
+    if isinstance(value, Fraction):
+        if value.denominator != 1:
+            return f"{_decimal(value.numerator)}/{_decimal(value.denominator)}"
+        value = value.numerator
+    return _decimal(value) if isinstance(value, int) else str(value)

@@ -6,18 +6,21 @@ multiple-sum summation theorems.
 The tiling counts, the box formula, the conjectures, det(-I + B) and the
 prefactor of lemma_rhs are hyperfactorial term tables on doubled integer
 arguments, t = 2x for h(x), evaluated by prime exponents: two running sums
-over a difference array give one integer weight per argument size, and
-each prime's exponent is a sum of slices of those weights over its powers;
-a leaked half power of pi raises.  The other products multiply
-Pochhammer symbols with rational bases: det(wI + B) for the third and sixth
-roots is one loop over a per-root table of Pochhammer rows, and the three
-Watson closed forms are one expression whose bases and lengths take the
-parities of a and M as half-shifts, ceilings and floors.
+over a difference array give one integer weight per n up to the table's
+span, the largest n with h(n) or n! in it, and each prime's exponent is a
+sum of slices of those weights over its powers: one slice per power for a
+prime up to the square root of the span, one slice up to half the span
+and one weight above it; a leaked half power of pi raises.  The other
+products multiply Pochhammer symbols with rational bases: det(wI + B) for
+the third and sixth roots is one loop over a per-root table of Pochhammer
+rows, and the three Watson closed forms are one expression whose bases and
+lengths take the parities of a and M as half-shifts, ceilings and floors.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from bisect import bisect_right
 from fractions import Fraction
 from itertools import accumulate, combinations
@@ -89,7 +92,8 @@ def _product(factors: list[int]) -> int:
     """Product by a balanced tree, so the big multiplications pair up
     numbers of similar size."""
     while len(factors) > 1:
-        factors = [math.prod(factors[i : i + 2]) for i in range(0, len(factors), 2)]
+        odd = factors[-1:] if len(factors) % 2 else []
+        factors = [*map(operator.mul, factors[::2], factors[1::2]), *odd]
     return factors[0] if factors else 1
 
 
@@ -107,9 +111,13 @@ def _table_exponents(table) -> dict[int, int]:
     v_p(n!) = sum_{i<=n} v_p(i), makes twice the exponent of p the sum over
     integers i of v_p(i) E_i, with E_i = sum w (n - i)+ + sum f [i <= n].
     E is piecewise linear, so two running sums over its second differences
-    give all of it, and the exponent of p is the sum over q = p^k of the
-    slice sums E[q::q]."""
-    top = max((max(args) for args, _ in table), default=0) + 1
+    give all of it.  It vanishes past top, the largest n with h(n) or n! in
+    the table: t/2 for an even t, t + 1 for an odd one, so a table of even
+    arguments spans half its doubled arguments.  The exponent of p is the
+    sum over q = p^k <= top of the slice sums E[q::q], which is one slice
+    sum for p above isqrt(top) and the one entry E[p] for p above top // 2.
+    The 2**two rides on E[2], which only the prime 2 reads."""
+    top = max((t + 1 if t % 2 else t // 2 for args, _ in table for t in args), default=0)
     # second differences of E read from i = top down: h(n)**w adds w at
     # top + 1 - n, (n!)**f adds f at top - n and -f at top + 1 - n, and the
     # running sums of the running sums at index top - i give E_i
@@ -137,15 +145,27 @@ def _table_exponents(table) -> dict[int, int]:
             "a sqrt(pi) leak indicates a transcription error"
         )
     twice = list(accumulate(accumulate(diff)))[top::-1]
+    if two:
+        # a half-integer argument puts top at 2 or above
+        twice[2] += two
+    primes = _primes_upto(top)
+    # the bands: powers up to isqrt(top), one slice up to top // 2, one entry above
+    low = bisect_right(primes, math.isqrt(top))
+    mid = bisect_right(primes, top // 2, low)
     exponents = {}
-    for p in _primes_upto(top):
-        total = two if p == 2 else 0
-        q = p
+    for p in primes[:low]:
+        total, q = 0, p
         while q <= top:
             total += sum(twice[q::q])
             q *= p
         if total:
             exponents[p] = total // 2
+    for p in primes[low:mid]:
+        if total := sum(twice[p::p]):
+            exponents[p] = total // 2
+    for p in primes[mid:]:
+        if twice[p]:
+            exponents[p] = twice[p] // 2
     return exponents
 
 

@@ -366,15 +366,15 @@ def _frontier_count(graph: Graph, modulus: int = 0) -> int:
     covered.  With a modulus, a product by a factor other than 1 is reduced
     by it, and so is the final value; sums are left as they come, so no
     pass rebuilds the states, and the result is the same for any modulus."""
-    reached = [0] * (len(graph) + 1)
-    for i, moves in enumerate(graph):
-        for bit, _ in moves:
-            reached[i + bit.bit_length() - 1] += 1
+    # an edge into i+1 from another vertex than i spans two steps or more
+    spanned = {
+        i + bit.bit_length() - 1 for i, moves in enumerate(graph) for bit, _ in moves if bit > 2
+    }
     states = {0: 1}
     i = 0
     while i < len(graph):
         moves = graph[i]
-        fused = moves == [(2, 1)] and reached[i + 1] == 1
+        fused = moves == [(2, 1)] and i + 1 not in spanned
         if fused:
             moves = graph[i + 1]
         advanced: dict[int, int] = {}

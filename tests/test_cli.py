@@ -5,6 +5,8 @@ import pytest
 
 from cored_hexagons import lgv, verify
 from cored_hexagons.cli import main
+from cored_hexagons.formulas import count_cored_formula
+from text_formats import int_digit_limit
 
 
 CONJECTURE_1_TABLE = """\
@@ -195,6 +197,24 @@ class TestCount:
             )
             outs.add(out)
         assert len(outs) == 1
+
+    @pytest.mark.parametrize(
+        "argv, params, signed",
+        [
+            (("count", "--method", "formula"), (100, 100, 100, 60), False),
+            (("formula", "--id", "enum"), (120, 120, 120, 0), False),
+            (("formula", "--id", "signed-enum"), (200, 200, 202, 151), True),
+        ],
+    )
+    def test_values_past_the_digit_limit_print_in_full(self, capsys, argv, params, signed):
+        flags = [x for flag, v in zip(("--a", "--b", "--c", "--m"), params) for x in (flag, str(v))]
+        with int_digit_limit(4300):
+            code, out, err = run_cli(capsys, *argv, *flags)
+        assert (code, err) == (0, "")
+        shown = json.loads(out)["value"]
+        assert len(shown) > 4300
+        with int_digit_limit(0):
+            assert int(shown) == count_cored_formula(*params, signed=signed)
 
 
 class TestOtherCommands:

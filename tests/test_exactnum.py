@@ -1,3 +1,4 @@
+import sys
 from fractions import Fraction
 
 import pytest
@@ -17,6 +18,7 @@ from cored_hexagons.exactnum import (
     pochhammer_ratio,
 )
 from hyperfactorial_reference import SqrtPiScaled, hyperfactorial
+from text_formats import int_digit_limit
 
 rationals = st.fractions(
     min_value=Fraction(-20), max_value=Fraction(20), max_denominator=3
@@ -144,6 +146,23 @@ class TestCyclo:
         x = CycloElement.of(THIRD, Fraction(3, 2))
         assert x == CycloElement.of(SIXTH, Fraction(3, 2))
         assert x + omega3() == CycloElement.of(THIRD, Fraction(3, 2), 1)
+
+    def test_values_past_the_digit_limit_print_in_full(self):
+        n = 7**23665
+        big = Fraction(-n, 2**17000)
+        with int_digit_limit(4300):
+            if hasattr(sys, "set_int_max_str_digits"):
+                with pytest.raises(ValueError):
+                    str(n)
+            shown = json_value(n), json_value(-n), json_value(big)
+            cyclo = json_value(CycloElement.of(SIXTH, n, big))
+            assert json_value(Fraction(n * 3, 3)) == shown[0]
+        with int_digit_limit(0):
+            assert len(shown[0]) == 20_000
+            assert shown == (str(n), str(-n), str(big))
+            assert cyclo == {"ring": "sixth", "c0": str(n), "c1": str(big)}
+        assert json_value(10**20_000 - 1) == "9" * 20_000
+        assert json_value(-(10**20_000)) == "-1" + "0" * 20_000
 
     def test_serialization(self):
         # the formatter leans on Fraction's own str: p/q, plain when integral

@@ -1,3 +1,4 @@
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -102,6 +103,20 @@ class TestCountFormulas:
         assert placements == {0, Fraction(1, 2)}
 
 
+def table_top(table):
+    """The largest n with h(n) or n! in a doubled table: t/2 for an even
+    argument t, t + 1 for an odd one."""
+    return max(t + 1 if t % 2 else t // 2 for ts, _ in table for t in ts)
+
+
+def balanced(table):
+    """The table with h(1/2) balancing its half-integers, so no sqrt(pi)
+    is left over, and its arguments halved for legendre_exponents."""
+    half_pi = sum(mult * (t + 1) // 2 for ts, mult in table for t in ts if t % 2)
+    table = table + [((1,), -half_pi)] * (half_pi != 0)
+    return table, [(tuple(Fraction(t, 2) for t in ts), mult) for ts, mult in table]
+
+
 class TestTermTables:
     # tables list doubled arguments t = 2x: h(t/2) for every t
     def test_single_hyperfactorials_match_the_reference(self):
@@ -166,6 +181,53 @@ class TestTermTables:
         table.append(((1,), -half_pi))
         halves = [(tuple(Fraction(t, 2) for t in ts), mult) for ts, mult in table]
         assert formulas._table_exponents(table) == legendre_exponents(halves)
+
+    @given(
+        st.lists(
+            st.tuples(st.lists(st.integers(0, 130), min_size=1, max_size=4), st.integers(-3, 3)),
+            max_size=8,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_even_tables_match_the_legendre_loop(self, entries):
+        # integer arguments only, so the table spans half its largest doubled one
+        table = [(tuple(2 * n for n in ns), mult) for ns, mult in entries]
+        halves = [(ns, mult) for ns, mult in entries]
+        assert formulas._table_exponents(table) == legendre_exponents(halves)
+
+    def test_every_small_top_matches_the_legendre_loop(self):
+        # every pair of arguments whose top is at most 12, so 2 and 3 fall
+        # in every band
+        args = [t for t in range(-1, 25) if table_top([((t,), 1)]) <= 12]
+        tops = set()
+        for t, u in itertools.product(args, repeat=2):
+            for mt, mu in ((1, 1), (1, -1), (-2, 1), (3, -2)):
+                table, halves = balanced([((t,), mt), ((u,), mu)])
+                assert formulas._table_exponents(table) == legendre_exponents(halves), table
+                tops.add(table_top(table))
+        assert tops == set(range(0, 13))
+
+    def test_tops_at_band_edges_match_the_legendre_loop(self):
+        # top at a prime p, at p^2, at 2p and at 2p + 1, reached by h(top)
+        # or, for an even top, by the half-integer argument (top - 1)/2
+        rng = random.Random(24)
+        for p in (2, 3, 5, 7, 11, 13):
+            for top in (p, p * p, 2 * p, 2 * p + 1):
+                below = [s for s in range(-1, 2 * top) if table_top([((s,), 1)]) <= top]
+                for t in [2 * top] + [top - 1] * (top % 2 == 0):
+                    for _ in range(6):
+                        rest = rng.choices(below, k=rng.randrange(4))
+                        table = [((t,), rng.choice((-2, -1, 1, 2)))]
+                        table += [((s,), rng.choice((-1, 1))) for s in rest]
+                        table, halves = balanced(table)
+                        assert table_top(table) == top
+                        assert formulas._table_exponents(table) == legendre_exponents(halves)
+
+    def test_product_tree_matches_math_prod(self):
+        for n in range(10):
+            factors = [3**k + k for k in range(n)]
+            assert formulas._product(list(factors)) == math.prod(factors), n
+            assert formulas._product([7] * n) == 7**n
 
     @given(st.integers(0, 12), st.integers(0, 12), st.integers(0, 12), st.integers(0, 12))
     @settings(max_examples=60, deadline=None)

@@ -398,6 +398,60 @@ class TestFrontierCount:
             expected % modulus if modulus else expected
         )
 
+    def test_passes_fuse_by_in_degree(self):
+        # every pass of the transfer loop starts at the vertex the in-degree
+        # rule gives: a step of factor 1 from i to i+1, i's only edge, is
+        # fused with the next when no other edge reaches i+1; read off a
+        # line trace of the loop on plain, (-1) and orbit graphs
+        def pass_starts(graph):
+            reached = [0] * (len(graph) + 1)
+            for i, moves in enumerate(graph):
+                for bit, _ in moves:
+                    reached[i + bit.bit_length() - 1] += 1
+            starts, i = [], 0
+            while i < len(graph):
+                starts.append(i)
+                i += 1 + (graph[i] == [(2, 1)] and reached[i + 1] == 1)
+            return starts
+
+        code = tilings._frontier_count.__code__
+        lines, first = inspect.getsourcelines(tilings._frontier_count)
+        loop_line = first + [line.strip() for line in lines].index("moves = graph[i]")
+        traced = []
+
+        def step(frame, event, arg):
+            if event == "line" and frame.f_lineno == loop_line:
+                traced[-1][1].append(frame.f_locals["i"])
+            return step
+
+        def call(frame, event, arg):
+            if frame.f_code is code:
+                traced.append((frame.f_locals["graph"], []))
+                return step
+            return None
+
+        runs = {
+            "plain": lambda: [count_weighted(CoredHexagon(*s), "one") for s in
+                              ((4, 2, 2, 0), (3, 1, 3, 2), (1, 3, 3, 2), (2, 3, 1, 3))],
+            "minus1": lambda: [count_weighted(CoredHexagon(*s), "minus1") for s in
+                               ((4, 2, 2, 1), (3, 3, 3, 1), (1, 3, 3, 2), (2, 4, 2, 3))],
+            "orbit": lambda: [count_weighted(CoredHexagon(a, a, a, m), weight) for a, m, weight in
+                              ((3, 1, "omega3"), (4, 2, "omega6"), (4, 1, "minus1-n6"))],
+        }
+        previous = sys.gettrace()
+        for kind, run in runs.items():
+            traced.clear()
+            sys.settrace(call)
+            try:
+                run()
+            finally:
+                sys.settrace(previous)
+            assert traced, kind
+            for graph, starts in traced:
+                assert starts == pass_starts(graph), kind
+            passes = sum(len(starts) for _, starts in traced)
+            assert passes < sum(len(graph) for graph, _ in traced), f"{kind}: nothing fused"
+
     def test_imports_neither_lgv_nor_formulas(self):
         # the matching-level oracle must stay independent of the routes it checks
         modules = set()

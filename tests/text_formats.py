@@ -6,11 +6,14 @@ per unit triangle; a tiling, a partner tuple over a region's cells, one
 `pair x1 y1 U|D x2 y2 U|D` line per lozenge; a matrix a `ring name rows
 cols` line and one line of entries per row, a cyclotomic entry written
 `c0+c1t`.  `matrix_of` builds a matrix from exact entries, the way the
-tests write small matrices by hand.
+tests write small matrices by hand.  `int_digit_limit` runs a block under a
+given limit on CPython's conversion of long ints to and from decimal text.
 """
 
 from __future__ import annotations
 
+import sys
+from contextlib import contextmanager
 from fractions import Fraction
 from math import lcm
 
@@ -101,3 +104,20 @@ def matrix_to_text(matrix: ExactMatrix) -> str:
                 parts.append(str(v))
         lines.append(" ".join(parts))
     return "\n".join(lines) + "\n"
+
+
+@contextmanager
+def int_digit_limit(digits: int):
+    """Run a block with CPython's int/str digit limit set to `digits`, 0
+    lifting it, and restore the limit after; an interpreter without the
+    limit runs the block as it is."""
+    get = getattr(sys, "get_int_max_str_digits", None)
+    if get is None:
+        yield
+        return
+    previous = get()
+    sys.set_int_max_str_digits(digits)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(previous)
