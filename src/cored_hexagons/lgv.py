@@ -4,15 +4,21 @@ A matrix holds what the one Bareiss (fraction-free) kernel eats: rows of
 ints over Z and Q, or of (c0, c1) int pairs over Z[w3] and Z[w6], each row
 over a positive denominator.  Every builder, Z_n's half-size blocks
 included, sums its entries on these coordinates, a rational argument giving
-the rows a denominator; no matrix is built from exact entries.  The kernel
-runs over a ring table (zero, one, size, step) whose step is one checked
-whole-row operation, [(a v - b w) / d for v, w in zip(row, tail)]; the pair
-multiply, conjugate and norm (tau^2 = t*tau - 1) are `exactnum`'s.  The
-determinant is divided once by the product of the row denominators.  Every
-division is exact and checked (AssertionError otherwise), a step by d = 1
-divides nothing, and rows that a step would only rescale are rescaled when
-next used.  Each step pivots on the smallest nonzero entry of its column
-(in bit length), which keeps the intermediate minors small.
+the rows a denominator; no matrix is built from exact entries.  The cored
+matrix's two row blocks are windows of one sequence binom(top, k) each, so
+building it takes one `comb` per k.  Before the kernel runs, each row's
+content (the gcd of its ints, or of both coordinates of its pairs) is taken
+out, and the product of the contents multiplies the kernel's determinant
+of the primitive rows.  The kernel runs over a ring table (zero, one, size,
+step) whose step is one checked whole-row operation,
+[(a v - b w) / d for v, w in zip(row, tail)]; the pair multiply, conjugate
+and norm (tau^2 = t*tau - 1) are `exactnum`'s.  The determinant is divided
+once by the product of the row denominators.  Every division is exact and
+checked (AssertionError otherwise), a step by d = 1 divides nothing (and,
+over Z, multiplies nothing by a = 1), and rows that a step would only
+rescale are rescaled when next used.  Each step pivots on the smallest
+nonzero entry of its column (in bit length), which keeps the intermediate
+minors small.
 """
 
 from __future__ import annotations
@@ -50,7 +56,8 @@ class ExactMatrix:
     """Dense matrix over one exact ring: row i is rows[i] / dens[i].  Rows
     hold ints in the integer and rational rings and (c0, c1) int pairs in
     THIRD and SIXTH; the row denominators are positive, all 1 when left out,
-    and always 1 in the integer ring."""
+    and always 1 in the integer ring.  Rows of unequal lengths, or a
+    denominator count other than the row count, raise ValueError."""
 
     ring: str
     rows: tuple[tuple, ...]
@@ -59,6 +66,10 @@ class ExactMatrix:
     def __post_init__(self):
         if self.dens is None:
             object.__setattr__(self, "dens", (1,) * len(self.rows))
+        elif len(self.dens) != len(self.rows):
+            raise ValueError(f"{len(self.dens)} row denominators for {len(self.rows)} rows")
+        if len(set(map(len, self.rows))) > 1:
+            raise ValueError("ragged rows: every row needs the same number of entries")
 
     @property
     def nrows(self) -> int:
@@ -99,6 +110,8 @@ def _matrix(rows, dens, ring: str | None = None) -> ExactMatrix:
 def _int_step(row, a, tail, b, d):
     """[(a v - b w) / d for v, w in zip(row, tail)], each division checked."""
     if d == 1:
+        if a == 1:
+            return [v - b * w for v, w in zip(row, tail)]
         return [a * v - b * w for v, w in zip(row, tail)]
     out = []
     for v, w in zip(row, tail):
@@ -196,17 +209,35 @@ def _bareiss(m, zero, one, size, step):
     return result if sign > 0 else step([result], zero, [result], one, one)[0]
 
 
+def _coordinate_det(matrix: ExactMatrix):
+    """The determinant of the coordinate rows, an int or an int pair: each
+    row's content (the gcd of its ints, or of both coordinates of its
+    pairs) is taken out first, and the Bareiss determinant of the primitive
+    rows is multiplied by the product of the contents.  A zero row is left
+    as it is."""
+    pairs, rows, content = matrix.ring in TRACE, [], 1
+    for row in matrix.rows:
+        g = gcd(*(chain.from_iterable(row) if pairs else row))
+        if g > 1:
+            row = [(x // g, y // g) for x, y in row] if pairs else [x // g for x in row]
+            content *= g
+        rows.append(list(row))
+    if pairs:
+        c0, c1 = _bareiss(rows, *_KERNEL_RINGS[matrix.ring])
+        return content * c0, content * c1
+    return content * _bareiss(rows, *_INT_RING)
+
+
 def det_fraction_free(matrix: ExactMatrix):
-    """Bareiss determinant of the coordinate rows, divided once by the
-    product of the row denominators: an int, a Fraction, or a CycloElement
-    in the matrix's ring.  Every division is exact and checked."""
+    """Determinant of the coordinate rows (`_coordinate_det`) divided once
+    by the product of the row denominators: an int, a Fraction, or a
+    CycloElement in the matrix's ring.  Every division is exact and
+    checked."""
     if matrix.nrows != matrix.ncols:
         raise ValueError("determinant of a non-square matrix")
-    rows, scale = [list(row) for row in matrix.rows], prod(matrix.dens)
+    det, scale = _coordinate_det(matrix), prod(matrix.dens)
     if matrix.ring in TRACE:
-        c0, c1 = _bareiss(rows, *_KERNEL_RINGS[matrix.ring])
-        return CycloElement.of(matrix.ring, Fraction(c0, scale), Fraction(c1, scale))
-    det = _bareiss(rows, *_INT_RING)
+        return CycloElement.of(matrix.ring, Fraction(det[0], scale), Fraction(det[1], scale))
     return det if matrix.ring == RING_INTEGER else Fraction(det, scale)
 
 
@@ -304,11 +335,21 @@ def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number | None = 
             "from {0, 1} when a = b (mod 2) and {1/2, 3/2} otherwise"
         )
     n = a + m
-    rows = []
-    for i in range(1, n + 1):
-        top, low = (b + c + m, b - i) if i <= a else ((b + c) // 2, shift - i)
-        rows.append(tuple(comb(top, low + j) if low + j >= 0 else 0 for j in range(1, n + 1)))
-    return ExactMatrix(RING_INTEGER, tuple(rows))
+    # row i is the window binom(top, low + j), j = 1..n, with low = b - i on
+    # the first a rows and shift - i below
+    outer = _binomial_windows(b + c + m, range(b, b - a, -1), n)
+    core = _binomial_windows((b + c) // 2, range(shift - a, shift - n, -1), n)
+    return ExactMatrix(RING_INTEGER, outer + core)
+
+
+def _binomial_windows(top: int, starts: range, n: int) -> tuple[tuple[int, ...], ...]:
+    """For each s in starts, the row (binom(top, s), ..., binom(top, s + n - 1)),
+    binom(top, k) = 0 for k < 0 or k > top; one `comb` per k the rows span."""
+    if not starts:
+        return ()
+    low = min(starts)
+    seq = tuple(comb(top, k) if k >= 0 else 0 for k in range(low, max(starts) + n))
+    return tuple(seq[s - low : s - low + n] for s in starts)
 
 
 def build_n6_matrix(a: int, m: int) -> ExactMatrix:
@@ -479,7 +520,7 @@ def zn_factor_pair(n: int, x: Number, mu: Number) -> tuple[Fraction, Fraction]:
         second_dens.append(sign * pole * den)
     num, scale = (-1) ** half, factorial(half)
     for block in (_matrix(first, [den] * half), _matrix(second, second_dens)):
-        num *= _bareiss([list(row) for row in block.rows], *_INT_RING)
+        num *= _coordinate_det(block)
         scale *= prod(block.dens)
     return lhs, Fraction(num, scale)
 

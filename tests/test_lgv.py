@@ -2,6 +2,7 @@ import os
 import random
 from fractions import Fraction
 from itertools import product
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -14,6 +15,7 @@ from cored_hexagons.lgv import (
     RING_CYCLO6,
     RING_INTEGER,
     RING_RATIONAL,
+    ExactMatrix,
     build_B,
     build_VW,
     build_cored_matrix,
@@ -47,6 +49,21 @@ def cofactor_det(rows):
         term = rows[0][j] * cofactor_det(minor)
         total = total + (term if j % 2 == 0 else -term)
     return total
+
+
+def cored_matrix_entries(a, b, c, m, epsilon):
+    """build_cored_matrix's rows entry by entry: binom(b+c+m, b-i+j) on rows
+    1..a and binom((b+c)/2, (b+a)/2 + epsilon - i + j) below, 1-based, 0 for
+    a negative lower index."""
+    shift = Fraction(b + a, 2) + epsilon
+    assert shift.denominator == 1
+    n = a + m
+
+    def entry(i, j):
+        top, k = (b + c + m, b - i + j) if i <= a else ((b + c) // 2, int(shift) - i + j)
+        return comb(top, k) if k >= 0 else 0
+
+    return tuple(tuple(entry(i, j) for j in range(1, n + 1)) for i in range(1, n + 1))
 
 
 class TestDeterminant:
@@ -118,6 +135,36 @@ class TestDeterminant:
         if expected_type is CycloElement:
             assert det.ring == ring
 
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_with_large_content_match_cofactor_in_every_ring(self, data):
+        # each row is a small row times a large content, or a zero row; the
+        # contents come out of the rows before the kernel and go back in
+        ring = data.draw(st.sampled_from([RING_INTEGER, RING_RATIONAL, THIRD, SIXTH]))
+        n = data.draw(st.integers(0, 5))
+        small = st.integers(-6, 6)
+        rows = []
+        for _ in range(n):
+            content = data.draw(st.sampled_from([0, 1, -1, 2**64 + 13, 3**50 * 7, -(10**30)]))
+            den = 1 if ring == RING_INTEGER else data.draw(st.sampled_from([1, 3, 2**40]))
+            row = []
+            for _ in range(n):
+                x = Fraction(content * data.draw(small), den)
+                if ring in (THIRD, SIXTH):
+                    x = CycloElement.of(ring, x, Fraction(content * data.draw(small), den))
+                row.append(x)
+            rows.append(row)
+        matrix = matrix_of(rows, ring)
+        det = det_fraction_free(matrix)
+        expected = cofactor_det(rows)
+        assert det == expected
+        expected_type = {RING_INTEGER: int, RING_RATIONAL: Fraction}.get(ring, CycloElement)
+        assert type(det) is expected_type
+        if ring in (THIRD, SIXTH):
+            assert det.ring == ring
+        if n == 0:
+            assert det == 1
+
     def test_each_ring_checks_exact_division(self):
         def divide(ring, x, d):  # the catch-up form of the row step
             zero, one, _, step = ring
@@ -173,8 +220,11 @@ class TestDeterminant:
         else:
             value, mul = st.tuples(coordinate, coordinate), exactnum.pair_mul(exactnum.TRACE[ring])
         n = data.draw(st.integers(0, 4))
-        row, tail = (data.draw(st.lists(value, min_size=n, max_size=n)) for _ in range(2))
-        a, b = data.draw(value), data.draw(value)
+        # a = one takes the step's no-multiply path; zeros in the tail leave
+        # entries of the row as they are
+        row = data.draw(st.lists(value, min_size=n, max_size=n))
+        tail = data.draw(st.lists(st.just(zero) | value, min_size=n, max_size=n))
+        a, b = data.draw(st.just(one) | value), data.draw(value)
         d = data.draw(value.filter(lambda x: x not in (zero, one)))
         by_one = step(row, a, tail, b, one)
         assert by_one == step(row, mul(a, d), tail, mul(b, d), d)
@@ -220,9 +270,14 @@ class TestDeterminant:
         # total bit length (the larger coordinate for a pair) of every entry
         # a row step forms, unit-divisor steps included; on the order-40
         # cored matrix diagonal pivots form 6,838,654 bits, the smallest ones
-        # 1,442,513.  Exact totals pin the pivot sequence.
+        # 1,442,513, and 1,262,987 on its primitive rows, the rows that
+        # det_fraction_free hands the kernel.  Exact totals pin the pivot
+        # sequence.
+        cored = build_cored_matrix(20, 20, 20, 20)
+        primitive = tuple(tuple(x // gcd(*row) for x in row) for row in cored.rows)
         for matrix, total in (
-            (build_cored_matrix(20, 20, 20, 20), 1_442_513),
+            (cored, 1_442_513),
+            (ExactMatrix(RING_INTEGER, primitive), 1_262_987),
             (build_omega_shift(18, 6, omega3()), 73_626),
             (build_omega_shift(18, 6, omega6()), 74_704),
         ):
@@ -310,14 +365,46 @@ class TestBuilders:
                 "non-square",
                 id="principal_minor_sum-2x3",
             ),
+            pytest.param(
+                ExactMatrix, (RING_INTEGER, ((2, 1), (1, 1, 5))), "ragged", id="matrix-long-row"
+            ),
+            pytest.param(
+                ExactMatrix, (RING_INTEGER, ((2, 1, 3), (1, 1))), "ragged", id="matrix-short-row"
+            ),
+            pytest.param(
+                ExactMatrix,
+                (RING_RATIONAL, ((2, 1), (1, 1)), (1, 1, 2)),
+                "3 row denominators for 2 rows",
+                id="matrix-dens",
+            ),
         ],
     )
     def test_out_of_domain_input_is_refused(self, fn, args, message):
         # each of these calls used to answer: a float, an empty matrix, a
-        # det of 0 or 1, a Laplace sum of a non-square matrix, or a product
-        # for sides b and c that build_cored_matrix refuses
+        # det of 0 or 1, a Laplace sum of a non-square matrix, a product
+        # for sides b and c that build_cored_matrix refuses, or a matrix
+        # whose determinant read its rows wrong (1 for the long row, 1/2 for
+        # the rational one; the short row raised IndexError)
         with pytest.raises(ValueError, match=message):
             fn(*args)
+
+    def test_cored_matrix_windows_equal_the_entries(self):
+        # every epsilon the parity allows, a = 0 and m = 0 (one block empty)
+        # included; the others are refused
+        built = 0
+        for a, b, c, m in product(range(7), range(7), range(7), range(6)):
+            if b % 2 != c % 2:
+                continue
+            for epsilon in (0, Fraction(1, 2), 1, Fraction(3, 2)):
+                if (Fraction(b + a, 2) + epsilon).denominator != 1:
+                    with pytest.raises(ValueError, match="must be an integer"):
+                        build_cored_matrix(a, b, c, m, epsilon)
+                    continue
+                matrix = build_cored_matrix(a, b, c, m, epsilon)
+                assert matrix.rows == cored_matrix_entries(a, b, c, m, epsilon)
+                assert matrix.ring == RING_INTEGER and set(matrix.dens) <= {1}
+                built += 1
+        assert built == 7 * 25 * 6 * 2
 
     def test_cored_matrix_derives_epsilon_from_the_placement(self):
         for a, b, c, m in product(range(5), range(5), range(5), range(4)):
@@ -377,8 +464,7 @@ class TestIntegerRows:
             transformed_cored_matrix(2, 5, 3, 3, True),
         ]
         for matrix in matrices:
-            ring = lgv._KERNEL_RINGS.get(matrix.ring, lgv._INT_RING)
-            lgv._bareiss([list(row) for row in matrix.rows], *ring)
+            lgv._coordinate_det(matrix)
 
     def test_plus_scaled_and_matrix_mul_check_their_operands(self):
         with pytest.raises(ValueError, match="one shape"):
