@@ -18,7 +18,7 @@ from concurrent.futures import ProcessPoolExecutor
 
 import mpmath
 
-from . import formulas, lgv, tilings, verify
+from . import formulas, tilings, verify
 from .exactnum import json_value
 
 EXIT_OK = 0
@@ -35,18 +35,7 @@ def _emit(payload: dict) -> None:
 def _cmd_count(args) -> int:
     (a, b, c), relabel = tilings.normalize_sides(args.a, args.b, args.c)
     hexagon = tilings.CoredHexagon(a, b, c, args.m)
-    signed = args.weight == "minus1"
-    if args.method == "brute":
-        value = tilings.count_weighted(hexagon, args.weight, cap=args.cap)
-    elif args.method == "determinant":
-        if signed != (args.m % 2 == 1):
-            raise ValueError(
-                "the lattice-path determinant computes the plain count for even m "
-                "and the (-1)-count for odd m; pick the matching weight"
-            )
-        value = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, args.m))
-    else:
-        value = formulas.count_cored_formula(a, b, c, args.m, signed=signed)
+    value = verify.count(hexagon, args.weight, args.method, cap=args.cap)
     _emit(
         {
             "params": {"a": args.a, "b": args.b, "c": args.c, "m": args.m},
@@ -61,7 +50,7 @@ def _cmd_count(args) -> int:
 
 def _cmd_cyclic_count(args) -> int:
     hexagon = tilings.CoredHexagon(args.a, args.a, args.a, args.m)
-    value = tilings.count_weighted(hexagon, args.weight, cap=args.cap, cyclic=True)
+    value = verify.count(hexagon, args.weight, "brute", cap=args.cap, cyclic=True)
     _emit(
         {
             "params": {"a": args.a, "m": args.m},
@@ -248,9 +237,7 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--c", type=int, required=True)
     count.add_argument("--m", type=int, required=True)
     count.add_argument("--weight", choices=["one", "minus1"], default="one")
-    count.add_argument(
-        "--method", choices=["formula", "determinant", "brute"], default="formula"
-    )
+    count.add_argument("--method", choices=verify.ROUTES, default="formula")
     count.add_argument("--cap", type=int, default=None, help="brute-force cell cap")
     count.set_defaults(func=_cmd_count)
 

@@ -1,10 +1,15 @@
 """Named verification suites wiring the brute-force oracle, the exact
 determinants, and the closed-form evaluators against each other.
 
+`count` is the one place that knows which builder and which closed form
+serve each count, and by which route; the CLI's counting commands read it
+too.  Each comparison of two routes is its own report.
+
 Every suite is deterministic given (name, bounds, seed): random parameters
 come from a counter-based generator keyed by the seed and the case index,
 so report lists are byte-identical across runs and execution orders.
-Resource-capped cases report a skip, never a false pass.
+An oracle over the cell cap reports a skip of its own comparison alone,
+never a false pass.
 """
 
 from __future__ import annotations
@@ -84,24 +89,58 @@ def _sampled(suite, seed, groups, samples, attempts, draw, rejected):
             yield _report(suite, params, lhs, rhs)
 
 
-def _capped(suite, params, rhs, hexagon, weight, cap, cyclic=None):
-    """The matching-level count reported against rhs, or a skip when the
-    region is over the cell cap."""
+# the root of unity omega of det(omega I + B(a, m)) and the case name of its
+# closed form, by the weight of the cyclically symmetric tilings it counts
+_OMEGAS = {
+    tilings.WEIGHT_ONE: (formulas.OMEGA_ONE, 1),
+    tilings.WEIGHT_MINUS1: (formulas.OMEGA_MINUS_ONE, -1),
+    tilings.WEIGHT_OMEGA3: (formulas.OMEGA_THIRD, omega3()),
+    tilings.WEIGHT_OMEGA6: (formulas.OMEGA_SIXTH, omega6()),
+}
+
+ROUTES = ("formula", "determinant", "brute")
+
+
+def count(hexagon, weight, route, cap=None, cyclic=None):
+    """The weighted tiling count of `hexagon` by one route: "brute" is
+    tilings.count_weighted under the cell cap, "determinant" a lattice-path
+    determinant and "formula" its closed form.  Cyclic counts (the cyclic
+    weights, or one and minus1 with cyclic=True) take det(omega I + B(a, m))
+    and rhs_omega_det, or for minus1-n6 the case-10 matrix and rhs_case10.
+    The plain and (-1)-counts take the cored-hexagon matrix, which gives
+    the one for even m and the other for odd m, and the hyperfactorial
+    product."""
+    if route == "brute":
+        return tilings.count_weighted(hexagon, weight, cap=cap, cyclic=cyclic)
+    a, b, c, m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
+    cyclic = cyclic or weight in tilings.CYCLIC_WEIGHTS
+    signed = weight == tilings.WEIGHT_MINUS1
+    if route == "formula":
+        if weight == tilings.WEIGHT_MINUS1_N6:
+            return formulas.rhs_case10(a, m)
+        if cyclic:
+            return formulas.rhs_omega_det(a, m, _OMEGAS[weight][0])
+        return formulas.count_cored_formula(a, b, c, m, signed=signed)
+    if weight == tilings.WEIGHT_MINUS1_N6:
+        return lgv.det_fraction_free(lgv.build_n6_matrix(a, m))
+    if cyclic:
+        return lgv.det_fraction_free(lgv.build_omega_shift(a, m, _OMEGAS[weight][1]))
+    if signed != (m % 2 == 1):
+        raise ValueError(
+            "the lattice-path determinant computes the plain count for even m "
+            "and the (-1)-count for odd m; pick the matching weight"
+        )
+    return lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m))
+
+
+def _compare(suite, params, hexagon, weight, route, rhs, cap, cyclic=None):
+    """The count by `route` reported against rhs; an oracle over the cell
+    cap reports a skip of this comparison alone."""
     try:
-        oracle = tilings.count_weighted(hexagon, weight, cap=cap, cyclic=cyclic)
+        lhs = count(hexagon, weight, route, cap, cyclic)
     except tilings.CellCapError as exc:
         return _skip(suite, params, str(exc))
-    return _report(suite, params, oracle, rhs)
-
-
-# the roots of unity omega of det(omega I + B(a, m)), by formula case name,
-# each with the weight of cyclically symmetric tilings it counts
-_OMEGAS = (
-    (formulas.OMEGA_ONE, 1, tilings.WEIGHT_ONE),
-    (formulas.OMEGA_MINUS_ONE, -1, tilings.WEIGHT_MINUS1),
-    (formulas.OMEGA_THIRD, omega3(), tilings.WEIGHT_OMEGA3),
-    (formulas.OMEGA_SIXTH, omega6(), tilings.WEIGHT_OMEGA6),
-)
+    return _report(suite, params, lhs, rhs)
 
 
 # --- individual suites -------------------------------------------------------
@@ -122,23 +161,18 @@ def _suite_tilings_vs_formula(bounds, seed):
     max_m = bounds.get("max_m", 2)
     cap = bounds.get("cap")
     for a, b, c, m in admissible_tuples(max_a, max_m):
-        signed = m % 2 == 1
-        weight = tilings.WEIGHT_MINUS1 if signed else tilings.WEIGHT_ONE
+        # the one weight whose count the determinant gives at this m
+        weight = tilings.WEIGHT_MINUS1 if m % 2 else tilings.WEIGHT_ONE
+        h = tilings.CoredHexagon(a, b, c, m)
         params = {"a": a, "b": b, "c": c, "m": m, "weight": weight}
-        det = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m))
-        formula = formulas.count_cored_formula(a, b, c, m, signed=signed)
-        rhs = det if det == formula else f"det {det} != formula {formula}"
-        report = _capped(
-            "TilingsVsFormula", params, rhs, tilings.CoredHexagon(a, b, c, m), weight, cap
-        )
-        yield report
-        if m == 0 and report.status != SKIP:
-            yield _report(
-                "TilingsVsFormula",
-                {"a": a, "b": b, "c": c, "m": 0, "weight": "macmahon"},
-                formulas.count_cored_formula(a, b, c, 0),
-                formulas.macmahon_box(a, b, c),
-            )
+        det = count(h, weight, "determinant")
+        for route in ("formula", "brute"):
+            route_params = {**params, "route": route}
+            yield _compare("TilingsVsFormula", route_params, h, weight, route, det, cap)
+        if m == 0:
+            params = {"a": a, "b": b, "c": c, "m": 0, "weight": "macmahon"}
+            box = formulas.macmahon_box(a, b, c)
+            yield _report("TilingsVsFormula", params, count(h, weight, "formula"), box)
 
 
 def _suite_dets_vs_formulas(bounds, seed):
@@ -146,12 +180,11 @@ def _suite_dets_vs_formulas(bounds, seed):
     max_m = bounds.get("max_m", 10)
     for a in range(max_a + 1):
         for m in range(max_m + 1):
-            for name, omega, _ in _OMEGAS:
-                det = lgv.det_fraction_free(lgv.build_omega_shift(a, m, omega))
-                rhs = formulas.rhs_omega_det(a, m, name)
-                yield _report(
-                    "DetsVsFormulas", {"a": a, "m": m, "omega": name}, det, rhs
-                )
+            h = tilings.CoredHexagon(a, a, a, m)
+            for weight, (name, _) in _OMEGAS.items():
+                det = count(h, weight, "determinant", cyclic=True)
+                rhs = count(h, weight, "formula", cyclic=True)
+                yield _report("DetsVsFormulas", {"a": a, "m": m, "omega": name}, det, rhs)
 
 
 def _suite_cyclic_weights(bounds, seed):
@@ -161,12 +194,12 @@ def _suite_cyclic_weights(bounds, seed):
     for a in range(max_a + 1):
         for m in range(max_m + 1):
             h = tilings.CoredHexagon(a, a, a, m)
-            for name, _, weight in _OMEGAS:
+            for weight in _OMEGAS:
                 params = {"a": a, "m": m, "weight": weight}
                 if m == 0 and weight == tilings.WEIGHT_MINUS1:
                     params["note"] = "plane-partition specialization"
-                rhs = formulas.rhs_omega_det(a, m, name)
-                yield _capped("CyclicWeights", params, rhs, h, weight, cap, cyclic=True)
+                rhs = count(h, weight, "formula", cyclic=True)
+                yield _compare("CyclicWeights", params, h, weight, "brute", rhs, cap, cyclic=True)
 
 
 def _suite_case10(bounds, seed):
@@ -175,16 +208,11 @@ def _suite_case10(bounds, seed):
     cap = bounds.get("cap")
     for a in range(max_a + 1):
         for m in range(max_m + 1):
-            det = lgv.det_fraction_free(lgv.build_n6_matrix(a, m))
-            rhs = formulas.rhs_case10(a, m)
-            yield _capped(
-                "Case10",
-                {"a": a, "m": m},
-                det if det == rhs else f"det {det} != formula {rhs}",
-                tilings.CoredHexagon(a, a, a, m),
-                tilings.WEIGHT_MINUS1_N6,
-                cap,
-            )
+            h, weight = tilings.CoredHexagon(a, a, a, m), tilings.WEIGHT_MINUS1_N6
+            det = count(h, weight, "determinant")
+            for route in ("formula", "brute"):
+                params = {"a": a, "m": m, "route": route}
+                yield _compare("Case10", params, h, weight, route, det, cap)
 
 
 def _suite_zn_factorization(bounds, seed):
@@ -219,7 +247,7 @@ def _suite_vw_reduction(bounds, seed):
     for n in range(max_n + 1):
         for m in range(0, max_m + 1, 2):
             V, W = lgv.build_VW(n, m)
-            for name, omega, _ in _OMEGAS[1:]:
+            for name, omega in list(_OMEGAS.values())[1:]:
                 lhs = lgv.det_fraction_free(lgv.plus_scaled(W, omega, V))
                 rhs = lgv.det_fraction_free(lgv.build_omega_shift(n, m, omega))
                 yield _report(
@@ -234,16 +262,14 @@ def _suite_block_factorizations(bounds, seed):
         for m in range(max_m + 1):
             B = lgv.build_B(a, m)
             B3 = lgv.matrix_mul(lgv.matrix_mul(B, B), B)
-            lhs = lgv.det_fraction_free(lgv.plus_scaled(B3, 1))
-            rhs = lgv.det_fraction_free(lgv.plus_scaled(B, 1)) * lgv.det_fraction_free(
-                lgv.build_omega_shift(a, m, omega3())
-            ).norm()
-            yield _report("BlockFactorizations", {"a": a, "m": m, "root": "third"}, lhs, rhs)
-            lhs = lgv.det_fraction_free(lgv.plus_scaled(B3, -1))
-            rhs = lgv.det_fraction_free(lgv.plus_scaled(B, -1)) * lgv.det_fraction_free(
-                lgv.build_omega_shift(a, m, omega6())
-            ).norm()
-            yield _report("BlockFactorizations", {"a": a, "m": m, "root": "sixth"}, lhs, rhs)
+            # det(B^3 + 1) = det(B + 1) N(det(omega3 + B)), det(B^3 - 1) likewise with omega6
+            for sign, weight in ((1, tilings.WEIGHT_OMEGA3), (-1, tilings.WEIGHT_OMEGA6)):
+                root, omega = _OMEGAS[weight]
+                lhs = lgv.det_fraction_free(lgv.plus_scaled(B3, sign))
+                rhs = lgv.det_fraction_free(lgv.plus_scaled(B, sign)) * lgv.det_fraction_free(
+                    lgv.build_omega_shift(a, m, omega)
+                ).norm()
+                yield _report("BlockFactorizations", {"a": a, "m": m, "root": root}, lhs, rhs)
     for idx in range(bounds.get("minor_checks", 3)):
         rng = _case_rng(seed, 10_000 + idx)
         M = lgv.ExactMatrix(
@@ -339,21 +365,11 @@ def conjecture_reports(a: int, b: int, c: int, ms, odd_ms=()):
             continue
         det = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m, eps))
         yield _report("Conjectures", params, det, rhs)
+    note = "odd m: signed determinant reported, no closed form asserted"
     for m in odd_ms:
         det = lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m, eps))
-        yield _report(
-            "Conjectures",
-            {
-                "which": which,
-                "a": a,
-                "b": b,
-                "c": c,
-                "m": m,
-                "note": "odd m: signed determinant reported, no closed form asserted",
-            },
-            det,
-            det,
-        )
+        params = {"which": which, "a": a, "b": b, "c": c, "m": m, "note": note}
+        yield _report("Conjectures", params, det, det)
 
 
 def _suite_conjectures(bounds, seed):
@@ -390,7 +406,7 @@ def _suite_polynomiality(bounds, seed):
             degree = None
             for t in range(max_terms):
                 m = parity + 2 * t
-                values.append(lgv.det_fraction_free(lgv.build_cored_matrix(a, b, c, m)))
+                values.append(count(tilings.CoredHexagon(a, b, c, m), label, "determinant"))
                 if len(values) >= 4:
                     degree = _finite_difference_degree(values[:-2])
                     if degree is not None:
@@ -414,13 +430,9 @@ def _suite_polynomiality(bounds, seed):
             # oracle cross-check, up to the first m over the cap
             for t, det_value in enumerate(values):
                 m = parity + 2 * t
-                report = _capped(
-                    "Polynomiality",
-                    {**params, "m": m, "check": "oracle"},
-                    det_value,
-                    tilings.CoredHexagon(a, b, c, m),
-                    label,
-                    cap,
+                report = _compare(
+                    "Polynomiality", {**params, "m": m, "check": "oracle"},
+                    tilings.CoredHexagon(a, b, c, m), label, "brute", det_value, cap,
                 )
                 if report.status == SKIP:
                     break

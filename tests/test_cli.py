@@ -1,9 +1,10 @@
 import json
+import random
 from fractions import Fraction
 
 import pytest
 
-from cored_hexagons import lgv, verify
+from cored_hexagons import lgv, tilings, verify
 from cored_hexagons.cli import main
 from cored_hexagons.formulas import count_cored_formula
 from text_formats import int_digit_limit
@@ -434,3 +435,42 @@ class TestOtherCommands:
             "--method", "brute",
         )
         assert code == 3
+
+
+def drawn_count_argv(rng):
+    """A count or cyclic-count command line with sides in -2..5 and a cap of
+    at most 60, so that no brute-force search runs long."""
+    def side():
+        return str(rng.randint(-2, 5))
+
+    if rng.random() < 0.6:
+        argv = ["count", "--a", side(), "--b", side(), "--c", side(), "--m", side(),
+                "--method", rng.choice(verify.ROUTES), "--weight", rng.choice(("one", "minus1"))]
+    else:
+        argv = ["cyclic-count", "--a", side(), "--m", side(),
+                "--weight", rng.choice(tilings.WEIGHTS)]
+    return argv + ["--cap", str(rng.randint(-1, 60))]
+
+
+def test_count_commands_exit_0_2_or_3_with_one_line(capsys, monkeypatch):
+    monkeypatch.delenv("CORED_HEX_CELL_CAP", raising=False)
+    rng = random.Random(26)
+    codes, drawn = set(), set()
+    for _ in range(300):
+        argv = drawn_count_argv(rng)
+        # an uncaught exception, a traceback, propagates out of main here
+        code, out, err = run_cli(capsys, *argv)
+        codes.add(code)
+        flags = dict(zip(argv[1::2], argv[2::2]))
+        drawn.add((argv[0], flags.get("--method"), flags["--weight"]))
+        assert code in (0, 2, 3), argv
+        if code == 0:
+            (line,) = out.splitlines()
+            assert isinstance(json.loads(line), dict) and err == "", argv
+        else:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+    assert codes == {0, 2, 3}
+    assert {(c, m, w) for c, m, w in drawn if c == "count"} == {
+        ("count", m, w) for m in verify.ROUTES for w in ("one", "minus1")
+    }
+    assert {w for c, _, w in drawn if c == "cyclic-count"} == set(tilings.WEIGHTS)

@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from cored_hexagons import formulas, lgv
+from cored_hexagons import formulas, lgv, tilings, verify
 from cored_hexagons.verify import (
     FAIL,
     PASS,
@@ -39,14 +39,14 @@ SMALL_BOUNDS = {
 GOLDEN_DIGESTS = {
     "Asymptotics": "a65344fccb70e4d5b893472d475346c558892741d96c566a52ed94794b4973b8",
     "BlockFactorizations": "cf5b509bffc1eefe656ff97ebf19a7247594ccc28f6a3f8aade91b4edfc5f9af",
-    "Case10": "9f2539156dead9421e27c8f0760b4e072fe83ecfd9fb8de571ea65181f3d8fb8",
+    "Case10": "ce6265a089218819018652cf1ed783b5980cb3b79d5ef2f054e699000b0d0234",
     "Conjectures": "849f5902c51e1b42045db1f58f8c125f2a105c87d9b80fe9f2d7cc06e0f1c778",
     "CyclicWeights": "86b9809702d911cec13d799e0f67941fed3cbad65d771c53e789dcd23729b7f6",
     "DetsVsFormulas": "ff00aa14998f75d8f2035e0a7853ee9cd890da28458c35f0bf3d7d16f3782a4c",
     "HypergeomIdentities": "a7f0933ddfc5ab6ac525f049addd8c57cbabace5093a8293249d35a3c7ac9eae",
     "Polynomiality": "6e9e8480e64d7b5b1e6f529ea2e2f1ebc2ccc0fcab37382c198d3775ad0f126f",
     "PrefactorIdentity": "82074510ef05e994e062c1ab563103bcff6dcc2e2d2d946f18a745b732658035",
-    "TilingsVsFormula": "0e7c5d56db143f3836b14019001ec26b444fe408f06283bd769983fd35c26a12",
+    "TilingsVsFormula": "84205a2dfb3caf7b62f498a73eac05ca14b4d7a17c0714ae6085ea51ca340ba8",
     "VWReduction": "994a15abe460882718cd0c0dd6538c52d5fa07512c673d96ad75be3e3260791e",
     "Watson": "dca8aa0a727635ac45e6e63137c6569fceec8784bd2ea38e05af6d34c8c8970f",
     "ZnFactorization": "41bf66e4eaf1d72cc345fc412394dcdbd918e475b58a3abf6245591c1b207062",
@@ -58,14 +58,14 @@ GOLDEN_DIGESTS = {
 DEFAULT_BOUND_DIGESTS = {
     "Asymptotics": "bf65f751311ced34b1d2cd88f50cfd92a8387fd6e46fc99abddd29fc5da056bf",
     "BlockFactorizations": "f0dd7364b0047466c35ec6c9e592aa9d6f06f85bfb5739fde5e74769f6c43292",
-    "Case10": "e2ecb2fa0f9b831f277fcc900f2eb067f38801bc0ca2c48963ffd9fcfb287817",
+    "Case10": "c8ba9647c6d87cf6d79f449bdf2fb5b915fbd08f4671963779eda85c11e6e322",
     "Conjectures": "1607046519529b55557c7308555426d8c4780f7b1b835c9f72f6c950ecb1cb86",
     "CyclicWeights": "428c1dd8807c0f5e652e3f4cf6033d421773fd9b3a9c78ad11e9d8c866fd4d21",
     "DetsVsFormulas": "e4d32134d0ddb7c47d255454a06aa4d51579a4465f8c4f52673badcdcbd5912b",
     "HypergeomIdentities": "f1d8e06cb00826690dbb78e0a3884c2017ac84a7715627954ffbdafbc346f53e",
     "Polynomiality": "c2f67901ec86cbcb7c31f5dc2c9bc096fcae23bdae6183a574b0e16c4ce92492",
     "PrefactorIdentity": "762d662b72421a784649ed9db9d13d0a6b21dcc73319412077de7574d9edc17a",
-    "TilingsVsFormula": "d48529a125e0c3a6ba28c0ec71402fe5a7c90deb0a9eee31dad6b38233122c69",
+    "TilingsVsFormula": "8cc0997a82cac1fe108bf48545d3e6ae96d0c634274ee88d925cce7855556583",
     "VWReduction": "b6186884025e142123c9969cd7aa9e92c0b93e0db99926d2848d4d816f57033e",
     "Watson": "e202bb15a513e185ead3e94b77d94be46af8bc683f0fb1b25fa32c37b7571096",
     "ZnFactorization": "53633b28c60562e4027abe6c3bda95edd32d19467e477ef6a2935ee74f01f233",
@@ -128,9 +128,20 @@ def test_suites_call_every_closed_form_and_builder(monkeypatch):
         spy_on(formulas, name)
     for name in BUILDERS:
         spy_on(lgv, name)
+    spy_on(verify, "count")
     for name in SUITES:
         run_suite(name, SMALL_BOUNDS[name], seed=3)
     assert set(CLOSED_FORMS + BUILDERS) - set(calls) == set()
+
+    def family(args):
+        if args["weight"] == tilings.WEIGHT_MINUS1_N6:
+            return "minus1-n6"
+        cyclic = args["cyclic"] or args["weight"] in tilings.CYCLIC_WEIGHTS
+        return "cyclic" if cyclic else "plain"
+
+    reached = {(family(args), args["route"]) for args in calls["count"]}
+    families = ("plain", "cyclic", "minus1-n6")
+    assert reached == {(f, route) for f in families for route in verify.ROUTES}
     variants = {
         (args["signed"], args["a"] % 2 != args["b"] % 2)
         for args in calls["count_cored_formula"]
@@ -174,6 +185,56 @@ def test_asymptotics_rejects_digits_below_its_precision_check(digits):
     # k to no digits at all, and at 0 the suite raised IndexError
     with pytest.raises(ValueError, match=f"bound digits must be at least 30, got {digits}"):
         run_suite("Asymptotics", {"digits": digits})
+
+
+def _knock_out(monkeypatch, name, at):
+    """Add 1 to the value of formulas.<name> at the leading arguments `at`
+    alone."""
+    fn = getattr(formulas, name)
+
+    def knocked(*args, **kwargs):
+        value = fn(*args, **kwargs)
+        return value + 1 if args[: len(at)] == at else value
+
+    monkeypatch.setattr(formulas, name, knocked)
+
+
+# a closed form off by one at a single tuple inside the default bounds, with
+# a >= 1 so that the region has cells; then the suites that must fail at the
+# default cap, and those that must still fail at cap 0. CyclicWeights holds
+# rhs_omega_det to the oracle alone, which cap 0 skips; DetsVsFormulas holds
+# it to the determinant.
+KNOCKOUTS = [
+    ("count_cored_formula", (2, 1, 1, 1), ("TilingsVsFormula",), ("TilingsVsFormula",)),
+    ("rhs_case10", (3, 2), ("Case10",), ("Case10",)),
+    (
+        "rhs_omega_det",
+        (2, 1, formulas.OMEGA_THIRD),
+        ("DetsVsFormulas", "CyclicWeights"),
+        ("DetsVsFormulas",),
+    ),
+]
+
+
+@pytest.mark.parametrize("name, at, suites, at_cap_zero", KNOCKOUTS)
+def test_a_pointwise_knockout_fails_its_suites(monkeypatch, name, at, suites, at_cap_zero):
+    _knock_out(monkeypatch, name, at)
+    for suite in suites:
+        assert suite_failed(run_suite(suite, {})), suite
+    for suite in at_cap_zero:
+        assert suite_failed(run_suite(suite, {"cap": 0})), suite
+
+
+@pytest.mark.parametrize("name", ["TilingsVsFormula", "Case10"])
+def test_cap_zero_skips_the_oracle_comparisons_alone(name):
+    reports = run_suite(name, {"cap": 0})
+    assert not suite_failed(reports)
+    skipped = [r for r in reports if r.status == SKIP]
+    assert skipped and all(r.case_params["route"] == "brute" for r in skipped)
+    assert all(r.status == PASS for r in reports if r.case_params.get("route") == "formula")
+    macmahon = [r for r in reports if r.case_params.get("weight") == "macmahon"]
+    assert len(macmahon) == (15 if name == "TilingsVsFormula" else 0)
+    assert all(r.status == PASS for r in macmahon)
 
 
 def test_polynomiality_at_cap_zero_stops_its_oracle_check():
