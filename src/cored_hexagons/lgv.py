@@ -4,21 +4,23 @@ A matrix holds what the one Bareiss (fraction-free) kernel eats: rows of
 ints over Z and Q, or of (c0, c1) int pairs over Z[w3] and Z[w6], each row
 over a positive denominator.  Every builder, Z_n's half-size blocks
 included, sums its entries on these coordinates, a rational argument giving
-the rows a denominator; no matrix is built from exact entries.  The cored
+the rows a denominator; no matrix is built from exact entries.  A builder
+states its ring from its parameters, not from the values it builds, and
+keeps its rows as built: no row is put in lowest terms.  The cored
 matrix's two row blocks are windows of one sequence binom(top, k) each, so
 building it takes one `comb` per k.  Before the kernel runs, each row's
 content (the gcd of its ints, or of both coordinates of its pairs) is taken
-out, and the product of the contents multiplies the kernel's determinant
-of the primitive rows.  The kernel runs over a ring table (zero, one, size,
-step) whose step is one checked whole-row operation,
-[(a v - b w) / d for v, w in zip(row, tail)]; the pair multiply, conjugate
-and norm (tau^2 = t*tau - 1) are `exactnum`'s.  The determinant is divided
-once by the product of the row denominators.  Every division is exact and
-checked (AssertionError otherwise), a step by d = 1 divides nothing (and,
-over Z, multiplies nothing by a = 1), and rows that a step would only
-rescale are rescaled when next used.  Each step pivots on the smallest
-nonzero entry of its column (in bit length), which keeps the intermediate
-minors small.
+out, the one reduction a row gets, and the product of the contents
+multiplies the kernel's determinant of the primitive rows.  The kernel
+runs over a ring table (zero, one, size, step) whose step is one checked
+whole-row operation, [(a v - b w) / d for v, w in zip(row, tail)]; the pair
+multiply, conjugate and norm (tau^2 = t*tau - 1) are `exactnum`'s.  The
+determinant is divided once by the product of the row denominators.  Every
+division is exact and checked (AssertionError otherwise), a step by d = 1
+divides nothing (and, over Z, multiplies nothing by a = 1), and rows that
+a step would only rescale are rescaled when next used.  Each step pivots on
+the smallest nonzero entry of its column (in bit length), which keeps the
+intermediate minors small.
 """
 
 from __future__ import annotations
@@ -55,9 +57,10 @@ RING_CYCLO6 = SIXTH
 class ExactMatrix:
     """Dense matrix over one exact ring: row i is rows[i] / dens[i].  Rows
     hold ints in the integer and rational rings and (c0, c1) int pairs in
-    THIRD and SIXTH; the row denominators are positive, all 1 when left out,
-    and always 1 in the integer ring.  Rows of unequal lengths, or a
-    denominator count other than the row count, raise ValueError."""
+    THIRD and SIXTH, kept as given, not put in lowest terms; the row
+    denominators are positive and all 1 when left out.  Rows of unequal
+    lengths, a denominator count other than the row count, or a denominator
+    other than 1 in the integer ring raise ValueError."""
 
     ring: str
     rows: tuple[tuple, ...]
@@ -68,6 +71,8 @@ class ExactMatrix:
             object.__setattr__(self, "dens", (1,) * len(self.rows))
         elif len(self.dens) != len(self.rows):
             raise ValueError(f"{len(self.dens)} row denominators for {len(self.rows)} rows")
+        elif self.ring == RING_INTEGER and self.dens.count(1) != len(self.dens):
+            raise ValueError("a row denominator other than 1 cannot be put in the integer ring")
         if len(set(map(len, self.rows))) > 1:
             raise ValueError("ragged rows: every row needs the same number of entries")
 
@@ -87,24 +92,9 @@ class ExactMatrix:
         )
 
 
-def _matrix(rows, dens, ring: str | None = None) -> ExactMatrix:
-    """The rows over their denominators, each row put in lowest terms.  The
-    ring defaults to the integer ring when every denominator is then 1, else
-    the rational ring; the integer ring takes no other denominator."""
-    pairs = ring in TRACE
-    reduced_rows, reduced_dens = [], []
-    for row, den in zip(rows, dens):
-        g = gcd(den, *(chain.from_iterable(row) if pairs else row))
-        if g > 1:
-            row = [(x // g, y // g) for x, y in row] if pairs else [x // g for x in row]
-        reduced_rows.append(tuple(row))
-        reduced_dens.append(den // g)
-    integral = all(den == 1 for den in reduced_dens)
-    if ring is None:
-        ring = RING_INTEGER if integral else RING_RATIONAL
-    elif ring == RING_INTEGER and not integral:
-        raise ValueError("a non-integral entry cannot be put in the integer ring")
-    return ExactMatrix(ring, tuple(reduced_rows), tuple(reduced_dens))
+def _matrix(rows, dens, ring: str) -> ExactMatrix:
+    """The rows over their denominators in `ring`, kept as built."""
+    return ExactMatrix(ring, tuple(map(tuple, rows)), tuple(dens))
 
 
 def _int_step(row, a, tail, b, d):
@@ -213,8 +203,8 @@ def _coordinate_det(matrix: ExactMatrix):
     """The determinant of the coordinate rows, an int or an int pair: each
     row's content (the gcd of its ints, or of both coordinates of its
     pairs) is taken out first, and the Bareiss determinant of the primitive
-    rows is multiplied by the product of the contents.  A zero row is left
-    as it is."""
+    rows is multiplied by the product of the contents.  This is the one
+    place a row is reduced; a zero row is left as it is."""
     pairs, rows, content = matrix.ring in TRACE, [], 1
     for row in matrix.rows:
         g = gcd(*(chain.from_iterable(row) if pairs else row))
@@ -394,7 +384,8 @@ def transformed_cored_matrix(
     entries are polynomials in b and c, so rational arguments are allowed.
 
     Entry (i, j) is a product of j-1 and n-j stepped factors, each an
-    integer over L = 2 lcm(den b, den c), so every row is over L^(n-1)."""
+    integer over L = 2 lcm(den b, den c), so every row is over L^(n-1) and
+    the matrix over Q."""
     if min(a, m) < 0:
         raise ValueError(f"a and m must be nonnegative, got a={a}, m={m}")
     n = a + m
@@ -416,7 +407,7 @@ def transformed_cored_matrix(
                 for j in range(1, n + 1)
             ]
         )
-    return _matrix(rows, [L ** max(n - 1, 0)] * n)
+    return _matrix(rows, [L ** max(n - 1, 0)] * n, RING_RATIONAL)
 
 
 def laplace_two_block(matrix: ExactMatrix, top_rows: int):
@@ -446,7 +437,8 @@ def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
 
     Every binomial here is an integer over scale = _binomial_den(den(mu), n-1)
     and every power of x an integer over den(x)^(n-1), so each entry is
-    summed on ints and every row is over scale^2 den(x)^(n-1)."""
+    summed on ints and every row is over scale^2 den(x)^(n-1); over Z
+    exactly when x and mu are integers."""
     if n < 0:
         raise ValueError("size must be nonnegative")
     top = max(n - 1, 0)
@@ -467,7 +459,8 @@ def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
             )
             row.append(acc - den if i == j else acc)
         rows.append(row)
-    return _matrix(rows, [den] * n)
+    ring = RING_INTEGER if x.denominator == q == 1 else RING_RATIONAL
+    return _matrix(rows, [den] * n, ring)
 
 
 def zn_factor_pair(n: int, x: Number, mu: Number) -> tuple[Fraction, Fraction]:
@@ -481,8 +474,8 @@ def zn_factor_pair(n: int, x: Number, mu: Number) -> tuple[Fraction, Fraction]:
     scale = _binomial_den(q, n-1) and every power of x an integer over
     den(x)^h, so the entries are summed on ints: the first block's column
     factors 1/(j+1) come out as one division by h!, and the second block's
-    row i is over (p + (i+1) q) scale den(x)^h.  A zero i + mu + 1 raises
-    ZeroDivisionError."""
+    row i is over (p + (i+1) q) scale den(x)^h; both blocks are over Q.  A
+    zero i + mu + 1 raises ZeroDivisionError."""
     x, mu = frac(x), frac(mu)
     lhs = frac(det_fraction_free(build_Zn(n, x, mu)))
     if n % 2 == 1:
@@ -519,16 +512,17 @@ def zn_factor_pair(n: int, x: Number, mu: Number) -> tuple[Fraction, Fraction]:
         )
         second_dens.append(sign * pole * den)
     num, scale = (-1) ** half, factorial(half)
-    for block in (_matrix(first, [den] * half), _matrix(second, second_dens)):
-        num *= _coordinate_det(block)
-        scale *= prod(block.dens)
+    for rows, dens in ((first, [den] * half), (second, second_dens)):
+        num *= _coordinate_det(_matrix(rows, dens, RING_RATIONAL))
+        scale *= prod(dens)
     return lhs, Fraction(num, scale)
 
 
 def build_VW(n: int, m: Number) -> tuple[ExactMatrix, ExactMatrix]:
     """The two n x n matrices indexed by (2i+r, 2j+s), r, s in {0, 1}:
     V = (-1)^(r+s) binom(i+j+r+s+m/2, s+2j-i),  W = binom(i+j+m/2, s+2j-i-r);
-    over Q when m/2 = p/q is not an integer, each row over q^(n-1) (n-1)!."""
+    over Z exactly when m/2 = p/q is an integer, else each row is over
+    q^(n-1) (n-1)!."""
     if n < 0:
         raise ValueError("size must be nonnegative")
     half_m = frac(m) / 2
@@ -541,7 +535,8 @@ def build_VW(n: int, m: Number) -> tuple[ExactMatrix, ExactMatrix]:
     V = [[(-1) ** (r + s) * num(i + j + r + s, s + 2 * j - i) for j, s in cells] for i, r in cells]
     W = [[num(i + j, s + 2 * j - i - r) for j, s in cells] for i, r in cells]
     dens = [_binomial_den(q, K)] * n
-    return _matrix(V, dens), _matrix(W, dens)
+    ring = RING_INTEGER if q == 1 else RING_RATIONAL
+    return _matrix(V, dens, ring), _matrix(W, dens, ring)
 
 
 def th10_pair(n: int, x: int, y: int) -> tuple[Fraction, Fraction]:
@@ -551,7 +546,7 @@ def th10_pair(n: int, x: int, y: int) -> tuple[Fraction, Fraction]:
     Row i is over (x+2i)! (y+2n-2-i)!, which turns each entry into
     (x+y+i+j-1)! times the falling factorials (x+2i)!/(x+2i-j)! and
     (y+2n-2-i)!/(y+2j-i)!; each has a zero factor exactly when its lower
-    argument is negative, as 1/k! = 0 asks."""
+    argument is negative, as 1/k! = 0 asks.  The matrix is over Q."""
     if min(n, x, y) < 0:
         raise ValueError("n, x and y must be nonnegative integers")
     if n > 0 and x + y == 0:
@@ -565,7 +560,7 @@ def th10_pair(n: int, x: int, y: int) -> tuple[Fraction, Fraction]:
         for i in range(n)
     ]
     dens = [factorial(x + 2 * i) * factorial(y + top - i) for i in range(n)]
-    lhs = frac(det_fraction_free(_matrix(rows, dens)))
+    lhs = frac(det_fraction_free(_matrix(rows, dens, RING_RATIONAL)))
     num = den = 1
     for i in range(n):
         num *= factorial(i) * factorial(x + y + i - 1)

@@ -166,7 +166,8 @@ def build_Zn(n: int, x: Number, mu: Number) -> ExactMatrix:
                 acc -= 1
             row.append(acc)
         rows.append(row)
-    return matrix_of(rows)
+    ring = RING_INTEGER if x.denominator == mu.denominator == 1 else RING_RATIONAL
+    return matrix_of(rows, ring)
 
 
 def zn_factor_pair(n: int, x: Number, mu: Number) -> tuple[Fraction, Fraction]:

@@ -18,6 +18,7 @@ from cored_hexagons.lgv import (
     ExactMatrix,
     build_B,
     build_VW,
+    build_Zn,
     build_cored_matrix,
     build_n6_matrix,
     build_omega_shift,
@@ -323,6 +324,36 @@ class TestBuilders:
         with pytest.raises(ValueError, match="integer ring"):
             matrix_of([[1, Fraction(1, 2)]], RING_INTEGER)
 
+    @pytest.mark.parametrize(
+        "fn, args, ring",
+        [
+            (build_B, (3, 2), RING_INTEGER),
+            (build_B, (3, Fraction(4, 2)), RING_INTEGER),
+            (build_B, (3, Fraction(1, 2)), RING_RATIONAL),
+            (build_B, (1, Fraction(1, 2)), RING_RATIONAL),
+            (build_omega_shift, (3, 2, -1), RING_INTEGER),
+            (build_omega_shift, (3, 2, Fraction(1, 2)), RING_RATIONAL),
+            (build_omega_shift, (3, Fraction(1, 3), 1), RING_RATIONAL),
+            (build_omega_shift, (3, Fraction(1, 3), omega3()), RING_CYCLO3),
+            (build_Zn, (3, 2, 1), RING_INTEGER),
+            (build_Zn, (3, Fraction(1, 2), 1), RING_RATIONAL),
+            (build_Zn, (3, 2, Fraction(1, 3)), RING_RATIONAL),
+            (build_Zn, (1, Fraction(1, 2), 1), RING_RATIONAL),
+            (build_VW, (3, 4), RING_INTEGER),
+            (build_VW, (3, 1), RING_RATIONAL),
+            (build_VW, (1, 1), RING_RATIONAL),
+            (transformed_cored_matrix, (2, 2, 2, 2), RING_RATIONAL),
+            (transformed_cored_matrix, (2, Fraction(1, 2), Fraction(-3, 2), 1), RING_RATIONAL),
+        ],
+    )
+    def test_ring_follows_the_parameters(self, fn, args, ring):
+        # the ring is stated from the arguments, never read off the entries:
+        # B(1, 1/2), Z_1(1/2, 1), V and W at n = 1, m = 1 and D_1 at
+        # (2, 2, 2, 2) have integral entries but rational arguments
+        built = fn(*args)
+        for matrix in built if isinstance(built, tuple) else (built,):
+            assert matrix.ring == ring
+
     def test_cored_matrix_parity_checks(self):
         with pytest.raises(ValueError):
             build_cored_matrix(2, 3, 2, 1)
@@ -377,6 +408,9 @@ class TestBuilders:
                 "3 row denominators for 2 rows",
                 id="matrix-dens",
             ),
+            pytest.param(
+                ExactMatrix, (RING_INTEGER, ((1,),), (2,)), "integer ring", id="matrix-integer-den"
+            ),
         ],
     )
     def test_out_of_domain_input_is_refused(self, fn, args, message):
@@ -384,7 +418,8 @@ class TestBuilders:
         # det of 0 or 1, a Laplace sum of a non-square matrix, a product
         # for sides b and c that build_cored_matrix refuses, or a matrix
         # whose determinant read its rows wrong (1 for the long row, 1/2 for
-        # the rational one; the short row raised IndexError)
+        # the rational one, 1 for [1/2] over Z; the short row raised
+        # IndexError)
         with pytest.raises(ValueError, match=message):
             fn(*args)
 

@@ -187,38 +187,58 @@ def test_asymptotics_rejects_digits_below_its_precision_check(digits):
         run_suite("Asymptotics", {"digits": digits})
 
 
-def _knock_out(monkeypatch, name, at):
-    """Add 1 to the value of formulas.<name> at the leading arguments `at`
+def _knock_out(monkeypatch, module, name, at):
+    """Add 1 to the value of module.<name> at the leading arguments `at`
     alone."""
-    fn = getattr(formulas, name)
+    fn = getattr(module, name)
 
     def knocked(*args, **kwargs):
         value = fn(*args, **kwargs)
         return value + 1 if args[: len(at)] == at else value
 
-    monkeypatch.setattr(formulas, name, knocked)
+    monkeypatch.setattr(module, name, knocked)
 
 
-# a closed form off by one at a single tuple inside the default bounds, with
-# a >= 1 so that the region has cells; then the suites that must fail at the
+# a route off by one at a single tuple inside the default bounds, with a >= 1
+# so that the region has cells; then the suites that must fail at the
 # default cap, and those that must still fail at cap 0. CyclicWeights holds
 # rhs_omega_det to the oracle alone, which cap 0 skips; DetsVsFormulas holds
-# it to the determinant.
+# it to the determinant. The oracle is checked at the default cap alone.
 KNOCKOUTS = [
-    ("count_cored_formula", (2, 1, 1, 1), ("TilingsVsFormula",), ("TilingsVsFormula",)),
-    ("rhs_case10", (3, 2), ("Case10",), ("Case10",)),
+    (formulas, "count_cored_formula", (2, 1, 1, 1), ("TilingsVsFormula",), ("TilingsVsFormula",)),
+    (formulas, "rhs_case10", (3, 2), ("Case10",), ("Case10",)),
     (
+        formulas,
         "rhs_omega_det",
         (2, 1, formulas.OMEGA_THIRD),
         ("DetsVsFormulas", "CyclicWeights"),
         ("DetsVsFormulas",),
     ),
+    (
+        lgv,
+        "det_fraction_free",
+        (lgv.build_cored_matrix(2, 1, 1, 1),),
+        ("TilingsVsFormula", "PrefactorIdentity"),
+        ("TilingsVsFormula", "PrefactorIdentity"),
+    ),
+    (
+        tilings,
+        "count_weighted",
+        (tilings.CoredHexagon(2, 1, 1, 1), "minus1"),
+        ("TilingsVsFormula",),
+        (),
+    ),
 ]
 
 
-@pytest.mark.parametrize("name, at, suites, at_cap_zero", KNOCKOUTS)
-def test_a_pointwise_knockout_fails_its_suites(monkeypatch, name, at, suites, at_cap_zero):
-    _knock_out(monkeypatch, name, at)
+@pytest.mark.parametrize(
+    "module, name, at, suites, at_cap_zero",
+    KNOCKOUTS,
+    # the ids pytest gives the columns after the module
+    ids=[f"{name}-at{i}-suites{i}-at_cap_zero{i}" for i, (_, name, *_) in enumerate(KNOCKOUTS)],
+)
+def test_a_pointwise_knockout_fails_its_suites(monkeypatch, module, name, at, suites, at_cap_zero):
+    _knock_out(monkeypatch, module, name, at)
     for suite in suites:
         assert suite_failed(run_suite(suite, {})), suite
     for suite in at_cap_zero:

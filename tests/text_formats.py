@@ -18,7 +18,7 @@ from fractions import Fraction
 from math import lcm
 
 from cored_hexagons.exactnum import TRACE, CycloElement
-from cored_hexagons.lgv import ExactMatrix, _matrix
+from cored_hexagons.lgv import RING_INTEGER, RING_RATIONAL, ExactMatrix
 from cored_hexagons.tilings import DOWN, UP, Region, Tiling
 
 
@@ -76,9 +76,11 @@ def matrix_of(values, ring: str | None = None) -> ExactMatrix:
             row = [x for v in row for x in (v.c0, v.c1)]
         den = lcm(*(x.denominator for x in row))
         row = [x.numerator * (den // x.denominator) for x in row]
-        rows.append(list(zip(row[::2], row[1::2])) if ring in TRACE else row)
+        rows.append(tuple(zip(row[::2], row[1::2])) if ring in TRACE else tuple(row))
         dens.append(den)
-    return _matrix(rows, dens, ring)
+    if ring is None:
+        ring = RING_INTEGER if dens.count(1) == len(dens) else RING_RATIONAL
+    return ExactMatrix(ring, tuple(rows), tuple(dens))
 
 
 def matrix_values(matrix: ExactMatrix) -> list[list]:
