@@ -6,8 +6,10 @@ cyclotomic rings Z[w] with w a primitive third or sixth root of unity.  No
 floats live here.
 
 Both rings are Z[tau], tau^2 = t*tau - 1 with t = `TRACE[ring]` (-1 for w3,
-1 for w6).  This tau-rule is written out only in `pair_mul`, `pair_conjugate`
-and `pair_norm`, which `CycloElement`, `lgv`, `tilings` and `formulas` share.
+1 for w6).  This tau-rule is written out in `pair_mul`, `pair_conjugate` and
+`pair_norm`, which `CycloElement`, `tilings` and `formulas` share; `lgv`'s
+row step takes the conjugate and norm from here and writes the product out
+inline, one factor's coordinates bound once per row.
 `CycloElement` is the value type of results and closed forms: it adds,
 subtracts, multiplies and takes norms, and has no division, power or ring
 change.  Matrices and series work on integer coordinates instead: `binomial`

@@ -33,6 +33,7 @@ from cored_hexagons.lgv import (
     zn_factor_pair,
 )
 from cored_hexagons.tilings import CoredHexagon, count_weighted
+from elimination_reference import determinant as elimination_det, zero_biased_rows
 from text_formats import matrix_of, matrix_to_text, matrix_values
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
@@ -210,6 +211,27 @@ class TestDeterminant:
         with pytest.raises(AssertionError, match="exact division"):
             step(row, a, tail, b, d)
 
+    @pytest.mark.parametrize(
+        "ring, row, a, tail, b, d, c, other",
+        [
+            # 2*3 - 3*2 + 1*1 = 1 is odd
+            (RING_INTEGER, [3], 2, [2], 3, 2, 1, [1]),
+            # the first entry 2 + 0 is even, the second 2 + 1 is not
+            (RING_INTEGER, [2, 2], 1, [0, 0], 0, 2, 1, [0, 1]),
+            (RING_INTEGER, [2, 2], 1, [0, 0], 0, -2, -1, [0, 1]),
+            # (2, 0) + (0, 1) is not a multiple of 2; (3, 0) + (1, 0) = 4 is
+            # not one of 1 - w3 or 1 + w6 (norm 3)
+            (RING_CYCLO3, [(2, 0)], (1, 0), [(0, 0)], (0, 0), (2, 0), (1, 0), [(0, 1)]),
+            (RING_CYCLO6, [(2, 0)], (1, 0), [(0, 0)], (0, 0), (2, 0), (1, 0), [(0, 1)]),
+            (RING_CYCLO3, [(3, 0)], (1, 0), [(0, 0)], (0, 0), (1, -1), (1, 0), [(1, 0)]),
+            (RING_CYCLO6, [(3, 0), (3, 0)], (1, 0), [(0, 0), (1, 0)], (1, 0), (1, 1), (0, 0), [(0, 0), (0, 0)]),
+        ],
+    )
+    def test_three_term_step_refuses_an_inexact_division(self, ring, row, a, tail, b, d, c, other):
+        _, _, _, step = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
+        with pytest.raises(AssertionError, match="exact division"):
+            step(row, a, tail, b, d, c, other)
+
     @given(st.data())
     @settings(max_examples=200, deadline=None)
     def test_row_step_by_one_equals_the_dividing_path(self, data):
@@ -222,21 +244,27 @@ class TestDeterminant:
             value, mul = st.tuples(coordinate, coordinate), exactnum.pair_mul(exactnum.TRACE[ring])
         n = data.draw(st.integers(0, 4))
         # a = one takes the step's no-multiply path; zeros in the tail leave
-        # entries of the row as they are
+        # entries of the row as they are; the three-term form adds c u
         row = data.draw(st.lists(value, min_size=n, max_size=n))
         tail = data.draw(st.lists(st.just(zero) | value, min_size=n, max_size=n))
         a, b = data.draw(st.just(one) | value), data.draw(value)
         d = data.draw(value.filter(lambda x: x not in (zero, one)))
-        by_one = step(row, a, tail, b, one)
-        assert by_one == step(row, mul(a, d), tail, mul(b, d), d)
+        third = data.draw(st.booleans())
+        c = data.draw(value) if third else zero
+        other = data.draw(st.lists(value, min_size=n, max_size=n)) if third else [zero] * n
+        extra = (c, other) if third else ()
+        by_one = step(row, a, tail, b, one, *extra)
+        extra_by_d = (mul(c, d), other) if third else ()
+        assert by_one == step(row, mul(a, d), tail, mul(b, d), d, *extra_by_d)
         if ring == RING_INTEGER:
-            assert by_one == [a * v - b * w for v, w in zip(row, tail)]
+            assert by_one == [a * v - b * w + c * u for v, w, u in zip(row, tail, other)]
         else:
             def elem(x):
                 return CycloElement.of(ring, *x)
 
             assert [elem(x) for x in by_one] == [
-                elem(a) * elem(v) - elem(b) * elem(w) for v, w in zip(row, tail)
+                elem(a) * elem(v) - elem(b) * elem(w) + elem(c) * elem(u)
+                for v, w, u in zip(row, tail, other)
             ]
 
     # The pivots are rows 1, 2 and 3 at steps 0, 1 and 2: three swaps.  Row 3
@@ -269,31 +297,71 @@ class TestDeterminant:
 
     def test_pivot_rule_keeps_the_quotients_small(self):
         # total bit length (the larger coordinate for a pair) of every entry
-        # a row step forms, unit-divisor steps included; on the order-40
-        # cored matrix diagonal pivots form 6,838,654 bits, the smallest ones
-        # 1,442,513, and 1,262,987 on its primitive rows, the rows that
-        # det_fraction_free hands the kernel.  Exact totals pin the pivot
-        # sequence.
+        # that `step` forms, unit-divisor steps, catch-ups and the two-step
+        # passes' e, f and three-term tails included; on the order-40 cored
+        # matrix diagonal pivots form 6,838,654 bits and the smallest ones
+        # 1,442,513 with one-step elimination alone, 1,151,744 with two-step
+        # passes, and 1,010,465 on its primitive rows, the rows that
+        # det_fraction_free hands the kernel.  A two-step pass forms no
+        # level-(k+1) row, so each total is below its one-step value.  Exact
+        # totals pin the pivot sequence.
         cored = build_cored_matrix(20, 20, 20, 20)
         primitive = tuple(tuple(x // gcd(*row) for x in row) for row in cored.rows)
-        for matrix, total in (
-            (cored, 1_442_513),
-            (ExactMatrix(RING_INTEGER, primitive), 1_262_987),
-            (build_omega_shift(18, 6, omega3()), 73_626),
-            (build_omega_shift(18, 6, omega6()), 74_704),
+        for matrix, total, one_step in (
+            (cored, 1_151_744, 1_442_513),
+            (ExactMatrix(RING_INTEGER, primitive), 1_010_465, 1_262_987),
+            (build_omega_shift(18, 6, omega3()), 44_075, 73_626),
+            (build_omega_shift(18, 6, omega6()), 44_788, 74_704),
         ):
             zero, one, size, step = lgv._KERNEL_RINGS.get(matrix.ring, lgv._INT_RING)
-            bits = 0
+            bits = three_term = 0
 
             def counting_step(*args):
-                nonlocal bits
+                nonlocal bits, three_term
                 out = step(*args)
                 bits += sum(map(size, out))
+                three_term += len(args) == 7
                 return out
 
             lgv._bareiss([list(row) for row in matrix.rows], zero, one, size, counting_step)
-            assert 0 < bits < 2_000_000
+            assert three_term > 0, matrix.ring
+            assert bits < one_step, matrix.ring
             assert bits == total, matrix.ring
+
+    @given(st.data())
+    @settings(max_examples=400, deadline=None)
+    def test_matches_the_elimination_reference_in_every_ring(self, data):
+        # zero-biased entries over scaled columns: pivots other than 1, so
+        # two-step passes, with singular pairs of pivot columns, second
+        # pivots swapped in, rows deferred across a pass and switches
+        # between one-step and two-step elimination
+        ring = data.draw(st.sampled_from([RING_INTEGER, RING_RATIONAL, RING_CYCLO3, RING_CYCLO6]))
+        n = data.draw(st.integers(0, 12))
+        t = exactnum.TRACE.get(ring)
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
+        rows, dens = zero_biased_rows(rng, n, t is not None, 1 if ring == RING_INTEGER else 6)
+        det = det_fraction_free(ExactMatrix(ring, tuple(map(tuple, rows)), tuple(dens)))
+        if t is None:
+            values = [[Fraction(x, den) for x in row] for row, den in zip(rows, dens)]
+            assert det == elimination_det(values)
+        else:
+            values = [[(Fraction(x, den), Fraction(y, den)) for x, y in row] for row, den in zip(rows, dens)]
+            assert (det.c0, det.c1) == elimination_det(values, t)
+
+    def test_cored_determinants_of_the_exact_benchmark_families(self):
+        # the exact workload's 60 families, each with all three splits
+        # b - c in {-4, 0, 4}: family i has order n = 8 + 40i // 59,
+        # a = 1 + 7i mod n, m = n - a and b + c = 8 (1 + i mod 6)
+        orders = set()
+        for i in range(60):
+            n, s = 8 + 40 * i // 59, 8 * (1 + i % 6)
+            a = 1 + 7 * i % n
+            orders.add(n)
+            for split in (-4, 0, 4):
+                b, c, m = (s + split) // 2, (s - split) // 2, n - a
+                det = det_fraction_free(build_cored_matrix(a, b, c, m))
+                assert det == count_cored_formula(a, b, c, m, signed=m % 2 == 1), (a, b, c, m)
+        assert min(orders) == 8 and max(orders) == 48
 
     def test_cored_determinants_match_the_formula_up_to_order_61(self):
         # both core placements, plain counts for even m and (-1)-counts for odd
