@@ -1,20 +1,20 @@
 """Cored-hexagon regions, matching-level tiling counts, enumeration, and
 tiling statistics.
 
-One lattice graph per region, `Region.graph`, feeds every count and the
-enumeration.  It is built on one flat list of slots, one per orientation
-and place of the bounding box, line by line in sweep order with a padding
-place per line, each holding a cell's index or -1 (see `Region`); the views
-`Region.cells` and `Region.cell_index` are derived for tests and demos.
-Every count runs one frontier transfer matrix over the graph: plain and
-(-1)-weighted counts over the cells, cyclically symmetric counts over the
-orbits of the 120-degree rotation, where it keeps a histogram of the
-statistic mod 6 and applies the weight once: the rotation is an affine
-map read through the slot array, each orbit's weight is folded onto one
-lozenge of it, and the packed residue counts are reduced only where a
-product by a factor other than 1 is formed.  Backtracking is left only
-for the enumeration generators.  Nothing here uses the determinant or
-closed-form routes that these counts check.
+Every region is one flat list of slots, one per orientation and place of
+the bounding box, line by line in sweep order with a padding place per
+line, each holding a cell's index or -1 (see `Region`); the lattice graph
+`Region.graph` and the views `Region.cells` and `Region.cell_index` are
+derived from it on demand.  Every count runs one frontier transfer matrix:
+plain and (-1)-weighted counts over the cells of the graph, cyclically
+symmetric counts over the orbits of the 120-degree rotation, where it
+keeps a histogram of the statistic mod 6 and applies the weight once.
+Those never build the graph: the rotation is an affine map read through
+the slot array, each orbit of lozenges is read off the slots at its lowest
+up cell, where its weight is folded, and the packed residue counts are
+reduced only where a product by a factor other than 1 is formed.
+Backtracking is left only for the enumeration generators.  Nothing here
+uses the determinant or closed-form routes that these counts check.
 
 A tiling is a perfect matching of the region's cells, held as the tuple of
 their partners: entry i is the index of the cell that cell i shares its
@@ -51,7 +51,7 @@ from functools import cached_property
 from itertools import count, takewhile
 from math import prod
 from types import MappingProxyType
-from typing import Callable, Iterator, Optional
+from typing import Callable, Iterator, Optional, Sequence
 
 from .exactnum import TRACE, CycloElement, omega3, omega6, pair_mul
 
@@ -59,7 +59,7 @@ UP = 0
 DOWN = 1
 
 Cell = tuple[int, int, int]
-Graph = list[list[tuple[int, int]]]
+Graph = Sequence[Sequence[tuple[int, int]]]
 Tiling = tuple[int, ...]  # entry i: the index of the cell paired with cell i
 
 WEIGHT_ONE = "one"
@@ -72,6 +72,8 @@ WEIGHTS = (WEIGHT_ONE, WEIGHT_MINUS1, WEIGHT_OMEGA3, WEIGHT_OMEGA6, WEIGHT_MINUS
 CYCLIC_WEIGHTS = (WEIGHT_OMEGA3, WEIGHT_OMEGA6, WEIGHT_MINUS1_N6)
 
 DEFAULT_CELL_CAP = 120
+
+_STEP = ((2, 1),)  # the edges of a cell whose one edge goes to the next cell
 
 CENTERED = "centered"
 SHIFTED_TOWARD_B = "shifted-toward-b"
@@ -153,21 +155,21 @@ def _sweeps_rows(hexagon: CoredHexagon) -> bool:
 
 
 class Region:
-    """A cored hexagon's cells, the forward edges of their lattice graph,
-    and the reference ray, built on one flat list of slots.
+    """A cored hexagon's cells and the reference ray, built on one flat list
+    of slots.
 
     The sweep runs along the lines `_sweeps_rows` picks; relabelling sides
     instead would move the ray and can flip the sign of the (-1)-count.
     With p the line (x for columns, y for rows), q the place along it and
     L the line length plus one padding place, slot
     ((p - p0) * L + (q - q0)) * 2 + orient holds a cell's index or -1, and
-    cells are numbered in slot order.  U(x, y) lies in the region when
-    -c-m <= x < b, 0 <= y < a+c+m and 0 <= x+y < a+b+m, D(x, y) when
-    0 <= x+y+1 < a+b+m, unless x < x0, y < y0+m and x+y+orient >= x0+y0
-    (the core).  graph[i] lists the edges from cell i in slot k to later
-    cells j as (1 << (j - i), 1): U(x, y) -> D(x, y) in slot k+1, a forced
-    step; D(x, y) -> U(x+1, y), U(x, y+1), one in slot k+1 on the same line
-    and one in slot k+2L-1 on the next.  `find` reads one slot; `cells` and
+    cells are numbered in slot order; a last line of padding follows.
+    U(x, y) lies in the region when -c-m <= x < b, 0 <= y < a+c+m and
+    0 <= x+y < a+b+m, D(x, y) when 0 <= x+y+1 < a+b+m, unless x < x0,
+    y < y0+m and x+y+orient >= x0+y0 (the core).  Every edge is slot
+    arithmetic: U(x, y) in slot k meets D(x, y) in slot k+1, and D(x, y)
+    meets U(x+1, y), U(x, y+1), one in slot k+1 on the same line and one in
+    slot k+2L-1 on the next.  `find` reads one slot; `graph`, `cells` and
     `cell_index` are read-only views derived on demand."""
 
     def __init__(self, hexagon: CoredHexagon):
@@ -180,7 +182,8 @@ class Region:
         self._stride = stride = 2 * len(along) + 2
         core_line, core_along = (y0 + m, x0) if rows else (x0, y0 + m)
         top, apex = a + b + m, x0 + y0
-        # a last line of padding takes D's next-line lookups off the end
+        # a last line of padding takes D's next-line lookups off the end,
+        # and an up cell's previous-line lookups off the start
         slots = [-1] * (stride * (len(lines) + 1))
         self.slot_of = where = []
         for p in lines:
@@ -196,16 +199,7 @@ class Region:
                     where.append(k + 1)
         assert len(where) == hexagon.cell_count, (len(where), hexagon.cell_count)
         assert 2 * sum(map((1).__and__, where)) == len(where), "up/down cell counts must balance"
-        graph: Graph = []
-        for i, k in enumerate(where):
-            # slot k+1 holds cell i+1 or no cell
-            moves = [(2, 1)] if slots[k + 1] >= 0 else []
-            j = slots[k + stride - 1] if k & 1 else -1
-            if j >= 0:
-                # U(x+1, y) comes first: beside D(x, y) on a row, ahead on a column
-                moves.insert(len(moves) if rows else 0, (1 << (j - i), 1))
-            graph.append(moves)
-        self.slots, self.graph = slots, graph
+        self.slots = slots
         # the reference ray outward from the core: (D(x0-1, y), U(x0, y)), -1 if missing
         ray = ((self.find(x0 - 1, y, DOWN), self.find(x0, y, UP)) for y in count(y0 + m))
         self.reference_ray = tuple(takewhile(lambda segment: max(segment) >= 0, ray))
@@ -228,6 +222,24 @@ class Region:
         return u + self._box[0].start, y, r & 1
 
     @cached_property
+    def graph(self) -> Graph:
+        """The forward edges from cell i to later cells j, graph[i] a tuple
+        of (1 << (j - i), 1), built on first read for the plain counts and
+        the enumerators; every edge to cell i+1 alone is one shared tuple."""
+        slots, stride, rows = self.slots, self._stride, self._rows
+        graph = []
+        for i, k in enumerate(self.slot_of):
+            # slot k+1 holds cell i+1 or no cell
+            moves = _STEP if slots[k + 1] >= 0 else ()
+            j = slots[k + stride - 1] if k & 1 else -1
+            if j >= 0:
+                # U(x+1, y) comes first: beside D(x, y) on a row, ahead on a column
+                far = ((1 << (j - i), 1),)
+                moves = moves + far if rows else far + moves
+            graph.append(moves)
+        return tuple(graph)
+
+    @cached_property
     def cells(self) -> tuple[Cell, ...]:
         """The cells (x, y, orient) in index order, for tests and demos."""
         return tuple(map(self._cell, self.slot_of))
@@ -248,7 +260,8 @@ class Region:
         cell, slot, stride = self._cell, self._slot, self._stride
         base, line, place, orient = (slot(*image(*cell(k)), k & 1) for k in (0, stride, 2, 1))
         rest = [base + (r >> 1) * (place - base) + (r & 1) * (orient - base) for r in range(stride)]
-        mapping = [self.slots[k // stride * (line - base) + rest[k % stride]] for k in self.slot_of]
+        slots, step = self.slots, line - base
+        mapping = [slots[k // stride * step + rest[k % stride]] for k in self.slot_of]
         assert -1 not in mapping, f"{name} leaves the region"
         return tuple(mapping)
 
@@ -268,7 +281,7 @@ class Region:
 
     def __repr__(self) -> str:
         h = self.hexagon
-        return f"Region(C_{{{h.a},{h.b},{h.c}}}({h.m}), {len(self.graph)} cells)"
+        return f"Region(C_{{{h.a},{h.b},{h.c}}}({h.m}), {len(self.slot_of)} cells)"
 
 
 def _check_cap(units: int, cap: Optional[int]) -> None:
@@ -341,7 +354,7 @@ def _check_cyclic(hexagon: CoredHexagon, cap: Optional[int]) -> None:
 
 
 def enumerate_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
-    _check_cap(len(region.graph), cap)
+    _check_cap(len(region.slot_of), cap)
     return map(tuple, _matchings(region, cyclic=False))
 
 
@@ -374,7 +387,7 @@ def _frontier_count(graph: Graph, modulus: int = 0) -> int:
     i = 0
     while i < len(graph):
         moves = graph[i]
-        fused = moves == [(2, 1)] and i + 1 not in spanned
+        fused = len(moves) == 1 and moves[0] == (2, 1) and i + 1 not in spanned
         if fused:
             moves = graph[i + 1]
         advanced: dict[int, int] = {}
@@ -400,25 +413,23 @@ def _frontier_count(graph: Graph, modulus: int = 0) -> int:
     return states.get(0, 0) % modulus if modulus else states.get(0, 0)
 
 
-def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int]) -> list[int]:
-    """hist[r] is the number of rotation-invariant tilings whose lozenges'
-    weights sum to r mod 6; lozenge_weight is keyed (up cell, down cell),
-    and a lozenge it lacks weighs 0.
+def _orbit_edges(
+    region: Region, lozenge_weight: dict[tuple[int, int], int]
+) -> list[list[tuple[int, int]]]:
+    """The orbit graph: edges[o] lists (p, e) for each orbit of three
+    lozenges joining cell orbit o to a later one p, with e the sum of their
+    weights mod 6; lozenge_weight is keyed (up cell, down cell), and a
+    lozenge it lacks weighs 0.
 
     The rotation acts freely on the cells and keeps their orientations, so
     its orbits, numbered by their lowest cell, form a bipartite graph on a
-    third of the cells whose perfect matchings are the invariant tilings.
-    An edge is an orbit of three lozenges, read from the region's graph at
-    the one lozenge whose up cell is lowest in its orbit, and weighs the
-    sum e of their weights, folded onto it in one pass over the weights.
-    The transfer matrix runs over the orbits in Z[q]/(q^6 - 1) at q = 2^B:
-    an edge's factor is 2^(B (e mod 6)), and a product by it is reduced
-    modulo 2^(6B) - 1, which turns the slots of the six residue counts, B
-    bits each, by e.  A partial count never exceeds the product of the
-    out-degrees, which is below 2^(B-1), so no slot carries, not even in
-    the unreduced sums, and every value stays below 2^(6B)."""
-    rot, slot_of = region.rotation, region.slot_of
-    lowest = [i for i in range(len(rot)) if i < rot[i] and i < rot[rot[i]]]
+    third of the cells.  A lozenge orbit is read once, off the slot array,
+    at the one lozenge whose up cell u is lowest in its orbit: u in slot k
+    meets the down cells in slots k+1, k-1 and k-2L+1, L as in `Region`.
+    On the first line k-2L+1 is negative and wraps to the last line, which
+    is padding.  The weights are folded onto those lozenges in one pass."""
+    rot, slots, slot_of, stride = region.rotation, region.slots, region.slot_of, region._stride
+    lowest = [i for i, j in enumerate(rot) if i < j and i < rot[j]]
     orbit = [0] * len(rot)
     for o, i in enumerate(lowest):
         orbit[i] = orbit[rot[i]] = orbit[rot[rot[i]]] = o
@@ -429,16 +440,35 @@ def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int])
             up, down = rot[up], rot[down]
         folded[up, down] = (folded.get((up, down), 0) + weight) % 6
     edges: list[list[tuple[int, int]]] = [[] for _ in lowest]
-    for i, moves in enumerate(region.graph):
-        for bit, _ in moves:
-            j = i + bit.bit_length() - 1
-            up, down = (j, i) if slot_of[i] & 1 else (i, j)
-            if lowest[orbit[up]] == up:
-                low, high = sorted((orbit[up], orbit[down]))
-                edges[low].append((high, folded.get((up, down), 0)))
-    branches = prod(max(1, len(out)) for out in edges)
-    bits = branches.bit_length() + 1
-    graph = [[(1 << (j - i), 1 << (bits * e)) for j, e in out] for i, out in enumerate(edges)]
+    for o, up in enumerate(lowest):
+        k = slot_of[up]
+        if k & 1:
+            continue
+        for down in (slots[k + 1], slots[k - 1], slots[k - stride + 1]):
+            if down >= 0:
+                p, e = orbit[down], folded.get((up, down), 0)
+                if o < p:
+                    edges[o].append((p, e))
+                else:
+                    edges[p].append((o, e))
+    return edges
+
+
+def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int]) -> list[int]:
+    """hist[r] is the number of rotation-invariant tilings whose lozenges'
+    weights sum to r mod 6, keyed as in `_orbit_edges`: the perfect
+    matchings of the orbit graph are the invariant tilings.
+
+    The transfer matrix runs over the orbits in Z[q]/(q^6 - 1) at q = 2^B:
+    an edge's factor is 2^(B (e mod 6)), and a product by it is reduced
+    modulo 2^(6B) - 1, which turns the slots of the six residue counts, B
+    bits each, by e.  A partial count never exceeds the product of the
+    out-degrees, which is below 2^(B-1), so no slot carries, not even in
+    the unreduced sums, and every value stays below 2^(6B)."""
+    edges = _orbit_edges(region, lozenge_weight)
+    bits = prod(len(out) or 1 for out in edges).bit_length() + 1
+    factor = [1 << (bits * e) for e in range(6)]
+    graph = [[(1 << (j - i), factor[e]) for j, e in out] for i, out in enumerate(edges)]
     packed = _frontier_count(graph, (1 << (6 * bits)) - 1)
     return [(packed >> (bits * r)) & ((1 << bits) - 1) for r in range(6)]
 

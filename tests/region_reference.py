@@ -6,10 +6,15 @@ dict over them, the forward edges found by one dict lookup per neighbour,
 the rotation and reflection mapped cell tuple to cell tuple, and the
 reference ray walked through the dict.  The slot-array region must agree
 with them exactly, in both sweep orders.
+
+`reference_orbit_edges` is the former orbit graph of the cyclic counts:
+a walk over every forward edge of that graph that keeps the lozenges
+whose up cell is lowest in its rotation orbit.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from typing import Callable, Iterator
 
 from cored_hexagons.tilings import DOWN, UP, CoredHexagon
@@ -38,7 +43,7 @@ def reference_cells(hexagon: CoredHexagon, by_rows: bool) -> Iterator[Cell]:
                     yield x, y, orient
 
 
-def reference_graph(cells: tuple[Cell, ...]) -> list[list[tuple[int, int]]]:
+def reference_graph(cells: tuple[Cell, ...]) -> tuple[tuple[tuple[int, int], ...], ...]:
     """Edges from each cell to its later neighbours as (1 << (j - i), 1):
     U(x, y) -> D(x, y), and D(x, y) -> U(x+1, y), U(x, y+1) in that order."""
     index = {cell: i for i, cell in enumerate(cells)}
@@ -48,8 +53,8 @@ def reference_graph(cells: tuple[Cell, ...]) -> list[list[tuple[int, int]]]:
             later = (index.get((x, y, DOWN)),)
         else:
             later = (index.get((x + 1, y, UP)), index.get((x, y + 1, UP)))
-        graph.append([(1 << (j - i), 1) for j in later if j is not None])
-    return graph
+        graph.append(tuple((1 << (j - i), 1) for j in later if j is not None))
+    return tuple(graph)
 
 
 def reference_ray(hexagon: CoredHexagon, cells: tuple[Cell, ...]) -> tuple[tuple[int, int], ...]:
@@ -95,3 +100,32 @@ def reference_rotation(hexagon: CoredHexagon, cells: tuple[Cell, ...]) -> tuple[
 
 def reference_reflection(hexagon: CoredHexagon, cells: tuple[Cell, ...]) -> tuple[int, ...]:
     return reference_symmetry(hexagon, cells, lambda ux, uy: (ux, -ux - uy))
+
+
+def reference_orbit_edges(
+    cells: tuple[Cell, ...], rotation: tuple[int, ...], lozenge_weight: dict[tuple[int, int], int]
+) -> Counter:
+    """The multiset of orbit edges (low orbit, high orbit, folded weight):
+    each lozenge orbit read from the graph at the lozenge whose up cell is
+    lowest in its orbit, weighing the sum mod 6 of the weights, keyed (up
+    cell, down cell), of its three lozenges.  Orbits are numbered by their
+    lowest cell."""
+    rot = rotation
+    lowest = [i for i in range(len(rot)) if i < rot[i] and i < rot[rot[i]]]
+    orbit = [0] * len(rot)
+    for o, i in enumerate(lowest):
+        orbit[i] = orbit[rot[i]] = orbit[rot[rot[i]]] = o
+    folded: dict[tuple[int, int], int] = {}
+    for (up, down), weight in lozenge_weight.items():
+        while lowest[orbit[up]] != up:
+            up, down = rot[up], rot[down]
+        folded[up, down] = (folded.get((up, down), 0) + weight) % 6
+    edges: Counter = Counter()
+    for i, moves in enumerate(reference_graph(cells)):
+        for bit, _ in moves:
+            j = i + bit.bit_length() - 1
+            up, down = (j, i) if cells[i][2] == DOWN else (i, j)
+            if lowest[orbit[up]] == up:
+                low, high = sorted((orbit[up], orbit[down]))
+                edges[low, high, folded.get((up, down), 0)] += 1
+    return edges

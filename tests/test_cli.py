@@ -5,7 +5,7 @@ from fractions import Fraction
 import pytest
 
 from cored_hexagons import lgv, tilings, verify
-from cored_hexagons.cli import main
+from cored_hexagons.cli import _FORMULAS, main
 from cored_hexagons.formulas import count_cored_formula
 from text_formats import int_digit_limit
 
@@ -474,3 +474,62 @@ def test_count_commands_exit_0_2_or_3_with_one_line(capsys, monkeypatch):
         ("count", m, w) for m in verify.ROUTES for w in ("one", "minus1")
     }
     assert {w for c, _, w in drawn if c == "cyclic-count"} == set(tilings.WEIGHTS)
+
+
+def drawn_other_argv(rng):
+    """A formula, asymptotic, conjecture or verify command line with sides
+    in -2..5 and sweeps of at most a, m <= 2 and a cap of at most 60, so
+    that every draw runs in milliseconds."""
+    def side():
+        return str(rng.randint(-2, 5))
+
+    def bound(top):
+        return str(rng.randint(-1, top))
+
+    command = rng.choice(("formula", "asymptotic", "conjecture", "verify"))
+    if command == "formula":
+        argv = ["formula", "--id", rng.choice(list(_FORMULAS)), "--m", side(),
+                "--digits", str(rng.randint(20, 60))]
+        # a side left out is a domain error for the ids that need it
+        argv += [arg for flag in ("--a", "--b", "--c") if rng.random() < 0.9
+                 for arg in (flag, side())]
+        argv += [flag for flag in ("--shifted", "--factor") if rng.random() < 0.2]
+    elif command == "asymptotic":
+        # argparse would read a negative first entry, "-1,2", as a flag
+        argv = ["asymptotic", "--a", side(), "--b", side(), "--c", side(), "--m", side(),
+                "--n-list", f"{rng.randint(0, 4)},{rng.randint(0, 4)}",
+                "--digits", str(rng.randint(20, 60))]
+    elif command == "conjecture":
+        argv = ["conjecture", "--which", rng.choice("12"), "--max-a", bound(2),
+                "--max-m", bound(2)]
+    else:
+        argv = ["verify", "--suite", rng.choice(sorted(verify.SUITES)), "--max-a", bound(2),
+                "--max-m", bound(2), "--cap", bound(60), "--jobs", "1"]
+    return argv
+
+
+def test_other_commands_exit_0_2_or_3_with_their_output(capsys, monkeypatch):
+    monkeypatch.delenv("CORED_HEX_CELL_CAP", raising=False)
+    rng = random.Random(29)
+    codes, drawn = {}, set()
+    headers = {"asymptotic": "n,log_count_over_n2,deviation",
+               "conjecture": "a,b,c,m,determinant,conjecture,status"}
+    for _ in range(400):
+        argv = drawn_other_argv(rng)
+        # an uncaught exception, a traceback, propagates out of main here
+        code, out, err = run_cli(capsys, *argv)
+        codes.setdefault(argv[0], set()).add(code)
+        drawn.add(tuple(argv[:3]))  # the command and its first flag
+        assert code in (0, 2, 3), argv
+        if code != 0:
+            assert out == "" and err.startswith("error: ") and err.count("\n") == 1, argv
+        elif argv[0] in headers:
+            assert headers[argv[0]] in out.splitlines() and err == "", argv
+        else:
+            (line,) = out.splitlines()
+            assert isinstance(json.loads(line), dict) and err == "", argv
+    assert {command: {0, 2} <= seen for command, seen in codes.items()} == {
+        "formula": True, "asymptotic": True, "conjecture": True, "verify": True
+    }
+    assert {v for c, _, v in drawn if c == "formula"} == set(_FORMULAS)
+    assert {v for c, _, v in drawn if c == "verify"} == set(verify.SUITES)

@@ -3,6 +3,7 @@ import inspect
 import itertools
 import os
 import sys
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -43,6 +44,7 @@ from cored_hexagons.tilings import (
 from region_reference import (
     reference_cells,
     reference_graph,
+    reference_orbit_edges,
     reference_ray,
     reference_reflection,
     reference_rotation,
@@ -156,15 +158,33 @@ class TestRegion:
             assert region.find(-10**6, 0, UP) == region.find(0, 10**6, DOWN) == -1
 
     def test_counts_build_no_derived_view(self, monkeypatch):
+        # no count reads the tuple-keyed views, and cyclic counts read the
+        # slots alone; plain and (-1)-counts and both enumerators read the
+        # graph, and a (-1) count changes no entry that graphs share
         def refuse(region):
             raise AssertionError("a count read a derived view")
 
+        build_graph, reads = tilings.Region.graph.func, []
+
+        def spy(region):
+            reads.append(region)
+            return build_graph(region)
+
         for view in ("cells", "cell_index"):
             monkeypatch.setattr(tilings.Region, view, property(refuse))
-        for weight in ("one", "minus1"):
-            assert count_weighted(CoredHexagon(3, 2, 2, 1), weight) == count_cored_formula(
+        monkeypatch.setattr(tilings.Region, "graph", property(spy))
+        hexagon = CoredHexagon(3, 2, 2, 1)
+        for weight in ("one", "minus1", "one"):
+            reads.clear()
+            assert count_weighted(hexagon, weight) == count_cored_formula(
                 3, 2, 2, 1, signed=weight == "minus1"
             )
+            assert reads, weight
+        for enumerator in (enumerate_tilings, enumerate_cyclic_tilings):
+            reads.clear()
+            next(enumerator(Region(CoredHexagon(2, 2, 2, 1))))
+            assert reads, enumerator.__name__
+        monkeypatch.setattr(tilings.Region, "graph", property(refuse))
         for weight in tilings.WEIGHTS:
             count_weighted(CoredHexagon(3, 3, 3, 2), weight, cyclic=True)
 
@@ -411,7 +431,7 @@ class TestFrontierCount:
             starts, i = [], 0
             while i < len(graph):
                 starts.append(i)
-                i += 1 + (graph[i] == [(2, 1)] and reached[i + 1] == 1)
+                i += 1 + (list(graph[i]) == [(2, 1)] and reached[i + 1] == 1)
             return starts
 
         code = tilings._frontier_count.__code__
@@ -516,6 +536,33 @@ class TestOrbitCount:
         monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: not sweeps_rows(hexagon))
         for (a, m), hists in expected.items():
             assert histograms(a, m) == hists, (a, m)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    def test_slot_read_orbit_edges_equal_the_graph_walk_up_to_a_6_m_8(self, monkeypatch, rows):
+        # every C_a(m) the oracle draws, and a = 6 past it, each forced into
+        # both sweeps, under the weights of n and of n6; a lowest up cell on
+        # the first line reads slot k-2L+1 wrapped round to the end, and
+        # some on later lines find no down cell in slot k-1
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
+        first_line = missing = 0
+        for a, m in itertools.product(range(7), range(9)):
+            hexagon = CoredHexagon(a, a, a, m)
+            region = Region(hexagon)
+            cells = tuple(reference_cells(hexagon, rows))
+            rotation = reference_rotation(hexagon, cells)
+            ray = {(east, west): 1 for west, east in region.reference_ray if min(west, east) >= 0}
+            for weights in (ray, tilings._n6_weights(region)):
+                edges = tilings._orbit_edges(region, weights)
+                read = Counter((o, p, e) for o, out in enumerate(edges) for p, e in out)
+                assert read == reference_orbit_edges(cells, rotation, weights), (a, m, weights)
+            stride = region._stride
+            ups = [
+                k for i, k in enumerate(region.slot_of)
+                if k % 2 == 0 and i < rotation[i] and i < rotation[rotation[i]]
+            ]
+            first_line += sum(k < stride for k in ups)
+            missing += sum(k > stride and region.slots[k - 1] < 0 for k in ups)
+        assert first_line and missing
 
     def test_enumeration_wraps_the_partner_arrays_of_the_search(self):
         region = Region(CoredHexagon(3, 3, 3, 2))
