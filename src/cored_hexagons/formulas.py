@@ -8,13 +8,13 @@ prefactor of lemma_rhs are hyperfactorial term tables on doubled integer
 arguments, t = 2x for h(x), evaluated by prime exponents: two running sums
 over a difference array give one integer weight per n up to the table's
 span, the largest n with h(n) or n! in it, and each prime's exponent is a
-sum of slices of those weights over its powers: one slice per power for a
-prime up to the square root of the span, one slice up to half the span
-and one weight above it; a leaked half power of pi raises.  The other
-products multiply Pochhammer symbols with rational bases: det(wI + B) for
-the third and sixth roots is one loop over a per-root table of Pochhammer
-rows, and the three Watson closed forms are one expression whose bases and
-lengths take the parities of a and M as half-shifts, ceilings and floors.
+sum of slices of those weights over its powers; a leaked half power of pi
+raises.  The asymptotic constant is a sum of prime logarithms whose
+integer coefficients come from the same slices.  The other products
+multiply Pochhammer symbols with rational bases: det(wI + B) for the third
+and sixth roots is one loop over a per-root table of Pochhammer rows, and
+the three Watson closed forms are one expression whose bases and lengths
+take the parities of a and M as half-shifts, ceilings and floors.
 """
 
 from __future__ import annotations
@@ -79,6 +79,7 @@ def _sieve(n: int) -> list[int]:
 
 # every prime up to _PRIMES[-1], extended on demand
 _PRIMES = [2]
+_LOG_PRIMES: dict[int, dict] = {}  # log p per working precision in bits, filled on first use
 
 
 def _primes_upto(n: int) -> list[int]:
@@ -97,6 +98,30 @@ def _product(factors: list[int]) -> int:
     return factors[0] if factors else 1
 
 
+def _root_exponents(twice: list[int]) -> dict[int, int]:
+    """The nonzero prime exponents of the square root of prod_i i**twice[i],
+    half of sum_i v_p(i) twice[i]: the slices twice[q::q] over q = p^k <= top
+    = len(twice) - 1, one slice above isqrt(top), the entry twice[p] above top // 2."""
+    top = len(twice) - 1
+    primes = _primes_upto(top)
+    low, mid = bisect_right(primes, math.isqrt(top)), bisect_right(primes, top // 2)
+    exponents = {}
+    for p in primes[:low]:
+        total, q = 0, p
+        while q <= top:
+            total += sum(twice[q::q])
+            q *= p
+        if total:
+            exponents[p] = total // 2
+    for p in primes[low:mid]:
+        if total := sum(twice[p::p]):
+            exponents[p] = total // 2
+    for p in primes[mid:]:
+        if twice[p]:
+            exponents[p] = twice[p] // 2
+    return exponents
+
+
 def _table_exponents(table) -> dict[int, int]:
     """The nonzero prime exponents of the product a doubled term table
     describes.
@@ -113,10 +138,8 @@ def _table_exponents(table) -> dict[int, int]:
     E is piecewise linear, so two running sums over its second differences
     give all of it.  It vanishes past top, the largest n with h(n) or n! in
     the table: t/2 for an even t, t + 1 for an odd one, so a table of even
-    arguments spans half its doubled arguments.  The exponent of p is the
-    sum over q = p^k <= top of the slice sums E[q::q], which is one slice
-    sum for p above isqrt(top) and the one entry E[p] for p above top // 2.
-    The 2**two rides on E[2], which only the prime 2 reads."""
+    arguments spans half its doubled arguments.  `_root_exponents` reads the
+    exponents off E; the 2**two rides on E[2], read by the prime 2 only."""
     top = max((t + 1 if t % 2 else t // 2 for args, _ in table for t in args), default=0)
     # second differences of E read from i = top down: h(n)**w adds w at
     # top + 1 - n, (n!)**f adds f at top - n and -f at top + 1 - n, and the
@@ -148,25 +171,7 @@ def _table_exponents(table) -> dict[int, int]:
     if two:
         # a half-integer argument puts top at 2 or above
         twice[2] += two
-    primes = _primes_upto(top)
-    # the bands: powers up to isqrt(top), one slice up to top // 2, one entry above
-    low = bisect_right(primes, math.isqrt(top))
-    mid = bisect_right(primes, top // 2, low)
-    exponents = {}
-    for p in primes[:low]:
-        total, q = 0, p
-        while q <= top:
-            total += sum(twice[q::q])
-            q *= p
-        if total:
-            exponents[p] = total // 2
-    for p in primes[low:mid]:
-        if total := sum(twice[p::p]):
-            exponents[p] = total // 2
-    for p in primes[mid:]:
-        if twice[p]:
-            exponents[p] = twice[p] // 2
-    return exponents
+    return _root_exponents(twice)
 
 
 def _evaluate(table) -> Fraction:
@@ -385,25 +390,25 @@ def rhs_case10(a: int, m: int) -> Fraction:
 def asymptotic_k(a: int, b: int, c: int, m: int, digits: int = 50) -> mpmath.mpf:
     """The growth constant k with L(C_{an,bn,cn}(mn)) ~ exp(k n^2).
 
-    Computed by Euler-MacLaurin from the hyperfactorial product formula:
-    log h(xn) = (xn)^2/2 log(xn) - 3(xn)^2/4 + O(n log n), and the x^2 terms
-    cancel across the product, leaving k = sum of +/- (x^2/2) log x over the
-    scaled arguments.  Arguments scaling to zero drop out; they carry zero
-    weight."""
+    By Euler-MacLaurin, log h(xn) = (xn)^2/2 log(xn) - 3(xn)^2/4 + O(n log n)
+    and the x^2 terms cancel across the product formula, leaving k the sum
+    of +/- (x^2/2) log x over its scaled arguments x.  At doubled sides the
+    term table's ceilings and floors are exact and each entry lists t = 4x,
+    so 16k is the log of the square root of the product of t**w_t, with
+    even integer weights w_t summing to 0 (the log 4 terms cancel): the sum
+    of e_p log p over the exponents e_p that `_root_exponents` reads off
+    the w_t, as it reads the exact product's.  k = 0 when every e_p is 0."""
     if min(a, b, c, m) < 0:
         raise FormulaDomainError("parameters must be nonnegative")
-    # At doubled sides every ceiling and floor of the table is exact, and
-    # its arguments are linear in (a, b, c, m); with the table's own
-    # doubling, each entry lists 4x.  Merged by argument t = 4x, the entries
-    # give k = sum of w_t log(t/4) / 32 with integer weights w_t; the log 4
-    # terms cancel exactly, since the weights sum to 0.
-    weights: dict[int, int] = {}
+    weights = [0] * (4 * (a + b + c + m) + 1)
     for ts, mult in _count_table(2 * a, 2 * b, 2 * c, 2 * m, False):
-        t = ts[0]
-        weights[t] = weights.get(t, 0) + t * t * mult * len(ts)
-    assert sum(weights.values()) == 0, "x^2 terms must cancel for a finite constant"
+        weights[ts[0]] += ts[0] * ts[0] * mult * len(ts)
+    assert sum(weights) == 0, "x^2 terms must cancel for a finite constant"
+    exponents = _root_exponents(weights)
     with mpmath.workdps(digits):
-        return mpmath.fsum(w * mpmath.log(t) for t, w in weights.items() if w) / 32
+        logs = _LOG_PRIMES.setdefault(mpmath.mp.prec, {})
+        logs.update((p, mpmath.log(p)) for p in exponents.keys() - logs.keys())
+        return mpmath.fdot(exponents.values(), map(logs.get, exponents)) / 16
 
 
 # --- conjectured off-center formulas ---------------------------------------

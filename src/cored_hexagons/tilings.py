@@ -515,28 +515,28 @@ def statistic_n6(tiling: Tiling, region: Region) -> int:
     # off-diagonal cube orbits of the plane partition (rather than their
     # complement, which has the same parity).  The reflection is an
     # involution, so the conjugate matches u with sigma[tiling[sigma[u]]].
-    sigma, find, a, m = region.reflection, region.find, region.a, region.m
+    # From U(x, y) in slot k, D(x, y) is k+1, D(x-1, y) k+left, U(x, y+1) k+up.
+    sigma, slots, slot, a, m = region.reflection, region.slots, region._slot, region.a, region.m
+    up, left = slot(0, 1, UP) - slot(0, 0, UP), slot(-1, 0, DOWN) - slot(0, 0, UP)
     total = 0
     for j in range(a):
-        start_up, start_down = find(j, a - 1 - j, UP), find(j, a - 1 - j, DOWN)
-        if min(start_up, start_down) < 0 or sigma[tiling[sigma[start_up]]] != start_down:
+        k = slot(j, a - 1 - j, UP)
+        if min(slots[k], slots[k + 1]) < 0 or sigma[tiling[sigma[slots[k]]]] != slots[k + 1]:
             continue
         total += j
-        x, y = j, a - j
+        x, y, k = j, a - j, k + up
         while True:
-            u = find(x, y, UP)
+            u = slots[k]
             assert u >= 0, "statistic path left the region"
             p = sigma[tiling[sigma[u]]]
-            if p == find(x, y, DOWN):
-                total += x
-                y += 1
-            elif p == find(x - 1, y, DOWN):
+            if p == slots[k + 1]:
+                total, y, k = total + x, y + 1, k + up
+            elif p == slots[k + left]:
                 if x == 0:
                     # crossed out of the fundamental domain; path complete
                     assert a + m <= y < 2 * a + m, (x, y)
                     break
-                x -= 1
-                y += 1
+                x, y, k = x - 1, y + 1, k + left - 1 + up
             else:
                 raise AssertionError("statistic path stepped onto an interior edge")
     return total

@@ -9,7 +9,9 @@ with them exactly, in both sweep orders.
 
 `reference_orbit_edges` is the former orbit graph of the cyclic counts:
 a walk over every forward edge of that graph that keeps the lozenges
-whose up cell is lowest in its rotation orbit.
+whose up cell is lowest in its rotation orbit.  `reference_statistic_n6`
+is the former path walk of `statistic_n6`, one `Region.find` per cell it
+looks at.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterator
 
-from cored_hexagons.tilings import DOWN, UP, CoredHexagon
+from cored_hexagons.tilings import DOWN, UP, CoredHexagon, Region, Tiling
 
 Cell = tuple[int, int, int]
 
@@ -129,3 +131,32 @@ def reference_orbit_edges(
                 low, high = sorted((orbit[up], orbit[down]))
                 edges[low, high, folded.get((up, down), 0)] += 1
     return edges
+
+
+def reference_statistic_n6(tiling: Tiling, region: Region) -> int:
+    """n6 of a cyclically symmetric tiling: the paths of one fundamental
+    domain walked through `Region.find`, conjugated by the reflection."""
+    sigma, find, a, m = region.reflection, region.find, region.a, region.m
+    total = 0
+    for j in range(a):
+        start_up, start_down = find(j, a - 1 - j, UP), find(j, a - 1 - j, DOWN)
+        if min(start_up, start_down) < 0 or sigma[tiling[sigma[start_up]]] != start_down:
+            continue
+        total += j
+        x, y = j, a - j
+        while True:
+            u = find(x, y, UP)
+            assert u >= 0, "statistic path left the region"
+            p = sigma[tiling[sigma[u]]]
+            if p == find(x, y, DOWN):
+                total += x
+                y += 1
+            elif p == find(x - 1, y, DOWN):
+                if x == 0:
+                    assert a + m <= y < 2 * a + m, (x, y)
+                    break
+                x -= 1
+                y += 1
+            else:
+                raise AssertionError("statistic path stepped onto an interior edge")
+    return total

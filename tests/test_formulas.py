@@ -41,9 +41,26 @@ from cored_hexagons.lgv import (
     transformed_cored_matrix,
 )
 from cored_hexagons.tilings import CoredHexagon, count_weighted
-from hyperfactorial_reference import hyperfactorial, legendre_exponents
+from asymptotic_reference import disagreements
+from hyperfactorial_reference import SqrtPiScaled, hyperfactorial, legendre_exponents
 
 OMEGA_CASES = (OMEGA_ONE, OMEGA_MINUS_ONE, OMEGA_THIRD, OMEGA_SIXTH)
+
+
+def trial_division(n):
+    """{prime: exponent} of the int n by trial division, with -1: 1 for a
+    negative n and {0: 1} for 0, as count_cored_factorization keys them."""
+    if n == 0:
+        return {0: 1}
+    factors, rest, d = ({-1: 1} if n < 0 else {}), abs(int(n)), 2
+    while d * d <= rest:
+        while rest % d == 0:
+            factors[d] = factors.get(d, 0) + 1
+            rest //= d
+        d += 1
+    if rest > 1:
+        factors[rest] = factors.get(rest, 0) + 1
+    return factors
 
 
 class TestMacMahon:
@@ -260,6 +277,25 @@ class TestFactorization:
         assert count_cored_factorization(1, 1, 1, 1, signed=True) == {0: 1}
         assert count_cored_factorization(0, 0, 0, 9) == {}
 
+    def test_exponents_are_the_trial_division_of_the_count(self):
+        # the count itself against the hyperfactorials multiplied out, so a
+        # wrong prime-exponent pass cannot hide behind its own product
+        rng = random.Random(31)
+        for _ in range(24):
+            a, b, m = rng.randint(0, 40), rng.randint(0, 40), rng.randint(0, 40)
+            c = rng.randrange(b % 2, 41, 2)
+            for signed in (False, True):
+                value = count_cored_formula(a, b, c, m, signed)
+                sign, table = formulas._count_terms(a, b, c, m, signed)
+                reference = math.prod(
+                    (hyperfactorial(Fraction(t, 2)) ** mult for ts, mult in table for t in ts),
+                    start=SqrtPiScaled.of(1),
+                )
+                assert value == sign * reference.to_rational(), (a, b, c, m, signed)
+                assert count_cored_factorization(a, b, c, m, signed) == trial_division(value), (
+                    a, b, c, m, signed
+                )
+
     def test_large_count_is_factored_without_multiplying_out(self):
         factors = count_cored_factorization(64, 64, 64, 64)
         assert max(factors) < 2 * 256
@@ -396,6 +432,22 @@ class TestAsymptotics:
         for digits in (30, 50, 80):
             k = asymptotic_k(*params, digits=digits)
             assert k == 0 and mpmath.nstr(k, digits - 5) == "0.0"
+
+    def test_prime_logarithms_equal_the_per_argument_sum(self):
+        # every shape with entries up to 4, at four precisions: the printed
+        # digits agree and the values lie within 10^-(digits-3)
+        assert list(disagreements(4, (20, 30, 50, 60))) == []
+
+    def test_exactly_zero_on_every_one_tiling_shape_up_to_4(self):
+        zeros = 0
+        for shape in itertools.product(range(5), repeat=4):
+            one_tiling = all(
+                count_cored_formula(*(n * side for side in shape)) == 1 for n in (2, 4)
+            )
+            k = asymptotic_k(*shape, digits=30)
+            assert (k == 0) == one_tiling, shape
+            zeros += one_tiling
+        assert zeros > 100
 
     def test_convergence_with_zero_core(self):
         k = asymptotic_k(1, 1, 1, 0)

@@ -48,6 +48,7 @@ from region_reference import (
     reference_ray,
     reference_reflection,
     reference_rotation,
+    reference_statistic_n6,
 )
 from text_formats import region_to_text, tiling_from_text, tiling_to_text
 
@@ -506,6 +507,8 @@ class TestOrbitCount:
                 for tiling in enumerate_cyclic_tilings(region, cap=80):
                     assert is_cyclically_symmetric(tiling, region)
                     n6 = statistic_n6(tiling, region)
+                    # the slot walk reads the paths the find walk reads
+                    assert n6 == reference_statistic_n6(tiling, region)
                     hist_n[statistic_n(tiling, region) % 6] += 1
                     hist_n6[n6 % 6] += 1
                     # the weight table reproduces the path walk of statistic_n6
@@ -563,6 +566,18 @@ class TestOrbitCount:
             first_line += sum(k < stride for k in ups)
             missing += sum(k > stride and region.slots[k - 1] < 0 for k in ups)
         assert first_line and missing
+
+    def test_slot_walk_of_n6_follows_the_row_sweep(self, monkeypatch):
+        # a = b = c sweeps by columns, where the test above compares the two
+        # walks; forced into rows, the walk's slot offsets must follow
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: True)
+        checked = 0
+        for a, m in itertools.product(range(5), range(4)):
+            region = Region(CoredHexagon(a, a, a, m))
+            for tiling in enumerate_cyclic_tilings(region, cap=80):
+                assert statistic_n6(tiling, region) == reference_statistic_n6(tiling, region)
+                checked += 1
+        assert checked > 1000, checked
 
     def test_enumeration_wraps_the_partner_arrays_of_the_search(self):
         region = Region(CoredHexagon(3, 3, 3, 2))
