@@ -12,22 +12,27 @@ building it takes one `comb` per k.  Before the kernel runs, each row's
 content (the gcd of its ints, or of both coordinates of its pairs) is taken
 out, the one reduction a row gets, and the product of the contents
 multiplies the kernel's determinant of the primitive rows.  The kernel runs
-over a ring table (zero, one, size, step) whose step is one checked
+over a ring table (zero, one, size, step, sub) whose step is one checked
 whole-row operation, [(a v - b w) / d for v, w in zip(row, tail)], or with
-a third term [(a v - b w + c u) / d ...]; over Z[tau] (tau^2 = t*tau - 1)
-it multiplies pairs inline, with the conjugate and norm from `exactnum`.
-The determinant is divided once by the product of the row denominators.
-Every division is exact and checked (AssertionError otherwise), a step by
-d = 1 divides nothing (and, over Z, multiplies nothing by a = 1), and rows
-that a step would only rescale are rescaled when next used.  Each step
-pivots on the smallest nonzero entry of its column (in bit length), which
-keeps the intermediate minors small.  Where neither the previous pivot nor
-the new one is 1 and at least three rows lie below the pivot row, one pass
-clears two columns (Bareiss's two-step method, Math. Comp. 22, 1968): each
-entry costs three products and one checked division by the previous pivot,
-not the four and two of two single steps, and the rows between are never
-formed.  On the order-40 cored matrix C_{20,20,20}(20) the kernel's steps
-form 1.01M bits on the primitive rows, 1.26M with single steps alone.
+a third term [(a v - b w + c u) / d ...], and whose sub writes v - x w in
+place over a span of a row; over Z[tau] (tau^2 = t*tau - 1) both multiply
+pairs inline, with the conjugate and norm from `exactnum`.  The determinant
+is divided once by the product of the row denominators.  Every division is
+exact and checked (AssertionError otherwise), a step by d = 1 divides
+nothing, and rows that a step would only rescale are rescaled when next
+used.  Each step pivots on the smallest nonzero entry of its column (in bit
+length), which keeps the intermediate minors small; while every pivot so far
+is 1, the scan stops at the first entry of 1's size.  Most cored-matrix rows
+lead with a 1 in a column of their own: where the pivot and the one before
+are both 1, a step subtracts x times the pivot row only up to the pivot
+row's last nonzero entry, by sub, as v - x 0 = v past it.  Where neither
+the previous pivot nor the new one is 1 and at least three rows lie below
+the pivot row, one pass clears two columns (Bareiss's two-step method,
+Math. Comp. 22, 1968): each entry costs three products and one checked
+division by the previous pivot, not the four and two of two single steps,
+and the rows between are never formed.  On the order-40 cored matrix
+C_{20,20,20}(20) the kernel's steps form 0.87M bits on the primitive rows,
+1.12M with single steps alone.
 """
 
 from __future__ import annotations
@@ -116,8 +121,6 @@ def _int_step(row, a, tail, b, d, c=None, other=None):
             out.append(q)
         return out
     if d == 1:
-        if a == 1:
-            return [v - b * w for v, w in zip(row, tail)]
         return [a * v - b * w for v, w in zip(row, tail)]
     out = []
     for v, w in zip(row, tail):
@@ -131,7 +134,7 @@ def _int_step(row, a, tail, b, d, c=None, other=None):
 def _pair_ring(t: int):
     """Z[tau] on (c0, c1) integer pairs, tau^2 = t*tau - 1.  A product by a
     fixed a is (a0 v0 - a1 v1, a1 v0 + (a0 + t a1) v1), a's coordinates
-    bound once per step.  A row step divides by d as a multiply by its
+    bound once per step or sub.  A row step divides by d as a multiply by its
     conjugate and a checked division by its norm, both computed once per
     step; by d = 1 it divides nothing."""
     one = (1, 0)
@@ -168,19 +171,36 @@ def _pair_ring(t: int):
             out[j] = (q0, q1)
         return out
 
-    return (0, 0), one, size, step
+    def sub(row, x, span, start):
+        (x0, x1), end = x, start + len(span)
+        xt = x0 + t * x1
+        row[start:end] = [
+            (v0 - x0 * w0 + x1 * w1, v1 - x1 * w0 - xt * w1)
+            for (v0, v1), (w0, w1) in zip(row[start:end], span)
+        ]
+
+    return (0, 0), one, size, step, sub
 
 
-_INT_RING = (0, 1, int.bit_length, _int_step)
+def _int_sub(row, x, span, start):
+    """v - x w for the entries v from row[start] on and w in span, in place:
+    the step by a = 1 over d = 1, over the span alone."""
+    end = start + len(span)
+    row[start:end] = [v - x * w for v, w in zip(row[start:end], span)]
+
+
+_INT_RING = (0, 1, int.bit_length, _int_step, _int_sub)
 _KERNEL_RINGS = {ring: _pair_ring(t) for ring, t in TRACE.items()}
 
 
-def _bareiss(m, zero, one, size, step):
+def _bareiss(m, zero, one, size, step, sub):
     """Determinant of the square list of rows m (overwritten) over one ring:
     step(row, a, tail, b, d) is [(a v - b w) / d for v, w in zip(row, tail)]
     and step(row, a, tail, b, d, c, other) adds c u for u in other to each
-    numerator, each division checked; size(x) is the bit length the pivot
-    rule uses.
+    numerator, each division checked; sub(row, x, span, start) sets the
+    entries v from row[start] on to v - x w for w in span, the step by
+    a = 1 over d = 1, in place; size(x) is the bit length the pivot rule
+    uses.
 
     Step k sets each later row to (p_k row - row[k] pivot_row) / p_{k-1}.
     A row with row[k] = 0 would only be scaled by p_k / p_{k-1}, so it is
@@ -194,6 +214,14 @@ def _bareiss(m, zero, one, size, step):
     the lowest row, and each swap flips the sign.  Small pivots keep the
     minors formed along the way small: on the cored-hexagon matrices the
     quotients carry about a fifth of the bits that diagonal pivots form.
+    While every pivot so far is 1, no row is deferred and every since[i]
+    has size(one), the least size of a nonzero entry, so the scan stops at
+    the first entry of that size: the rule's own choice.
+
+    A unit step, where p_k and p_{k-1} are both 1, sets each later row
+    nonzero in column k (after its catch-up) to row - row[k] pivot_row by
+    sub, in place over columns k+1 up to the pivot row's last nonzero
+    entry: past it the entries would be v - x 0 = v, so they are not formed.
 
     When neither d = p_{k-1} nor p_k is 1 and at least three rows lie below
     the pivot row, one pass clears columns k and k+1 (Bareiss's two-step
@@ -217,7 +245,8 @@ def _bareiss(m, zero, one, size, step):
     n = len(m)
     if n == 0:
         return one
-    sign, prev, since = 1, one, [(one, size(one))] * n
+    # ones: every pivot so far is 1, so no row is deferred
+    sign, prev, since, ones = 1, one, [(one, size(one))] * n, True
 
     def catch_up(i, k):
         then, row = since[i][0], m[i]
@@ -234,6 +263,8 @@ def _bareiss(m, zero, one, size, step):
                 s = size(x) - since[i][1]
                 if best is None or s < least:
                     best, least = i, s
+                    if ones and not s:  # no entry is smaller, and ties go to it
+                        break
         if best is None:
             return zero
         if best != k:
@@ -241,7 +272,14 @@ def _bareiss(m, zero, one, size, step):
             since[k], since[best] = since[best], since[k]
             sign = -sign
         pivot_row = catch_up(k, k)
-        p, tail = pivot_row[k], pivot_row[k + 1 :]
+        p, end = pivot_row[k], n
+        unit = p == one and prev == one
+        if unit:  # a unit step's tail ends at the last nonzero entry
+            while pivot_row[end - 1] == zero:
+                end -= 1
+        else:
+            ones = False
+        tail = pivot_row[k + 1 : end]
         if prev == one or p == one or n - k < 4:  # a single step
             pivot = (p, size(p))
             for i in range(k + 1, n):
@@ -250,7 +288,10 @@ def _bareiss(m, zero, one, size, step):
                     then = since[i][0]
                     if then is not prev:  # catch_up, inlined in the hottest loop
                         row[k:] = step(row[k:], prev, row[k:], zero, then)
-                    row[k + 1 :] = step(row[k + 1 :], p, tail, row[k], prev)
+                    if unit:
+                        sub(row, row[k], tail, k + 1)
+                    else:
+                        row[k + 1 :] = step(row[k + 1 :], p, tail, row[k], prev)
                     since[i] = pivot
             prev = p
             continue

@@ -279,6 +279,12 @@ class Region:
         dy = self.x0 + 2 * self.y0 + self.m - 1
         return self._symmetry("reflection", lambda x, y, o: (x, dy - o - x - y))
 
+    @cached_property
+    def _up_rotation(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
+        """The up cells in index order and their images under `rotation`."""
+        ups = tuple(i for i, k in enumerate(self.slot_of) if not k & 1)
+        return ups, tuple(map(self.rotation.__getitem__, ups))
+
     def __repr__(self) -> str:
         h = self.hexagon
         return f"Region(C_{{{h.a},{h.b},{h.c}}}({h.m}), {len(self.slot_of)} cells)"
@@ -543,10 +549,13 @@ def statistic_n6(tiling: Tiling, region: Region) -> int:
 
 
 def is_cyclically_symmetric(tiling: Tiling, region: Region) -> bool:
-    """Whether the 120-degree rotation maps the tiling to itself; only
-    defined for a = b = c."""
-    rot = region.rotation
-    return [tiling[r] for r in rot] == [rot[p] for p in tiling]
+    """Whether the 120-degree rotation r maps the tiling t to itself,
+    t(r(x)) = r(t(x)) for every cell x; only defined for a = b = c.  The up
+    cells decide: every down cell d is t(u) for the up cell u = t(d), and
+    t is an involution, so t(r(u)) = r(t(u)) = r(d) gives
+    t(r(d)) = r(u) = r(t(d))."""
+    rot, (ups, turned) = region.rotation, region._up_rotation
+    return [tiling[r] for r in turned] == [rot[tiling[u]] for u in ups]
 
 
 def count_weighted(

@@ -91,3 +91,72 @@ def zero_biased_rows(rng, n: int, pairs: bool = False, max_den: int = 1):
     else:
         rows = [[columns[j][i] for j in range(n)] for i in range(n)]
     return rows, [rng.randint(1, max_den) for _ in range(n)]
+
+
+def staircase_rows(rng, n: int, t=None):
+    """Seeded n x n coordinate rows shaped like the cored matrices, on which
+    the kernel takes runs of unit steps: ints when t is None, else (c0, c1)
+    int pairs of Z[tau], tau^2 = t*tau - 1.
+
+    The first rows are a staircase: row i leads with an entry in column i
+    and carries a banded tail of up to four entries that ends in zeros.
+    Most leads are 1.  A unit u other than 1 ends a run of unit pivots, and
+    u^-1 a lead or two later resumes it; a lead of larger size ends it for
+    good.  The other rows are dense and zero-biased; they sit below the
+    staircase, and on some matrices a few of them above it.  Where u ends a
+    run, the staircase rows from u's to u^-1's are zero past their leads up
+    to the next lead, and one dense row is zero in those columns, nonzero in
+    u's and the next lead's: it is deferred across pivots other than 1 and
+    catches up before a unit step."""
+    if t is None:
+        zero, one, inverses, larger = 0, 1, ((-1, -1),), (2, 3, -2, 6)
+    else:
+        zero, one, larger = (0, 0), (1, 0), ((2, 0), (1, -2), (0, 3))
+        # tau^-1 = t - tau
+        inverses = (
+            ((-1, 0), (-1, 0)), ((0, 1), (t, -1)), ((t, -1), (0, 1)), ((0, -1), (-t, 1))
+        )
+
+    def entry(bound):
+        r = rng.random()
+        if r < 0.3:
+            return zero
+        top = 2**40 if r > 0.97 else bound
+        coordinates = [rng.randint(-top, top) for _ in range(1 if t is None else 2)]
+        return coordinates[0] if t is None else tuple(coordinates)
+
+    steps = rng.randint((n + 1) // 2, n) if n else 0
+    values, pairs = [], []  # pairs: the columns of u and of u^-1
+    while len(values) < steps:
+        r = rng.random()
+        if r < 0.7:
+            values.append(one)
+        elif r < 0.9:
+            u, inverse = rng.choice(inverses)
+            gap = rng.randint(0, 1)
+            pairs.append((len(values), len(values) + gap + 1))
+            values += [u] + [one] * gap + [inverse]
+        else:
+            values.append(rng.choice(larger))
+    values = values[:steps]
+    rows = []
+    for c, value in enumerate(values):
+        row = [zero] * n
+        row[c] = value
+        for j in range(c + 1, min(n, c + 1 + rng.randint(0, 4))):
+            row[j] = entry(3)
+        rows.append(row)
+    dense = [[entry(rng.choice((1, 3, 9))) for _ in range(n)] for _ in range(n - steps)]
+    for c, c2 in pairs:
+        if c2 + 1 >= steps or not dense:
+            continue
+        for i in range(c2 + 1):  # no fill-in in columns c+1..c2
+            for j in range(max(i + 1, c + 1), c2 + 1):
+                rows[i][j] = zero
+        row = rng.choice(dense)
+        row[c + 1 : c2 + 1] = [zero] * (c2 - c)
+        for j in (c, c2 + 1):
+            while row[j] == zero:
+                row[j] = entry(3)
+    above = rng.randint(0, len(dense)) if rng.random() < 0.2 else 0
+    return dense[:above] + rows + dense[above:]

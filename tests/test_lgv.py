@@ -33,24 +33,29 @@ from cored_hexagons.lgv import (
     zn_factor_pair,
 )
 from cored_hexagons.tilings import CoredHexagon, count_weighted
-from elimination_reference import determinant as elimination_det, zero_biased_rows
+from elimination_reference import determinant as elimination_det, staircase_rows, zero_biased_rows
 from text_formats import matrix_of, matrix_to_text, matrix_values
 
 DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def cofactor_det(rows):
-    n = len(rows)
-    if n == 0:
-        return 1
-    if n == 1:
-        return rows[0][0]
-    total = 0
-    for j in range(n):
-        minor = [row[:j] + row[j + 1 :] for row in rows[1:]]
-        term = rows[0][j] * cofactor_det(minor)
-        total = total + (term if j % 2 == 0 else -term)
-    return total
+    """Laplace expansion along the first row, each minor computed once: the
+    minor on the last k rows is memoized on the set of k columns it keeps."""
+    n, minors = len(rows), {0: 1}
+
+    def minor(columns):  # a bitmask
+        if columns not in minors:
+            row, total, sign = rows[n - columns.bit_count()], 0, 1
+            for j in range(n):
+                if columns >> j & 1:
+                    term = row[j] * minor(columns & ~(1 << j))
+                    total = total + (term if sign > 0 else -term)
+                    sign = -sign
+            minors[columns] = total
+        return minors[columns]
+
+    return minor((1 << n) - 1)
 
 
 def cored_matrix_entries(a, b, c, m, epsilon):
@@ -169,7 +174,7 @@ class TestDeterminant:
 
     def test_each_ring_checks_exact_division(self):
         def divide(ring, x, d):  # the catch-up form of the row step
-            zero, one, _, step = ring
+            zero, one, _, step, _ = ring
             return step([x], one, [x], zero, d)[0]
 
         assert divide(lgv._INT_RING, -12, 4) == -3
@@ -207,7 +212,7 @@ class TestDeterminant:
         ],
     )
     def test_row_step_refuses_an_inexact_division(self, ring, row, a, tail, b, d):
-        _, _, _, step = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
+        _, _, _, step, _ = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
         with pytest.raises(AssertionError, match="exact division"):
             step(row, a, tail, b, d)
 
@@ -228,7 +233,7 @@ class TestDeterminant:
         ],
     )
     def test_three_term_step_refuses_an_inexact_division(self, ring, row, a, tail, b, d, c, other):
-        _, _, _, step = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
+        _, _, _, step, _ = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
         with pytest.raises(AssertionError, match="exact division"):
             step(row, a, tail, b, d, c, other)
 
@@ -236,15 +241,15 @@ class TestDeterminant:
     @settings(max_examples=200, deadline=None)
     def test_row_step_by_one_equals_the_dividing_path(self, data):
         ring = data.draw(st.sampled_from([RING_INTEGER, RING_CYCLO3, RING_CYCLO6]))
-        zero, one, _, step = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
+        zero, one, _, step, sub = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
         coordinate = st.integers(-50, 50)
         if ring == RING_INTEGER:
             value, mul = coordinate, lambda x, y: x * y
         else:
             value, mul = st.tuples(coordinate, coordinate), exactnum.pair_mul(exactnum.TRACE[ring])
         n = data.draw(st.integers(0, 4))
-        # a = one takes the step's no-multiply path; zeros in the tail leave
-        # entries of the row as they are; the three-term form adds c u
+        # a may be one; zeros in the tail leave entries of the row as they
+        # are; the three-term form adds c u
         row = data.draw(st.lists(value, min_size=n, max_size=n))
         tail = data.draw(st.lists(st.just(zero) | value, min_size=n, max_size=n))
         a, b = data.draw(st.just(one) | value), data.draw(value)
@@ -256,6 +261,11 @@ class TestDeterminant:
         by_one = step(row, a, tail, b, one, *extra)
         extra_by_d = (mul(c, d), other) if third else ()
         assert by_one == step(row, mul(a, d), tail, mul(b, d), d, *extra_by_d)
+        # sub is the step by a = 1 over d = 1, in place from `start` on and
+        # over the span's length only
+        padded = [d] + row + [d]
+        sub(padded, b, tail, 1)
+        assert padded == [d] + step(row, one, tail, b, one) + [d]
         if ring == RING_INTEGER:
             assert by_one == [a * v - b * w + c * u for v, w, u in zip(row, tail, other)]
         else:
@@ -295,26 +305,57 @@ class TestDeterminant:
         assert expected != 0
         assert det_fraction_free(matrix_of(rows, ring)) == expected
 
+    def test_the_scan_stops_early_only_while_every_pivot_is_one(self):
+        # Step 0 is a unit step, over row 0's tail up to its 2; step 1
+        # pivots on 3 (row 3's 4 - 2 = 2 ties in size, row 1 is lower), so
+        # the all-unit prefix ends.  At step 2 row 2 is stale: its 1 stands
+        # for 3 once caught up.  Row 3 is current and holds 3*1 - 2*1 = 1,
+        # smaller against the pivot 3, so it is the rule's choice, although
+        # the scan meets row 2's entry of 1's size first.
+        rows = [[1, 2, 0, 0, 0], [0, 3, 1, 0, 0], [0, 0, 1, 5, 7], [1, 4, 1, 1, 2], [0, 0, 0, 1, 2]]
+        m = [list(row) for row in rows]
+        built = list(m)
+        assert lgv._bareiss(m, *lgv._INT_RING) == -3 == elimination_det(rows)
+        order = [next(i for i, row in enumerate(built) if row is pivot_row) for pivot_row in m]
+        assert order[:3] == [0, 1, 3]
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_matches_the_elimination_reference_on_staircases(self, data):
+        # runs of unit steps cut short at the pivot row's last nonzero entry,
+        # runs ended by a unit other than 1 or by a larger lead, and rows
+        # deferred across those that catch up before a unit step
+        ring = data.draw(st.sampled_from([RING_INTEGER, RING_CYCLO3, RING_CYCLO6]))
+        n = data.draw(st.integers(0, 12))
+        t = exactnum.TRACE.get(ring)
+        rows = staircase_rows(random.Random(data.draw(st.integers(0, 2**32 - 1))), n, t)
+        det = det_fraction_free(ExactMatrix(ring, tuple(map(tuple, rows))))
+        assert (det if t is None else (det.c0, det.c1)) == elimination_det(rows, t)
+
     def test_pivot_rule_keeps_the_quotients_small(self):
         # total bit length (the larger coordinate for a pair) of every entry
-        # that `step` forms, unit-divisor steps, catch-ups and the two-step
-        # passes' e, f and three-term tails included; on the order-40 cored
-        # matrix diagonal pivots form 6,838,654 bits and the smallest ones
-        # 1,442,513 with one-step elimination alone, 1,151,744 with two-step
-        # passes, and 1,010,465 on its primitive rows, the rows that
-        # det_fraction_free hands the kernel.  A two-step pass forms no
-        # level-(k+1) row, so each total is below its one-step value.  Exact
-        # totals pin the pivot sequence.
+        # that a ring op forms: `step` (unit-divisor steps, catch-ups and the
+        # two-step passes' e, f and three-term tails included) and `sub`,
+        # which a unit step runs only up to the pivot row's last nonzero
+        # entry.  On the order-40 cored matrix diagonal pivots form 6,838,654
+        # bits and the smallest ones 1,442,513 with one-step elimination over
+        # whole tails; with unit steps cut short, 1,271,979 with one-step
+        # elimination, 981,210 with two-step passes (1,151,744 over whole
+        # tails), and 866,534 on its primitive rows, the rows that
+        # det_fraction_free hands the kernel (1,119,056 one-step, 1,010,465
+        # over whole tails).  The omega-shifted matrices take no unit step.
+        # A two-step pass forms no level-(k+1) row, so each total is below
+        # its one-step value.  Exact totals pin the pivot sequence.
         cored = build_cored_matrix(20, 20, 20, 20)
         primitive = tuple(tuple(x // gcd(*row) for x in row) for row in cored.rows)
-        for matrix, total, one_step in (
-            (cored, 1_151_744, 1_442_513),
-            (ExactMatrix(RING_INTEGER, primitive), 1_010_465, 1_262_987),
-            (build_omega_shift(18, 6, omega3()), 44_075, 73_626),
-            (build_omega_shift(18, 6, omega6()), 44_788, 74_704),
+        for matrix, total, one_step, units in (
+            (cored, 981_210, 1_271_979, 400),
+            (ExactMatrix(RING_INTEGER, primitive), 866_534, 1_119_056, 400),
+            (build_omega_shift(18, 6, omega3()), 44_075, 73_626, 0),
+            (build_omega_shift(18, 6, omega6()), 44_788, 74_704, 0),
         ):
-            zero, one, size, step = lgv._KERNEL_RINGS.get(matrix.ring, lgv._INT_RING)
-            bits = three_term = 0
+            zero, one, size, step, sub = lgv._KERNEL_RINGS.get(matrix.ring, lgv._INT_RING)
+            bits = three_term = unit_rows = short = 0
 
             def counting_step(*args):
                 nonlocal bits, three_term
@@ -323,8 +364,19 @@ class TestDeterminant:
                 three_term += len(args) == 7
                 return out
 
-            lgv._bareiss([list(row) for row in matrix.rows], zero, one, size, counting_step)
+            def counting_sub(row, x, span, start):
+                nonlocal bits, unit_rows, short
+                end = start + len(span)
+                assert not span or span[-1] != zero
+                sub(row, x, span, start)
+                bits += sum(map(size, row[start:end]))
+                unit_rows += 1
+                short += end < len(row)
+
+            rows = [list(row) for row in matrix.rows]
+            lgv._bareiss(rows, zero, one, size, counting_step, counting_sub)
             assert three_term > 0, matrix.ring
+            assert unit_rows == units and (short > 0) == (units > 0), matrix.ring
             assert bits < one_step, matrix.ring
             assert bits == total, matrix.ring
 

@@ -660,6 +660,19 @@ class TestCyclic:
             direct = set(enumerate_cyclic_tilings(region))
             assert filtered == direct
 
+    def test_the_up_cells_decide_the_symmetry(self):
+        # against t(r(x)) = r(t(x)) on every cell, on every tiling of C_a(m)
+        # with a <= 3 and m <= 2, symmetric or not; C_3(2) has 13,608
+        seen = set()
+        for a, m in itertools.product(range(4), range(3)):
+            region = Region(CoredHexagon(a, a, a, m))
+            rot = region.rotation
+            for tiling in enumerate_tilings(region):
+                every_cell = [tiling[r] for r in rot] == [rot[p] for p in tiling]
+                assert is_cyclically_symmetric(tiling, region) == every_cell, (a, m)
+                seen.add(every_cell)
+        assert seen == {True, False}
+
     def test_needs_equilateral(self):
         region = Region(CoredHexagon(2, 4, 2, 1))
         tiling = next(enumerate_tilings(region))
