@@ -15,14 +15,14 @@ multiplies the kernel's determinant of the primitive rows.  The kernel runs
 over a ring table (zero, one, size, step, sub) whose step is one checked
 whole-row operation, [(a v - b w) / d for v, w in zip(row, tail)], or with
 a third term [(a v - b w + c u) / d ...], and whose sub writes v - x w in
-place over a span of a row; over Z[tau] (tau^2 = t*tau - 1) both multiply
-pairs inline, with the conjugate and norm from `exactnum`.  The determinant
-is divided once by the product of the row denominators.  Every division is
-exact and checked (AssertionError otherwise), a step by d = 1 divides
-nothing, and rows that a step would only rescale are rescaled when next
-used.  Each step pivots on the smallest nonzero entry of its column (in bit
-length), which keeps the intermediate minors small; while every pivot so far
-is 1, the scan stops at the first entry of 1's size.  Most cored-matrix rows
+place over a span of a row; over Z[tau] (tau^2 = t*tau - 1) step
+multiplies pairs inline, with the conjugate and norm from `exactnum`, and
+sub is the step by 1 over 1.  The determinant is divided once by the
+product of the row denominators.  Every division is exact and checked
+(AssertionError otherwise), a step by d = 1 divides nothing, and every row
+is current at every step.  Each step pivots on the smallest nonzero entry
+of its column (in bit length), which keeps the intermediate minors small;
+the scan stops at the first entry of 1's size.  Most cored-matrix rows
 lead with a 1 in a column of their own: where the pivot and the one before
 are both 1, a step subtracts x times the pivot row only up to the pivot
 row's last nonzero entry, by sub, as v - x 0 = v past it.  Where neither
@@ -134,9 +134,10 @@ def _int_step(row, a, tail, b, d, c=None, other=None):
 def _pair_ring(t: int):
     """Z[tau] on (c0, c1) integer pairs, tau^2 = t*tau - 1.  A product by a
     fixed a is (a0 v0 - a1 v1, a1 v0 + (a0 + t a1) v1), a's coordinates
-    bound once per step or sub.  A row step divides by d as a multiply by its
+    bound once per step.  A row step divides by d as a multiply by its
     conjugate and a checked division by its norm, both computed once per
-    step; by d = 1 it divides nothing."""
+    step; by d = 1 it divides nothing.  sub is the step by a = 1 over d = 1
+    on its span."""
     one = (1, 0)
 
     def size(x) -> int:
@@ -172,12 +173,8 @@ def _pair_ring(t: int):
         return out
 
     def sub(row, x, span, start):
-        (x0, x1), end = x, start + len(span)
-        xt = x0 + t * x1
-        row[start:end] = [
-            (v0 - x0 * w0 + x1 * w1, v1 - x1 * w0 - xt * w1)
-            for (v0, v1), (w0, w1) in zip(row[start:end], span)
-        ]
+        end = start + len(span)
+        row[start:end] = step(row[start:end], one, span, x, one)
 
     return (0, 0), one, size, step, sub
 
@@ -202,110 +199,85 @@ def _bareiss(m, zero, one, size, step, sub):
     a = 1 over d = 1, in place; size(x) is the bit length the pivot rule
     uses.
 
-    Step k sets each later row to (p_k row - row[k] pivot_row) / p_{k-1}.
-    A row with row[k] = 0 would only be scaled by p_k / p_{k-1}, so it is
-    skipped, since[i] keeping the pivot it is current for and its size;
-    when next used it catches up by step(row, p_now, row, zero, p_then), a
-    division exact too, as the entries are minors, and checked.
+    Step k sets each later row to (p_k row - row[k] pivot_row) / p_{k-1}, so
+    every row is current at every step.  A row with row[k] = 0 is rescaled
+    at once by p_k / p_{k-1}, a division exact too, as the entries are
+    minors, and checked; it is left as it is only where p_k = p_{k-1}.
 
-    The pivot p_k is the smallest nonzero column-k entry among rows k..n-1,
-    a deferred row sized as it will be after catching up (its entry's size
-    less that of since[i]; the common factor p_{k-1} drops out); ties go to
-    the lowest row, and each swap flips the sign.  Small pivots keep the
-    minors formed along the way small: on the cored-hexagon matrices the
-    quotients carry about a fifth of the bits that diagonal pivots form.
-    While every pivot so far is 1, no row is deferred and every since[i]
-    has size(one), the least size of a nonzero entry, so the scan stops at
-    the first entry of that size: the rule's own choice.
+    The pivot p_k is the smallest nonzero column-k entry among rows k..n-1;
+    ties go to the lowest row, and each swap flips the sign.  Small pivots
+    keep the minors formed along the way small: on the cored-hexagon
+    matrices the quotients carry about a fifth of the bits that diagonal
+    pivots form.  No nonzero entry is smaller than size(one), so the scan
+    stops at the first entry of that size: the rule's own choice.
 
     A unit step, where p_k and p_{k-1} are both 1, sets each later row
-    nonzero in column k (after its catch-up) to row - row[k] pivot_row by
-    sub, in place over columns k+1 up to the pivot row's last nonzero
-    entry: past it the entries would be v - x 0 = v, so they are not formed.
+    nonzero in column k to row - row[k] pivot_row by sub, in place over
+    columns k+1 up to the pivot row's last nonzero entry: past it the
+    entries would be v - x 0 = v, so they are not formed.
 
     When neither d = p_{k-1} nor p_k is 1 and at least three rows lie below
     the pivot row, one pass clears columns k and k+1 (Bareiss's two-step
     method: E. H. Bareiss, "Sylvester's identity and multistep
-    integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  Each
-    later row nonzero in either column catches up, and one step over their
-    entries forms each row's level-(k+1) entry
+    integer-preserving Gaussian elimination", Math. Comp. 22, 1968).  One
+    step over the entries of every later row forms its level-(k+1) entry
     e = (p_k row[k+1] - row[k] pivot_row[k+1]) / d.  The row with the
     smallest nonzero e, the lowest on ties (the pivot rule's choice at
     step k+1, sized exactly), is swapped to k+1, flipping the sign, and its
     e is p_{k+1}; no nonzero e means det = 0.  With r that second pivot row,
     one more step forms f = (r[k] row[k+1] - r[k+1] row[k]) / d, and every
-    other such row's tail becomes (p_{k+1} row - e r + f pivot_row) / d,
+    other later row's tail becomes (p_{k+1} row - e r + f pivot_row) / d,
     Sylvester's 3 x 3 minor over d^2: three products and one checked
     division per entry where two single steps take four and two, and no
-    level-(k+1) row is formed.  A row zero in both columns is deferred as
-    before.  Where d or p_k is 1 a single step costs one product or none,
-    and with two rows below the pivot row the pass would form one product
-    more per row than two single steps and no fewer divisions, so there the
-    single steps stay."""
+    level-(k+1) row is formed.  A row zero in both columns has e = f = 0,
+    so it is rescaled by p_{k+1} / d.  Where d or p_k is 1 a single step
+    costs one product or none, and with two rows below the pivot row the
+    pass would form one product more per row than two single steps and no
+    fewer divisions, so there the single steps stay."""
     n = len(m)
     if n == 0:
         return one
-    # ones: every pivot so far is 1, so no row is deferred
-    sign, prev, since, ones = 1, one, [(one, size(one))] * n, True
-
-    def catch_up(i, k):
-        then, row = since[i][0], m[i]
-        if then is not prev:  # the same object means the same value
-            row[k:] = step(row[k:], prev, row[k:], zero, then)
-        return row
-
+    sign, prev, least_size = 1, one, size(one)
     columns = iter(range(n - 1))
     for k in columns:
         best = None
         for i in range(k, n):
             x = m[i][k]
             if x != zero:
-                s = size(x) - since[i][1]
+                s = size(x)
                 if best is None or s < least:
                     best, least = i, s
-                    if ones and not s:  # no entry is smaller, and ties go to it
+                    if s == least_size:  # no entry is smaller, and ties go to it
                         break
         if best is None:
             return zero
         if best != k:
             m[k], m[best] = m[best], m[k]
-            since[k], since[best] = since[best], since[k]
             sign = -sign
-        pivot_row = catch_up(k, k)
+        pivot_row = m[k]
         p, end = pivot_row[k], n
         unit = p == one and prev == one
         if unit:  # a unit step's tail ends at the last nonzero entry
             while pivot_row[end - 1] == zero:
                 end -= 1
-        else:
-            ones = False
         tail = pivot_row[k + 1 : end]
         if prev == one or p == one or n - k < 4:  # a single step
-            pivot = (p, size(p))
-            for i in range(k + 1, n):
-                row = m[i]
-                if row[k] != zero:
-                    then = since[i][0]
-                    if then is not prev:  # catch_up, inlined in the hottest loop
-                        row[k:] = step(row[k:], prev, row[k:], zero, then)
+            for row in m[k + 1 :]:
+                x = row[k]
+                if x != zero or p != prev:  # where x is 0 the step only rescales
                     if unit:
-                        sub(row, row[k], tail, k + 1)
+                        sub(row, x, tail, k + 1)
                     else:
-                        row[k + 1 :] = step(row[k + 1 :], p, tail, row[k], prev)
-                    since[i] = pivot
+                        row[k + 1 :] = step(row[k + 1 :], p, tail, x, prev)
             prev = p
             continue
-        # two-step pass over the rows nonzero in column k or k+1; e and f
-        # take one step each over all of them (explicit loops: a
-        # comprehension here would make k a closure cell)
-        live, rows, lead, next_col = [], [], [], []
-        for i in range(k + 1, n):
-            if m[i][k] != zero or m[i][k + 1] != zero:
-                row = catch_up(i, k)
-                live.append(i)
-                rows.append(row)
-                lead.append(row[k])
-                next_col.append(row[k + 1])
+        # two-step pass over every later row; e and f take one step each over
+        # all of them (explicit loops: a comprehension here would make k a
+        # closure cell)
+        rows, lead, next_col = m[k + 1 :], [], []
+        for row in rows:
+            lead.append(row[k])
+            next_col.append(row[k + 1])
         e = step(next_col, p, lead, tail[0], prev)
         best = None
         for j, x in enumerate(e):
@@ -315,23 +287,18 @@ def _bareiss(m, zero, one, size, step, sub):
                     best, least = j, s
         if best is None:
             return zero
-        second, p_next, i = rows[best], e[best], live[best]
-        if i != k + 1:
-            m[k + 1], m[i] = m[i], m[k + 1]
-            since[k + 1], since[i] = since[i], since[k + 1]
+        second, p_next = rows[best], e[best]
+        if best:
+            m[k + 1], m[k + 1 + best] = second, m[k + 1]
             sign = -sign
-            if live[0] == k + 1:  # that row now sits at i
-                live[0] = i
         f = step(next_col, second[k], lead, second[k + 1], prev)
-        first_tail, second_tail, pivot = tail[1:], second[k + 2 :], (p_next, size(p_next))
-        for j, i in enumerate(live):
+        first_tail, second_tail = tail[1:], second[k + 2 :]
+        for j, row in enumerate(rows):
             if j != best:
-                row = rows[j]
                 row[k + 2 :] = step(row[k + 2 :], p_next, second_tail, e[j], prev, f[j], first_tail)
-                since[i] = pivot
         prev = p_next
         next(columns)  # column k+1 is cleared too
-    result = catch_up(n - 1, n - 1)[n - 1]
+    result = m[n - 1][n - 1]
     return result if sign > 0 else step([result], zero, [result], one, one)[0]
 
 

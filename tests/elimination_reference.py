@@ -63,7 +63,7 @@ def zero_biased_rows(rng, n: int, pairs: bool = False, max_den: int = 1):
     pairs) and their row denominators, 1 up to max_den.
 
     Entries lean to 0 and +-1 with a share of zeros drawn per matrix, so
-    pivot swaps and rows deferred over several steps occur; a few columns
+    pivot swaps and rows rescaled over several steps occur; a few columns
     are scaled by 2, 3 or 6 so that pivots other than +-1 (and with them
     two-step passes) occur, and one column may repeat a multiple of the one
     before it, up to one entry, so that a pair of pivot columns is singular
@@ -106,8 +106,8 @@ def staircase_rows(rng, n: int, t=None):
     staircase, and on some matrices a few of them above it.  Where u ends a
     run, the staircase rows from u's to u^-1's are zero past their leads up
     to the next lead, and one dense row is zero in those columns, nonzero in
-    u's and the next lead's: it is deferred across pivots other than 1 and
-    catches up before a unit step."""
+    u's and the next lead's: it is rescaled across pivots other than 1 and
+    then takes a unit step."""
     if t is None:
         zero, one, inverses, larger = 0, 1, ((-1, -1),), (2, 3, -2, 6)
     else:

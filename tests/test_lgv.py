@@ -112,16 +112,18 @@ class TestDeterminant:
     @settings(max_examples=300, deadline=None)
     def test_matches_cofactor_in_every_ring(self, data):
         # entries are biased towards 0 so that pivot swaps, singular matrices
-        # and rows skipped over several steps all occur
+        # and rows rescaled over several steps all occur; they come from a
+        # seeded generator, so hypothesis draws five values per example
         ring = data.draw(st.sampled_from(["integer", "rational", THIRD, SIXTH]))
         max_den = 1 if ring == "integer" else data.draw(st.sampled_from([1, 4]))
         zero_share = data.draw(st.integers(0, 3))
         n = data.draw(st.integers(0, 6))
+        rng = random.Random(data.draw(st.integers(0, 2**32 - 1)))
 
         def coordinate():
-            if data.draw(st.integers(0, 3)) < zero_share:
+            if rng.randint(0, 3) < zero_share:
                 return Fraction(0)
-            return Fraction(data.draw(st.integers(-4, 4)), data.draw(st.integers(1, max_den)))
+            return Fraction(rng.randint(-4, 4), rng.randint(1, max_den))
 
         def entry():
             if ring in (THIRD, SIXTH):
@@ -173,7 +175,7 @@ class TestDeterminant:
             assert det == 1
 
     def test_each_ring_checks_exact_division(self):
-        def divide(ring, x, d):  # the catch-up form of the row step
+        def divide(ring, x, d):  # the rescale form of the row step
             zero, one, _, step, _ = ring
             return step([x], one, [x], zero, d)[0]
 
@@ -198,7 +200,7 @@ class TestDeterminant:
             (RING_INTEGER, [3, 4], 2, [2, 1], 3, 2),
             (RING_INTEGER, [3, 4], 2, [2, 1], 3, -2),
             (RING_INTEGER, [5], 2, [3], 1, -3),
-            # catch-up form, b = zero
+            # rescale form, b = zero
             (RING_INTEGER, [6, 7], 1, [6, 7], 0, -3),
             (RING_INTEGER, [7], 2, [7], 0, 3),
             # (3, 1) - (0, 1) = 3 is not a multiple of 2; 1 - w3 and 1 + w6
@@ -278,8 +280,9 @@ class TestDeterminant:
             ]
 
     # The pivots are rows 1, 2 and 3 at steps 0, 1 and 2: three swaps.  Row 3
-    # is 0 in columns 0 and 1, so steps 0 and 1 skip it; at step 2 it is the
-    # smallest pivot while still deferred (scaled for the unit pivot, not p_1).
+    # is 0 in columns 0 and 1, so steps 0 and 1 only rescale it, by p_0 / 1
+    # and p_1 / p_0; at step 2 its entry is p_1 times the one it was built
+    # with, and still the smallest pivot.
     @pytest.mark.parametrize(
         "ring, rows",
         [
@@ -305,26 +308,49 @@ class TestDeterminant:
         assert expected != 0
         assert det_fraction_free(matrix_of(rows, ring)) == expected
 
-    def test_the_scan_stops_early_only_while_every_pivot_is_one(self):
+    def test_the_scan_stops_at_the_first_entry_of_the_least_size(self):
+        zero, one, size, step, sub = lgv._INT_RING
+
+        def pivots(rows):  # the kernel's determinant, pivot rows and sized entries
+            m, sized = [list(row) for row in rows], []
+
+            def spy(x):
+                sized.append(x)
+                return size(x)
+
+            built = list(m)
+            det = lgv._bareiss(m, zero, one, spy, step, sub)
+            return det, [next(i for i, row in enumerate(built) if row is pivot_row) for pivot_row in m], sized
+
         # Step 0 is a unit step, over row 0's tail up to its 2; step 1
-        # pivots on 3 (row 3's 4 - 2 = 2 ties in size, row 1 is lower), so
-        # the all-unit prefix ends.  At step 2 row 2 is stale: its 1 stands
-        # for 3 once caught up.  Row 3 is current and holds 3*1 - 2*1 = 1,
-        # smaller against the pivot 3, so it is the rule's choice, although
-        # the scan meets row 2's entry of 1's size first.
+        # pivots on 3 (row 3's 4 - 2 = 2 ties in size, row 1 is lower).
+        # Rows 2 and 4 are 0 in column 1, so step 1 rescales them by 3 / 1:
+        # at step 2 row 2 holds 3 and row 3 holds 3*1 - 2*1 = 1, so the
+        # scan passes row 2 and stops at row 3, the rule's choice.
         rows = [[1, 2, 0, 0, 0], [0, 3, 1, 0, 0], [0, 0, 1, 5, 7], [1, 4, 1, 1, 2], [0, 0, 0, 1, 2]]
-        m = [list(row) for row in rows]
-        built = list(m)
-        assert lgv._bareiss(m, *lgv._INT_RING) == -3 == elimination_det(rows)
-        order = [next(i for i, row in enumerate(built) if row is pivot_row) for pivot_row in m]
+        det, order, _ = pivots(rows)
+        assert det == -3 == elimination_det(rows)
         assert order[:3] == [0, 1, 3]
+        # The first entry of 1's size appears after the pivot 2: at step 1
+        # rows 1-4 hold 3, 1, 5 and 2, the 2x2 minors on columns 0 and 1.
+        # The scan sizes the 3 and stops at the 1, and a full scan over the
+        # minors picks the same row.
+        rows = [[2, 1, 0, 1, 0], [3, 3, 1, 0, 2], [3, 2, 0, 1, 1], [-3, 1, 2, 0, 1], [0, 1, 1, 0, 1]]
+        det, order, sized = pivots(rows)
+        assert det == -2 == elimination_det(rows)
+        minors = {i: rows[0][0] * rows[i][1] - rows[i][0] * rows[0][1] for i in range(1, 5)}
+        assert minors == {1: 3, 2: 1, 3: 5, 4: 2}
+        assert order[1] == min((size(x), i) for i, x in minors.items() if x)[1] == 2
+        # size(one), then step 0's four nonzero entries, then step 1's 3 and 1
+        assert sized[:7] == [1, 2, 3, 3, -3, 3, 1]
+        assert sized[7:] == [1, 4, 1]  # steps 2 and 3
 
     @given(st.data())
     @settings(max_examples=300, deadline=None)
     def test_matches_the_elimination_reference_on_staircases(self, data):
         # runs of unit steps cut short at the pivot row's last nonzero entry,
         # runs ended by a unit other than 1 or by a larger lead, and rows
-        # deferred across those that catch up before a unit step
+        # rescaled across those that take a unit step next
         ring = data.draw(st.sampled_from([RING_INTEGER, RING_CYCLO3, RING_CYCLO6]))
         n = data.draw(st.integers(0, 12))
         t = exactnum.TRACE.get(ring)
@@ -334,7 +360,7 @@ class TestDeterminant:
 
     def test_pivot_rule_keeps_the_quotients_small(self):
         # total bit length (the larger coordinate for a pair) of every entry
-        # that a ring op forms: `step` (unit-divisor steps, catch-ups and the
+        # that a ring op forms: `step` (unit-divisor steps, rescales and the
         # two-step passes' e, f and three-term tails included) and `sub`,
         # which a unit step runs only up to the pivot row's last nonzero
         # entry.  On the order-40 cored matrix diagonal pivots form 6,838,654
@@ -385,7 +411,7 @@ class TestDeterminant:
     def test_matches_the_elimination_reference_in_every_ring(self, data):
         # zero-biased entries over scaled columns: pivots other than 1, so
         # two-step passes, with singular pairs of pivot columns, second
-        # pivots swapped in, rows deferred across a pass and switches
+        # pivots swapped in, rows rescaled by a pass and switches
         # between one-step and two-step elimination
         ring = data.draw(st.sampled_from([RING_INTEGER, RING_RATIONAL, RING_CYCLO3, RING_CYCLO6]))
         n = data.draw(st.integers(0, 12))
