@@ -5,16 +5,18 @@ Every region is one flat list of slots, one per orientation and place of
 the bounding box, line by line in sweep order with a padding place per
 line, each holding a cell's index or -1 (see `Region`); the lattice graph
 `Region.graph` and the views `Region.cells` and `Region.cell_index` are
-derived from it on demand.  Every count runs one frontier transfer matrix:
-plain and (-1)-weighted counts over the cells of the graph, cyclically
-symmetric counts over the orbits of the 120-degree rotation, where it
-keeps a histogram of the statistic mod 6 and applies the weight once.
-Those never build the graph: the rotation is an affine map read through
-the slot array, each orbit of lozenges is read off the slots at its lowest
-up cell, where its weight is folded, and the packed residue counts are
-reduced only where a product by a factor other than 1 is formed.
-Backtracking is left only for the enumeration generators.  Nothing here
-uses the determinant or closed-form routes that these counts check.
+derived from it on demand.  Every count runs a frontier transfer matrix,
+and none builds the graph.  Plain and (-1)-weighted counts step straight
+through the slot pairs (U in slot k, D in slot k+1), with one state bit per
+up cell ahead, since a down cell is reached only from its own up cell.
+Cyclically symmetric counts run over the orbits of the 120-degree rotation,
+where the matrix keeps a histogram of the statistic mod 6 and applies the
+weight once: the rotation is an affine map read through the slot array,
+each orbit of lozenges is read off the slots at its lowest up cell, where
+its weight is folded, and the packed residue counts are reduced only where
+a product by a factor other than 1 is formed.  Backtracking, over the
+graph, is left only for the enumeration generators.  Nothing here uses the
+determinant or closed-form routes that these counts check.
 
 A tiling is a perfect matching of the region's cells, held as the tuple of
 their partners: entry i is the index of the cell that cell i shares its
@@ -40,7 +42,8 @@ suite):
   toward the side of length b.
 * The reference ray extends the core side parallel to the sides of lengths
   a and a+m, away from the core starting at (x0, y0+m); its unit segments
-  are the edges {(x0, y), (x0, y+1)}, y >= y0+m, up to the region boundary.
+  are the edges {(x0, y), (x0, y+1)}, y >= y0+m, up to where the line
+  x = x0 leaves the hexagon, even if the hexagon has no cells.
 """
 
 from __future__ import annotations
@@ -48,7 +51,6 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import count, takewhile
 from math import prod
 from types import MappingProxyType
 from typing import Callable, Iterator, Optional, Sequence
@@ -200,9 +202,10 @@ class Region:
         assert len(where) == hexagon.cell_count, (len(where), hexagon.cell_count)
         assert 2 * sum(map((1).__and__, where)) == len(where), "up/down cell counts must balance"
         self.slots = slots
-        # the reference ray outward from the core: (D(x0-1, y), U(x0, y)), -1 if missing
-        ray = ((self.find(x0 - 1, y, DOWN), self.find(x0, y, UP)) for y in count(y0 + m))
-        self.reference_ray = tuple(takewhile(lambda segment: max(segment) >= 0, ray))
+        # the reference ray outward from the core to where the line x = x0
+        # leaves the hexagon: (D(x0-1, y), U(x0, y)), -1 if missing
+        ray = range(y0 + m, min(a + c + m, top - x0))
+        self.reference_ray = tuple((self.find(x0 - 1, y, DOWN), self.find(x0, y, UP)) for y in ray)
 
     def find(self, x: int, y: int, orient: int) -> int:
         """The index of the cell (x, y, orient), or -1 when the region lacks
@@ -224,8 +227,9 @@ class Region:
     @cached_property
     def graph(self) -> Graph:
         """The forward edges from cell i to later cells j, graph[i] a tuple
-        of (1 << (j - i), 1), built on first read for the plain counts and
-        the enumerators; every edge to cell i+1 alone is one shared tuple."""
+        of (1 << (j - i), 1), built on first read for the enumerators, over
+        which their search branches; no count reads it.  Every edge to cell
+        i+1 alone is one shared tuple."""
         slots, stride, rows = self.slots, self._stride, self._rows
         graph = []
         for i, k in enumerate(self.slot_of):
@@ -367,6 +371,54 @@ def enumerate_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Til
 def enumerate_cyclic_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
     _check_cyclic(region.hexagon, cap)
     return map(tuple, _matchings(region, cyclic=True))
+
+
+def _pair_count(region: Region, signed: bool) -> int:
+    """The number of tilings of a region, or with signed=True their sum of
+    (-1)^(lozenges straddling the reference ray), by a transfer matrix over
+    its slot pairs in order, U in slot k and D in slot k+1.  U's only later
+    neighbour is its D, and D is reached only from its U, so a state is the
+    bitmask of the up cells from slot k on already covered, bit j for slot
+    k+2j.  A free U pairs with its D, or the state dies when D is missing; a
+    covered or missing U hands the step to D, which moves to the free up cell
+    in slot k+2 (bit 1) or k+L (bit L/2), L as in `Region`, if it is there.
+    A straddle, D(x0-1, y) to U(x0, y), is the move to the next line in the
+    column sweep, along the line in the row sweep.  Pairs without cells are
+    shifted past."""
+    slots, stride = region.slots, region._stride
+    line = 1 << (stride >> 1)
+    flips = {region.slot_of[w] for w, e in region.reference_ray if signed and min(w, e) >= 0}
+    flipped = (-1, 1) if region._rows else (1, -1)
+    # the pairs that hold a cell, then one past the last
+    pairs = list(dict.fromkeys(k & -2 for k in region.slot_of))
+    pairs.append(pairs[-1] + 2 if pairs else 0)
+    states = {0: 1}
+    for k, after in zip(pairs, pairs[1:]):
+        gap, advanced = (after - k) >> 1, {}
+        if slots[k + 1] < 0:
+            for mask, value in states.items():
+                if mask & 1:
+                    key = mask >> gap
+                    advanced[key] = advanced.get(key, 0) + value
+            states = advanced
+            continue
+        up = slots[k] >= 0
+        near = 2 if slots[k + 2] >= 0 else 0
+        far = line if slots[k + stride] >= 0 else 0
+        sign_near, sign_far = flipped if k + 1 in flips else (1, 1)
+        for mask, value in states.items():
+            if up and not mask & 1:
+                key = mask >> gap
+                advanced[key] = advanced.get(key, 0) + value
+                continue
+            if near and not mask & near:
+                key = (mask | near) >> gap
+                advanced[key] = advanced.get(key, 0) + sign_near * value
+            if far and not mask & far:
+                key = (mask | far) >> gap
+                advanced[key] = advanced.get(key, 0) + sign_far * value
+        states = advanced
+    return states.get(0, 0)
 
 
 def _frontier_count(graph: Graph, modulus: int = 0) -> int:
@@ -564,13 +616,13 @@ def count_weighted(
     """Exact weighted count at the level of matchings.
 
     Weights one and minus1 range over all tilings by default and are
-    counted by the frontier transfer matrix: (-1)^n(T) is (-1)^(ray length)
-    times (-1)^(ray-straddling lozenges).  Weights omega3, omega6 and
-    minus1-n6 range over the cyclically symmetric tilings; pass cyclic=True
-    to restrict one/minus1 to them too.  Cyclic counts run the same
-    transfer matrix over the rotation orbits, carry the statistic (n, or n6
-    for minus1-n6) mod 6, and apply the weight to its histogram once at the
-    end."""
+    counted by the transfer matrix over the slot pairs (`_pair_count`):
+    (-1)^n(T) is (-1)^(ray length) times (-1)^(ray-straddling lozenges).
+    Weights omega3, omega6 and minus1-n6 range over the cyclically
+    symmetric tilings; pass cyclic=True to restrict one/minus1 to them too.
+    Cyclic counts run the graph transfer matrix `_frontier_count` over the
+    rotation orbits, carry the statistic (n, or n6 for minus1-n6) mod 6,
+    and apply the weight to its histogram once at the end."""
     if weight not in WEIGHTS:
         raise ValueError(f"unknown weight {weight!r}")
     if cyclic is None:
@@ -582,14 +634,8 @@ def count_weighted(
         _check_cap(hexagon.cell_count, cap)
         region = Region(hexagon)
         if weight == WEIGHT_ONE:
-            return _frontier_count(region.graph)
-        # a full ray segment is the edge D(x0-1, y) -> U(x0, y)
-        graph = list(region.graph)
-        for west, east in region.reference_ray:
-            if min(west, east) >= 0:
-                straddle = 1 << (east - west)
-                graph[west] = [(bit, -1 if bit == straddle else 1) for bit, _ in graph[west]]
-        return (-1) ** len(region.reference_ray) * _frontier_count(graph)
+            return _pair_count(region, signed=False)
+        return (-1) ** len(region.reference_ray) * _pair_count(region, signed=True)
 
     _check_cyclic(hexagon, cap)
     hist = _cyclic_histogram(Region(hexagon), n6=weight == WEIGHT_MINUS1_N6)

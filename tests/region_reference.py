@@ -5,7 +5,8 @@ from the nine lattice inequalities, one (x, y, orient) tuple each, an index
 dict over them, the forward edges found by one dict lookup per neighbour,
 the rotation and reflection mapped cell tuple to cell tuple, and the
 reference ray walked through the dict.  The slot-array region must agree
-with them exactly, in both sweep orders.
+with them exactly, in both sweep orders.  `reference_signed_graph` is the
+former input of the (-1)-count: the graph with its ray edges rewritten.
 
 `reference_orbit_edges` is the former orbit graph of the cyclic counts:
 a walk over every forward edge of that graph that keeps the lozenges
@@ -62,18 +63,29 @@ def reference_graph(cells: tuple[Cell, ...]) -> tuple[tuple[tuple[int, int], ...
 def reference_ray(hexagon: CoredHexagon, cells: tuple[Cell, ...]) -> tuple[tuple[int, int], ...]:
     """Segments of the reference ray, ordered outward from the core, as
     index pairs (west cell D(x0-1, y), east cell U(x0, y)) with -1 for a
-    missing flank."""
+    missing flank.  The ray runs while its upper end (x0, y+1) lies in the
+    closed hexagon, so an empty region's ray has segments too."""
     index = {cell: i for i, cell in enumerate(cells)}
+    a, b, c, m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
     x0, y = hexagon.core_position
-    y += hexagon.m
+    y += m
     segments = []
-    while True:
-        west = index.get((x0 - 1, y, DOWN), -1)
-        east = index.get((x0, y, UP), -1)
-        if west < 0 and east < 0:
-            return tuple(segments)
-        segments.append((west, east))
+    while y + 1 <= a + c + m and x0 + y + 1 <= a + b + m:
+        segments.append((index.get((x0 - 1, y, DOWN), -1), index.get((x0, y, UP), -1)))
         y += 1
+    return tuple(segments)
+
+
+def reference_signed_graph(region: Region) -> list:
+    """The region's graph with factor -1 on each lozenge that straddles the
+    reference ray, the edge D(x0-1, y) -> U(x0, y): the former input of the
+    (-1)-count's transfer matrix, a rewritten copy of `Region.graph`."""
+    graph = list(region.graph)
+    for west, east in region.reference_ray:
+        if min(west, east) >= 0:
+            straddle = 1 << (east - west)
+            graph[west] = [(bit, -1 if bit == straddle else 1) for bit, _ in graph[west]]
+    return graph
 
 
 def reference_symmetry(

@@ -48,6 +48,7 @@ from region_reference import (
     reference_ray,
     reference_reflection,
     reference_rotation,
+    reference_signed_graph,
     reference_statistic_n6,
 )
 from text_formats import region_to_text, tiling_from_text, tiling_to_text
@@ -159,9 +160,10 @@ class TestRegion:
             assert region.find(-10**6, 0, UP) == region.find(0, 10**6, DOWN) == -1
 
     def test_counts_build_no_derived_view(self, monkeypatch):
-        # no count reads the tuple-keyed views, and cyclic counts read the
-        # slots alone; plain and (-1)-counts and both enumerators read the
-        # graph, and a (-1) count changes no entry that graphs share
+        # no count reads the graph or the tuple-keyed views: plain and
+        # (-1)-counts run over the slot pairs, in both sweeps, and cyclic
+        # counts over orbits read off the slots; both enumerators still
+        # branch over the graph
         def refuse(region):
             raise AssertionError("a count read a derived view")
 
@@ -171,23 +173,20 @@ class TestRegion:
             reads.append(region)
             return build_graph(region)
 
-        for view in ("cells", "cell_index"):
+        for view in ("graph", "cells", "cell_index"):
             monkeypatch.setattr(tilings.Region, view, property(refuse))
+        for sides in ((3, 2, 2, 1), (2, 3, 1, 1)):
+            for weight in ("one", "minus1"):
+                assert count_weighted(CoredHexagon(*sides), weight) == count_cored_formula(
+                    *sides, signed=weight == "minus1"
+                )
+        for weight in tilings.WEIGHTS:
+            count_weighted(CoredHexagon(3, 3, 3, 2), weight, cyclic=True)
         monkeypatch.setattr(tilings.Region, "graph", property(spy))
-        hexagon = CoredHexagon(3, 2, 2, 1)
-        for weight in ("one", "minus1", "one"):
-            reads.clear()
-            assert count_weighted(hexagon, weight) == count_cored_formula(
-                3, 2, 2, 1, signed=weight == "minus1"
-            )
-            assert reads, weight
         for enumerator in (enumerate_tilings, enumerate_cyclic_tilings):
             reads.clear()
             next(enumerator(Region(CoredHexagon(2, 2, 2, 1))))
             assert reads, enumerator.__name__
-        monkeypatch.setattr(tilings.Region, "graph", property(refuse))
-        for weight in tilings.WEIGHTS:
-            count_weighted(CoredHexagon(3, 3, 3, 2), weight, cyclic=True)
 
     @pytest.mark.parametrize("sides", [(3, 1, 1, 1), (4, 2, 0, 2), (2, 1, 3, 2), (3, 2, 2, 1)])
     def test_row_swept_regions_enumerate_what_they_count(self, sides):
@@ -289,12 +288,14 @@ class TestEnumeration:
         assert count_weighted(CoredHexagon(3, 1, 1, 1), "minus1") == 0
 
     def test_signed_count_b_c_zero(self):
-        # unique tiling of weight (-1)^(a/2) for even a, any m
-        for a in (2, 4):
-            for m in (1, 2, 3):
-                assert count_weighted(CoredHexagon(a, 0, 0, m), "minus1") == (-1) ** (
-                    a // 2
-                )
+        # unique tiling of weight (-1)^ceil(a/2) for any a and m: its ray
+        # runs ceil(a/2) segments, none straddled, and so does the empty
+        # region's at m = 0, which runs along the degenerate hexagon
+        for a in range(1, 7):
+            for m in range(4):
+                hexagon = CoredHexagon(a, 0, 0, m)
+                assert len(Region(hexagon).reference_ray) == (a + 1) // 2, (a, m)
+                assert count_weighted(hexagon, "minus1") == (-1) ** ((a + 1) // 2), (a, m)
 
 
 def admissible(max_cells):
@@ -391,6 +392,61 @@ class TestFrontierCount:
         for sides, values in expected.items():
             assert counts(sides) == values, sides
 
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    def test_slot_pairs_equal_the_graph_transfer_matrix_up_to_120_cells(self, monkeypatch, rows):
+        # every tuple forced into both sweeps; the (-1)-count against the
+        # graph with its ray edges rewritten
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
+        for sides in admissible(120):
+            region = Region(CoredHexagon(*sides))
+            plain, signed = tilings._pair_count(region, False), tilings._pair_count(region, True)
+            assert plain == tilings._frontier_count(region.graph), sides
+            assert signed == tilings._frontier_count(reference_signed_graph(region)), sides
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    def test_slot_pair_states_claim_only_cells_of_the_region(self, monkeypatch, rows):
+        # bit j of a state claims the up cell in slot k+2j; read off a line
+        # trace at the head of each step, every claimed cell is there, so no
+        # move reaches a missing cell, not even on the padding line past the
+        # last, where a claim could never be met and would only cost states
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
+        code = tilings._pair_count.__code__
+        lines, first = inspect.getsourcelines(tilings._pair_count)
+        head = [line.strip() for line in lines].index("gap, advanced = (after - k) >> 1, {}")
+        head += first
+        claims = []
+
+        def step(frame, event, arg):
+            if event == "line" and frame.f_lineno == head:
+                k, slots = frame.f_locals["k"], frame.f_locals["slots"]
+                for mask in frame.f_locals["states"]:
+                    bits = range(mask.bit_length())
+                    claims.extend(slots[k + 2 * j] for j in bits if mask >> j & 1)
+            return step
+
+        def call(frame, event, arg):
+            return step if frame.f_code is code else None
+
+        previous = sys.gettrace()
+        for sides in ((3, 2, 2, 1), (2, 3, 1, 2), (4, 0, 2, 1), (1, 4, 2, 3), (3, 3, 3, 0)):
+            region = Region(CoredHexagon(*sides))
+            sys.settrace(call)
+            try:
+                tilings._pair_count(region, signed=True)
+            finally:
+                sys.settrace(previous)
+        assert claims and min(claims) >= 0
+
+    def test_counts_equal_the_formula_at_every_m_up_to_120_cells(self):
+        # the determinant meets the (-1)-count at odd m only; here both
+        # weights meet the formula at every m, zero sides and empty regions
+        # included
+        for sides in admissible(120):
+            for weight in ("one", "minus1"):
+                assert count_weighted(CoredHexagon(*sides), weight) == count_cored_formula(
+                    *sides, signed=weight == "minus1"
+                ), (sides, weight)
+
     @given(random_graphs())
     @settings(max_examples=300, deadline=None)
     @example((4, [(0, 1, 2), (1, 2, 3), (1, 3, -1), (2, 3, 5)], [0, 1, 2, 3], 0))
@@ -451,11 +507,15 @@ class TestFrontierCount:
                 return step
             return None
 
+        def regions(*tuples):
+            return [Region(CoredHexagon(*sides)) for sides in tuples]
+
         runs = {
-            "plain": lambda: [count_weighted(CoredHexagon(*s), "one") for s in
-                              ((4, 2, 2, 0), (3, 1, 3, 2), (1, 3, 3, 2), (2, 3, 1, 3))],
-            "minus1": lambda: [count_weighted(CoredHexagon(*s), "minus1") for s in
-                               ((4, 2, 2, 1), (3, 3, 3, 1), (1, 3, 3, 2), (2, 4, 2, 3))],
+            "plain": lambda: [tilings._frontier_count(region.graph) for region in
+                              regions((4, 2, 2, 0), (3, 1, 3, 2), (1, 3, 3, 2), (2, 3, 1, 3))],
+            "minus1": lambda: [tilings._frontier_count(reference_signed_graph(region))
+                               for region in
+                               regions((4, 2, 2, 1), (3, 3, 3, 1), (1, 3, 3, 2), (2, 4, 2, 3))],
             "orbit": lambda: [count_weighted(CoredHexagon(a, a, a, m), weight) for a, m, weight in
                               ((3, 1, "omega3"), (4, 2, "omega6"), (4, 1, "minus1-n6"))],
         }
