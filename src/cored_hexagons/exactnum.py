@@ -65,6 +65,21 @@ def binomial(top: int, bottom: int) -> int:
     return stepped_product(top, -1, bottom) // math.factorial(bottom)
 
 
+def pochhammer_pair(ups, downs=()) -> tuple[int, int]:
+    """The integer core of `pochhammer_ratio`: symbols (n/d)_k as triples
+    (n, d, k), d > 0, and the ratio as an unreduced pair (num, den)."""
+    num = den = 1
+    for up, symbols in ((True, ups), (False, downs)):
+        for n, d, k in symbols:
+            if k < 0:
+                raise ValueError(f"pochhammer with negative index {k}")
+            top, bottom = stepped_product(n, d, k), d**k
+            if not (up or top):
+                raise ZeroDivisionError(f"({Fraction(n, d)})_{k} vanishes in a denominator")
+            num, den = (num * top, den * bottom) if up else (num * bottom, den * top)
+    return num, den
+
+
 def pochhammer_ratio(ups, downs=()) -> Fraction:
     """The product of the shifted factorials (x)_k = x (x+1) ... (x+k-1)
     over the pairs (x, k) of ``ups`` over the product over ``downs``, for
@@ -72,17 +87,8 @@ def pochhammer_ratio(ups, downs=()) -> Fraction:
     over d^k, so the ratio is multiplied on ints and one Fraction is built
     at the end.  A negative k raises ValueError, and the first vanishing
     symbol in ``downs`` a ZeroDivisionError that names it."""
-    num = den = 1
-    for up, symbols in ((True, ups), (False, downs)):
-        for x, k in symbols:
-            if k < 0:
-                raise ValueError(f"pochhammer with negative index {k}")
-            n, d = (x.numerator, x.denominator) if isinstance(x, Fraction) else (x, 1)
-            top, bottom = stepped_product(n, d, k), d**k
-            if not (up or top):
-                raise ZeroDivisionError(f"({x})_{k} vanishes in a denominator")
-            num, den = (num * top, den * bottom) if up else (num * bottom, den * top)
-    return Fraction(num, den)
+    ups, downs = ([(x.numerator, x.denominator, k) for x, k in s] for s in (ups, downs))
+    return Fraction(*pochhammer_pair(ups, downs))
 
 
 def pair_mul(t: int):

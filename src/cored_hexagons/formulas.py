@@ -522,17 +522,16 @@ def watson_lhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
     common denominator by their term ratio, so the sum over index sets runs
     on ints and one Fraction is built at the end."""
     B, C = frac(B), frac(C)
-    e, f = _watson_lower_params(variant, a, M, B, C)
-    check_lower_poles((e, f), M)
+    (en, ed), (fn, fd) = lower = [
+        (x.numerator, x.denominator) for x in _watson_lower_params(variant, a, M, B, C)
+    ]
+    check_lower_poles(lower, M)
     bn, bd, cn, cd = B.numerator, B.denominator, C.numerator, C.denominator
-    scale_num, scale_den = e.denominator * f.denominator, bd * cd
+    scale_num, scale_den = ed * fd, bd * cd
     nums, dens = [1], [1]
     for k in range(M):
         nums.append(nums[-1] * scale_num * (k - M) * (cn + k * cd) * (bn + k * bd))
-        dens.append(
-            dens[-1] * scale_den * (k + 1)
-            * (e.numerator + k * e.denominator) * (f.numerator + k * f.denominator)
-        )
+        dens.append(dens[-1] * scale_den * (k + 1) * (en + k * ed) * (fn + k * fd))
     den = dens[-1]
     factors = [num * (den // d) for num, d in zip(nums, dens)]
     total = 0

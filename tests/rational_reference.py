@@ -5,7 +5,9 @@ These are the former Fraction-per-term forms: the shifted factorial and the
 binomial multiply one Fraction factor at a time, and a ratio of shifted
 factorials one Fraction symbol at a time; the terminating series,
 the Gessel-Stanton 5F4 sum and the Watson multiple sum update a Fraction
-term per index and add it to a Fraction total; omega*I + B adds a binomial
+term per index and add it to a Fraction total; the classical identities
+take Fraction parameters and form each derived parameter, and each side,
+by Fraction arithmetic; omega*I + B adds a binomial
 to each entry by ring arithmetic, and Z_n and its two half-size blocks
 accumulate each entry one Fraction term at a time.  The cyclotomic multiply,
 conjugate and norm are written out per ring, and det(I + B(a, m)) by parity
@@ -22,7 +24,14 @@ from itertools import combinations
 
 from cored_hexagons.exactnum import SIXTH, THIRD, CycloElement, Number, double_factorial_odd, frac
 from cored_hexagons.formulas import _check_order, _watson_lower_params
-from cored_hexagons.hypergeom import NonTerminatingError, PochhammerZeroError
+from cored_hexagons.hypergeom import (
+    CHU_VANDERMONDE,
+    GESSEL_STANTON_5F4,
+    PFAFF_SAALSCHUETZ,
+    THOMAE,
+    NonTerminatingError,
+    PochhammerZeroError,
+)
 from cored_hexagons import lgv
 from cored_hexagons.lgv import RING_INTEGER, RING_RATIONAL, ExactMatrix
 from text_formats import matrix_of
@@ -101,6 +110,79 @@ def gessel_stanton_lhs(A: Fraction, F: Fraction, n: int) -> Fraction:
             term /= low + k
         term = term * 4 / (k + 1)
     return lhs
+
+
+def check_lower_poles(lower, n: int) -> None:
+    """The first pole of a term-by-term sum over k = 0..n: the smallest j
+    at which some (l)_j vanishes, and the first such l."""
+    poles = [
+        (1 - low.numerator, i)
+        for i, low in enumerate(lower)
+        if low.denominator == 1 and 1 - n <= low.numerator <= 0
+    ]
+    if poles:
+        j, i = min(poles)
+        raise PochhammerZeroError(lower[i], j)
+
+
+def identity_pair(identity: str, params) -> tuple[Fraction, Fraction]:
+    """Both sides of a classical identity from Fraction parameters, n a
+    nonnegative int last: each derived parameter is a Fraction, each side a
+    call to the reference `hyper`, `gessel_stanton_lhs` or
+    `pochhammer_ratio`, and Thomae's right side a product of two Fractions."""
+    *params, n = [frac(p) for p in params]
+    n = int(n)
+    if identity == CHU_VANDERMONDE:
+        A, C = params
+        check_lower_poles([C], n)
+        return hyper([A, -n], [C]), pochhammer_ratio([(C - A, n)], [(C, n)])
+    if identity == PFAFF_SAALSCHUETZ:
+        A, B, C = params
+        check_lower_poles([C, 1 + A + B - C - n], n)
+        lhs = hyper([A, B, -n], [C, 1 + A + B - C - n])
+        rhs = pochhammer_ratio([(C - A, n), (C - B, n)], [(C, n), (C - A - B, n)])
+        return lhs, rhs
+    if identity == THOMAE:
+        A, B, D, E = params
+        check_lower_poles([D, E, 1 + B - E - n], n)
+        lhs = hyper([A, B, -n], [D, E])
+        rhs = pochhammer_ratio([(E - B, n)], [(E, n)]) * hyper([-n, B, D - A], [D, 1 + B - E - n])
+        return lhs, rhs
+    if identity == GESSEL_STANTON_5F4:
+        A, F = params
+        if A == 0:
+            raise PochhammerZeroError(A, 0)
+        check_lower_poles([1 + A - F, -A + F - 2 * n, 1 + A + 2 * n], n)
+        lhs = gessel_stanton_lhs(A, F, n)
+        rhs = pochhammer_ratio([(1 + A, 2 * n)], [(1 + A - F, 2 * n)])
+        return lhs, rhs
+    raise ValueError(f"unknown identity {identity!r}")
+
+
+# per identity, the number of rational parameters before the integer n
+IDENTITY_RATIONALS = {
+    CHU_VANDERMONDE: 2,
+    PFAFF_SAALSCHUETZ: 3,
+    THOMAE: 4,
+    GESSEL_STANTON_5F4: 2,
+}
+
+
+def identity_draw(rng, identity, max_n: int, max_den: int) -> list:
+    """Seeded parameters for `identity_pair`: rationals with numerators in
+    -3 max_n..3 max_n and denominators up to max_den, a third of them
+    integers (ints or integral Fractions), so that lower poles and negative
+    integer A turn up; then n in 0..max_n."""
+    def rational():
+        num = rng.randint(-3 * max_n, 3 * max_n)
+        pick = rng.random()
+        if pick < 1 / 6:
+            return num
+        if pick < 1 / 3:
+            return Fraction(num)
+        return Fraction(num, rng.randint(1, max_den))
+
+    return [rational() for _ in range(IDENTITY_RATIONALS[identity])] + [rng.randint(0, max_n)]
 
 
 def watson_lhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:

@@ -96,6 +96,20 @@ class TestIdentityExamples:
             identity_pair(THOMAE, [1, 1, -4, -1, 6])
         assert (err.value.parameter, err.value.index) == (-1, 2)
 
+    @pytest.mark.parametrize(
+        "n, shown", [(Fraction(5, 2), "5/2"), (2.5, "5/2"), (-1, "-1"), (Fraction(-3), "-3")]
+    )
+    def test_n_must_be_a_nonnegative_integer(self, n, shown):
+        for identity, rationals in ((CHU_VANDERMONDE, [1, 3]), (GESSEL_STANTON_5F4, [1, 2])):
+            with pytest.raises(ValueError) as err:
+                identity_pair(identity, rationals + [n])
+            assert type(err.value) is ValueError
+            assert err.value.args == (f"n must be a nonnegative integer, not {shown}",)
+
+    def test_integral_n_of_any_type(self):
+        for n in (2, Fraction(2), 2.0):
+            assert identity_pair(CHU_VANDERMONDE, [1, 3, n]) == (Fraction(1, 2), Fraction(1, 2))
+
     def test_5f4_vanishes_for_negative_integer_A(self):
         for A in (-1, -2, -3, -5, -6):
             lhs, rhs = identity_pair(GESSEL_STANTON_5F4, [A, Fraction(1, 3), 4])

@@ -4,6 +4,7 @@ arithmetic and det(I + B(a, m)) against their former forms in
 same ring and entry values), or the same exception with the same
 arguments (for Z_n's half-size blocks, of the same type)."""
 
+import random
 from fractions import Fraction
 from unittest import mock
 
@@ -36,6 +37,12 @@ def outcome(fn, *args):
     return ("value", type(value), value)
 
 
+def sides_outcome(fn, *args):
+    """The outcome of a call that returns a pair of sides, each side with
+    its type."""
+    return outcome(lambda: [(type(v), v) for v in fn(*args)])
+
+
 def entries(matrix):
     """The ring and each entry's value, rebuilt from the coordinate rows and
     the row denominators."""
@@ -57,6 +64,14 @@ def test_pochhammer_ratio(ups, downs):
 
 def refuse_fraction_arithmetic(*args):
     raise AssertionError("Fraction arithmetic")
+
+
+# Fraction's +, -, * and /, reflected forms included
+REFUSED = {
+    name: refuse_fraction_arithmetic
+    for op in ("add", "sub", "mul", "truediv")
+    for name in (f"__{op}__", f"__r{op}__")
+}
 
 
 @given(symbols, symbols)
@@ -101,28 +116,49 @@ def test_eval_terminating(upper, stop, lower, argument):
     )
 
 
-# per identity, the number of rational parameters before the integer n
-_RATIONALS = {
-    hypergeom.CHU_VANDERMONDE: 2,
-    hypergeom.PFAFF_SAALSCHUETZ: 3,
-    hypergeom.THOMAE: 4,
-    hypergeom.GESSEL_STANTON_5F4: 2,
-}
-
-
 @given(st.sampled_from(hypergeom.IDENTITY_IDS), st.lists(parameters, min_size=4, max_size=4),
        st.integers(0, 8))
 @settings(max_examples=400)
 def test_identity_pair(identity, rationals, n):
-    params = rationals[: _RATIONALS[identity]] + [n]
-    with mock.patch.multiple(
-        hypergeom,
-        pochhammer_ratio=ref.pochhammer_ratio,
-        hyper=ref.hyper,
-        _gessel_stanton_lhs=ref.gessel_stanton_lhs,
-    ):
-        expected = outcome(hypergeom.identity_pair, identity, params)
-    assert outcome(hypergeom.identity_pair, identity, params) == expected
+    params = rationals[: ref.IDENTITY_RATIONALS[identity]] + [n]
+    assert sides_outcome(hypergeom.identity_pair, identity, params) == sides_outcome(
+        ref.identity_pair, identity, params
+    )
+
+
+def identity_series(identity, params):
+    """The left-hand series of an identity through `hyper`, where it is one
+    (the 5F4 is summed with its very-well-poised weight instead)."""
+    *rationals, n = params
+    if identity == hypergeom.CHU_VANDERMONDE:
+        A, C = rationals
+        return [A, -n], [C]
+    if identity == hypergeom.PFAFF_SAALSCHUETZ:
+        A, B, C = map(Fraction, rationals)
+        return [A, B, -n], [C, 1 + A + B - C - n]
+    if identity == hypergeom.THOMAE:
+        A, B, D, E = rationals
+        return [A, B, -n], [D, E]
+    return None
+
+
+def test_identity_pair_and_hyper_do_no_fraction_arithmetic():
+    rng = random.Random(35)
+    draws = [
+        (identity, ref.identity_draw(rng, identity, 8, 6))
+        for identity in hypergeom.IDENTITY_IDS
+        for _ in range(150)
+    ]
+    series = [identity_series(identity, params) for identity, params in draws]
+    expected = [sides_outcome(ref.identity_pair, *draw) for draw in draws]
+    expected_series = [s and outcome(ref.hyper, *s) for s in series]
+    with mock.patch.multiple(Fraction, **REFUSED):
+        got = [sides_outcome(hypergeom.identity_pair, *draw) for draw in draws]
+        got_series = [s and outcome(hypergeom.hyper, *s) for s in series]
+    assert got == expected
+    assert got_series == expected_series
+    # both values and poles are among the outcomes
+    assert {o[0] for o in got} == {"value", "raises"}
 
 
 @given(st.sampled_from(formulas.WATSON_VARIANTS), st.integers(0, 3), st.integers(-1, 6),
@@ -181,12 +217,7 @@ def test_zn_factor_pair(args, data):
 @settings(max_examples=100)
 def test_zn_factor_pair_does_no_fraction_arithmetic(args):
     expected = zn_outcome(ref.zn_factor_pair, *args)
-    refused = {
-        name: refuse_fraction_arithmetic
-        for op in ("add", "sub", "mul", "truediv")
-        for name in (f"__{op}__", f"__r{op}__")
-    }
-    with mock.patch.multiple(Fraction, **refused):
+    with mock.patch.multiple(Fraction, **REFUSED):
         got = zn_outcome(lgv.zn_factor_pair, *args)
     assert got == expected
 
