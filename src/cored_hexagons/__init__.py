@@ -13,7 +13,6 @@ from .exactnum import (
     binomial,
     omega3,
     omega6,
-    pochhammer_ratio,
 )
 from .hypergeom import (
     IDENTITY_IDS,

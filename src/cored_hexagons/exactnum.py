@@ -66,8 +66,14 @@ def binomial(top: int, bottom: int) -> int:
 
 
 def pochhammer_pair(ups, downs=()) -> tuple[int, int]:
-    """The integer core of `pochhammer_ratio`: symbols (n/d)_k as triples
-    (n, d, k), d > 0, and the ratio as an unreduced pair (num, den)."""
+    """The product of the shifted factorials (x)_k = x (x+1) ... (x+k-1)
+    over the symbols of ``ups`` over the product over ``downs``, each
+    symbol (n/d)_k given as the integer triple (n, d, k), d > 0.  (n/d)_k
+    is the integer n (n + d) ... (n + (k-1) d) over d^k, so the ratio is
+    multiplied on ints and returned as an unreduced pair (num, den); an
+    integer scalar x enters as (x, 1, 1) and a factorial n! as (1, 1, n).
+    A negative k raises ValueError, and the first vanishing symbol in
+    ``downs`` a ZeroDivisionError that names it."""
     num = den = 1
     for up, symbols in ((True, ups), (False, downs)):
         for n, d, k in symbols:
@@ -78,17 +84,6 @@ def pochhammer_pair(ups, downs=()) -> tuple[int, int]:
                 raise ZeroDivisionError(f"({Fraction(n, d)})_{k} vanishes in a denominator")
             num, den = (num * top, den * bottom) if up else (num * bottom, den * top)
     return num, den
-
-
-def pochhammer_ratio(ups, downs=()) -> Fraction:
-    """The product of the shifted factorials (x)_k = x (x+1) ... (x+k-1)
-    over the pairs (x, k) of ``ups`` over the product over ``downs``, for
-    int or Fraction x.  (n/d)_k is the integer n (n + d) ... (n + (k-1) d)
-    over d^k, so the ratio is multiplied on ints and one Fraction is built
-    at the end.  A negative k raises ValueError, and the first vanishing
-    symbol in ``downs`` a ZeroDivisionError that names it."""
-    ups, downs = ([(x.numerator, x.denominator, k) for x, k in s] for s in (ups, downs))
-    return Fraction(*pochhammer_pair(ups, downs))
 
 
 def pair_mul(t: int):

@@ -14,7 +14,12 @@ integer coefficients come from the same slices.  The other products
 multiply Pochhammer symbols with rational bases: det(wI + B) for the third
 and sixth roots is one loop over a per-root table of Pochhammer rows, and
 the three Watson closed forms are one expression whose bases and lengths
-take the parities of a and M as half-shifts, ceilings and floors.
+take the parities of a and M as half-shifts, ceilings and floors.  Each
+base is written from the numerators and denominators of m, b, c, B, C as
+an integer triple (n, d, k) for (n/d)_k, such as m/2 + t/2 = (n + t d)/(2 d)
+for m = n/d, and `exactnum.pochhammer_pair` multiplies the symbols, the
+scalars and lemma_rhs's linear factors into one integer pair.  A result's
+one Fraction (one per coordinate of a CycloElement) is formed as it returns.
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .exactnum import (
     double_factorial_odd,
     frac,
     pair_mul,
-    pochhammer_ratio,
+    pochhammer_pair,
 )
 from .hypergeom import check_lower_poles
 
@@ -174,9 +179,10 @@ def _table_exponents(table) -> dict[int, int]:
     return _root_exponents(twice)
 
 
-def _evaluate(table) -> Fraction:
+def _evaluate(table) -> tuple[int, int]:
+    """The product a term table describes, as a reduced pair (num, den)."""
     exponents = _table_exponents(table)
-    return Fraction(
+    return (
         _product([p**e for p, e in exponents.items() if e > 0]),
         _product([p**-e for p, e in exponents.items() if e < 0]),
     )
@@ -212,11 +218,11 @@ def macmahon_box(a: int, b: int, c: int) -> int:
     """Number of plane partitions in an a x b x c box."""
     if min(a, b, c) < 0:
         raise FormulaDomainError(f"box sides must be nonnegative, got a={a}, b={b}, c={c}")
-    value = _evaluate(
+    value, den = _evaluate(
         [((2 * a, 2 * b, 2 * c, 2 * (a + b + c)), 1), ((2 * (a + b), 2 * (b + c), 2 * (c + a)), -1)]
     )
-    assert value.denominator == 1
-    return int(value)
+    assert den == 1
+    return value
 
 
 def _count_terms(a: int, b: int, c: int, m: int, signed: bool):
@@ -237,9 +243,9 @@ def count_cored_formula(a: int, b: int, c: int, m: int, signed: bool = False) ->
     """The closed-form tiling count of the cored hexagon: plain for
     signed=False, the (-1)^n weighted count for signed=True."""
     sign, table = _count_terms(a, b, c, m, signed)
-    value = sign * _evaluate(table)
-    assert value.denominator == 1, "tiling counts must be integers"
-    return value
+    num, den = _evaluate(table)
+    assert den == 1, "tiling counts must be integers"
+    return Fraction(sign * num)
 
 
 def count_cored_factorization(a: int, b: int, c: int, m: int, signed: bool = False) -> dict[int, int]:
@@ -274,14 +280,15 @@ def andrews_rhs(a: int, m: Number) -> Fraction:
     (the orbit-count factorization uses shifted m); zare1_rhs alone needs
     an integer m >= 0.  Both parities of a share each loop, through p."""
     _check_order(a)
-    p, m2 = a % 2, frac(m) / 2
-    ups = [(m2 + (i + 1) // 2 + 1, (i + 3) // 4) for i in range(1, a - 1)]
-    top = m2 + Fraction(3 * a + 3 - p, 2)
-    for i in range(1, a // 2 + 1):
-        ups.append((top - (3 * i - p + 1) // 2, (i - 1 + p) // 2))
-        ups.append((top - p - (3 * i + 1) // 2, (i + 1) // 2))
+    p, n, d = a % 2, m.numerator, m.denominator
     # an integer scalar x enters as (x)_1 = x
-    return pochhammer_ratio([(2 ** ((a + 1) // 2), 1), *ups], [(_double_factorials(a), 1)])
+    ups = [(2 ** ((a + 1) // 2), 1, 1)]
+    ups += [(n + ((i + 1) // 2 + 1) * 2 * d, 2 * d, (i + 3) // 4) for i in range(1, a - 1)]
+    top = 3 * a + 3 - p
+    for i in range(1, a // 2 + 1):
+        ups.append((n + (top - (3 * i - p + 1) // 2 * 2) * d, 2 * d, (i - 1 + p) // 2))
+        ups.append((n + (top - 2 * p - (3 * i + 1) // 2 * 2) * d, 2 * d, (i + 1) // 2))
+    return Fraction(*pochhammer_pair(ups, [(_double_factorials(a), 1, 1)]))
 
 
 def zare1_rhs(a: int, m: Number) -> Fraction:
@@ -307,40 +314,36 @@ def zare1_rhs(a: int, m: Number) -> Fraction:
             ((m + 6 * i + 4, 2 * m + 6 * i + 4), 2),
             ((m + 6 * i + 2, 2 * m + 6 * i + 2), -2),
         ]
-    return (-1) ** n * _evaluate(table)
+    num, den = _evaluate(table)
+    return Fraction((-1) ** n * num, den)
 
 
 # det(wI + B(a, m)) for w a primitive third or sixth root is (1 + w)^a times
 # (2 / (2 + t))^floor(a/2) over prod_{j=1}^{a} (2 floor(j/2) - 1)!!, t the
 # trace of w, times for every i with 4i <= a one Pochhammer symbol per row
-# (k, x0, with_a, d): (m/2 + k i + x0 + with_a a)_{floor((a - 4i - d)/2)}, a
-# negative length read as 0.
+# (k, x, with_a, e): (m/2 + k i + x/2 + with_a a)_{floor((a - 4i - e)/2)}, a
+# negative length read as 0; the offset x comes doubled.
 _OM_TABLES = {
-    OMEGA_THIRD: (
-        (3, 1, 0, 0), (3, 3, 0, 3), (-1, Fraction(1, 2), 1, 1), (-1, Fraction(-1, 2), 1, 2)
-    ),
-    OMEGA_SIXTH: (
-        (3, Fraction(3, 2), 0, 1), (3, Fraction(5, 2), 0, 2), (-1, 0, 1, 0), (-1, 0, 1, 3)
-    ),
+    OMEGA_THIRD: ((3, 2, 0, 0), (3, 6, 0, 3), (-1, 1, 1, 1), (-1, -1, 1, 2)),
+    OMEGA_SIXTH: ((3, 3, 0, 1), (3, 5, 0, 2), (-1, 0, 1, 0), (-1, 0, 1, 3)),
 }
 
 
 def _om_rhs(a: int, m: Number, omega_case: str) -> CycloElement:
     _check_order(a)
-    rows = _OM_TABLES[omega_case]
-    m2 = frac(m) / 2
+    n, d = m.numerator, m.denominator
     ups = [
-        (m2 + k * i + x0 + with_a * a, max(0, (a - 4 * i - d) // 2))
+        (n + (2 * k * i + x + 2 * with_a * a) * d, 2 * d, max(0, (a - 4 * i - e) // 2))
         for i in range(a // 4 + 1)
-        for k, x0, with_a, d in rows
+        for k, x, with_a, e in _OM_TABLES[omega_case]
     ]
-    rational = pochhammer_ratio([(2 ** (a // 2), 1), *ups], [(_double_factorials(a), 1)])
+    num, den = pochhammer_pair([(2 ** (a // 2), 1, 1), *ups], [(_double_factorials(a), 1, 1)])
     # (1 + w)^2 = (2 + t) w, so (1 + w)^a (2 + t)^-floor(a/2) is
     # w^floor(a/2) (1 + w)^(a mod 2), and w^6 = 1; w is the pair (0, 1)
     mul, unit = pair_mul(TRACE[omega_case]), (1, 0)
     for factor in [(0, 1)] * (a // 2 % 6) + [(1, 1)] * (a % 2):
         unit = mul(unit, factor)
-    return CycloElement.of(omega_case, unit[0] * rational, unit[1] * rational)
+    return CycloElement.of(omega_case, Fraction(unit[0] * num, den), Fraction(unit[1] * num, den))
 
 
 def om3_rhs(a: int, m: Number) -> CycloElement:
@@ -457,7 +460,8 @@ def conjecture_rhs(which: int, a: int, b: int, c: int, m: int) -> Fraction:
         ((up, down, low, high), 1),
         ((up + 2, down - 2, low - 2, high + 2), -1),
     ]
-    return _evaluate(table) * p / scale
+    num, den = _evaluate(table)
+    return Fraction(num * p, den * scale)
 
 
 # --- the transformed-determinant evaluation ---------------------------------
@@ -473,45 +477,48 @@ def lemma_rhs(a: int, b: Number, c: Number, m: int, shifted: bool = False) -> Fr
     floor(a/2) (shifted), the value is a hyperfactorial prefactor over a
     power of 2, times ((x-theta)/2 + ceil(j/2))_l for odd j and
     ((x+theta)/2 + j/2)_(a-l) for even j, over x in (b, c) and j = 1..m,
-    times linear factors in s = b + c, with sign (-1)^ceil(a/2) for odd m."""
+    times powers of s + y = (sn + y sd)/sd for s = b + c, integers y and
+    sd = den(b) den(c), and the sign (-1)^ceil(a/2) for odd m."""
     if a < 0 or m < 0:
         raise FormulaDomainError(f"a and m must be nonnegative, got a={a}, m={m}")
     if not shifted and a % 2 == m % 2 == 1:
         return Fraction(0)
-    b, c = frac(b), frac(c)
     theta = (a + shifted) % 2
     ell = a // 2 if shifted else (a + 1) // 2
     ups = [
-        ((x - theta) / 2 + (j + 1) // 2, ell) if j % 2 else ((x + theta) / 2 + j // 2, a - ell)
-        for x in (b, c)
+        (n + ((j + 1) // 2 * 2 - theta) * d, 2 * d, ell)
+        if j % 2
+        else (n + (j + theta) * d, 2 * d, a - ell)
+        for n, d in ((b.numerator, b.denominator), (c.numerator, c.denominator))
         for j in range(1, m + 1)
     ]
-    value = _evaluate(
+    pre, pre_den = _evaluate(
         [((2 * (a + m),), 1), (_rounded(0, a), 1), (_rounded(0, m), 1), (_rounded(0, a + m), -1)]
-    ) * pochhammer_ratio(ups, [(2 ** ((m * (a + m - 1) + 1) // 2), 1)])
-    s = b + c
-    for j in range(m % 2, a, 2):
-        value *= (s + m + 1 + j) ** (a - 1 - j)
-    for k in range(1, a // 2 + 1):
-        value *= (s + 2 * m + 2 * k) ** (a - 2 * k)
-    for k in range(1, m + 1):
-        value *= (s + 2 * k) ** (m - k + (a if 2 * k > m else 0))
+    )
+    num, den = pochhammer_pair([(pre, 1, 1), *ups], [(pre_den << (m * (a + m - 1) + 1) // 2, 1, 1)])
+    sd = b.denominator * c.denominator
+    sn = b.numerator * c.denominator + c.numerator * b.denominator
+    powers = [(m + 1 + j, a - 1 - j) for j in range(m % 2, a, 2)]
+    powers += [(2 * m + 2 * k, a - 2 * k) for k in range(1, a // 2 + 1)]
+    powers += [(2 * k, m - k + (a if 2 * k > m else 0)) for k in range(1, m + 1)]
+    for y, e in powers:
+        num, den = num * (sn + y * sd) ** e, den * sd**e
     if m % 2:
-        value *= (-1) ** ((a + 1) // 2)
-    return value
+        num *= (-1) ** ((a + 1) // 2)
+    return Fraction(num, den)
 
 
 # --- multiple-sum analogues of Watson's summation ---------------------------
 
 
-def _watson_lower_params(variant: str, a: int, M: int, B: Fraction, C: Fraction):
-    if variant == W1:
-        return Fraction(a - M, 2) + C / 2, 2 * B + a - 1
-    if variant == W2:
-        return Fraction(a - M, 2) + C / 2 + Fraction(1, 2), 2 * B + a - 2
-    if variant == W3:
-        return Fraction(a - M, 2) + C / 2, 2 * B + a - 2
-    raise FormulaDomainError(f"unknown variant {variant!r}")
+def _watson_lower_params(variant: str, a: int, M: int, B: Number, C: Number):
+    """watson_lhs's lower parameters e = (a - M + sigma + C)/2 and f = 2B + a - 1 - tau
+    as integer pairs, with sigma = 1 for W2 and tau = 1 for W2 and W3."""
+    if variant not in WATSON_VARIANTS:
+        raise FormulaDomainError(f"unknown variant {variant!r}")
+    sigma, tau = int(variant == W2), int(variant != W1)
+    (bn, bd), (cn, cd) = (B.numerator, B.denominator), (C.numerator, C.denominator)
+    return (cn + (a - M + sigma) * cd, 2 * cd), (2 * bn + (a - 1 - tau) * bd, bd)
 
 
 def watson_lhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
@@ -521,10 +528,7 @@ def watson_lhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
     The per-k factors (-M)_k (C)_k (B)_k / (k! (e)_k (f)_k) are put over one
     common denominator by their term ratio, so the sum over index sets runs
     on ints and one Fraction is built at the end."""
-    B, C = frac(B), frac(C)
-    (en, ed), (fn, fd) = lower = [
-        (x.numerator, x.denominator) for x in _watson_lower_params(variant, a, M, B, C)
-    ]
+    (en, ed), (fn, fd) = lower = _watson_lower_params(variant, a, M, B, C)
     check_lower_poles(lower, M)
     bn, bd, cn, cd = B.numerator, B.denominator, C.numerator, C.denominator
     scale_num, scale_den = ed * fd, bd * cd
@@ -564,32 +568,34 @@ def watson_rhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
       * (g + low + (u mod 2)/2)_{ceil(k/2) - low + floor(u/2)},
     and 1/((C + M - j + 1)/2)_j for each j of the parity of a + 1 + sigma.
     The parity of M enters only as half-shifts of bases and lengths, the
-    parity of a only through the ceilings and floors in j."""
+    parity of a only through the ceilings and floors in j.  Over B = bn/bd
+    and C = cn/cd, g + y/2 is (gn + y bd cd)/(2 bd cd)."""
     if a < 0:
         raise FormulaDomainError(f"the number a of summation indices must be nonnegative, got {a}")
-    B, C = frac(B), frac(C)
     if M < a or variant == W1 and a % 2 == M % 2 == 1:
         # fewer than a admissible indices leave the sum empty; W1 vanishes
         # for odd a and M
         return Fraction(0)
-    e, f = _watson_lower_params(variant, a, M, B, C)
+    (en, ed), (fn, fd) = _watson_lower_params(variant, a, M, B, C)
     sigma, tau = int(variant == W2), int(variant != W1)
     u = M - a
     phi, eta, odd_u = (u + sigma) % 2, (a + tau) % 2, u % 2
-    g = B - C / 2 - tau + Fraction(sigma, 2)
+    bn, bd, cn, cd = B.numerator, B.denominator, C.numerator, C.denominator
+    gn = 2 * bn * cd - cn * bd + (sigma - 2 * tau) * bd * cd
     # the scalars enter as (x)_1 = x and the factorials as (1)_n = n!
-    ups = [((-1) ** (a // 2 + a * ((u - sigma) // 2 + 1)), 1)] + [(1, M)] * a
-    downs = [(2 ** (a * (M + 1 - a)), 1)] + [(e, (u - sigma + 1) // 2)] * a
+    ups = [((-1) ** (a // 2 + a * ((u - sigma) // 2 + 1)), 1, 1)] + [(1, 1, M)] * a
+    downs = [(2 ** (a * (M + 1 - a)), 1, 1)] + [(en, ed, (u - sigma + 1) // 2)] * a
     for j in range(1, a + 1):
         k = j + tau - sigma
         low = (k - odd_u) // 2
-        ups += [(B, j - 1), (1, (j - 1) // 2), (C / 2 + Fraction(1 - phi, 2), (j - 1 + phi) // 2)]
-        ups.append((g + low + Fraction(odd_u, 2), (k + 1) // 2 - low + u // 2))
-        downs += [(1, (M - j + 1) // 2), (f / 2 + Fraction(1 - eta, 2), (j - 1 + eta) // 2)]
-        downs.append((f / 2 + Fraction(eta, 2), (M + 2 - eta - j) // 2))
+        ups += [(bn, bd, j - 1), (1, 1, (j - 1) // 2)]
+        ups.append((cn + (1 - phi) * cd, 2 * cd, (j - 1 + phi) // 2))
+        ups.append((gn + (2 * low + odd_u) * bd * cd, 2 * bd * cd, (k + 1) // 2 - low + u // 2))
+        downs += [(1, 1, (M - j + 1) // 2), (fn + (1 - eta) * fd, 2 * fd, (j - 1 + eta) // 2)]
+        downs.append((fn + eta * fd, 2 * fd, (M + 2 - eta - j) // 2))
         if (a + j + sigma) % 2:
-            downs.append(((C + M - j + 1) / 2, j))
-    return pochhammer_ratio(ups, downs)
+            downs.append((cn + (M - j + 1) * cd, 2 * cd, j))
+    return Fraction(*pochhammer_pair(ups, downs))
 
 
 def watson_pair(variant: str, a: int, M: int, B: Number, C: Number) -> tuple[Fraction, Fraction]:
@@ -603,11 +609,10 @@ def watson_3f2_closed(M: int, B: Number, C: Number) -> Fraction:
     """The terminating Watson 3F2 sum, with the gamma quotients of the
     classical evaluation rewritten as Pochhammer ratios so that arbitrary
     rational parameters stay exact.  Zero for odd M."""
-    B, C = frac(B), frac(C)
     if M % 2 == 1:
         return Fraction(0)
-    half = M // 2
-    return pochhammer_ratio(
-        [(Fraction(1 - M, 2), half), (Fraction(1, 2) - C / 2 + B, half)],
-        [(Fraction(1, 2) + B, half), (Fraction(1 - M, 2) + C / 2, half)],
-    )
+    half, bn, bd, cn, cd = M // 2, B.numerator, B.denominator, C.numerator, C.denominator
+    return Fraction(*pochhammer_pair(
+        [(1 - M, 2, half), ((cd - cn) * bd + 2 * bn * cd, 2 * bd * cd, half)],
+        [(bd + 2 * bn, 2 * bd, half), ((1 - M) * cd + cn, 2 * cd, half)],
+    ))

@@ -53,7 +53,7 @@ from .exactnum import (
     frac,
     pair_conjugate,
     pair_norm,
-    pochhammer_ratio,
+    pochhammer_pair,
     stepped_product,
 )
 
@@ -473,18 +473,18 @@ def cored_det_transform(
     Returns (prefactor, D) with prefactor * det(D) = det(build_cored_matrix)
     at epsilon = 0 (unshifted) or 1/2 (shifted); D's entries are the
     Pochhammer products, polynomial in b and c.  The prefactor is a
-    quotient of factorials n! = (1)_n."""
+    quotient of factorials n! = (1)_n, the triples (1, 1, n)."""
     if min(b, c) < 0:
         raise ValueError("side lengths must be nonnegative")
     if b % 2 != c % 2:
         raise ValueError("b and c must have equal parity")
     matrix = transformed_cored_matrix(a, b, c, m, shifted)
     h = int(shifted)
-    ups = [(1, b + c + m)] * a + [(1, (b + c) // 2)] * m
-    downs = [(1, n) for i in range(1, a + 1) for n in (b + a + m - i, c + m + i - 1)]
+    ups = [(1, 1, b + c + m)] * a + [(1, 1, (b + c) // 2)] * m
+    downs = [(1, 1, n) for i in range(1, a + 1) for n in (b + a + m - i, c + m + i - 1)]
     for r in range(1, m + 1):  # core row a + r
-        downs += [(1, (b + a + h) // 2 + m - r), (1, (c + a - h) // 2 + r - 1)]
-    return pochhammer_ratio(ups, downs), matrix
+        downs += [(1, 1, (b + a + h) // 2 + m - r), (1, 1, (c + a - h) // 2 + r - 1)]
+    return Fraction(*pochhammer_pair(ups, downs)), matrix
 
 
 def transformed_cored_matrix(

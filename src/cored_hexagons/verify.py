@@ -332,7 +332,7 @@ def _suite_hypergeom_identities(bounds, seed):
 
     yield from _sampled(
         "HypergeomIdentities", seed, hypergeom.IDENTITY_IDS, samples, 50 * samples, draw,
-        (hypergeom.PochhammerZeroError, hypergeom.NonTerminatingError, ZeroDivisionError),
+        hypergeom.PochhammerZeroError,
     )
     for n in range(bounds.get("max_qbinom_n", 12) + 1):
         for k in range(n + 1):

@@ -11,7 +11,11 @@ by Fraction arithmetic; omega*I + B adds a binomial
 to each entry by ring arithmetic, and Z_n and its two half-size blocks
 accumulate each entry one Fraction term at a time.  The cyclotomic multiply,
 conjugate and norm are written out per ring, and det(I + B(a, m)) by parity
-branch.
+branch.  The other Pochhammer closed forms (det(wI + B) for the third and
+sixth roots, lemma_rhs, the Watson sides and their lower parameters,
+Watson's 3F2 and the factorial prefactor of cored_det_transform) form
+every base by Fraction arithmetic and multiply the symbols one Fraction at
+a time; lemma_rhs multiplies its hyperfactorials out.
 The package's forms must agree with them in value, in return type and in
 the exception they raise.
 """
@@ -22,8 +26,16 @@ import math
 from fractions import Fraction
 from itertools import combinations
 
-from cored_hexagons.exactnum import SIXTH, THIRD, CycloElement, Number, double_factorial_odd, frac
-from cored_hexagons.formulas import _check_order, _watson_lower_params
+from cored_hexagons.exactnum import (
+    SIXTH,
+    THIRD,
+    TRACE,
+    CycloElement,
+    Number,
+    double_factorial_odd,
+    frac,
+)
+from cored_hexagons.formulas import W1, W2, W3, WATSON_VARIANTS, FormulaDomainError
 from cored_hexagons.hypergeom import (
     CHU_VANDERMONDE,
     GESSEL_STANTON_5F4,
@@ -168,26 +180,39 @@ IDENTITY_RATIONALS = {
 }
 
 
+def rational(rng, max_num: int, max_den: int) -> Number:
+    """A numerator in -max_num..max_num as an int (a sixth of the draws), an
+    integral Fraction (a sixth) or over a denominator up to max_den."""
+    num, pick = rng.randint(-max_num, max_num), rng.random()
+    if pick < 1 / 6:
+        return num
+    if pick < 1 / 3:
+        return Fraction(num)
+    return Fraction(num, rng.randint(1, max_den))
+
+
 def identity_draw(rng, identity, max_n: int, max_den: int) -> list:
     """Seeded parameters for `identity_pair`: rationals with numerators in
     -3 max_n..3 max_n and denominators up to max_den, a third of them
     integers (ints or integral Fractions), so that lower poles and negative
     integer A turn up; then n in 0..max_n."""
-    def rational():
-        num = rng.randint(-3 * max_n, 3 * max_n)
-        pick = rng.random()
-        if pick < 1 / 6:
-            return num
-        if pick < 1 / 3:
-            return Fraction(num)
-        return Fraction(num, rng.randint(1, max_den))
+    rationals = [rational(rng, 3 * max_n, max_den) for _ in range(IDENTITY_RATIONALS[identity])]
+    return rationals + [rng.randint(0, max_n)]
 
-    return [rational() for _ in range(IDENTITY_RATIONALS[identity])] + [rng.randint(0, max_n)]
+
+def watson_lower_params(variant: str, a: int, M: int, B: Fraction, C: Fraction):
+    if variant == W1:
+        return Fraction(a - M, 2) + C / 2, 2 * B + a - 1
+    if variant == W2:
+        return Fraction(a - M, 2) + C / 2 + Fraction(1, 2), 2 * B + a - 2
+    if variant == W3:
+        return Fraction(a - M, 2) + C / 2, 2 * B + a - 2
+    raise FormulaDomainError(f"unknown variant {variant!r}")
 
 
 def watson_lhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
     B, C = frac(B), frac(C)
-    low1, low2 = _watson_lower_params(variant, a, M, B, C)
+    low1, low2 = watson_lower_params(variant, a, M, B, C)
     factors = []
     for k in range(M + 1):
         num = frac(pochhammer(-M, k)) * frac(pochhammer(C, k)) * frac(pochhammer(B, k))
@@ -310,8 +335,137 @@ def cyclo_norm(x: CycloElement) -> Fraction:
     return product.c0
 
 
+def watson_rhs(variant: str, a: int, M: int, B: Number, C: Number) -> Fraction:
+    """One expression for every variant and parity, with Fraction bases."""
+    if a < 0:
+        raise FormulaDomainError(f"the number a of summation indices must be nonnegative, got {a}")
+    B, C = frac(B), frac(C)
+    if M < a or variant == W1 and a % 2 == M % 2 == 1:
+        return Fraction(0)
+    e, f = watson_lower_params(variant, a, M, B, C)
+    sigma, tau = int(variant == W2), int(variant != W1)
+    u = M - a
+    phi, eta, odd_u = (u + sigma) % 2, (a + tau) % 2, u % 2
+    g = B - C / 2 - tau + Fraction(sigma, 2)
+    ups = [((-1) ** (a // 2 + a * ((u - sigma) // 2 + 1)), 1)] + [(1, M)] * a
+    downs = [(2 ** (a * (M + 1 - a)), 1)] + [(e, (u - sigma + 1) // 2)] * a
+    for j in range(1, a + 1):
+        k = j + tau - sigma
+        low = (k - odd_u) // 2
+        ups += [(B, j - 1), (1, (j - 1) // 2), (C / 2 + Fraction(1 - phi, 2), (j - 1 + phi) // 2)]
+        ups.append((g + low + Fraction(odd_u, 2), (k + 1) // 2 - low + u // 2))
+        downs += [(1, (M - j + 1) // 2), (f / 2 + Fraction(1 - eta, 2), (j - 1 + eta) // 2)]
+        downs.append((f / 2 + Fraction(eta, 2), (M + 2 - eta - j) // 2))
+        if (a + j + sigma) % 2:
+            downs.append(((C + M - j + 1) / 2, j))
+    return pochhammer_ratio(ups, downs)
+
+
+def watson_3f2_closed(M: int, B: Number, C: Number) -> Fraction:
+    B, C = frac(B), frac(C)
+    if M % 2 == 1:
+        return Fraction(0)
+    half = M // 2
+    return pochhammer_ratio(
+        [(Fraction(1 - M, 2), half), (Fraction(1, 2) - C / 2 + B, half)],
+        [(Fraction(1, 2) + B, half), (Fraction(1 - M, 2) + C / 2, half)],
+    )
+
+
+def cored_det_prefactor(a: int, b: int, c: int, m: int, shifted: bool = False) -> Fraction:
+    """The factorial prefactor of `lgv.cored_det_transform`, for arguments
+    that its matrix accepts."""
+    h = int(shifted)
+    ups = [(1, b + c + m)] * a + [(1, (b + c) // 2)] * m
+    downs = [(1, n) for i in range(1, a + 1) for n in (b + a + m - i, c + m + i - 1)]
+    for r in range(1, m + 1):
+        downs += [(1, (b + a + h) // 2 + m - r), (1, (c + a - h) // 2 + r - 1)]
+    return pochhammer_ratio(ups, downs)
+
+
+def check_order(a: int) -> None:
+    if a < 0:
+        raise FormulaDomainError(f"the order a of B(a, m) must be nonnegative, got {a}")
+
+
+def double_factorials(a: int) -> int:
+    return math.prod(double_factorial_odd(j // 2) for j in range(1, a + 1))
+
+
+# per root: rows (k, x0, with_a, d) of the symbols
+# (m/2 + k i + x0 + with_a a)_{floor((a - 4i - d)/2)}, 4i <= a
+OM_TABLES = {
+    THIRD: ((3, 1, 0, 0), (3, 3, 0, 3), (-1, Fraction(1, 2), 1, 1), (-1, Fraction(-1, 2), 1, 2)),
+    SIXTH: ((3, Fraction(3, 2), 0, 1), (3, Fraction(5, 2), 0, 2), (-1, 0, 1, 0), (-1, 0, 1, 3)),
+}
+
+
+def om_rhs(a: int, m: Number, ring: str) -> CycloElement:
+    """det(wI + B(a, m)) for w the root (0, 1) of the ring: (1 + w)^a
+    multiplied out and divided by (2 + t)^floor(a/2), times the rational
+    Pochhammer product."""
+    check_order(a)
+    m2 = frac(m) / 2
+    ups = [
+        (m2 + k * i + x0 + with_a * a, max(0, (a - 4 * i - d) // 2))
+        for i in range(a // 4 + 1)
+        for k, x0, with_a, d in OM_TABLES[ring]
+    ]
+    rational = pochhammer_ratio([(2 ** (a // 2), 1), *ups], [(double_factorials(a), 1)])
+    unit, one_plus_w = CycloElement.of(ring, 1), CycloElement.of(ring, 1, 1)
+    for _ in range(a):
+        unit = cyclo_mul(unit, one_plus_w)
+    scale = rational / (2 + TRACE[ring]) ** (a // 2)
+    return CycloElement.of(ring, unit.c0 * scale, unit.c1 * scale)
+
+
+def om3_rhs(a: int, m: Number) -> CycloElement:
+    return om_rhs(a, m, THIRD)
+
+
+def om6_rhs(a: int, m: Number) -> CycloElement:
+    return om_rhs(a, m, SIXTH)
+
+
+def hyperfactorial(n: int) -> int:
+    return math.prod(math.factorial(i) for i in range(n))
+
+
+def lemma_rhs(a: int, b: Number, c: Number, m: int, shifted: bool = False) -> Fraction:
+    """The transformed-determinant value with Fraction bases and a Fraction
+    product over the linear factors in s = b + c."""
+    if a < 0 or m < 0:
+        raise FormulaDomainError(f"a and m must be nonnegative, got a={a}, m={m}")
+    if not shifted and a % 2 == m % 2 == 1:
+        return Fraction(0)
+    b, c = frac(b), frac(c)
+    theta = (a + shifted) % 2
+    ell = a // 2 if shifted else (a + 1) // 2
+    ups = [
+        ((x - theta) / 2 + (j + 1) // 2, ell) if j % 2 else ((x + theta) / 2 + j // 2, a - ell)
+        for x in (b, c)
+        for j in range(1, m + 1)
+    ]
+    h = hyperfactorial
+    prefactor = Fraction(
+        h(a + m) * h((a + 1) // 2) * h(a // 2) * h((m + 1) // 2) * h(m // 2),
+        h((a + m + 1) // 2) * h((a + m) // 2),
+    )
+    value = prefactor * pochhammer_ratio(ups, [(2 ** ((m * (a + m - 1) + 1) // 2), 1)])
+    s = b + c
+    for j in range(m % 2, a, 2):
+        value *= (s + m + 1 + j) ** (a - 1 - j)
+    for k in range(1, a // 2 + 1):
+        value *= (s + 2 * m + 2 * k) ** (a - 2 * k)
+    for k in range(1, m + 1):
+        value *= (s + 2 * k) ** (m - k + (a if 2 * k > m else 0))
+    if m % 2:
+        value *= (-1) ** ((a + 1) // 2)
+    return value
+
+
 def andrews_rhs(a: int, m: Number) -> Fraction:
-    _check_order(a)
+    check_order(a)
     m2 = frac(m) / 2
     value = Fraction(2) ** ((a + 1) // 2)
     if a % 2 == 0:
@@ -336,3 +490,30 @@ def andrews_rhs(a: int, m: Number) -> Fraction:
         for i in range(1, (a - 1) // 2 + 1):
             value /= double_factorial_odd(i) ** 2
     return value
+
+
+def closed_form_draws(rng, samples: int, max_a: int, max_den: int, watson_a: int, max_M: int,
+                      max_lemma: int):
+    """Seeded (name, args) cases for the Pochhammer closed forms, `samples`
+    per name: det(wI + B) at a <= max_a with rational m (denominators up
+    to max_den, negative ones among them); both Watson sides and the 3F2 at
+    a <= watson_a and M <= max_M, B and C integral a third of the time, so
+    that poles turn up; lemma_rhs at a, m <= max_lemma with rational b and
+    c, both placements; the prefactor of cored_det_transform on admissible
+    sides.  Negative a, m and M are drawn too, for the domain errors."""
+    for _ in range(samples):
+        a, m = rng.randint(-1, max_a), rational(rng, 3 * max_a + 3, max_den)
+        for name in ("andrews_rhs", "om3_rhs", "om6_rhs"):
+            yield name, (a, m)
+        M = rng.randint(-1, max_M)
+        B, C = (rational(rng, 2 * max_M, max_den) for _ in range(2))
+        args = (rng.choice(WATSON_VARIANTS), rng.randint(-1, watson_a), M, B, C)
+        yield "watson_lhs", args
+        yield "watson_rhs", args
+        yield "watson_3f2_closed", (M, B, C)
+        a, m = rng.randint(-1, max_lemma), rng.randint(-1, max_lemma)
+        b, c = (rational(rng, 3 * max_lemma + 3, max_den) for _ in range(2))
+        yield "lemma_rhs", (a, b, c, m, rng.random() < 0.5)
+        b, c = rng.randint(0, 6), rng.randint(0, 3)
+        args = (rng.randint(0, 4), b, b % 2 + 2 * c, rng.randint(0, 4), rng.random() < 0.5)
+        yield "cored_det_prefactor", args

@@ -15,7 +15,7 @@ from cored_hexagons.exactnum import (
     json_value,
     omega3,
     omega6,
-    pochhammer_ratio,
+    pochhammer_pair,
 )
 from hyperfactorial_reference import SqrtPiScaled, hyperfactorial
 from text_formats import int_digit_limit
@@ -65,21 +65,23 @@ class TestHyperfactorial:
 
 class TestPochhammerBinomial:
     def test_pochhammer_ratio_examples(self):
-        assert pochhammer_ratio([(Fraction(1, 2), 0)]) == 1
-        assert pochhammer_ratio([(Fraction(1, 2), 3)]) == Fraction(15, 8)
-        assert pochhammer_ratio([(-2, 4)]) == 0
-        assert pochhammer_ratio([(1, 5)], [(1, 3), (Fraction(1, 2), 2)]) == Fraction(80, 3)
-        assert type(pochhammer_ratio([])) is Fraction
+        # (n/d)_k as the triple (n, d, k); the ratio as an unreduced int pair
+        assert pochhammer_pair([(1, 2, 0)]) == (1, 1)
+        assert pochhammer_pair([(1, 2, 3)]) == (15, 8)
+        assert pochhammer_pair([(-2, 1, 4)]) == (0, 1)
+        assert Fraction(*pochhammer_pair([(1, 1, 5)], [(1, 1, 3), (1, 2, 2)])) == Fraction(80, 3)
+        assert [type(x) for x in pochhammer_pair([])] == [int, int]
         with pytest.raises(ZeroDivisionError, match=r"^\(-2\)_4 vanishes"):
-            pochhammer_ratio([(1, 2)], [(-3, 1), (-2, 4), (0, 1)])
+            pochhammer_pair([(1, 1, 2)], [(-3, 1, 1), (-2, 1, 4), (0, 1, 1)])
         with pytest.raises(ValueError, match="negative index -1"):
-            pochhammer_ratio([(1, 2)], [(1, -1)])
+            pochhammer_pair([(1, 1, 2)], [(1, 1, -1)])
 
     @given(rationals, st.integers(0, 20), st.integers(0, 20))
     @settings(max_examples=60)
     def test_pochhammer_additivity(self, alpha, j, k):
-        assert pochhammer_ratio([(alpha, j + k)]) == pochhammer_ratio(
-            [(alpha, j), (alpha + j, k)]
+        n, d = alpha.numerator, alpha.denominator
+        assert Fraction(*pochhammer_pair([(n, d, j + k)])) == Fraction(
+            *pochhammer_pair([(n, d, j), (n + j * d, d, k)])
         )
 
     def test_binomial_examples(self):

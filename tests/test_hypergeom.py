@@ -37,10 +37,11 @@ class TestEvalTerminating:
 
     def test_matches_chu_vandermonde_closed_form(self):
         n, A, C = 3, Fraction(1, 2), Fraction(5, 2)
-        from cored_hexagons.exactnum import pochhammer_ratio
+        from cored_hexagons.exactnum import pochhammer_pair
 
         lhs = hyper([-n, A], [C])
-        rhs = pochhammer_ratio([(C - A, n)], [(C, n)])
+        # (C - A)_n / (C)_n with C - A = 4/2 and C = 5/2
+        rhs = Fraction(*pochhammer_pair([(4, 2, n)], [(5, 2, n)]))
         assert lhs == rhs
 
 

@@ -1,5 +1,5 @@
 """The integer-summed series and matrix builders, the shared Z[w3]/Z[w6]
-arithmetic and det(I + B(a, m)) against their former forms in
+arithmetic and the Pochhammer closed forms against their former forms in
 `rational_reference`: the same value of the same type (for a matrix, the
 same ring and entry values), or the same exception with the same
 arguments (for Z_n's half-size blocks, of the same type)."""
@@ -54,10 +54,20 @@ def entries(matrix):
 symbols = st.lists(st.tuples(bases, st.integers(-1, 12)), max_size=4)
 
 
+def triples(symbols):
+    """(x, k) pairs as the (n, d, k) triples of `pochhammer_pair`."""
+    return [(x.numerator, x.denominator, k) for x, k in symbols]
+
+
+def pochhammer_ratio(ups, downs):
+    """The ratio of `pochhammer_pair` over triples, as one Fraction."""
+    return Fraction(*exactnum.pochhammer_pair(ups, downs))
+
+
 @given(symbols, symbols)
 @settings(max_examples=400)
 def test_pochhammer_ratio(ups, downs):
-    assert outcome(exactnum.pochhammer_ratio, ups, downs) == outcome(
+    assert outcome(pochhammer_ratio, triples(ups), triples(downs)) == outcome(
         ref.pochhammer_ratio, ups, downs
     )
 
@@ -66,10 +76,10 @@ def refuse_fraction_arithmetic(*args):
     raise AssertionError("Fraction arithmetic")
 
 
-# Fraction's +, -, * and /, reflected forms included
+# Fraction's +, -, *, / and **, reflected forms included
 REFUSED = {
     name: refuse_fraction_arithmetic
-    for op in ("add", "sub", "mul", "truediv")
+    for op in ("add", "sub", "mul", "truediv", "pow")
     for name in (f"__{op}__", f"__r{op}__")
 }
 
@@ -78,14 +88,9 @@ REFUSED = {
 @settings(max_examples=200)
 def test_pochhammer_ratio_multiplies_no_fractions(ups, downs):
     expected = outcome(ref.pochhammer_ratio, ups, downs)
-    with mock.patch.multiple(
-        Fraction,
-        __mul__=refuse_fraction_arithmetic,
-        __rmul__=refuse_fraction_arithmetic,
-        __truediv__=refuse_fraction_arithmetic,
-        __rtruediv__=refuse_fraction_arithmetic,
-    ):
-        got = outcome(exactnum.pochhammer_ratio, ups, downs)
+    ups, downs = triples(ups), triples(downs)
+    with mock.patch.multiple(Fraction, **REFUSED):
+        got = outcome(pochhammer_ratio, ups, downs)
     assert got == expected
 
 
@@ -165,14 +170,9 @@ def test_identity_pair_and_hyper_do_no_fraction_arithmetic():
        parameters, parameters)
 @settings(max_examples=300)
 def test_watson_sides(variant, a, M, B, C):
-    assert outcome(formulas.watson_lhs, variant, a, M, B, C) == outcome(
-        ref.watson_lhs, variant, a, M, B, C
-    )
-    # the closed form is one Pochhammer ratio; the reference multiplies it
-    # one Fraction symbol at a time
-    with mock.patch.object(formulas, "pochhammer_ratio", ref.pochhammer_ratio):
-        expected = outcome(formulas.watson_rhs, variant, a, M, B, C)
-    assert outcome(formulas.watson_rhs, variant, a, M, B, C) == expected
+    for package, reference in ((formulas.watson_lhs, ref.watson_lhs),
+                               (formulas.watson_rhs, ref.watson_rhs)):
+        assert outcome(package, variant, a, M, B, C) == outcome(reference, variant, a, M, B, C)
 
 
 @given(st.integers(0, 6), st.one_of(ints, rationals, integral_fractions),
@@ -262,3 +262,51 @@ def test_cyclo_norm(x):
 @settings(max_examples=300)
 def test_andrews_rhs(a, m):
     assert outcome(formulas.andrews_rhs, a, m) == outcome(ref.andrews_rhs, a, m)
+
+
+@given(st.integers(-1, 29), st.one_of(ints, half_integers, rationals), rings)
+@settings(max_examples=300)
+def test_om_rhs(a, m, ring):
+    package = formulas.om3_rhs if ring == THIRD else formulas.om6_rhs
+    assert outcome(lambda: typed(package(a, m))) == outcome(lambda: typed(ref.om_rhs(a, m, ring)))
+
+
+@given(st.integers(-1, 7), st.one_of(ints, half_integers, rationals),
+       st.one_of(ints, half_integers, rationals), st.integers(-1, 6), st.booleans())
+@settings(max_examples=300)
+def test_lemma_rhs(a, b, c, m, shifted):
+    assert outcome(formulas.lemma_rhs, a, b, c, m, shifted) == outcome(
+        ref.lemma_rhs, a, b, c, m, shifted
+    )
+
+
+# each Pochhammer closed form by the name `rational_reference.closed_form_draws`
+# gives it: the package's form and the tests' reference
+CLOSED_FORMS = {
+    "andrews_rhs": (formulas.andrews_rhs, ref.andrews_rhs),
+    "om3_rhs": (formulas.om3_rhs, ref.om3_rhs),
+    "om6_rhs": (formulas.om6_rhs, ref.om6_rhs),
+    "watson_lhs": (formulas.watson_lhs, ref.watson_lhs),
+    "watson_rhs": (formulas.watson_rhs, ref.watson_rhs),
+    "watson_3f2_closed": (formulas.watson_3f2_closed, ref.watson_3f2_closed),
+    "lemma_rhs": (formulas.lemma_rhs, ref.lemma_rhs),
+    "cored_det_prefactor": (lambda *args: lgv.cored_det_transform(*args)[0],
+                            ref.cored_det_prefactor),
+}
+
+
+def closed_form_outcome(fn, args):
+    return outcome(lambda: typed(fn(*args)))
+
+
+def test_closed_forms_do_no_fraction_arithmetic():
+    draws = list(ref.closed_form_draws(
+        random.Random(36), 60, max_a=12, max_den=6, watson_a=3, max_M=6, max_lemma=5
+    ))
+    expected = [closed_form_outcome(CLOSED_FORMS[name][1], args) for name, args in draws]
+    with mock.patch.multiple(Fraction, **REFUSED):
+        got = [closed_form_outcome(CLOSED_FORMS[name][0], args) for name, args in draws]
+    assert got == expected
+    # every form is drawn, and both values and exceptions are among the outcomes
+    assert {name for name, _ in draws} == set(CLOSED_FORMS)
+    assert {o[0] for o in got} == {"value", "raises"}
