@@ -236,7 +236,9 @@ def build_parser() -> argparse.ArgumentParser:
     count.add_argument("--b", type=int, required=True)
     count.add_argument("--c", type=int, required=True)
     count.add_argument("--m", type=int, required=True)
-    count.add_argument("--weight", choices=["one", "minus1"], default="one")
+    count.add_argument(
+        "--weight", choices=(tilings.WEIGHT_ONE, tilings.WEIGHT_MINUS1), default="one"
+    )
     count.add_argument("--method", choices=verify.ROUTES, default="formula")
     count.add_argument("--cap", type=int, default=None, help="brute-force cell cap")
     count.set_defaults(func=_cmd_count)
@@ -244,11 +246,7 @@ def build_parser() -> argparse.ArgumentParser:
     cyc = sub.add_parser("cyclic-count", help="weighted cyclically symmetric counts")
     cyc.add_argument("--a", type=int, required=True)
     cyc.add_argument("--m", type=int, required=True)
-    cyc.add_argument(
-        "--weight",
-        choices=["one", "minus1", "omega3", "omega6", "minus1-n6"],
-        default="one",
-    )
+    cyc.add_argument("--weight", choices=tilings.WEIGHTS, default="one")
     cyc.add_argument("--cap", type=int, default=None)
     cyc.set_defaults(func=_cmd_cyclic_count)
 

@@ -413,14 +413,8 @@ def build_omega_shift(N: int, m: Number, omega) -> ExactMatrix:
     return plus_scaled(build_B(N, m), omega)
 
 
-def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number | None = None) -> ExactMatrix:
-    """The (a+m) x (a+m) lattice-path matrix for the cored hexagon, with the
-    core column offset epsilon in {0, 1/2, 1, 3/2}.  Left out, epsilon
-    follows the core's placement: 0 (centered) when a = b (mod 2), else 1/2
-    (shifted half a unit); the off-center conjectures pass 1 and 3/2.
-
-    Rows 1..a count paths from the side of length a, rows a+1..a+m paths
-    from the core side; 1-based (i, j) as in the row descriptions."""
+def _core_shift(a: int, b: int, c: int, m: int, epsilon: Number | None) -> int:
+    """The core rows' column shift (b + a)/2 + epsilon, arguments checked."""
     if min(a, b, c, m) < 0:
         raise ValueError("side lengths must be nonnegative")
     if b % 2 != c % 2:
@@ -434,6 +428,18 @@ def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number | None = 
             f"(b+a)/2 + epsilon = {Fraction(twice, 2 * q)} must be an integer; pick epsilon "
             "from {0, 1} when a = b (mod 2) and {1/2, 3/2} otherwise"
         )
+    return shift
+
+
+def build_cored_matrix(a: int, b: int, c: int, m: int, epsilon: Number | None = None) -> ExactMatrix:
+    """The (a+m) x (a+m) lattice-path matrix for the cored hexagon, with the
+    core column offset epsilon in {0, 1/2, 1, 3/2}.  Left out, epsilon
+    follows the core's placement: 0 (centered) when a = b (mod 2), else 1/2
+    (shifted half a unit); the off-center conjectures pass 1 and 3/2.
+
+    Rows 1..a count paths from the side of length a, rows a+1..a+m paths
+    from the core side; 1-based (i, j) as in the row descriptions."""
+    shift = _core_shift(a, b, c, m, epsilon)
     n = a + m
     # row i is the window binom(top, low + j), j = 1..n, with low = b - i on
     # the first a rows and shift - i below
@@ -473,13 +479,11 @@ def cored_det_transform(
     Returns (prefactor, D) with prefactor * det(D) = det(build_cored_matrix)
     at epsilon = 0 (unshifted) or 1/2 (shifted); D's entries are the
     Pochhammer products, polynomial in b and c.  The prefactor is a
-    quotient of factorials n! = (1)_n, the triples (1, 1, n)."""
-    if min(b, c) < 0:
-        raise ValueError("side lengths must be nonnegative")
-    if b % 2 != c % 2:
-        raise ValueError("b and c must have equal parity")
+    quotient of factorials n! = (1)_n, the triples (1, 1, n).  After D's
+    own check of a and m, it refuses what `build_cored_matrix` refuses."""
     matrix = transformed_cored_matrix(a, b, c, m, shifted)
     h = int(shifted)
+    _core_shift(a, b, c, m, Fraction(h, 2))
     ups = [(1, 1, b + c + m)] * a + [(1, 1, (b + c) // 2)] * m
     downs = [(1, 1, n) for i in range(1, a + 1) for n in (b + a + m - i, c + m + i - 1)]
     for r in range(1, m + 1):  # core row a + r

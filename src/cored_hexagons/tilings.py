@@ -3,20 +3,20 @@ tiling statistics.
 
 Every region is one flat list of slots, one per orientation and place of
 the bounding box, line by line in sweep order with a padding place per
-line, each holding a cell's index or -1 (see `Region`); the lattice graph
-`Region.graph` and the views `Region.cells` and `Region.cell_index` are
-derived from it on demand.  Every count runs a frontier transfer matrix,
-and none builds the graph.  Plain and (-1)-weighted counts step straight
-through the slot pairs (U in slot k, D in slot k+1), with one state bit per
-up cell ahead, since a down cell is reached only from its own up cell.
-Cyclically symmetric counts run over the orbits of the 120-degree rotation,
-where the matrix keeps a histogram of the statistic mod 6 and applies the
-weight once: the rotation is an affine map read through the slot array,
-each orbit of lozenges is read off the slots at its lowest up cell, where
-its weight is folded, and the packed residue counts are reduced only where
-a product by a factor other than 1 is formed.  Backtracking, over the
-graph, is left only for the enumeration generators.  Nothing here uses the
-determinant or closed-form routes that these counts check.
+line, each holding a cell's index or -1 (see `Region`); the views
+`Region.cells` and `Region.cell_index` are derived from it on demand.
+Every count runs a frontier transfer matrix.  Plain and (-1)-weighted
+counts step straight through the slot pairs (U in slot k, D in slot k+1),
+with one state bit per up cell ahead, since a down cell is reached only
+from its own up cell.  Cyclically symmetric counts run over the orbits of
+the 120-degree rotation, where the matrix keeps a histogram of the
+statistic mod 6 and applies the weight once: the rotation is an affine map
+read through the slot array, each orbit of lozenges is read off the slots
+at its lowest up cell, where its weight is folded, and the packed residue
+counts are reduced only where a product by a factor other than 1 is formed.
+Backtracking, which reads its branches off the slots too, is left only for
+the enumeration generators.  Nothing here uses the determinant or
+closed-form routes that these counts check.
 
 A tiling is a perfect matching of the region's cells, held as the tuple of
 their partners: entry i is the index of the cell that cell i shares its
@@ -74,8 +74,6 @@ WEIGHTS = (WEIGHT_ONE, WEIGHT_MINUS1, WEIGHT_OMEGA3, WEIGHT_OMEGA6, WEIGHT_MINUS
 CYCLIC_WEIGHTS = (WEIGHT_OMEGA3, WEIGHT_OMEGA6, WEIGHT_MINUS1_N6)
 
 DEFAULT_CELL_CAP = 120
-
-_STEP = ((2, 1),)  # the edges of a cell whose one edge goes to the next cell
 
 CENTERED = "centered"
 SHIFTED_TOWARD_B = "shifted-toward-b"
@@ -171,7 +169,7 @@ class Region:
     y < y0+m and x+y+orient >= x0+y0 (the core).  Every edge is slot
     arithmetic: U(x, y) in slot k meets D(x, y) in slot k+1, and D(x, y)
     meets U(x+1, y), U(x, y+1), one in slot k+1 on the same line and one in
-    slot k+2L-1 on the next.  `find` reads one slot; `graph`, `cells` and
+    slot k+2L-1 on the next.  `find` reads one slot; `cells` and
     `cell_index` are read-only views derived on demand."""
 
     def __init__(self, hexagon: CoredHexagon):
@@ -223,25 +221,6 @@ class Region:
         p, r = divmod(k, self._stride)
         u, y = (r >> 1, p) if self._rows else (p, r >> 1)
         return u + self._box[0].start, y, r & 1
-
-    @cached_property
-    def graph(self) -> Graph:
-        """The forward edges from cell i to later cells j, graph[i] a tuple
-        of (1 << (j - i), 1), built on first read for the enumerators, over
-        which their search branches; no count reads it.  Every edge to cell
-        i+1 alone is one shared tuple."""
-        slots, stride, rows = self.slots, self._stride, self._rows
-        graph = []
-        for i, k in enumerate(self.slot_of):
-            # slot k+1 holds cell i+1 or no cell
-            moves = _STEP if slots[k + 1] >= 0 else ()
-            j = slots[k + stride - 1] if k & 1 else -1
-            if j >= 0:
-                # U(x+1, y) comes first: beside D(x, y) on a row, ahead on a column
-                far = ((1 << (j - i), 1),)
-                moves = moves + far if rows else far + moves
-            graph.append(moves)
-        return tuple(graph)
 
     @cached_property
     def cells(self) -> tuple[Cell, ...]:
@@ -308,15 +287,22 @@ def _check_cap(units: int, cap: Optional[int]) -> None:
 def _matchings(region: Region, cyclic: bool) -> Iterator[list[int]]:
     """Backtracking over perfect matchings: always branch on the first
     uncovered cell, whose free neighbours are all later cells, so it
-    branches over the region's forward edges.  The search keeps its own
-    stack, so region size is bounded by the cap alone, not the recursion
-    limit.  It yields one partner array, updated in place, per matching.
+    branches over its later neighbours, read off the slot array: the cell
+    in slot k+1 and, for a down cell, the one in slot k+2L-1 on the next
+    line, L as in `Region`.  U(x+1, y) comes first: beside D(x, y) on a
+    row, ahead on a column.  The search keeps its own stack, so region
+    size is bounded by the cap alone, not the recursion limit.  It yields
+    one partner array, updated in place, per matching.
 
     With cyclic=True it ranges over rotation-invariant matchings: each
     placement fixes the whole orbit of three lozenges, so coverage stays
     invariant and a free cell always has its whole orbit free."""
-    n = len(region.graph)
-    later = [[i + bit.bit_length() - 1 for bit, _ in out] for i, out in enumerate(region.graph)]
+    slots, n = region.slots, len(region.slot_of)
+    ahead = (1, region._stride - 1) if region._rows else (region._stride - 1, 1)
+    later = [
+        [j for j in (slots[k + d] for d in (ahead if k & 1 else (1,))) if j >= 0]
+        for k in region.slot_of
+    ]
     # with the identity in place of the rotation, the three lozenges of a
     # placement coincide
     rot = region.rotation if cyclic else range(n)

@@ -373,9 +373,11 @@ def watson_3f2_closed(M: int, B: Number, C: Number) -> Fraction:
 
 
 def cored_det_prefactor(a: int, b: int, c: int, m: int, shifted: bool = False) -> Fraction:
-    """The factorial prefactor of `lgv.cored_det_transform`, for arguments
-    that its matrix accepts."""
+    """The factorial prefactor of `lgv.cored_det_transform`, for
+    nonnegative a and m; the arguments that the cored matrix at epsilon =
+    shifted/2 refuses raise its error."""
     h = int(shifted)
+    lgv.build_cored_matrix(a, b, c, m, Fraction(h, 2))
     ups = [(1, b + c + m)] * a + [(1, (b + c) // 2)] * m
     downs = [(1, n) for i in range(1, a + 1) for n in (b + a + m - i, c + m + i - 1)]
     for r in range(1, m + 1):

@@ -7,6 +7,8 @@ the rotation and reflection mapped cell tuple to cell tuple, and the
 reference ray walked through the dict.  The slot-array region must agree
 with them exactly, in both sweep orders.  `reference_signed_graph` is the
 former input of the (-1)-count: the graph with its ray edges rewritten.
+`reference_matchings` is the former search of the enumerators, which
+branched over that graph.
 
 `reference_orbit_edges` is the former orbit graph of the cyclic counts:
 a walk over every forward edge of that graph that keeps the lozenges
@@ -79,13 +81,56 @@ def reference_ray(hexagon: CoredHexagon, cells: tuple[Cell, ...]) -> tuple[tuple
 def reference_signed_graph(region: Region) -> list:
     """The region's graph with factor -1 on each lozenge that straddles the
     reference ray, the edge D(x0-1, y) -> U(x0, y): the former input of the
-    (-1)-count's transfer matrix, a rewritten copy of `Region.graph`."""
-    graph = list(region.graph)
+    (-1)-count's transfer matrix."""
+    graph = list(reference_graph(region.cells))
     for west, east in region.reference_ray:
         if min(west, east) >= 0:
             straddle = 1 << (east - west)
             graph[west] = [(bit, -1 if bit == straddle else 1) for bit, _ in graph[west]]
     return graph
+
+
+def reference_matchings(hexagon: CoredHexagon, by_rows: bool, cyclic: bool) -> Iterator[Tiling]:
+    """The tilings, or with cyclic=True the rotation-invariant ones, as
+    partner tuples in the order of the former search: branch on the first
+    uncovered cell over its edges in `reference_graph`, and with cyclic=True
+    place the whole orbit of three lozenges under `reference_rotation`."""
+    cells = tuple(reference_cells(hexagon, by_rows))
+    n = len(cells)
+    later = [[i + bit.bit_length() - 1 for bit, _ in out]
+             for i, out in enumerate(reference_graph(cells))]
+    rot = reference_rotation(hexagon, cells) if cyclic else range(n)
+    partner = [-1] * n
+    stack = []  # (cell, iterator over its untried neighbours)
+    i = 0
+    while True:
+        while i < n and partner[i] >= 0:
+            i += 1
+        if i == n:
+            yield tuple(partner)
+        else:
+            stack.append((i, iter(later[i])))
+        while stack:
+            i, options = stack[-1]
+            j = partner[i]
+            if j >= 0:
+                i2, j2 = rot[i], rot[j]
+                for u in (i, j, i2, j2, rot[i2], rot[j2]):
+                    partner[u] = -1
+            for j in options:
+                if partner[j] < 0:
+                    break
+            else:
+                stack.pop()
+                continue
+            i2, j2 = rot[i], rot[j]
+            i3, j3 = rot[i2], rot[j2]
+            partner[i], partner[i2], partner[i3] = j, j2, j3
+            partner[j], partner[j2], partner[j3] = i, i2, i3
+            i += 1
+            break
+        else:
+            return
 
 
 def reference_symmetry(

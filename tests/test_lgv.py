@@ -667,6 +667,21 @@ class TestTransform:
         prefactor, transformed = cored_det_transform(a, b, c, m, shifted)
         assert prefactor * Fraction(det_fraction_free(transformed)) == raw
 
+    @pytest.mark.parametrize(
+        "params", [(2, 2, 2, 1, True), (2, 0, 0, 1, True), (0, 2, 0, 1, True), (1, 2, 2, 1, False)]
+    )
+    def test_a_shift_of_the_wrong_parity_is_refused_as_the_matrix_refuses_it(self, params):
+        # the placement must match the parity of a + b: the cored matrix at
+        # epsilon = shifted/2 has no integer column shift otherwise, and at
+        # a = c = 0 the prefactor would ask for a factorial of -1
+        *sides, shifted = params
+        with pytest.raises(ValueError) as refused:
+            build_cored_matrix(*sides, Fraction(int(shifted), 2))
+        with pytest.raises(ValueError) as transform_refused:
+            cored_det_transform(*params)
+        assert transform_refused.value.args == refused.value.args
+        assert "must be an integer" in str(refused.value)
+
     def test_transformed_matrix_polynomial_in_b_c(self):
         m1 = transformed_cored_matrix(2, Fraction(1, 2), Fraction(-3, 2), 1)
         assert m1.ring in (RING_RATIONAL, RING_INTEGER)

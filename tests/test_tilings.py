@@ -44,6 +44,7 @@ from cored_hexagons.tilings import (
 from region_reference import (
     reference_cells,
     reference_graph,
+    reference_matchings,
     reference_orbit_edges,
     reference_ray,
     reference_reflection,
@@ -69,10 +70,11 @@ def load_tiling(name, region):
 
 def is_perfect_matching(tiling, region):
     """Whether the partner tuple pairs every cell with another cell along
-    an edge of the region's graph, each pair read the same from both ends."""
+    an edge of the region's reference graph, each pair read the same from
+    both ends."""
     edges = {
         (i, i + bit.bit_length() - 1)
-        for i, moves in enumerate(region.graph)
+        for i, moves in enumerate(reference_graph(region.cells))
         for bit, _ in moves
     }
     return len(tiling) == len(region.cells) and all(
@@ -109,7 +111,7 @@ class TestRegion:
                             lozenges.add(tuple(sorted((index[(x, y, UP)], index[down]))))
             edges = [
                 (i, i + bit.bit_length() - 1, factor)
-                for i, moves in enumerate(region.graph)
+                for i, moves in enumerate(reference_graph(region.cells))
                 for bit, factor in moves
             ]
             assert all(factor == 1 for _, _, factor in edges), sides
@@ -127,7 +129,6 @@ class TestRegion:
             region = Region(hexagon)
             cells = tuple(reference_cells(hexagon, rows))
             assert region.cells == cells, (a, b, c, m)
-            assert region.graph == reference_graph(cells), (a, b, c, m)
             assert region.reference_ray == reference_ray(hexagon, cells), (a, b, c, m)
 
     @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
@@ -160,20 +161,14 @@ class TestRegion:
             assert region.find(-10**6, 0, UP) == region.find(0, 10**6, DOWN) == -1
 
     def test_counts_build_no_derived_view(self, monkeypatch):
-        # no count reads the graph or the tuple-keyed views: plain and
-        # (-1)-counts run over the slot pairs, in both sweeps, and cyclic
-        # counts over orbits read off the slots; both enumerators still
-        # branch over the graph
+        # neither the counts nor the enumerators read the tuple-keyed views:
+        # plain and (-1)-counts run over the slot pairs, in both sweeps,
+        # cyclic counts over orbits read off the slots, and the search reads
+        # its branches off the slots too
         def refuse(region):
-            raise AssertionError("a count read a derived view")
+            raise AssertionError("a count or an enumerator read a derived view")
 
-        build_graph, reads = tilings.Region.graph.func, []
-
-        def spy(region):
-            reads.append(region)
-            return build_graph(region)
-
-        for view in ("graph", "cells", "cell_index"):
+        for view in ("cells", "cell_index"):
             monkeypatch.setattr(tilings.Region, view, property(refuse))
         for sides in ((3, 2, 2, 1), (2, 3, 1, 1)):
             for weight in ("one", "minus1"):
@@ -182,11 +177,13 @@ class TestRegion:
                 )
         for weight in tilings.WEIGHTS:
             count_weighted(CoredHexagon(3, 3, 3, 2), weight, cyclic=True)
-        monkeypatch.setattr(tilings.Region, "graph", property(spy))
-        for enumerator in (enumerate_tilings, enumerate_cyclic_tilings):
-            reads.clear()
-            next(enumerator(Region(CoredHexagon(2, 2, 2, 1))))
-            assert reads, enumerator.__name__
+        for sides in ((2, 2, 2, 1), (3, 1, 1, 2)):
+            region = Region(CoredHexagon(*sides))
+            assert sum(1 for _ in enumerate_tilings(region)) == count_weighted(region.hexagon, "one")
+        region = Region(CoredHexagon(3, 3, 3, 2))
+        assert sum(1 for _ in enumerate_cyclic_tilings(region)) == count_weighted(
+            region.hexagon, "one", cyclic=True
+        ) > 1
 
     @pytest.mark.parametrize("sides", [(3, 1, 1, 1), (4, 2, 0, 2), (2, 1, 3, 2), (3, 2, 2, 1)])
     def test_row_swept_regions_enumerate_what_they_count(self, sides):
@@ -400,7 +397,7 @@ class TestFrontierCount:
         for sides in admissible(120):
             region = Region(CoredHexagon(*sides))
             plain, signed = tilings._pair_count(region, False), tilings._pair_count(region, True)
-            assert plain == tilings._frontier_count(region.graph), sides
+            assert plain == tilings._frontier_count(reference_graph(region.cells)), sides
             assert signed == tilings._frontier_count(reference_signed_graph(region)), sides
 
     @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
@@ -511,7 +508,7 @@ class TestFrontierCount:
             return [Region(CoredHexagon(*sides)) for sides in tuples]
 
         runs = {
-            "plain": lambda: [tilings._frontier_count(region.graph) for region in
+            "plain": lambda: [tilings._frontier_count(reference_graph(region.cells)) for region in
                               regions((4, 2, 2, 0), (3, 1, 3, 2), (1, 3, 3, 2), (2, 3, 1, 3))],
             "minus1": lambda: [tilings._frontier_count(reference_signed_graph(region))
                                for region in
@@ -639,6 +636,24 @@ class TestOrbitCount:
                 checked += 1
         assert checked > 1000, checked
 
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    def test_cyclic_enumeration_follows_the_reference_search_up_to_60_orbits(
+        self, monkeypatch, rows
+    ):
+        # every C_a(m) of at most 60 orbits, each forced into both sweeps: the
+        # same tilings in the same order as the search over the tuple-keyed
+        # graph and rotation
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
+        compared = 0
+        for a, m in itertools.product(range(6), range(30)):
+            hexagon = CoredHexagon(a, a, a, m)
+            if hexagon.cell_count // 3 > 60:
+                continue
+            found = list(enumerate_cyclic_tilings(Region(hexagon), cap=60))
+            assert found == list(reference_matchings(hexagon, rows, cyclic=True)), (a, m)
+            compared += len(found)
+        assert compared > 1000, compared
+
     def test_enumeration_wraps_the_partner_arrays_of_the_search(self):
         region = Region(CoredHexagon(3, 3, 3, 2))
         expected = [tuple(p) for p in tilings._matchings(region, cyclic=True)]
@@ -748,6 +763,20 @@ class TestEnumeratedTilings:
         found = list(enumerate_tilings(region))
         assert len(found) == count_weighted(region.hexagon, "one") > 1
         assert all(is_perfect_matching(t, region) for t in found)
+
+    @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
+    def test_enumeration_follows_the_reference_search_up_to_60_cells(self, monkeypatch, rows):
+        # every admissible region of at most 60 cells, each forced into both
+        # sweeps: the same tilings in the same order as the search over the
+        # tuple-keyed graph
+        monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: rows)
+        compared = 0
+        for sides in admissible(60):
+            hexagon = CoredHexagon(*sides)
+            found = list(enumerate_tilings(Region(hexagon)))
+            assert found == list(reference_matchings(hexagon, rows, cyclic=False)), sides
+            compared += len(found)
+        assert compared > 10000, compared
 
     @pytest.mark.parametrize("rows", [False, True], ids=["columns", "rows"])
     def test_every_cyclic_tiling_is_a_rotation_invariant_matching(self, monkeypatch, rows):
