@@ -12,27 +12,26 @@ building it takes one `comb` per k.  Before the kernel runs, each row's
 content (the gcd of its ints, or of both coordinates of its pairs) is taken
 out, the one reduction a row gets, and the product of the contents
 multiplies the kernel's determinant of the primitive rows.  The kernel runs
-over a ring table (zero, one, size, step, sub) whose step is one checked
-whole-row operation, [(a v - b w) / d for v, w in zip(row, tail)], or with
-a third term [(a v - b w + c u) / d ...], and whose sub writes v - x w in
-place over a span of a row; over Z[tau] (tau^2 = t*tau - 1) step
-multiplies pairs inline, with the conjugate and norm from `exactnum`, and
-sub is the step by 1 over 1.  The determinant is divided once by the
-product of the row denominators.  Every division is exact and checked
-(AssertionError otherwise), a step by d = 1 divides nothing, and every row
-is current at every step.  Each step pivots on the smallest nonzero entry
-of its column (in bit length), which keeps the intermediate minors small;
-the scan stops at the first entry of 1's size.  Most cored-matrix rows
-lead with a 1 in a column of their own: where the pivot and the one before
-are both 1, a step subtracts x times the pivot row only up to the pivot
-row's last nonzero entry, by sub, as v - x 0 = v past it.  Where neither
-the previous pivot nor the new one is 1 and at least three rows lie below
-the pivot row, one pass clears two columns (Bareiss's two-step method,
-Math. Comp. 22, 1968): each entry costs three products and one checked
-division by the previous pivot, not the four and two of two single steps,
-and the rows between are never formed.  On the order-40 cored matrix
-C_{20,20,20}(20) the kernel's steps form 0.87M bits on the primitive rows,
-1.12M with single steps alone.
+over a ring table (zero, one, size, step) whose step is its one checked row
+operation, [(a v - b w) / d for v, w in zip(row, tail)], or with a third
+term [(a v - b w + c u) / d ...]; over Z[tau] (tau^2 = t*tau - 1) step
+multiplies pairs inline, with the conjugate and norm from `exactnum`.  The
+determinant is divided once by the product of the row denominators.  Every
+division is exact and checked (AssertionError otherwise), a step by d = 1
+divides nothing, and every row is current at every step.  Each step pivots
+on the smallest nonzero entry of its column (in bit length), which keeps
+the intermediate minors small; the scan stops at the first entry of 1's
+size.  Most cored-matrix rows lead with a 1 in a column of their own:
+where the pivot and the one before are both 1, a step by a = d = 1 runs
+only up to the pivot row's last nonzero entry, as v - x 0 = v past it, and
+over Z it forms no product 1 v.  Where neither the previous pivot nor the
+new one is 1 and at least three rows lie below the pivot row, one pass
+clears two columns (Bareiss's two-step method, Math. Comp. 22, 1968): each
+entry costs three products and one checked division by the previous
+pivot, not the four and two of two single steps, and the rows between are
+never formed.  On the order-40 cored matrix C_{20,20,20}(20) the kernel's
+steps form 0.87M bits on the primitive rows, 1.12M with single steps
+alone.
 """
 
 from __future__ import annotations
@@ -121,6 +120,8 @@ def _int_step(row, a, tail, b, d, c=None, other=None):
             out.append(q)
         return out
     if d == 1:
+        if a == 1:
+            return [v - b * w for v, w in zip(row, tail)]
         return [a * v - b * w for v, w in zip(row, tail)]
     out = []
     for v, w in zip(row, tail):
@@ -136,8 +137,7 @@ def _pair_ring(t: int):
     fixed a is (a0 v0 - a1 v1, a1 v0 + (a0 + t a1) v1), a's coordinates
     bound once per step.  A row step divides by d as a multiply by its
     conjugate and a checked division by its norm, both computed once per
-    step; by d = 1 it divides nothing.  sub is the step by a = 1 over d = 1
-    on its span."""
+    step; by d = 1 it divides nothing."""
     one = (1, 0)
 
     def size(x) -> int:
@@ -172,32 +172,19 @@ def _pair_ring(t: int):
             out[j] = (q0, q1)
         return out
 
-    def sub(row, x, span, start):
-        end = start + len(span)
-        row[start:end] = step(row[start:end], one, span, x, one)
-
-    return (0, 0), one, size, step, sub
+    return (0, 0), one, size, step
 
 
-def _int_sub(row, x, span, start):
-    """v - x w for the entries v from row[start] on and w in span, in place:
-    the step by a = 1 over d = 1, over the span alone."""
-    end = start + len(span)
-    row[start:end] = [v - x * w for v, w in zip(row[start:end], span)]
-
-
-_INT_RING = (0, 1, int.bit_length, _int_step, _int_sub)
+_INT_RING = (0, 1, int.bit_length, _int_step)
 _KERNEL_RINGS = {ring: _pair_ring(t) for ring, t in TRACE.items()}
 
 
-def _bareiss(m, zero, one, size, step, sub):
+def _bareiss(m, zero, one, size, step):
     """Determinant of the square list of rows m (overwritten) over one ring:
     step(row, a, tail, b, d) is [(a v - b w) / d for v, w in zip(row, tail)]
     and step(row, a, tail, b, d, c, other) adds c u for u in other to each
-    numerator, each division checked; sub(row, x, span, start) sets the
-    entries v from row[start] on to v - x w for w in span, the step by
-    a = 1 over d = 1, in place; size(x) is the bit length the pivot rule
-    uses.
+    numerator, each division checked; size(x) is the bit length the pivot
+    rule uses.
 
     Step k sets each later row to (p_k row - row[k] pivot_row) / p_{k-1}, so
     every row is current at every step.  A row with row[k] = 0 is rescaled
@@ -211,10 +198,9 @@ def _bareiss(m, zero, one, size, step, sub):
     pivots form.  No nonzero entry is smaller than size(one), so the scan
     stops at the first entry of that size: the rule's own choice.
 
-    A unit step, where p_k and p_{k-1} are both 1, sets each later row
-    nonzero in column k to row - row[k] pivot_row by sub, in place over
-    columns k+1 up to the pivot row's last nonzero entry: past it the
-    entries would be v - x 0 = v, so they are not formed.
+    A unit step, where p_k and p_{k-1} are both 1, is the same step by
+    a = d = 1 over columns k+1 up to the pivot row's last nonzero entry
+    only: past it the entries would be v - x 0 = v, so they are not formed.
 
     When neither d = p_{k-1} nor p_k is 1 and at least three rows lie below
     the pivot row, one pass clears columns k and k+1 (Bareiss's two-step
@@ -256,8 +242,7 @@ def _bareiss(m, zero, one, size, step, sub):
             sign = -sign
         pivot_row = m[k]
         p, end = pivot_row[k], n
-        unit = p == one and prev == one
-        if unit:  # a unit step's tail ends at the last nonzero entry
+        if p == one and prev == one:  # a unit step's tail ends at the last nonzero entry
             while pivot_row[end - 1] == zero:
                 end -= 1
         tail = pivot_row[k + 1 : end]
@@ -265,10 +250,7 @@ def _bareiss(m, zero, one, size, step, sub):
             for row in m[k + 1 :]:
                 x = row[k]
                 if x != zero or p != prev:  # where x is 0 the step only rescales
-                    if unit:
-                        sub(row, x, tail, k + 1)
-                    else:
-                        row[k + 1 :] = step(row[k + 1 :], p, tail, x, prev)
+                    row[k + 1 : end] = step(row[k + 1 : end], p, tail, x, prev)
             prev = p
             continue
         # two-step pass over every later row; e and f take one step each over

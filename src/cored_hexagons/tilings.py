@@ -341,12 +341,20 @@ def _matchings(region: Region, cyclic: bool) -> Iterator[list[int]]:
             return
 
 
-def _check_cyclic(hexagon: CoredHexagon, cap: Optional[int]) -> None:
-    """Cyclic counts and enumeration run over rotation orbits, a third of
-    the cells, so the cap counts orbits."""
-    if not (hexagon.a == hexagon.b == hexagon.c):
+def check_weight(hexagon: CoredHexagon, weight: str, cyclic: Optional[bool] = None) -> bool:
+    """Whether a count of `hexagon` by `weight` ranges over the cyclically
+    symmetric tilings, cyclic=None taking the weight's own domain.  An
+    unknown weight, a cyclic-only weight with cyclic=False and a cyclic
+    count of a hexagon without a = b = c raise ValueError."""
+    if weight not in WEIGHTS:
+        raise ValueError(f"unknown weight {weight!r}")
+    if cyclic is None:
+        cyclic = weight in CYCLIC_WEIGHTS
+    if weight in CYCLIC_WEIGHTS and not cyclic:
+        raise ValueError(f"weight {weight!r} is defined on cyclic tilings only")
+    if cyclic and not (hexagon.a == hexagon.b == hexagon.c):
         raise ValueError("cyclically symmetric tilings need a = b = c")
-    _check_cap(hexagon.cell_count // 3, cap)
+    return cyclic
 
 
 def enumerate_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
@@ -355,7 +363,8 @@ def enumerate_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Til
 
 
 def enumerate_cyclic_tilings(region: Region, cap: Optional[int] = None) -> Iterator[Tiling]:
-    _check_cyclic(region.hexagon, cap)
+    check_weight(region.hexagon, WEIGHT_ONE, cyclic=True)
+    _check_cap(region.hexagon.cell_count // 3, cap)  # the cap counts rotation orbits
     return map(tuple, _matchings(region, cyclic=True))
 
 
@@ -609,22 +618,17 @@ def count_weighted(
     Cyclic counts run the graph transfer matrix `_frontier_count` over the
     rotation orbits, carry the statistic (n, or n6 for minus1-n6) mod 6,
     and apply the weight to its histogram once at the end."""
-    if weight not in WEIGHTS:
-        raise ValueError(f"unknown weight {weight!r}")
-    if cyclic is None:
-        cyclic = weight in CYCLIC_WEIGHTS
-    if weight in CYCLIC_WEIGHTS and not cyclic:
-        raise ValueError(f"weight {weight!r} is defined on cyclic tilings only")
-    # the size is known before any cell is listed
+    cyclic = check_weight(hexagon, weight, cyclic)
+    # the size is known before any cell is listed; a cyclic count runs over
+    # rotation orbits, a third of the cells, so its cap counts orbits
+    _check_cap(hexagon.cell_count // 3 if cyclic else hexagon.cell_count, cap)
+    region = Region(hexagon)
     if not cyclic:
-        _check_cap(hexagon.cell_count, cap)
-        region = Region(hexagon)
         if weight == WEIGHT_ONE:
             return _pair_count(region, signed=False)
         return (-1) ** len(region.reference_ray) * _pair_count(region, signed=True)
 
-    _check_cyclic(hexagon, cap)
-    hist = _cyclic_histogram(Region(hexagon), n6=weight == WEIGHT_MINUS1_N6)
+    hist = _cyclic_histogram(region, n6=weight == WEIGHT_MINUS1_N6)
     if weight == WEIGHT_ONE:
         return sum(hist)
     if weight in (WEIGHT_MINUS1, WEIGHT_MINUS1_N6):

@@ -109,11 +109,15 @@ def count(hexagon, weight, route, cap=None, cyclic=None):
     and rhs_omega_det, or for minus1-n6 the case-10 matrix and rhs_case10.
     The plain and (-1)-counts take the cored-hexagon matrix, which gives
     the one for even m and the other for odd m, and the hyperfactorial
-    product."""
+    product.  Every route refuses the inputs outside the count's domain
+    (`tilings.check_weight`) alike; a route not in ROUTES raises
+    ValueError."""
+    if route not in ROUTES:
+        raise ValueError(f"unknown route {route!r}, not one of {ROUTES}")
+    cyclic = tilings.check_weight(hexagon, weight, cyclic)
     if route == "brute":
         return tilings.count_weighted(hexagon, weight, cap=cap, cyclic=cyclic)
     a, b, c, m = hexagon.a, hexagon.b, hexagon.c, hexagon.m
-    cyclic = cyclic or weight in tilings.CYCLIC_WEIGHTS
     signed = weight == tilings.WEIGHT_MINUS1
     if route == "formula":
         if weight == tilings.WEIGHT_MINUS1_N6:

@@ -176,7 +176,7 @@ class TestDeterminant:
 
     def test_each_ring_checks_exact_division(self):
         def divide(ring, x, d):  # the rescale form of the row step
-            zero, one, _, step, _ = ring
+            zero, one, _, step = ring
             return step([x], one, [x], zero, d)[0]
 
         assert divide(lgv._INT_RING, -12, 4) == -3
@@ -214,7 +214,7 @@ class TestDeterminant:
         ],
     )
     def test_row_step_refuses_an_inexact_division(self, ring, row, a, tail, b, d):
-        _, _, _, step, _ = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
+        _, _, _, step = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
         with pytest.raises(AssertionError, match="exact division"):
             step(row, a, tail, b, d)
 
@@ -235,7 +235,7 @@ class TestDeterminant:
         ],
     )
     def test_three_term_step_refuses_an_inexact_division(self, ring, row, a, tail, b, d, c, other):
-        _, _, _, step, _ = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
+        _, _, _, step = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
         with pytest.raises(AssertionError, match="exact division"):
             step(row, a, tail, b, d, c, other)
 
@@ -243,7 +243,7 @@ class TestDeterminant:
     @settings(max_examples=200, deadline=None)
     def test_row_step_by_one_equals_the_dividing_path(self, data):
         ring = data.draw(st.sampled_from([RING_INTEGER, RING_CYCLO3, RING_CYCLO6]))
-        zero, one, _, step, sub = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
+        zero, one, _, step = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
         coordinate = st.integers(-50, 50)
         if ring == RING_INTEGER:
             value, mul = coordinate, lambda x, y: x * y
@@ -263,11 +263,6 @@ class TestDeterminant:
         by_one = step(row, a, tail, b, one, *extra)
         extra_by_d = (mul(c, d), other) if third else ()
         assert by_one == step(row, mul(a, d), tail, mul(b, d), d, *extra_by_d)
-        # sub is the step by a = 1 over d = 1, in place from `start` on and
-        # over the span's length only
-        padded = [d] + row + [d]
-        sub(padded, b, tail, 1)
-        assert padded == [d] + step(row, one, tail, b, one) + [d]
         if ring == RING_INTEGER:
             assert by_one == [a * v - b * w + c * u for v, w, u in zip(row, tail, other)]
         else:
@@ -309,7 +304,7 @@ class TestDeterminant:
         assert det_fraction_free(matrix_of(rows, ring)) == expected
 
     def test_the_scan_stops_at_the_first_entry_of_the_least_size(self):
-        zero, one, size, step, sub = lgv._INT_RING
+        zero, one, size, step = lgv._INT_RING
 
         def pivots(rows):  # the kernel's determinant, pivot rows and sized entries
             m, sized = [list(row) for row in rows], []
@@ -319,7 +314,7 @@ class TestDeterminant:
                 return size(x)
 
             built = list(m)
-            det = lgv._bareiss(m, zero, one, spy, step, sub)
+            det = lgv._bareiss(m, zero, one, spy, step)
             return det, [next(i for i, row in enumerate(built) if row is pivot_row) for pivot_row in m], sized
 
         # Step 0 is a unit step, over row 0's tail up to its 2; step 1
@@ -358,20 +353,43 @@ class TestDeterminant:
         det = det_fraction_free(ExactMatrix(ring, tuple(map(tuple, rows))))
         assert (det if t is None else (det.c0, det.c1)) == elimination_det(rows, t)
 
+    @pytest.mark.parametrize("ring", [RING_INTEGER, RING_CYCLO3, RING_CYCLO6])
+    def test_unit_steps_run_the_shared_step_in_every_ring(self, ring, monkeypatch):
+        # no workload takes a unit step over Z[tau]; seeded staircases do, in
+        # every ring, through the one `step` that every row operation runs
+        zero, one, size, step = lgv._KERNEL_RINGS.get(ring, lgv._INT_RING)
+        units = 0
+
+        def counting_step(row, a, tail, b, d, *third):
+            nonlocal units
+            units += a == one and d == one
+            return step(row, a, tail, b, d, *third)
+
+        if ring == RING_INTEGER:
+            monkeypatch.setattr(lgv, "_INT_RING", (zero, one, size, counting_step))
+        else:
+            monkeypatch.setitem(lgv._KERNEL_RINGS, ring, (zero, one, size, counting_step))
+        t, rng = exactnum.TRACE.get(ring), random.Random(0)
+        for n in range(1, 16):
+            rows = staircase_rows(rng, n, t)
+            det = det_fraction_free(ExactMatrix(ring, tuple(map(tuple, rows))))
+            assert (det if t is None else (det.c0, det.c1)) == elimination_det(rows, t), n
+        assert units > 0
+
     def test_pivot_rule_keeps_the_quotients_small(self):
         # total bit length (the larger coordinate for a pair) of every entry
-        # that a ring op forms: `step` (unit-divisor steps, rescales and the
-        # two-step passes' e, f and three-term tails included) and `sub`,
-        # which a unit step runs only up to the pivot row's last nonzero
-        # entry.  On the order-40 cored matrix diagonal pivots form 6,838,654
-        # bits and the smallest ones 1,442,513 with one-step elimination over
-        # whole tails; with unit steps cut short, 1,271,979 with one-step
-        # elimination, 981,210 with two-step passes (1,151,744 over whole
-        # tails), and 866,534 on its primitive rows, the rows that
-        # det_fraction_free hands the kernel (1,119,056 one-step, 1,010,465
-        # over whole tails).  The omega-shifted matrices take no unit step.
-        # A two-step pass forms no level-(k+1) row, so each total is below
-        # its one-step value.  Exact totals pin the pivot sequence.
+        # that `step` forms: unit steps (a = d = one), which run only up to
+        # the pivot row's last nonzero entry, rescales and the two-step
+        # passes' e, f and three-term tails included.  On the order-40 cored
+        # matrix diagonal pivots form 6,838,654 bits and the smallest ones
+        # 1,442,513 with one-step elimination over whole tails; with unit
+        # steps cut short, 1,271,979 with one-step elimination, 981,210 with
+        # two-step passes (1,151,744 over whole tails), and 866,534 on its
+        # primitive rows, the rows that det_fraction_free hands the kernel
+        # (1,119,056 one-step, 1,010,465 over whole tails).  The
+        # omega-shifted matrices take no unit step.  A two-step pass forms no
+        # level-(k+1) row, so each total is below its one-step value.  Exact
+        # totals pin the pivot sequence and the cut of the unit steps.
         cored = build_cored_matrix(20, 20, 20, 20)
         primitive = tuple(tuple(x // gcd(*row) for x in row) for row in cored.rows)
         for matrix, total, one_step, units in (
@@ -380,29 +398,23 @@ class TestDeterminant:
             (build_omega_shift(18, 6, omega3()), 44_075, 73_626, 0),
             (build_omega_shift(18, 6, omega6()), 44_788, 74_704, 0),
         ):
-            zero, one, size, step, sub = lgv._KERNEL_RINGS.get(matrix.ring, lgv._INT_RING)
-            bits = three_term = unit_rows = short = 0
+            zero, one, size, step = lgv._KERNEL_RINGS.get(matrix.ring, lgv._INT_RING)
+            bits = three_term = unit_rows = 0
 
-            def counting_step(*args):
-                nonlocal bits, three_term
-                out = step(*args)
+            def counting_step(row, a, tail, b, d, *third):
+                nonlocal bits, three_term, unit_rows
+                out = step(row, a, tail, b, d, *third)
                 bits += sum(map(size, out))
-                three_term += len(args) == 7
+                three_term += len(third) == 2
+                if a == one and d == one:  # a unit step's tail ends at a nonzero entry
+                    assert not tail or tail[-1] != zero
+                    unit_rows += 1
                 return out
 
-            def counting_sub(row, x, span, start):
-                nonlocal bits, unit_rows, short
-                end = start + len(span)
-                assert not span or span[-1] != zero
-                sub(row, x, span, start)
-                bits += sum(map(size, row[start:end]))
-                unit_rows += 1
-                short += end < len(row)
-
             rows = [list(row) for row in matrix.rows]
-            lgv._bareiss(rows, zero, one, size, counting_step, counting_sub)
+            lgv._bareiss(rows, zero, one, size, counting_step)
             assert three_term > 0, matrix.ring
-            assert unit_rows == units and (short > 0) == (units > 0), matrix.ring
+            assert unit_rows == units, matrix.ring
             assert bits < one_step, matrix.ring
             assert bits == total, matrix.ring
 

@@ -326,3 +326,26 @@ def test_negative_core_size_rejected(bounds):
     (key, values), = bounds.items()
     with pytest.raises(ValueError, match=f"bound {key} must be nonnegative, got {min(values)}"):
         run_suite("Conjectures", bounds)
+
+
+def test_unknown_route_rejected():
+    # a typo'd route would otherwise compare the determinant with itself
+    with pytest.raises(ValueError, match=r"unknown route 'bogus', not one of \('formula', 'determinant', 'brute'\)"):
+        verify.count(tilings.CoredHexagon(2, 2, 2, 0), "one", "bogus")
+
+
+@pytest.mark.parametrize("sides, weight, cyclic, message", [
+    ((2, 2, 2, 0), "two", None, "unknown weight 'two'"),
+    ((2, 3, 1, 1), "omega3", None, "cyclically symmetric tilings need a = b = c"),
+    ((2, 3, 1, 1), "minus1-n6", None, "cyclically symmetric tilings need a = b = c"),
+    ((2, 3, 1, 1), "one", True, "cyclically symmetric tilings need a = b = c"),
+    ((2, 2, 2, 1), "omega3", False, "weight 'omega3' is defined on cyclic tilings only"),
+])
+def test_every_route_refuses_a_count_outside_its_domain(sides, weight, cyclic, message):
+    # the brute route's refusals, the same on every route: the closed form
+    # and the determinant read a alone, so they would give C_{a,a,a}(m)'s
+    # value, or the plain count for an unknown weight
+    for route in verify.ROUTES:
+        with pytest.raises(ValueError) as refused:
+            verify.count(tilings.CoredHexagon(*sides), weight, route, cyclic=cyclic)
+        assert str(refused.value) == message, route
