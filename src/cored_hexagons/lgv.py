@@ -39,7 +39,7 @@ from __future__ import annotations
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import accumulate, chain, combinations
 from math import comb, factorial, gcd, lcm, perm, prod
 
 from .exactnum import (
@@ -381,11 +381,15 @@ def _binomial_num(p: int, q: int, k: int, K: int) -> int:
 
 def build_B(N: int, m: Number) -> ExactMatrix:
     """The N x N matrix with entries binom(m+i+j, j), 0 <= i, j < N; over Q
-    when m = p/q is not an integer, each row over q^(N-1) (N-1)!."""
+    when m = p/q is not an integer, each row over q^(N-1) (N-1)!.  Row i+1
+    is the running sum of row i, as the sum of binom(r+l, l) over l <= j is
+    binom(r+1+j, j) for every r, so only the first row takes binomials."""
     if N < 0:
         raise ValueError("size must be nonnegative")
     p, q, K = m.numerator, m.denominator, max(N - 1, 0)
-    rows = [[_binomial_num(p + (i + j) * q, q, j, K) for j in range(N)] for i in range(N)]
+    rows = [[_binomial_num(p + j * q, q, j, K) for j in range(N)]] if N else []
+    while len(rows) < N:
+        rows.append(list(accumulate(rows[-1])))
     ring = RING_INTEGER if q == 1 else RING_RATIONAL
     return _matrix(rows, [_binomial_den(q, K)] * N, ring)
 

@@ -263,6 +263,22 @@ class Region:
         return self._symmetry("reflection", lambda x, y, o: (x, dy - o - x - y))
 
     @cached_property
+    def _n6_weights(self) -> dict[tuple[int, int], int]:
+        """Weight x on the lozenge (sigma U(x, y), sigma D(x, y)) for 0 <= x < a
+        and a-1-x <= y <= 2a+m-2-x, sigma the reflection: the horizontal
+        lozenges of one fundamental domain, cut along the core side's ray line
+        and the third lattice direction, each by its distance to the domain's
+        border along the core, so that on a cyclically symmetric tiling the
+        weights of its lozenges sum to n6.  Conjugating by sigma makes the
+        m = 0 specialization count the off-diagonal cube orbits of the plane
+        partition, not their complement of the same parity.  Weight 0 is left
+        out.  Here x0 = 0 and y0 = a, so sigma gives (U(x, t), D(x, t-1)) with
+        1 <= t = 2a+m-1-x-y <= a+m."""
+        find, a, m = self.find, self.a, self.m
+        ts = range(1, a + m + 1)
+        return {(find(x, t, UP), find(x, t - 1, DOWN)): x for x in range(1, a) for t in ts}
+
+    @cached_property
     def _up_rotation(self) -> tuple[tuple[int, ...], tuple[int, ...]]:
         """The up cells in index order and their images under `rotation`."""
         ups = tuple(i for i, k in enumerate(self.slot_of) if not k & 1)
@@ -526,29 +542,6 @@ def _orbit_histogram(region: Region, lozenge_weight: dict[tuple[int, int], int])
     return [(packed >> (bits * r)) & ((1 << bits) - 1) for r in range(6)]
 
 
-def _n6_weights(region: Region) -> dict[tuple[int, int], int]:
-    """Weight x on the lozenge (sigma U(x, y), sigma D(x, y)) for 0 <= x < a
-    and a-1-x <= y <= 2a+m-2-x, sigma the reflection: on a cyclically
-    symmetric tiling the weights of its lozenges sum to n6, as read by the
-    path walk of `statistic_n6`.  Weight 0 is left out.  Here x0 = 0 and
-    y0 = a, so sigma gives (U(x, t), D(x, t-1)) with 1 <= t = 2a+m-1-x-y <= a+m."""
-    find, a, m = region.find, region.a, region.m
-    return {
-        (find(x, t, UP), find(x, t - 1, DOWN)): x for x in range(1, a) for t in range(1, a + m + 1)
-    }
-
-
-def _cyclic_histogram(region: Region, n6: bool) -> list[int]:
-    """hist[r] is the number of cyclically symmetric tilings whose statistic,
-    n6 or n, is r mod 6."""
-    if n6:
-        return _orbit_histogram(region, _n6_weights(region))
-    # n = ray length - straddles; a ray pair is (west down cell, east up cell)
-    ray = region.reference_ray
-    by_straddles = _orbit_histogram(region, {(e, w): 1 for w, e in ray if min(w, e) >= 0})
-    return [by_straddles[(len(ray) - r) % 6] for r in range(6)]
-
-
 def statistic_n(tiling: Tiling, region: Region) -> int:
     """Number of ray segments that are lozenge edges (not interior to a
     lozenge); equals the number of lattice paths passing the core on the
@@ -558,41 +551,11 @@ def statistic_n(tiling: Tiling, region: Region) -> int:
 
 def statistic_n6(tiling: Tiling, region: Region) -> int:
     """Sum of distances of the horizontal lozenges of one fundamental domain
-    to its border along the core; defined for cyclically symmetric tilings."""
+    to its border along the core (see `Region._n6_weights`); defined for
+    cyclically symmetric tilings."""
     if not is_cyclically_symmetric(tiling, region):
         raise ValueError("statistic is defined for cyclically symmetric tilings only")
-    # The walk below reads off the paths of one fundamental domain, bounded
-    # by the cut through the core side on the ray line and the cut along the
-    # third lattice direction.  Conjugating by the reflection symmetry picks
-    # the domain orientation that makes the m = 0 specialization count the
-    # off-diagonal cube orbits of the plane partition (rather than their
-    # complement, which has the same parity).  The reflection is an
-    # involution, so the conjugate matches u with sigma[tiling[sigma[u]]].
-    # From U(x, y) in slot k, D(x, y) is k+1, D(x-1, y) k+left, U(x, y+1) k+up.
-    sigma, slots, slot, a, m = region.reflection, region.slots, region._slot, region.a, region.m
-    up, left = slot(0, 1, UP) - slot(0, 0, UP), slot(-1, 0, DOWN) - slot(0, 0, UP)
-    total = 0
-    for j in range(a):
-        k = slot(j, a - 1 - j, UP)
-        if min(slots[k], slots[k + 1]) < 0 or sigma[tiling[sigma[slots[k]]]] != slots[k + 1]:
-            continue
-        total += j
-        x, y, k = j, a - j, k + up
-        while True:
-            u = slots[k]
-            assert u >= 0, "statistic path left the region"
-            p = sigma[tiling[sigma[u]]]
-            if p == slots[k + 1]:
-                total, y, k = total + x, y + 1, k + up
-            elif p == slots[k + left]:
-                if x == 0:
-                    # crossed out of the fundamental domain; path complete
-                    assert a + m <= y < 2 * a + m, (x, y)
-                    break
-                x, y, k = x - 1, y + 1, k + left - 1 + up
-            else:
-                raise AssertionError("statistic path stepped onto an interior edge")
-    return total
+    return sum(w for (up, down), w in region._n6_weights.items() if tiling[up] == down)
 
 
 def is_cyclically_symmetric(tiling: Tiling, region: Region) -> bool:
@@ -605,30 +568,27 @@ def is_cyclically_symmetric(tiling: Tiling, region: Region) -> bool:
     return [tiling[r] for r in turned] == [rot[tiling[u]] for u in ups]
 
 
-def count_weighted(
-    hexagon: CoredHexagon, weight: str, cap: Optional[int] = None, cyclic: Optional[bool] = None
-) -> int | CycloElement:
-    """Exact weighted count at the level of matchings.
-
-    Weights one and minus1 range over all tilings by default and are
-    counted by the transfer matrix over the slot pairs (`_pair_count`):
-    (-1)^n(T) is (-1)^(ray length) times (-1)^(ray-straddling lozenges).
-    Weights omega3, omega6 and minus1-n6 range over the cyclically
-    symmetric tilings; pass cyclic=True to restrict one/minus1 to them too.
-    Cyclic counts run the graph transfer matrix `_frontier_count` over the
-    rotation orbits, carry the statistic (n, or n6 for minus1-n6) mod 6,
-    and apply the weight to its histogram once at the end."""
-    cyclic = check_weight(hexagon, weight, cyclic)
-    # the size is known before any cell is listed; a cyclic count runs over
-    # rotation orbits, a third of the cells, so its cap counts orbits
-    _check_cap(hexagon.cell_count // 3 if cyclic else hexagon.cell_count, cap)
+def cyclic_histogram(hexagon: CoredHexagon, n6: bool = False, cap: Optional[int] = None) -> list[int]:
+    """hist[r] is the number of cyclically symmetric tilings of `hexagon`
+    whose statistic, n6 or n, is r mod 6, by one transfer matrix over the
+    rotation orbits; the cap counts orbits, a third of the cells.
+    `apply_weight` reads every cyclic weight of the statistic off it."""
+    check_weight(hexagon, WEIGHT_ONE, cyclic=True)
+    # the size is known before any cell is listed
+    _check_cap(hexagon.cell_count // 3, cap)
     region = Region(hexagon)
-    if not cyclic:
-        if weight == WEIGHT_ONE:
-            return _pair_count(region, signed=False)
-        return (-1) ** len(region.reference_ray) * _pair_count(region, signed=True)
+    if n6:
+        return _orbit_histogram(region, region._n6_weights)
+    # n = ray length - straddles; a ray pair is (west down cell, east up cell)
+    ray = region.reference_ray
+    by_straddles = _orbit_histogram(region, {(e, w): 1 for w, e in ray if min(w, e) >= 0})
+    return [by_straddles[(len(ray) - r) % 6] for r in range(6)]
 
-    hist = _cyclic_histogram(region, n6=weight == WEIGHT_MINUS1_N6)
+
+def apply_weight(hist: Sequence[int], weight: str) -> int | CycloElement:
+    """The sum of weight^r hist[r] over a histogram of a statistic mod 6:
+    the sum for one, the alternating sum for minus1 and minus1-n6, and for
+    omega3 and omega6 the sum of hist[r] omega^r in Z[omega]."""
     if weight == WEIGHT_ONE:
         return sum(hist)
     if weight in (WEIGHT_MINUS1, WEIGHT_MINUS1_N6):
@@ -640,6 +600,27 @@ def count_weighted(
         c0, c1 = mul(total, (0, 1))
         total = (c0 + h, c1)
     return CycloElement.of(ring, *total)
+
+
+def count_weighted(
+    hexagon: CoredHexagon, weight: str, cap: Optional[int] = None, cyclic: Optional[bool] = None
+) -> int | CycloElement:
+    """Exact weighted count at the level of matchings.
+
+    Weights one and minus1 range over all tilings by default and are
+    counted by the transfer matrix over the slot pairs (`_pair_count`):
+    (-1)^n(T) is (-1)^(ray length) times (-1)^(ray-straddling lozenges).
+    Weights omega3, omega6 and minus1-n6 range over the cyclically
+    symmetric tilings; pass cyclic=True to restrict one/minus1 to them too.
+    A cyclic count is the weight applied to `cyclic_histogram` of its
+    statistic, n6 for minus1-n6 and n otherwise."""
+    if check_weight(hexagon, weight, cyclic):
+        return apply_weight(cyclic_histogram(hexagon, weight == WEIGHT_MINUS1_N6, cap), weight)
+    _check_cap(hexagon.cell_count, cap)
+    region = Region(hexagon)
+    if weight == WEIGHT_ONE:
+        return _pair_count(region, signed=False)
+    return (-1) ** len(region.reference_ray) * _pair_count(region, signed=True)
 
 
 def tiling_to_paths(tiling: Tiling, region: Region) -> tuple[tuple[tuple[int, int], ...], ...]:

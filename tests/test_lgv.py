@@ -2,7 +2,7 @@ import os
 import random
 from fractions import Fraction
 from itertools import product
-from math import comb, gcd
+from math import comb, factorial, gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -33,6 +33,7 @@ from cored_hexagons.lgv import (
     zn_factor_pair,
 )
 from cored_hexagons.tilings import CoredHexagon, count_weighted
+from rational_reference import binomial as reference_binomial
 from elimination_reference import determinant as elimination_det, staircase_rows, zero_biased_rows
 from text_formats import matrix_of, matrix_to_text, matrix_values
 
@@ -466,6 +467,23 @@ class TestBuilders:
         assert build_B(1, 7).rows == ((1,),)
         assert build_B(2, 0).rows == ((1, 1), (1, 2))
         assert det_fraction_free(build_B(0, 3)) == 1
+
+    @pytest.mark.parametrize(
+        "m", [0, 1, 5, 10, -3, Fraction(1, 2), Fraction(-7, 3), Fraction(5, 6)], ids=str
+    )
+    def test_build_B_running_sums_equal_the_entrywise_binomials(self, m):
+        # every row past the first is built as the running sum of the one
+        # before; each must hold binom(m+i+j, j), over q^(N-1) (N-1)! when
+        # m = p/q is not an integer, as built
+        for N in range(12):
+            B = build_B(N, Fraction(m))
+            q, K = Fraction(m).denominator, max(N - 1, 0)
+            den = 1 if q == 1 else q**K * factorial(K)
+            assert B.dens == (den,) * N, (N, m)
+            assert B.rows == tuple(
+                tuple(reference_binomial(Fraction(m) + i + j, j) * den for j in range(N))
+                for i in range(N)
+            ), (N, m)
 
     def test_omega_shift_examples(self):
         assert det_fraction_free(build_omega_shift(2, 4, 1)) == 9

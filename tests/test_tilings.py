@@ -28,7 +28,9 @@ from cored_hexagons.tilings import (
     DOWN,
     Region,
     UP,
+    apply_weight,
     count_weighted,
+    cyclic_histogram,
     default_cell_cap,
     enumerate_cyclic_tilings,
     enumerate_tilings,
@@ -279,6 +281,21 @@ class TestEnumeration:
         for weight, cyclic in [("one", False), ("minus1", False), ("one", True), ("omega3", True)]:
             with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
                 count_weighted(CoredHexagon(0, 0, 0, 0), weight, cap=-1, cyclic=cyclic)
+
+    @pytest.mark.parametrize("n6", [False, True])
+    def test_cyclic_histogram_checks_its_domain_and_cap_before_the_region(self, monkeypatch, n6):
+        def refuse(hexagon):
+            raise AssertionError("region built before the checks")
+
+        monkeypatch.setattr(tilings, "_sweeps_rows", refuse)
+        monkeypatch.delenv("CORED_HEX_CELL_CAP", raising=False)
+        with pytest.raises(ValueError, match="a = b = c"):
+            cyclic_histogram(CoredHexagon(200, 200, 0, 0), n6, cap=1)
+        # the cap counts rotation orbits, a third of the cells
+        with pytest.raises(CellCapError, match="needs 80000 search units, above the cap 120"):
+            cyclic_histogram(CoredHexagon(200, 200, 200, 0), n6)
+        with pytest.raises(ValueError, match="cap must be nonnegative, got -1"):
+            cyclic_histogram(CoredHexagon(0, 0, 0, 0), n6, cap=-1)
 
     def test_signed_count_all_odd_is_zero(self):
         assert count_weighted(CoredHexagon(1, 1, 1, 1), "minus1") == 0
@@ -559,19 +576,17 @@ class TestOrbitCount:
                 if hexagon.cell_count // 3 > 80:
                     continue
                 region = Region(hexagon)
-                n6_weights = tilings._n6_weights(region)
                 hist_n, hist_n6 = [0] * 6, [0] * 6
                 for tiling in enumerate_cyclic_tilings(region, cap=80):
                     assert is_cyclically_symmetric(tiling, region)
-                    n6 = statistic_n6(tiling, region)
-                    # the slot walk reads the paths the find walk reads
-                    assert n6 == reference_statistic_n6(tiling, region)
+                    # n6 is scored by the path walk, independent of the
+                    # lozenge weights that statistic_n6 and the histogram sum
+                    n6 = reference_statistic_n6(tiling, region)
+                    assert statistic_n6(tiling, region) == n6
                     hist_n[statistic_n(tiling, region) % 6] += 1
                     hist_n6[n6 % 6] += 1
-                    # the weight table reproduces the path walk of statistic_n6
-                    assert sum(w for (u, d), w in n6_weights.items() if tiling[u] == d) == n6
-                assert tilings._cyclic_histogram(region, n6=False) == hist_n, (a, m)
-                assert tilings._cyclic_histogram(region, n6=True) == hist_n6, (a, m)
+                assert cyclic_histogram(hexagon, cap=80) == hist_n, (a, m)
+                assert cyclic_histogram(hexagon, n6=True, cap=80) == hist_n6, (a, m)
                 expected = {
                     "one": weighted(hist_n, 1),
                     "minus1": weighted(hist_n, -1),
@@ -583,13 +598,15 @@ class TestOrbitCount:
                     assert count_weighted(hexagon, weight, cap=80, cyclic=True) == value, (
                         a, m, weight
                     )
+                    hist = hist_n6 if weight == "minus1-n6" else hist_n
+                    assert apply_weight(hist, weight) == value, (a, m, weight)
 
     def test_row_and_column_sweeps_agree_up_to_a_5_m_8(self, monkeypatch):
         # the other sweep renumbers the cells, and with them the orbits, their
         # representatives and the order of the transfer matrix
         def histograms(a, m):
-            region = Region(CoredHexagon(a, a, a, m))
-            return [tilings._cyclic_histogram(region, n6) for n6 in (False, True)]
+            hexagon = CoredHexagon(a, a, a, m)
+            return [cyclic_histogram(hexagon, n6, cap=130) for n6 in (False, True)]
 
         expected = {(a, m): histograms(a, m) for a in range(6) for m in range(9)}
         sweeps_rows = tilings._sweeps_rows
@@ -611,7 +628,7 @@ class TestOrbitCount:
             cells = tuple(reference_cells(hexagon, rows))
             rotation = reference_rotation(hexagon, cells)
             ray = {(east, west): 1 for west, east in region.reference_ray if min(west, east) >= 0}
-            for weights in (ray, tilings._n6_weights(region)):
+            for weights in (ray, region._n6_weights):
                 edges = tilings._orbit_edges(region, weights)
                 read = Counter((o, p, e) for o, out in enumerate(edges) for p, e in out)
                 assert read == reference_orbit_edges(cells, rotation, weights), (a, m, weights)
@@ -624,9 +641,9 @@ class TestOrbitCount:
             missing += sum(k > stride and region.slots[k - 1] < 0 for k in ups)
         assert first_line and missing
 
-    def test_slot_walk_of_n6_follows_the_row_sweep(self, monkeypatch):
-        # a = b = c sweeps by columns, where the test above compares the two
-        # walks; forced into rows, the walk's slot offsets must follow
+    def test_n6_weights_follow_the_reference_walk_in_the_row_sweep(self, monkeypatch):
+        # a = b = c sweeps by columns, where the tests above score n6 by the
+        # path walk; forced into rows, the lozenge weights must follow
         monkeypatch.setattr(tilings, "_sweeps_rows", lambda hexagon: True)
         checked = 0
         for a, m in itertools.product(range(5), range(4)):

@@ -129,6 +129,7 @@ def test_suites_call_every_closed_form_and_builder(monkeypatch):
     for name in BUILDERS:
         spy_on(lgv, name)
     spy_on(verify, "count")
+    spy_on(tilings, "cyclic_histogram")
     for name in SUITES:
         run_suite(name, SMALL_BOUNDS[name], seed=3)
     assert set(CLOSED_FORMS + BUILDERS) - set(calls) == set()
@@ -140,6 +141,9 @@ def test_suites_call_every_closed_form_and_builder(monkeypatch):
         return "cyclic" if cyclic else "plain"
 
     reached = {(family(args), args["route"]) for args in calls["count"]}
+    # CyclicWeights reads the cyclic brute counts off one histogram of n
+    if any(not args["n6"] for args in calls["cyclic_histogram"]):
+        reached.add(("cyclic", "brute"))
     families = ("plain", "cyclic", "minus1-n6")
     assert reached == {(f, route) for f in families for route in verify.ROUTES}
     variants = {
@@ -243,6 +247,30 @@ def test_a_pointwise_knockout_fails_its_suites(monkeypatch, module, name, at, su
         assert suite_failed(run_suite(suite, {})), suite
     for suite in at_cap_zero:
         assert suite_failed(run_suite(suite, {"cap": 0})), suite
+
+
+def test_a_histogram_residue_off_by_one_fails_cyclic_weights(monkeypatch):
+    # one residue of the histogram of n at C_2(1) alone, moving each of the
+    # four weights, as omega^3 = +-1; cap 0 skips the search there, and
+    # passes only the regions without cells
+    histogram = tilings.cyclic_histogram
+
+    def knocked(hexagon, n6=False, cap=None):
+        hist = histogram(hexagon, n6, cap)
+        if hexagon == tilings.CoredHexagon(2, 2, 2, 1) and not n6:
+            hist[3] += 1
+        return hist
+
+    monkeypatch.setattr(tilings, "cyclic_histogram", knocked)
+    reports = run_suite("CyclicWeights", {})
+    failed = {r.case_params["weight"] for r in reports if r.status == FAIL}
+    assert failed == set(verify._OMEGAS)
+    at = [(r.case_params["a"], r.case_params["m"]) == (2, 1) for r in reports]
+    assert sum(at) == 4
+    assert not suite_failed(r for r, hit in zip(reports, at) if not hit)
+    reports = run_suite("CyclicWeights", {"cap": 0})
+    assert not suite_failed(reports)
+    assert all(r.status == (PASS if r.case_params["a"] == 0 else SKIP) for r in reports)
 
 
 @pytest.mark.parametrize("name", ["TilingsVsFormula", "Case10"])
